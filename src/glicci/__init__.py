@@ -19,6 +19,8 @@ Three layers, all pure integer arithmetic on immutable values:
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from . import errors
 from .catalog import (
     CurveFamily,
@@ -86,4 +88,8 @@ from .planner import (
     plan_quadric,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names above; the submodules stay importable but are not re-exported.
+__all__ = [
+    name for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

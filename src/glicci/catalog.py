@@ -83,6 +83,12 @@ for _model in (
     _SURFACES[_model.name] = _model
 
 
+# Entries kept by each carrier constructor's cache.  Planning a large n
+# builds thousands of carriers that are never asked for again; the
+# acceptance sweeps over 1..10^4 reuse a few hundred.
+_CARRIER_CACHE_SIZE = 1024
+
+
 def surface(name: str) -> SurfaceModel:
     """Look up a registered surface model by name."""
     try:
@@ -148,7 +154,7 @@ _CUBIC_BASE = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CARRIER_CACHE_SIZE)
 def cubic_surface_type(kind: str, a: int) -> CurveFamily:
     """The four families of smooth ACM curves on a nonsingular cubic
     surface, indexed by kind i..iv and a parameter a >= 1:
@@ -188,7 +194,7 @@ def cubic_surface_type(kind: str, a: int) -> CurveFamily:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CARRIER_CACHE_SIZE)
 def quadric_family(a: int, case: str) -> CurveFamily:
     """ACM curves on the nonsingular quadric: case i is the complete
     intersection of bidegree (a, a) with degree 2a, genus (a-1)^2, moving
@@ -229,7 +235,7 @@ def quadric_ruling_line() -> CurveFamily:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CARRIER_CACHE_SIZE)
 def plane_curve_family(d: int) -> CurveFamily:
     """Plane curves of degree d: genus (d-1)(d-2)/2, moving in the
     complete linear system of dimension d(d+3)/2."""

@@ -91,7 +91,7 @@ def _describe_descent(model, down) -> str:
 
 def _cmd_divisor(args) -> int:
     model = surface(args.surface)
-    cls = DivisorClass.parse(args.cls)
+    cls = DivisorClass.parse(args.cls, model.basis_rank)
     d = model.degree_of(cls)
     g = model.genus_of(cls)
     c2 = model.self_intersection(cls)

@@ -31,6 +31,30 @@ LIAISON = "liaison"
 BILIAISON = "biliaison"
 
 
+_REQUIRED = object()
+
+
+def _field(raw, key: str, kind: type, where: str, *, null: bool = False, default=_REQUIRED):
+    """``raw[key]``, checked to be a ``kind`` (or None when ``null``).
+    A key with a default may be absent.  JSON booleans are not integers
+    here.  Anything else raises :class:`InvalidMove` naming ``where``
+    and the key."""
+    if not isinstance(raw, dict):
+        raise InvalidMove(f"{where}: expected an object, got {type(raw).__name__}")
+    if key not in raw:
+        if default is _REQUIRED:
+            raise InvalidMove(f"{where}: missing field {key!r}")
+        return default
+    value = raw[key]
+    if value is None and null:
+        return None
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InvalidMove(
+            f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class LinkMove:
     """One directed move on point counts, with its carrier curve.
@@ -116,25 +140,32 @@ class Chain:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Chain":
-        steps = tuple(
-            LinkMove(
-                kind=raw["kind"],
-                n_from=raw["from"],
-                n_to=raw["to"],
+        """Rebuild a chain from :meth:`to_dict` output.  A missing or
+        ill-typed field raises :class:`InvalidMove` naming the step index
+        and the field."""
+        space = _field(data, "space", str, "chain")
+        start = _field(data, "start", int, "chain")
+        steps = []
+        for index, raw in enumerate(_field(data, "steps", list, "chain")):
+            where = f"step {index}"
+            carrier = _field(raw, "carrier", dict, where)
+            on = f"{where} carrier"
+            steps.append(LinkMove(
+                kind=_field(raw, "kind", str, where),
+                n_from=_field(raw, "from", int, where),
+                n_to=_field(raw, "to", int, where),
                 carrier=CurveFamily(
-                    ambient=raw["carrier"]["ambient"],
-                    d=raw["carrier"]["d"],
-                    g=raw["carrier"]["g"],
-                    linsys_dim=raw["carrier"].get("linsys_dim"),
-                    label=raw["carrier"].get("label", ""),
+                    ambient=_field(carrier, "ambient", str, on),
+                    d=_field(carrier, "d", int, on),
+                    g=_field(carrier, "g", int, on, null=True),
+                    linsys_dim=_field(carrier, "linsys_dim", int, on, null=True, default=None),
+                    label=_field(carrier, "label", str, on, default=""),
                 ),
-                m=raw.get("m"),
-                h=raw.get("h"),
-                note=raw.get("note", ""),
-            )
-            for raw in data["steps"]
-        )
-        chain = cls(space=data["space"], start=data["start"], steps=steps)
+                m=_field(raw, "m", int, where, null=True, default=None),
+                h=_field(raw, "h", int, where, null=True, default=None),
+                note=_field(raw, "note", str, where, default=""),
+            ))
+        chain = cls(space=space, start=start, steps=tuple(steps))
         if chain.terminal != data.get("terminal", chain.terminal):
             raise InvalidMove("serialized terminal disagrees with steps")
         return chain

@@ -10,6 +10,13 @@ a*l - b_1*e_1 - ... - b_r*e_r is written coefficient-wise as
 with its two rulings, the degree-10 determinantal surface with basis
 {H, K}) declare their pairing directly and are called abstract here.
 
+Every model evaluates the pairing on one sparse path: it keeps the
+nonzero Gram entries (i, j, g_ij) once, so c.d is a sum over r + 1
+entries on a blow-up of r points, 2 on the quadric and 4 on the
+degree-10 surface.  The linear forms G*H and G*K are kept as well, so
+the degree c.H and the C.K term of the adjunction genus are each one
+dot product.  Both are computed on first use and cached on the model.
+
 All values are immutable and all operations are pure integer
 arithmetic, so everything in this module is safe for concurrent use.
 """
@@ -19,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, mul, sub
 
 from .errors import AbstractSurface, NonIntegralGenus, RankMismatch
 
@@ -36,22 +44,26 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(int, self.coeffs))
         if not coeffs:
             raise ValueError("a divisor class needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def parse(cls, text: str) -> "DivisorClass":
+    def parse(cls, text: str, rank: int | None = None) -> "DivisorClass":
         """Parse ``"a;b1,...,br"``, with run sugar ``"5;2^2,1^3"`` for
-        (5; 2,2,1,1,1).  A bare integer parses as a rank-one class."""
+        (5; 2,2,1,1,1).  A bare integer parses as a rank-one class.
+
+        With ``rank`` given, a string whose runs add up to any other
+        length raises :class:`RankMismatch` before a run is expanded."""
         head, sep, tail = text.replace(" ", "").partition(";")
         if not head:
             raise ValueError(f"empty divisor class string: {text!r}")
         try:
-            coeffs = [int(head)]
+            lead = int(head)
         except ValueError:
             raise ValueError(f"bad leading coefficient in {text!r}") from None
+        runs = []
         if sep:
             if not tail:
                 raise ValueError(f"trailing ';' in {text!r}")
@@ -59,11 +71,16 @@ class DivisorClass:
                 match = _TERM.match(term)
                 if match is None:
                     raise ValueError(f"bad coefficient term {term!r} in {text!r}")
-                value = int(match.group(1))
                 repeat = int(match.group(2) or 1)
                 if repeat < 1:
                     raise ValueError(f"bad multiplicity in term {term!r}")
-                coeffs.extend([value] * repeat)
+                runs.append((int(match.group(1)), repeat))
+        length = 1 + sum(repeat for _, repeat in runs)
+        if rank is not None and length != rank:
+            raise RankMismatch(f"class of length {length} does not fit rank {rank}")
+        coeffs = [lead]
+        for value, repeat in runs:
+            coeffs.extend([value] * repeat)
         return cls(tuple(coeffs))
 
     def __len__(self) -> int:
@@ -76,13 +93,13 @@ class DivisorClass:
             raise RankMismatch(
                 f"cannot combine classes of lengths {len(self.coeffs)} and {len(other.coeffs)}"
             )
-        return DivisorClass(tuple(op(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass(tuple(map(op, self.coeffs, other.coeffs)))
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, add)
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, sub)
 
     def __neg__(self):
         return DivisorClass(tuple(-c for c in self.coeffs))
@@ -90,7 +107,7 @@ class DivisorClass:
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
-        return DivisorClass(tuple(scalar * c for c in self.coeffs))
+        return DivisorClass(tuple([scalar * c for c in self.coeffs]))
 
     __rmul__ = __mul__
 
@@ -167,21 +184,39 @@ class SurfaceModel:
         return len(self.gram)
 
     @cached_property
+    def _entries(self) -> tuple[tuple[int, int, int], ...]:
+        """The nonzero Gram entries (i, j, g_ij), both triangles, row by row."""
+        return tuple(
+            (i, j, g) for i, row in enumerate(self.gram) for j, g in enumerate(row) if g
+        )
+
+    def _form(self, c: DivisorClass) -> tuple[int, ...]:
+        """The linear form G*c, so that d.c = sum_i d_i (G*c)_i."""
+        out = [0] * self.basis_rank
+        for i, j, g in self._entries:
+            out[i] += g * c.coeffs[j]
+        return tuple(out)
+
+    @cached_property
+    def _h_form(self) -> tuple[int, ...]:
+        return self._form(self.H)
+
+    @cached_property
+    def _k_form(self) -> tuple[int, ...]:
+        return self._form(self.K)
+
+    @cached_property
     def is_blowup(self) -> bool:
         """True when the model is a plane blow-up in its standard basis:
         pairing diag(1, -1, ..., -1) and K = (-3; -1, ..., -1)."""
         n = self.basis_rank
         if n < 2:
             return False
-        diag_ok = all(
-            self.gram[i][j] == ((1 if i == 0 else -1) if i == j else 0)
-            for i in range(n)
-            for j in range(n)
-        )
-        return diag_ok and self.K.coeffs == (-3,) + (-1,) * (n - 1)
+        diagonal = tuple((i, i, 1 if i == 0 else -1) for i in range(n))
+        return self._entries == diagonal and self.K.coeffs == (-3,) + (-1,) * (n - 1)
 
     def _conform(self, c: DivisorClass) -> None:
-        if len(c) != self.basis_rank:
+        if len(c.coeffs) != len(self.gram):
             raise RankMismatch(
                 f"class of length {len(c)} does not fit {self.name} (rank {self.basis_rank})"
             )
@@ -190,24 +225,20 @@ class SurfaceModel:
         """Intersection number c.d, the Gram-matrix bilinear form."""
         self._conform(c)
         self._conform(d)
-        return sum(
-            ci * self.gram[i][j] * dj
-            for i, ci in enumerate(c.coeffs)
-            if ci
-            for j, dj in enumerate(d.coeffs)
-            if dj
-        )
+        x, y = c.coeffs, d.coeffs
+        return sum([g * x[i] * y[j] for i, j, g in self._entries])
 
     def degree_of(self, c: DivisorClass) -> int:
         """Degree of the class in the ambient embedding, c.H."""
-        return self.pair(c, self.H)
+        self._conform(c)
+        return sum(map(mul, c.coeffs, self._h_form))
 
     def self_intersection(self, c: DivisorClass) -> int:
         return self.pair(c, c)
 
     def genus_of(self, c: DivisorClass) -> int:
         """Arithmetic genus from adjunction, 2g - 2 = c.c + c.K."""
-        twice = self.pair(c, c) + self.pair(c, self.K)
+        twice = self.pair(c, c) + sum(map(mul, c.coeffs, self._k_form))
         if twice % 2:
             raise NonIntegralGenus(
                 f"{c} on {self.name}: c.c + c.K = {twice} is odd, not a curve class"

@@ -2,8 +2,10 @@
 
 Nothing here shares a code path with the package: the minimizer below
 is a dynamic program over all valid h-vectors (no greedy assumption,
-no closed formula), and the counter recounts enumerations through a
-different recursion.  Tests pit the package against these.
+no closed formula), the counter recounts enumerations through a
+different recursion, and the lattice reference evaluates the full Gram
+matrix densely on plain integer tuples.  Tests pit the package against
+these.
 """
 
 from functools import lru_cache
@@ -58,3 +60,14 @@ def count_hvectors(d: int, codim: int) -> int:
         )
 
     return ways(1, d - 1)
+
+
+def dense_pair(gram, c, d) -> int:
+    """c^T G d over every entry of the Gram matrix, zeros included."""
+    return sum(c[i] * gram[i][j] * d[j] for i in range(len(gram)) for j in range(len(gram)))
+
+
+def dense_genus(gram, c, K):
+    """Adjunction genus (c.c + c.K)/2 + 1, or None when c.c + c.K is odd."""
+    twice = dense_pair(gram, c, c) + dense_pair(gram, c, K)
+    return None if twice % 2 else twice // 2 + 1

@@ -223,6 +223,29 @@ class TestCurveFamilyValidation:
                 surface="scroll",
             )
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda a: cubic_surface_type("i", a), lambda a: cubic_surface_type("iv", a),
+         lambda a: quadric_family(a, "i"), lambda a: quadric_family(a, "ii")],
+    )
+    @pytest.mark.parametrize("field,delta", [("d", 1), ("d", -1), ("g", 1), ("g", -1)])
+    def test_carrier_with_wrong_dg_rejected(self, make, field, delta):
+        # The (d, g) cross-check against the lattice runs for every
+        # carrier built with a divisor class, cubic and quadric alike.
+        good = make(5)
+        fields = {"d": good.d, "g": good.g, field: getattr(good, field) + delta}
+        with pytest.raises(ValueError, match="stored " + ("degree" if field == "d" else "genus")):
+            CurveFamily(ambient=good.ambient, linsys_dim=good.linsys_dim,
+                        divisor=good.divisor, surface=good.surface, label=good.label, **fields)
+
+    def test_carrier_caches_are_bounded(self):
+        for fn in (cubic_surface_type, quadric_family, plane_curve_family):
+            assert fn.cache_info().maxsize == 1024
+        for a in range(1, 1200):
+            cubic_surface_type("iii", a)
+        assert cubic_surface_type.cache_info().currsize == 1024
+        assert cubic_surface_type("iii", 1).dg == (3, 0)
+
     def test_skew_union_records_degree_only(self):
         fam = skew_plane_union(5)
         assert fam.d == 5

@@ -89,6 +89,12 @@ class TestDivisorCommand:
         code, _, err = run(capsys, "divisor", "scroll", "1;0,0,0")
         assert code == 1
 
+    def test_rank_checked_before_runs_expand(self, capsys):
+        code, out, err = run(capsys, "divisor", "bordiga", "4;1^10000000")
+        assert code == 1
+        assert out == ""
+        assert "input error: class of length 10000001 does not fit rank 11" in err
+
     def test_malformed_class(self, capsys):
         code, _, err = run(capsys, "divisor", "scroll", "nonsense")
         assert code == 1
@@ -157,6 +163,13 @@ class TestVerifyCommand:
 
 
 class TestTopLevel:
+    def test_package_exports_names_not_submodules(self):
+        import glicci
+
+        for module in ("catalog", "claims", "errors", "hvector", "moves", "picard", "planner"):
+            assert module not in glicci.__all__
+        assert {"plan", "DivisorClass", "verify_all"} <= set(glicci.__all__)
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--version"])

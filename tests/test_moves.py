@@ -277,3 +277,59 @@ class TestChains:
         chain = Chain.from_dict(data)
         with pytest.raises(InvalidMove):
             chain.validate()
+
+    def test_from_dict_names_missing_step_field(self):
+        data = plan_cubic(18).to_dict()
+        del data["steps"][2]["to"]
+        with pytest.raises(InvalidMove, match=r"step 2: missing field 'to'"):
+            Chain.from_dict(data)
+        data = plan_cubic(18).to_dict()
+        del data["steps"][0]["carrier"]["d"]
+        with pytest.raises(InvalidMove, match=r"step 0 carrier: missing field 'd'"):
+            Chain.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("kind",), 3, r"step 1: field 'kind' must be str, got int"),
+            (("from",), "18", r"step 1: field 'from' must be int, got str"),
+            (("to",), True, r"step 1: field 'to' must be int, got bool"),
+            (("m",), 1.5, r"step 1: field 'm' must be int, got float"),
+            (("carrier",), [], r"step 1: field 'carrier' must be dict, got list"),
+            (("carrier", "g"), "1", r"step 1 carrier: field 'g' must be int, got str"),
+            (("carrier", "linsys_dim"), [3], r"step 1 carrier: field 'linsys_dim' must be int"),
+            (("carrier", "label"), None, r"step 1 carrier: field 'label' must be str"),
+        ],
+    )
+    def test_from_dict_names_ill_typed_step_field(self, path, value, message):
+        data = plan_cubic(18).to_dict()
+        target = data["steps"][1]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(InvalidMove, match=message):
+            Chain.from_dict(data)
+
+    def test_from_dict_checks_the_envelope(self):
+        assert issubclass(InvalidMove, ValueError)
+        for data, message in [
+            ([], r"chain: expected an object, got list"),
+            ({"start": 2, "steps": []}, r"chain: missing field 'space'"),
+            ({"space": "p2", "start": "2", "steps": []}, r"chain: field 'start' must be int"),
+            ({"space": "p2", "start": 2, "steps": {}}, r"chain: field 'steps' must be list"),
+            ({"space": "p2", "start": 2, "steps": [7]}, r"step 0: expected an object, got int"),
+        ]:
+            with pytest.raises(InvalidMove, match=message):
+                Chain.from_dict(data)
+
+    def test_from_dict_keeps_optional_defaults(self):
+        # The liaisons of a cubic chain carry no height.
+        data = plan_cubic(18).to_dict()
+        for step in data["steps"]:
+            step.pop("h")
+            step.pop("note")
+            step["carrier"].pop("label")
+            step["carrier"].pop("linsys_dim")
+        chain = Chain.from_dict(data)
+        assert chain.point_sequence() == plan_cubic(18).point_sequence()
+        assert all(s.note == "" and s.carrier.label == "" for s in chain.steps)

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glicci.catalog import bordiga_ten_six, surface, surface_names
 from glicci.errors import AbstractSurface, NonIntegralGenus, RankMismatch
 from glicci.picard import DivisorClass, SurfaceModel
+
+from oracles import dense_genus, dense_pair
 
 BLOWUPS = ("scroll", "delpezzo", "castelnuovo", "bordiga", "cubic")
 
@@ -53,6 +57,26 @@ class TestDivisorClass:
 
     def test_str_uses_runs(self):
         assert str(DivisorClass.parse("8;3^3,2^6,1")) == "(8;3^3,2^6,1)"
+
+    def test_parse_with_matching_rank(self):
+        assert DivisorClass.parse("6;2^3,1^7", rank=11) == DivisorClass.parse("6;2^3,1^7")
+        assert DivisorClass.parse("7", rank=1).coeffs == (7,)
+
+    def test_parse_checks_rank_before_expanding_runs(self):
+        # Expanding ten million coefficients would allocate some 80 MB;
+        # the summed run lengths are checked first, so almost nothing is.
+        tracemalloc.start()
+        try:
+            with pytest.raises(RankMismatch):
+                DivisorClass.parse("4;1^10000000", rank=11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        with pytest.raises(RankMismatch):
+            DivisorClass.parse("4;1^9", rank=11)
+        with pytest.raises(RankMismatch):
+            DivisorClass.parse("4", rank=2)
 
 
 class TestPairing:
@@ -320,3 +344,57 @@ class TestSurfaceModelValidation:
             assert surface(name).is_blowup
         assert not surface("quadric").is_blowup
         assert not surface("det10").is_blowup
+
+
+def _toy(name, gram, K):
+    # Lattices on which c.c + c.K can be odd: H = (1, 0) has H.H = 1 and
+    # H.K = -3 on both, so the model itself is consistent.
+    return SurfaceModel(name=name, gram=gram, H=DivisorClass((1, 0)), K=DivisorClass(K),
+                        ambient_dim=3, degree=1, sectional_genus=0)
+
+
+ODD_TOYS = (
+    _toy("toy-diagonal", ((1, 0), (0, 1)), (-3, 0)),
+    _toy("toy-dense", ((1, 2), (2, 3)), (-3, 0)),
+)
+
+
+class TestDenseReference:
+    """The sparse kernel against a dense c^T G d on every registered model
+    (150 pairs of classes each, over a thousand in all) and on two
+    lattices where adjunction can be odd."""
+
+    @pytest.mark.parametrize("model", [surface(n) for n in surface_names()] + list(ODD_TOYS),
+                             ids=lambda m: m.name)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_gram(self, model, data):
+        coeffs = st.tuples(*[st.integers(-40, 40)] * model.basis_rank)
+        c, d = data.draw(coeffs), data.draw(coeffs)
+        C, D = DivisorClass(c), DivisorClass(d)
+        gram = model.gram
+        assert model.pair(C, D) == dense_pair(gram, c, d)
+        assert model.degree_of(C) == dense_pair(gram, c, model.H.coeffs)
+        assert model.self_intersection(C) == dense_pair(gram, c, c)
+        genus = dense_genus(gram, c, model.K.coeffs)
+        if genus is None:
+            with pytest.raises(NonIntegralGenus):
+                model.genus_of(C)
+        else:
+            assert model.genus_of(C) == genus
+
+    @pytest.mark.parametrize("model", ODD_TOYS, ids=lambda m: m.name)
+    def test_odd_parity_reached(self, model):
+        c = DivisorClass((0, 1))
+        assert dense_genus(model.gram, c.coeffs, model.K.coeffs) is None
+        with pytest.raises(NonIntegralGenus):
+            model.genus_of(c)
+
+    def test_every_kernel_entry_point_checks_rank(self):
+        model = surface("cubic")
+        short = DivisorClass((3, 1, 1))
+        for call in (lambda: model.pair(short, model.H), lambda: model.pair(model.H, short),
+                     lambda: model.degree_of(short), lambda: model.genus_of(short),
+                     lambda: model.self_intersection(short)):
+            with pytest.raises(RankMismatch):
+                call()
