@@ -1,19 +1,25 @@
 """Reduction planners: validated chains from n general points down to one.
 
-Four planners, one per ambient:
+Every planner is the same walk.  Each ambient supplies only a next-hop
+function ``next_moves(n)``, the tuple of moves that leaves n points, and
+``_walk`` follows it from n down to one point and validates the whole
+chain move by move:
 
-  * plan_p2: ascending biliaisons on plane curves;
-  * plan_quadric: ascending biliaisons on the two ACM families of the
-    quadric (with the classical height-0 repositioning for n = 2);
-  * plan_cubic: strict liaisons by m*H - K on the four ACM families of
-    the cubic surface, with hard-coded tables for n <= 17 and a
-    six-range schedule above that;
-  * plan_p3: shortest walks over the eleven tabulated moves, total for
-    n <= 19 and a typed open-case error beyond.
+  * p2: one ascending biliaison on plane curves of the least degree
+    that holds the points;
+  * quadric: one ascending biliaison on the two ACM families of the
+    quadric, except that n = 2 first slides the points along a twisted
+    cubic (a height-0 biliaison) onto a ruling line;
+  * cubic surface: one strict liaison by m*H - K on the four ACM
+    families, from a tabulated route for n <= 17 and in closed form on
+    the six ranges of each level above that;
+  * p3: the tabulated route over the eleven moves, total for n <= 19
+    and a typed open-case error beyond.
 
-Every chain is validated move by move at construction time.  A
-breadth-first reachability oracle over the full admissible-move graph
-serves as an independent cross-check of the planners.
+The levels and the cubic spiral are closed forms in n.  One breadth-first
+search, ``_bfs``, serves both the tabulated routes (shortest paths to 1)
+and the reachability oracle, which rebuilds the full admissible-move
+graph from the carriers as an independent cross-check of the planners.
 
 Planners are pure functions of n; identical inputs give identical
 chains.
@@ -27,21 +33,14 @@ from functools import lru_cache
 from math import isqrt
 
 from .catalog import (
-    CurveFamily,
     cubic_surface_type,
     p3_acm_family,
-    perrin_m,
     perrin_table,
     plane_curve_family,
     quadric_family,
     quadric_ruling_line,
 )
-from .errors import (
-    DegreeTooSmall,
-    InvalidMove,
-    OutOfGuaranteedRange,
-    SearchBudgetExceeded,
-)
+from .errors import DegreeTooSmall, OutOfGuaranteedRange, SearchBudgetExceeded
 from .moves import (
     BILIAISON,
     LIAISON,
@@ -54,27 +53,88 @@ from .moves import (
     validate_move_p3_undirected,
 )
 
-SPACES = ("p2", "quadric", "cubic-surface", "p3")
-
 _SEARCH_CAP = 10_000
 
 
 def _check_n(n: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"point count must be an int, got {n!r}")
     if n < 1:
         raise DegreeTooSmall(f"need at least one point, got {n}")
+
+
+def _walk(space: str, n: int, next_moves) -> Chain:
+    """Follow ``next_moves`` from n points down to one and validate the
+    chain."""
+    _check_n(n)
+    steps: list[LinkMove] = []
+    cur = n
+    while cur > 1:
+        moves = next_moves(cur)
+        steps.extend(moves)
+        cur = moves[-1].n_to
+    chain = Chain(space, n, tuple(steps))
+    validate_chain(chain)
+    return chain
+
+
+def _bfs(adjacency: dict[int, list[int] | set[int]]) -> dict[int, int]:
+    """Distance from 1 of every vertex connected to it."""
+    dist = {1: 0}
+    queue = deque([1])
+    while queue:
+        v = queue.popleft()
+        for u in adjacency.get(v, ()):
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def _table_routes(rows) -> dict[int, tuple[LinkMove]]:
+    """Next hop toward 1 for every count in a table of moves, each row
+    ``(lo, hi, kind, param, carrier)`` usable both ways: a shortest
+    path, preferring biliaisons over liaisons and then smaller targets.
+    ``param`` is the twist m of a liaison or the height h of a
+    biliaison."""
+    adjacency: dict[int, list[tuple]] = {}
+    for lo, hi, kind, param, carrier in rows:
+        adjacency.setdefault(lo, []).append((hi, kind, param, carrier))
+        adjacency.setdefault(hi, []).append((lo, kind, param, carrier))
+    dist = _bfs({v: [u for u, *_ in nbrs] for v, nbrs in adjacency.items()})
+    routes = {}
+    for v, nbrs in adjacency.items():
+        if v == 1:
+            continue
+        u, kind, param, carrier = min(
+            nbrs, key=lambda e: (dist[e[0]], e[1] != BILIAISON, e[0])
+        )
+        if kind == LIAISON:
+            routes[v] = (LinkMove(LIAISON, v, u, carrier, m=param),)
+        else:
+            routes[v] = (LinkMove(BILIAISON, v, u, carrier, h=param),)
+    return routes
 
 
 # ---------------------------------------------------------------------------
 # Points in the plane.
 
 def _plane_degree(n: int) -> int:
-    # Least d >= 2 with (d-1)(d+2)/2 < n <= d(d+3)/2.
-    d = max(2, (isqrt(8 * n + 9) - 3) // 2)
-    while d * (d + 3) // 2 < n:
-        d += 1
-    while d > 2 and (d - 1) * (d + 2) // 2 >= n:
-        d -= 1
-    return d
+    # The d with (d-1)(d+2)/2 < n <= d(d+3)/2.
+    return (isqrt(8 * n + 5) - 1) // 2
+
+
+def _p2_next(n: int) -> tuple[LinkMove]:
+    if n == 2:
+        d, h = 1, 1
+    elif n in (3, 4):
+        d, h = 2, 1
+    elif n == 5:
+        d, h = 2, 2
+    else:
+        d = _plane_degree(n)
+        h = 1 if n == (d - 1) * (d + 2) // 2 + 1 else 2
+    return (LinkMove(BILIAISON, n, n - h * d, plane_curve_family(d), h=h),)
 
 
 def plan_p2(n: int) -> Chain:
@@ -82,39 +142,33 @@ def plan_p2(n: int) -> Chain:
     biliaisons on plane curves.  For n >= 6 the carrier has the least
     degree d whose curves can hold the points, and the height is 1
     exactly when n sits just above the previous range."""
-    _check_n(n)
-    steps = []
-    cur = n
-    while cur > 1:
-        if cur == 2:
-            d, h = 1, 1
-        elif cur in (3, 4):
-            d, h = 2, 1
-        elif cur == 5:
-            d, h = 2, 2
-        else:
-            d = _plane_degree(cur)
-            h = 1 if cur == (d - 1) * (d + 2) // 2 + 1 else 2
-        carrier = plane_curve_family(d)
-        nxt = cur - h * d
-        steps.append(LinkMove(BILIAISON, cur, nxt, carrier, h=h))
-        cur = nxt
-    chain = Chain("p2", n, tuple(steps))
-    validate_chain(chain)
-    return chain
+    return _walk("p2", n, _p2_next)
 
 
 # ---------------------------------------------------------------------------
 # Points on the nonsingular quadric.
 
 def _quadric_level(n: int) -> int:
-    # The a >= 2 with a^2 + a <= n <= a^2 + 3a + 1.
-    a = max(2, (isqrt(4 * n + 1) - 1) // 2)
-    while a * a + a > n:
-        a -= 1
-    while a * a + 3 * a + 1 < n:
-        a += 1
-    return a
+    # The a with a^2 + a <= n <= a^2 + 3a + 1.
+    return (isqrt(4 * n + 1) - 1) // 2
+
+
+def _quadric_next(n: int) -> tuple[LinkMove, ...]:
+    if n == 2:
+        return (
+            LinkMove(BILIAISON, 2, 2, quadric_family(1, "ii"), h=0,
+                     note="slide along the twisted cubic onto a ruling line"),
+            LinkMove(BILIAISON, 2, 1, quadric_ruling_line(), h=1,
+                     note="points repositioned onto the line"),
+        )
+    if n == 3:
+        carrier = quadric_family(1, "i")  # the conic (2, 0)
+    elif n in (4, 5):
+        carrier = quadric_family(1, "ii")  # the twisted cubic (3, 0)
+    else:
+        a = _quadric_level(n)
+        carrier = quadric_family(a, "i" if n <= a * a + 2 * a else "ii")
+    return (LinkMove(BILIAISON, n, n - carrier.d, carrier, h=1),)
 
 
 def plan_quadric(n: int) -> Chain:
@@ -122,40 +176,7 @@ def plan_quadric(n: int) -> Chain:
     point by ascending biliaisons on its two ACM families.  The n = 2
     base case slides the points along a twisted cubic (a height-0
     biliaison) onto a ruling line first."""
-    _check_n(n)
-    steps = []
-    cur = n
-    while cur > 1:
-        if cur == 2:
-            cubic = quadric_family(1, "ii")
-            line = quadric_ruling_line()
-            steps.append(
-                LinkMove(BILIAISON, 2, 2, cubic, h=0,
-                         note="slide along the twisted cubic onto a ruling line")
-            )
-            steps.append(
-                LinkMove(BILIAISON, 2, 1, line, h=1,
-                         note="points repositioned onto the line")
-            )
-            cur = 1
-        elif cur == 3:
-            carrier = quadric_family(1, "i")  # the conic (2, 0)
-            steps.append(LinkMove(BILIAISON, 3, 1, carrier, h=1))
-            cur = 1
-        elif cur in (4, 5):
-            carrier = quadric_family(1, "ii")  # the twisted cubic (3, 0)
-            steps.append(LinkMove(BILIAISON, cur, cur - 3, carrier, h=1))
-            cur = cur - 3
-        else:
-            a = _quadric_level(cur)
-            case = "i" if cur <= a * a + 2 * a else "ii"
-            carrier = quadric_family(a, case)
-            nxt = cur - carrier.d
-            steps.append(LinkMove(BILIAISON, cur, nxt, carrier, h=1))
-            cur = nxt
-    chain = Chain("quadric", n, tuple(steps))
-    validate_chain(chain)
-    return chain
+    return _walk("quadric", n, _quadric_next)
 
 
 # ---------------------------------------------------------------------------
@@ -183,114 +204,48 @@ _CUBIC_TABLE = (
 
 
 @lru_cache(maxsize=1)
-def _cubic_small_routes() -> dict[int, tuple[int, int, CurveFamily]]:
-    """Next hop toward 1 for every 2 <= n <= 17, from a breadth-first
-    search over the tabulated liaisons (ties broken by smaller target)."""
-    adjacency: dict[int, list[tuple[int, int, CurveFamily]]] = {}
-    for lo, hi, m, kind, a in _CUBIC_TABLE:
-        fam = cubic_surface_type(kind, a)
-        adjacency.setdefault(lo, []).append((hi, m, fam))
-        adjacency.setdefault(hi, []).append((lo, m, fam))
-    dist = {1: 0}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for u, _, _ in sorted(adjacency.get(v, []), key=lambda t: t[0]):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    routes: dict[int, tuple[int, int, CurveFamily]] = {}
-    for v, nbrs in adjacency.items():
-        if v == 1:
-            continue
-        best = min(nbrs, key=lambda t: (dist[t[0]], t[0]))
-        routes[v] = best
-    return routes
+def _cubic_routes() -> dict[int, tuple[LinkMove]]:
+    return _table_routes(
+        (lo, hi, LIAISON, m, cubic_surface_type(kind, a))
+        for lo, hi, m, kind, a in _CUBIC_TABLE
+    )
 
 
 def _cubic_level(n: int) -> int:
-    # The a >= 4 with 3a(a-1)/2 <= n < 3a(a+1)/2, for n >= 18.
-    a = max(4, (isqrt(24 * n + 9) + 3) // 6)
-    while 3 * a * (a - 1) // 2 > n:
-        a -= 1
-    while 3 * a * (a + 1) // 2 <= n:
-        a += 1
-    return a
-
-
-@lru_cache(maxsize=None)
-def _cubic_spiral(a: int) -> dict[int, tuple[int, int, str]]:
-    """Outgoing move for every n in range D at level a.
-
-    The schedule weaves outward from the middle of D, alternating the
-    two liaison totals, and lands in range E; it must visit every value
-    of D exactly once, which is asserted here."""
-    n0 = 3 * a * (a - 1) // 2
-    d_lo, d_hi = n0 + a + 2, n0 + 2 * a - 2
-    if a % 2:
-        k = (a - 1) // 2
-        cur, kind = n0 + 3 * k + 2, "iv"
-    else:
-        k = a // 2
-        cur, kind = n0 + 3 * k, "ii"
-    totals = {"iv": 2 * n0 + 3 * a, "ii": 2 * n0 + 3 * a + 1}
-    out: dict[int, tuple[int, int, str]] = {}
-    while d_lo <= cur <= d_hi:
-        nxt = totals[kind] - cur
-        out[cur] = (nxt, 2 * a - 1, kind)
-        cur = nxt
-        kind = "ii" if kind == "iv" else "iv"
-    if sorted(out) != list(range(d_lo, d_hi + 1)):
-        raise AssertionError(f"spiral at a={a} missed part of range D")
-    if not (n0 + 2 * a - 1 <= cur <= n0 + 2 * a):
-        raise AssertionError(f"spiral at a={a} ended at {cur}, outside range E")
-    return out
-
-
-def _cubic_ranges(a: int) -> dict[str, range]:
-    n0 = 3 * a * (a - 1) // 2
-    return {
-        "A": range(n0, n0 + 3),
-        "B": range(n0 + 3, n0 + a),
-        "C": range(n0 + a, n0 + a + 2),
-        "D": range(n0 + a + 2, n0 + 2 * a - 1),
-        "E": range(n0 + 2 * a - 1, n0 + 2 * a + 1),
-        "F": range(n0 + 2 * a + 1, n0 + 3 * a),
-    }
-
-
-def _check_range_cover(a: int) -> None:
-    ranges = _cubic_ranges(a)
-    n0 = 3 * a * (a - 1) // 2
-    n1 = 3 * a * (a + 1) // 2
-    seen: list[int] = []
-    for r in ranges.values():
-        seen.extend(r)
-    if sorted(seen) != list(range(n0, n1)):
-        raise AssertionError(f"ranges at a={a} fail to tile [{n0}, {n1})")
+    # The a with 3a(a-1)/2 <= n < 3a(a+1)/2.
+    return (isqrt(24 * n + 9) + 3) // 6
 
 
 def _cubic_range_move(n: int) -> tuple[int, int, str, int]:
-    """The single outgoing move (target, m, kind, a) for n >= 18."""
+    """The single outgoing move (target, m, kind, a) for n >= 18.
+
+    With n = n0 + t at level a (n0 = 3a(a-1)/2), the offsets t fall in
+    six ranges.  In ranges D and E (a+2 <= t <= 2a) the two liaisons of
+    twist 2a-1 with totals T = 2n0+3a (type iv) and T+1 (type ii)
+    spiral out from the middle of D: values above T/2 take type iv and
+    the rest type ii, so the walk leaves D through E."""
     a = _cubic_level(n)
     n0 = 3 * a * (a - 1) // 2
     t = n - n0
-    if t == 0:
-        return 2 * n0 + 2 - n, 2 * a - 2, "i", a
+    total = 2 * n0 + 3 * a
     if t in (1, 2):
-        return 2 * n0 + 3 * a - n, 2 * a - 1, "iv", a
-    if 3 <= t <= a - 1:
+        return total - n, 2 * a - 1, "iv", a
+    if t < a:
         return 2 * n0 + 2 - n, 2 * a - 2, "i", a
-    if t in (a, a + 1):
+    if t <= a + 1:
         return 2 * n0 + 2 - n, 2 * a - 2, "ii", a
-    if a + 2 <= t <= 2 * a - 2:
-        nxt, m, kind = _cubic_spiral(a)[n]
-        return nxt, m, kind, a
-    if t in (2 * a - 1, 2 * a):
-        return 2 * n0 + 3 * a - n, 2 * a - 1, "iv", a
-    if 2 * a + 1 <= t <= 3 * a - 1:
-        return 2 * n0 + 3 * a + 2 - n, 2 * a - 1, "iii", a
-    raise AssertionError(f"n={n} escaped the six ranges at a={a}")
+    if t <= 2 * a:
+        if 2 * n > total:
+            return total - n, 2 * a - 1, "iv", a
+        return total + 1 - n, 2 * a - 1, "ii", a
+    return total + 2 - n, 2 * a - 1, "iii", a
+
+
+def _cubic_next(n: int) -> tuple[LinkMove]:
+    if n < 18:
+        return _cubic_routes()[n]
+    nxt, m, kind, a = _cubic_range_move(n)
+    return (LinkMove(LIAISON, n, nxt, cubic_surface_type(kind, a), m=m),)
 
 
 def plan_cubic(n: int) -> Chain:
@@ -298,22 +253,7 @@ def plan_cubic(n: int) -> Chain:
     single point by strict liaisons on its four ACM curve families.
     Tabulated links handle n <= 17; the six-range schedule handles the
     rest, recursing once a link drops below the current block."""
-    _check_n(n)
-    steps = []
-    cur = n
-    while cur >= 18:
-        nxt, m, kind, a = _cubic_range_move(cur)
-        carrier = cubic_surface_type(kind, a)
-        steps.append(LinkMove(LIAISON, cur, nxt, carrier, m=m))
-        cur = nxt
-    routes = _cubic_small_routes()
-    while cur != 1:
-        nxt, m, carrier = routes[cur]
-        steps.append(LinkMove(LIAISON, cur, nxt, carrier, m=m))
-        cur = nxt
-    chain = Chain("cubic-surface", n, tuple(steps))
-    validate_chain(chain)
-    return chain
+    return _walk("cubic-surface", n, _cubic_next)
 
 
 # ---------------------------------------------------------------------------
@@ -341,38 +281,10 @@ _P3_LIAISONS = (
 
 
 @lru_cache(maxsize=1)
-def _p3_routes() -> dict[int, tuple[int, str, int | None, CurveFamily]]:
-    """Next hop toward 1 for 2 <= n <= 19 over the eleven table moves:
-    shortest path, preferring biliaisons over liaisons and then smaller
-    targets."""
-    adjacency: dict[int, list[tuple[int, str, int | None, CurveFamily]]] = {}
-
-    def add(lo, hi, kind, m, fam):
-        adjacency.setdefault(lo, []).append((hi, kind, m, fam))
-        adjacency.setdefault(hi, []).append((lo, kind, m, fam))
-
-    for lo, hi, d, g in _P3_BILIAISONS:
-        add(lo, hi, BILIAISON, None, p3_acm_family(d, g))
-    for lo, hi, m, d, g in _P3_LIAISONS:
-        add(lo, hi, LIAISON, m, p3_acm_family(d, g))
-
-    dist = {1: 0}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for u, _, _, _ in sorted(adjacency.get(v, []), key=lambda t: t[0]):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    routes = {}
-    for v, nbrs in adjacency.items():
-        if v == 1:
-            continue
-        routes[v] = min(
-            nbrs,
-            key=lambda t: (dist[t[0]], 0 if t[1] == BILIAISON else 1, t[0]),
-        )
-    return routes
+def _p3_routes() -> dict[int, tuple[LinkMove]]:
+    rows = [(lo, hi, BILIAISON, 1, p3_acm_family(d, g)) for lo, hi, d, g in _P3_BILIAISONS]
+    rows += [(lo, hi, LIAISON, m, p3_acm_family(d, g)) for lo, hi, m, d, g in _P3_LIAISONS]
+    return _table_routes(rows)
 
 
 def plan_p3(n: int) -> Chain:
@@ -390,33 +302,7 @@ def plan_p3(n: int) -> Chain:
             "only carrier is the (10,11) curve, whose moves leave a residual of "
             "degree 10 < genus 11), and the reduction question is open"
         )
-    steps = []
-    cur = n
-    routes = _p3_routes()
-    while cur != 1:
-        nxt, kind, m, carrier = routes[cur]
-        if kind == BILIAISON:
-            steps.append(LinkMove(BILIAISON, cur, nxt, carrier, h=1))
-        else:
-            steps.append(LinkMove(LIAISON, cur, nxt, carrier, m=m))
-        cur = nxt
-    chain = Chain("p3", n, tuple(steps))
-    validate_chain(chain)
-    return chain
-
-
-def plan(space: str, n: int) -> Chain:
-    """Dispatch to the planner for the given ambient space."""
-    planners = {
-        "p2": plan_p2,
-        "quadric": plan_quadric,
-        "cubic-surface": plan_cubic,
-        "p3": plan_p3,
-    }
-    try:
-        return planners[space](n)
-    except KeyError:
-        raise ValueError(f"space must be one of {SPACES}, got {space!r}") from None
+    return _walk("p3", n, _p3_routes().__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -451,42 +337,38 @@ class ReachabilityOracle:
         )
 
 
-def _p2_edges(cap: int) -> set[frozenset[int]]:
+def _biliaison_edges(d: int, g: int, top: int):
+    """Every biliaison n -> n - h*d (h >= 1) on a (d, g) carrier from
+    1 <= n <= top whose residual keeps at least max(g, 1) points."""
+    floor = max(g, 1)
+    for n in range(floor + d, top + 1):
+        for n_to in range(n - d, floor - 1, -d):
+            yield frozenset((n, n_to))
+
+
+def _p2_graph(n_max: int) -> tuple[int, set[frozenset[int]]]:
     edges = set()
     d = 1
-    while (d - 1) * (d - 2) // 2 <= cap:
-        g = (d - 1) * (d - 2) // 2
-        dim = d * (d + 3) // 2
-        for n in range(1, min(dim, cap) + 1):
-            h = 1
-            while n - h * d >= max(g, 1):
-                edges.add(frozenset((n, n - h * d)))
-                h += 1
+    while (d - 1) * (d - 2) // 2 <= n_max:
+        edges.update(_biliaison_edges(d, (d - 1) * (d - 2) // 2, min(d * (d + 3) // 2, n_max)))
         d += 1
-    return edges
+    return n_max, edges
 
 
-def _quadric_edges(cap: int) -> set[frozenset[int]]:
+def _quadric_graph(n_max: int) -> tuple[int, set[frozenset[int]]]:
     edges = {frozenset((2, 1))}  # via the ruling line after repositioning
     a = 1
-    while (a - 1) ** 2 <= cap:
+    while (a - 1) ** 2 <= n_max:
         for case in ("i", "ii"):
             fam = quadric_family(a, case)
-            for n in range(1, min(fam.linsys_dim, cap) + 1):
-                h = 1
-                while n - h * fam.d >= max(fam.g, 1):
-                    edges.add(frozenset((n, n - h * fam.d)))
-                    h += 1
+            edges.update(_biliaison_edges(fam.d, fam.g, min(fam.linsys_dim, n_max)))
         a += 1
-    return edges
+    return n_max, edges
 
 
-def _cubic_cap(n_max: int) -> int:
-    a = _cubic_level(max(n_max, 18))
-    return 3 * a * (a + 1) // 2 - 1
-
-
-def _cubic_edges(cap: int) -> set[frozenset[int]]:
+def _cubic_graph(n_max: int) -> tuple[int, set[frozenset[int]]]:
+    level = _cubic_level(max(n_max, 18))
+    cap = 3 * level * (level + 1) // 2 - 1
     edges = set()
     a = 1
     while (3 * a * a - 7 * a + 4) // 2 <= cap:
@@ -507,20 +389,17 @@ def _cubic_edges(cap: int) -> set[frozenset[int]]:
                         edges.add(frozenset((n, n_to)))
                 m += 1
         a += 1
-    return edges
+    return cap, edges
 
 
-def _p3_edges(cap: int) -> set[frozenset[int]]:
+def _p3_graph(n_max: int) -> tuple[int, set[frozenset[int]]]:
+    cap = max(n_max, max(row.m for row in perrin_table()))
     edges = set()
     for row in perrin_table():
         fam = p3_acm_family(row.d, row.g)
-        for n in range(1, min(row.m, cap) + 1):
-            h = 1
-            while n - h * row.d >= max(row.g, 1):
-                edges.add(frozenset((n, n - h * row.d)))
-                h += 1
-        m = 1
         top = min(row.m, cap)
+        edges.update(_biliaison_edges(row.d, row.g, top))
+        m = 1
         while liaison_total(m, fam) <= 2 * top:
             total = liaison_total(m, fam)
             for n in range(max(row.g, total - top, 1), top + 1):
@@ -528,48 +407,51 @@ def _p3_edges(cap: int) -> set[frozenset[int]]:
                 if n != n_to and validate_move_p3_undirected(n, n_to, fam) and 1 <= n_to <= cap:
                     edges.add(frozenset((n, n_to)))
             m += 1
-    return edges
+    return cap, edges
+
+
+# Per space: the planner and the oracle's graph, n_max -> (cap, edges).
+_BY_SPACE = {
+    "p2": (plan_p2, _p2_graph),
+    "quadric": (plan_quadric, _quadric_graph),
+    "cubic-surface": (plan_cubic, _cubic_graph),
+    "p3": (plan_p3, _p3_graph),
+}
+SPACES = tuple(_BY_SPACE)
+
+
+def _lookup(space: str):
+    try:
+        return _BY_SPACE[space]
+    except (KeyError, TypeError):
+        raise ValueError(f"space must be one of {SPACES}, got {space!r}") from None
+
+
+def plan(space: str, n: int) -> Chain:
+    """Dispatch to the planner for the given ambient space."""
+    planner, _ = _lookup(space)
+    return planner(n)
 
 
 def build_oracle(space: str, n_max: int) -> ReachabilityOracle:
     """Assemble the admissible-move graph for a space and run one
     breadth-first search from 1."""
+    _, graph = _lookup(space)
+    _check_n(n_max)
     if n_max > _SEARCH_CAP:
         raise SearchBudgetExceeded(f"oracle capped at n_max <= {_SEARCH_CAP}")
-    _check_n(n_max)
-    if space == "p2":
-        cap = n_max
-        edges = _p2_edges(cap)
-    elif space == "quadric":
-        cap = n_max
-        edges = _quadric_edges(cap)
-    elif space == "cubic-surface":
-        cap = _cubic_cap(n_max)
-        edges = _cubic_edges(cap)
-    elif space == "p3":
-        cap = max(n_max, max(row.m for row in perrin_table()))
-        edges = _p3_edges(cap)
-    else:
-        raise ValueError(f"space must be one of {SPACES}, got {space!r}")
+    cap, edges = graph(n_max)
     adjacency: dict[int, set[int]] = {}
     for edge in edges:
         u, v = tuple(edge)
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
-    reachable = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for u in adjacency.get(v, ()):
-            if u not in reachable:
-                reachable.add(u)
-                queue.append(u)
     return ReachabilityOracle(
         space=space,
         n_max=n_max,
         cap=cap,
         edges=frozenset(edges),
-        reachable=frozenset(reachable),
+        reachable=frozenset(_bfs(adjacency)),
     )
 
 

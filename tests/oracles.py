@@ -3,8 +3,9 @@
 Nothing here shares a code path with the package: the minimizer below
 is a dynamic program over all valid h-vectors (no greedy assumption,
 no closed formula), the counter recounts enumerations through a
-different recursion, and the lattice reference evaluates the full Gram
-matrix densely on plain integer tuples.  Tests pit the package against
+different recursion, the lattice reference evaluates the full Gram
+matrix densely on plain integer tuples, and the cubic-surface spiral is
+walked step by step instead of read off in closed form.  Tests pit the package against
 these.
 """
 
@@ -71,3 +72,26 @@ def dense_genus(gram, c, K):
     """Adjunction genus (c.c + c.K)/2 + 1, or None when c.c + c.K is odd."""
     twice = dense_pair(gram, c, c) + dense_pair(gram, c, K)
     return None if twice % 2 else twice // 2 + 1
+
+
+def cubic_spiral_walk(a: int):
+    """The level-a spiral of the cubic-surface schedule, walked from the
+    middle of range D (offsets a+2 .. 2a-2 above n0 = 3a(a-1)/2) by
+    alternating the liaison totals 2n0+3a (type iv) and 2n0+3a+1
+    (type ii), both of twist 2a-1.  Returns the visited counts with
+    their moves (target, m, kind), in walk order, and the count where
+    the walk leaves D."""
+    n0 = 3 * a * (a - 1) // 2
+    d_lo, d_hi = n0 + a + 2, n0 + 2 * a - 2
+    if a % 2:
+        cur, kind = n0 + 3 * ((a - 1) // 2) + 2, "iv"
+    else:
+        cur, kind = n0 + 3 * (a // 2), "ii"
+    totals = {"iv": 2 * n0 + 3 * a, "ii": 2 * n0 + 3 * a + 1}
+    visited = []
+    while d_lo <= cur <= d_hi:
+        nxt = totals[kind] - cur
+        visited.append((cur, (nxt, 2 * a - 1, kind)))
+        cur = nxt
+        kind = "ii" if kind == "iv" else "iv"
+    return visited, cur

@@ -1,11 +1,17 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import cubic_spiral_walk
 
+from glicci.catalog import cubic_surface_type
 from glicci.errors import DegreeTooSmall, OutOfGuaranteedRange, SearchBudgetExceeded
-from glicci.moves import BILIAISON, LIAISON
+from glicci.moves import BILIAISON, LIAISON, Chain, LinkMove, validate_chain
 from glicci.planner import (
     P3_GUARANTEED_MAX,
-    _check_range_cover,
-    _cubic_spiral,
+    _cubic_level,
+    _cubic_range_move,
+    _plane_degree,
+    _quadric_level,
     build_oracle,
     oracle_reachability,
     p3_descending_moves,
@@ -142,17 +148,52 @@ class TestPlanCubic:
     def test_determinism(self):
         assert plan_cubic(777).to_dict() == plan_cubic(777).to_dict()
 
-    def test_spiral_covers_range_d(self):
-        # Construction already asserts coverage; exercise a swath of
-        # levels so a regression cannot hide.
-        for a in range(4, 60):
-            _cubic_spiral(a)
-            _check_range_cover(a)
+    @pytest.mark.parametrize("a", [*range(4, 61), 1000, 1001, 4097, 8165, 8166])
+    def test_closed_form_spiral_matches_the_walk(self, a):
+        n0 = 3 * a * (a - 1) // 2
+        visited, landing = cubic_spiral_walk(a)
+        # The walk from the middle of range D covers D once and lands in E.
+        assert sorted(n for n, _ in visited) == list(range(n0 + a + 2, n0 + 2 * a - 1))
+        assert n0 + 2 * a - 1 <= landing <= n0 + 2 * a
+        expected = dict(visited)
+        for n in (n0 + 2 * a - 1, n0 + 2 * a):  # range E links back by type iv
+            expected[n] = (2 * n0 + 3 * a - n, 2 * a - 1, "iv")
+        got = {n: _cubic_range_move(n) for n in range(n0 + a + 2, n0 + 2 * a + 1)}
+        assert got == {n: (*move, a) for n, move in expected.items()}
+
+    @pytest.mark.parametrize("a", [*range(4, 41), 997])
+    def test_ranges_tile_each_level(self, a):
+        for n in range(3 * a * (a - 1) // 2, 3 * a * (a + 1) // 2):
+            nxt, m, kind, level = _cubic_range_move(n)
+            assert level == a
+            step = LinkMove(LIAISON, n, nxt, cubic_surface_type(kind, a), m=m)
+            validate_chain(Chain("cubic-surface", n, (step,)))
 
     def test_chain_length_bound(self):
         # Empirical bound recorded over the full guaranteed range: the
         # longest chain for n <= 10^4 has 239 moves (at n = 9842).
         assert len(plan_cubic(9842).steps) == 239
+
+
+def _assert_levels(n):
+    d = _plane_degree(n)
+    assert (d - 1) * (d + 2) // 2 < n <= d * (d + 3) // 2
+    a = _quadric_level(n)
+    assert a * a + a <= n <= a * a + 3 * a + 1
+    c = _cubic_level(n)
+    assert 3 * c * (c - 1) // 2 <= n < 3 * c * (c + 1) // 2
+
+
+class TestClosedFormLevels:
+    @given(st.integers(min_value=1, max_value=10**18))
+    def test_levels_satisfy_their_inequalities(self, n):
+        _assert_levels(n)
+
+    @given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=-1, max_value=1))
+    def test_levels_at_range_edges(self, k, delta):
+        for edge in (k * (k + 3) // 2, k * k + k, 3 * k * (k - 1) // 2):
+            if edge + delta >= 1:
+                _assert_levels(edge + delta)
 
 
 class TestPlanP3:
@@ -206,6 +247,17 @@ class TestDispatch:
         with pytest.raises(ValueError):
             plan("p5", 3)
 
+    @pytest.mark.parametrize("space, n", [("cubic-surface", 1.5), ("p3", 2.5), ("p2", True),
+                                          ("quadric", "7"), ("p3", False)])
+    def test_non_integer_count_is_a_type_error(self, space, n):
+        with pytest.raises(TypeError, match=repr(n).replace(".", r"\.")):
+            plan(space, n)
+
+    def test_planners_reject_bool(self):
+        for planner in (plan_p2, plan_quadric, plan_cubic, plan_p3):
+            with pytest.raises(TypeError):
+                planner(True)
+
 
 class TestOracle:
     def test_cubic_reachability_and_chain_confirmation(self):
@@ -247,3 +299,11 @@ class TestOracle:
     def test_unknown_space(self):
         with pytest.raises(ValueError):
             build_oracle("p5", 10)
+
+    def test_unknown_space_checked_before_budget(self):
+        with pytest.raises(ValueError, match="p5"):
+            build_oracle("p5", 20_000)
+
+    def test_non_integer_budget_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            build_oracle("p2", 10.5)
