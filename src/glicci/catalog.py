@@ -15,9 +15,9 @@ unrestricted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import DegreeTooSmall, NotInTable, UnknownSurface
 from .picard import DivisorClass, SurfaceModel
 
@@ -85,8 +85,14 @@ for _model in (
 
 # Entries kept by each carrier constructor's cache.  Planning a large n
 # builds thousands of carriers that are never asked for again; the
-# acceptance sweeps over 1..10^4 reuse a few hundred.
+# acceptance sweeps over 1..10^4 reuse a few hundred.  The caches are
+# typed, so 3.0 or True reaches the type check instead of the entry for 3 or 1.
 _CARRIER_CACHE_SIZE = 1024
+
+
+def _check_int(value, name: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def surface(name: str) -> SurfaceModel:
@@ -102,8 +108,7 @@ def surface_names() -> tuple[str, ...]:
     return tuple(sorted(_SURFACES))
 
 
-@dataclass(frozen=True)
-class CurveFamily:
+class CurveFamily(Record):
     """A family of curves of fixed degree and genus in a fixed ambient.
 
     ``linsys_dim`` is the dimension of the family the curve moves in when
@@ -112,15 +117,23 @@ class CurveFamily:
     the stored (d, g) is recomputed from the lattice on construction.
     """
 
-    ambient: str
-    d: int
-    g: int | None
-    linsys_dim: int | None = None
-    divisor: DivisorClass | None = None
-    surface: str | None = None
-    label: str = ""
+    __slots__ = _fields = ("ambient", "d", "g", "linsys_dim", "divisor", "surface", "label")
+
+    def __init__(self, ambient: str, d: int, g: int | None, linsys_dim: int | None = None,
+                 divisor: DivisorClass | None = None, surface: str | None = None,
+                 label: str = ""):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "linsys_dim", linsys_dim)
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "label", label)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The lattice (d, g) cross-check, run by ``__init__``; a method
+        of its own so that a profiler can time it apart."""
         if self.divisor is not None and self.surface is not None:
             model = _SURFACES[self.surface]
             d = model.degree_of(self.divisor)
@@ -154,7 +167,7 @@ _CUBIC_BASE = {
 }
 
 
-@lru_cache(maxsize=_CARRIER_CACHE_SIZE)
+@lru_cache(maxsize=_CARRIER_CACHE_SIZE, typed=True)
 def cubic_surface_type(kind: str, a: int) -> CurveFamily:
     """The four families of smooth ACM curves on a nonsingular cubic
     surface, indexed by kind i..iv and a parameter a >= 1:
@@ -171,6 +184,7 @@ def cubic_surface_type(kind: str, a: int) -> CurveFamily:
     kind = kind.lower()
     if kind not in _CUBIC_BASE:
         raise ValueError(f"kind must be one of i, ii, iii, iv; got {kind!r}")
+    _check_int(a, "a")
     if a < 1:
         raise DegreeTooSmall(f"need a >= 1, got {a}")
     if kind == "i":
@@ -194,7 +208,7 @@ def cubic_surface_type(kind: str, a: int) -> CurveFamily:
     )
 
 
-@lru_cache(maxsize=_CARRIER_CACHE_SIZE)
+@lru_cache(maxsize=_CARRIER_CACHE_SIZE, typed=True)
 def quadric_family(a: int, case: str) -> CurveFamily:
     """ACM curves on the nonsingular quadric: case i is the complete
     intersection of bidegree (a, a) with degree 2a, genus (a-1)^2, moving
@@ -203,6 +217,7 @@ def quadric_family(a: int, case: str) -> CurveFamily:
     case = case.lower()
     if case not in ("i", "ii"):
         raise ValueError(f"case must be i or ii, got {case!r}")
+    _check_int(a, "a")
     if a < 1:
         raise DegreeTooSmall(f"need a >= 1, got {a}")
     if case == "i":
@@ -235,10 +250,11 @@ def quadric_ruling_line() -> CurveFamily:
     )
 
 
-@lru_cache(maxsize=_CARRIER_CACHE_SIZE)
+@lru_cache(maxsize=_CARRIER_CACHE_SIZE, typed=True)
 def plane_curve_family(d: int) -> CurveFamily:
     """Plane curves of degree d: genus (d-1)(d-2)/2, moving in the
     complete linear system of dimension d(d+3)/2."""
+    _check_int(d, "d")
     if d < 1:
         raise DegreeTooSmall(f"need d >= 1, got {d}")
     return CurveFamily(
@@ -250,14 +266,16 @@ def plane_curve_family(d: int) -> CurveFamily:
     )
 
 
-@dataclass(frozen=True)
-class PerrinEntry:
+class PerrinEntry(Record):
     """Row of the general-points table: an ACM curve of type (d, g) in
     3-space passes through at most m general points."""
 
-    d: int
-    g: int
-    m: int
+    __slots__ = _fields = ("d", "g", "m")
+
+    def __init__(self, d: int, g: int, m: int):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "m", m)
 
 
 _PERRIN_ROWS = (
@@ -296,18 +314,22 @@ def p3_acm_family(d: int, g: int) -> CurveFamily:
     return CurveFamily(ambient="p3", d=d, g=g, label=f"ACM ({d},{g})")
 
 
-@dataclass(frozen=True)
-class DescentEntry:
+class DescentEntry(Record):
     """An ACM curve family in 4-space with its recorded biliaison descent:
     the class C sits on a named surface and C - height*H is a smaller
     well-understood curve."""
 
-    family: CurveFamily
-    height: int
-    descent: DivisorClass
-    descent_d: int
-    descent_g: int
-    descent_label: str
+    __slots__ = _fields = ("family", "height", "descent", "descent_d", "descent_g",
+                           "descent_label")
+
+    def __init__(self, family: CurveFamily, height: int, descent: DivisorClass,
+                 descent_d: int, descent_g: int, descent_label: str):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "descent", descent)
+        object.__setattr__(self, "descent_d", descent_d)
+        object.__setattr__(self, "descent_g", descent_g)
+        object.__setattr__(self, "descent_label", descent_label)
 
 
 def _p4_family(surface_name: str, class_text: str, d: int, g: int, label: str) -> CurveFamily:

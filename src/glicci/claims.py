@@ -17,8 +17,7 @@ order either way.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
+from ._record import Record
 from .catalog import (
     bordiga_eleven_seven,
     bordiga_ten_six,
@@ -37,13 +36,15 @@ DEG10_SPECIAL_SURFACE_FAMILY_DIM = 59
 DETERMINANTAL_2026_FAMILY_BOUND = 69
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
-    id: str
-    location: str
-    computed: str
-    expected: str
-    status: str
+class ClaimRecord(Record):
+    __slots__ = _fields = ("id", "location", "computed", "expected", "status")
+
+    def __init__(self, id: str, location: str, computed: str, expected: str, status: str):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "status", status)
 
 
 def _claim(cid: str, location: str, computed, expected, flagged: bool = False) -> ClaimRecord:
@@ -666,4 +667,4 @@ def render_text(records) -> str:
 
 
 def records_as_dicts(records) -> list[dict]:
-    return [asdict(rec) for rec in records]
+    return [{name: getattr(rec, name) for name in rec._fields} for rec in records]

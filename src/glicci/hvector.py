@@ -14,9 +14,10 @@ curve in 4-space (codim 3) or a curve in 3-space / points in the plane
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from operator import index
 
+from ._record import Record
 from .errors import DegreeTooLarge, DegreeTooSmall, InvalidHVector
 
 _ENUMERATION_CAP = 200
@@ -29,18 +30,18 @@ def entry_bound(i: int, codim: int) -> int:
     return comb(i + codim - 1, codim - 1)
 
 
-@dataclass(frozen=True)
-class HVector:
-    """Validated h-vector with its codimension."""
+class HVector(Record):
+    """Validated h-vector with its codimension.  An entry that is not an
+    integer raises ``TypeError``."""
 
-    entries: tuple[int, ...]
-    codim: int
+    __slots__ = _fields = ("entries", "codim")
 
-    def __post_init__(self):
-        entries = tuple(int(c) for c in self.entries)
+    def __init__(self, entries: tuple[int, ...], codim: int):
+        entries = tuple(map(index, entries))
         object.__setattr__(self, "entries", entries)
-        if self.codim not in (2, 3):
-            raise InvalidHVector(f"codim must be 2 or 3, got {self.codim}")
+        object.__setattr__(self, "codim", codim)
+        if codim not in (2, 3):
+            raise InvalidHVector(f"codim must be 2 or 3, got {codim}")
         if not entries or entries[0] != 1:
             raise InvalidHVector(f"h-vector must start with c_0 = 1: {entries}")
         for i, c in enumerate(entries):

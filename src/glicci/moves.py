@@ -21,9 +21,9 @@ link.  Moves are stored directed even though liaison is symmetric;
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
+from ._record import Record
 from .catalog import CurveFamily, perrin_m
 from .errors import InvalidMove, NotInTable
 
@@ -55,8 +55,7 @@ def _field(raw, key: str, kind: type, where: str, *, null: bool = False, default
     return value
 
 
-@dataclass(frozen=True)
-class LinkMove:
+class LinkMove(Record):
     """One directed move on point counts, with its carrier curve.
 
     ``m`` is the liaison twist (the move links through |m*H - K| on the
@@ -64,21 +63,23 @@ class LinkMove:
     annotations such as the height-0 repositioning step.
     """
 
-    kind: str
-    n_from: int
-    n_to: int
-    carrier: CurveFamily
-    m: int | None = None
-    h: int | None = None
-    note: str = ""
+    __slots__ = _fields = ("kind", "n_from", "n_to", "carrier", "m", "h", "note")
 
-    def __post_init__(self):
-        if self.kind not in (LIAISON, BILIAISON):
-            raise InvalidMove(f"unknown move kind {self.kind!r}")
-        if self.kind == LIAISON and self.m is None:
+    def __init__(self, kind: str, n_from: int, n_to: int, carrier: CurveFamily,
+                 m: int | None = None, h: int | None = None, note: str = ""):
+        if kind not in (LIAISON, BILIAISON):
+            raise InvalidMove(f"unknown move kind {kind!r}")
+        if kind == LIAISON and m is None:
             raise InvalidMove("liaison move needs its twist m")
-        if self.kind == BILIAISON and self.h is None:
+        if kind == BILIAISON and h is None:
             raise InvalidMove("biliaison move needs its height h")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n_from", n_from)
+        object.__setattr__(self, "n_to", n_to)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "note", note)
 
     @property
     def ascending(self) -> bool:
@@ -95,13 +96,15 @@ class LinkMove:
         return f"[bil h={self.h} on ({d},{g})]"
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """A validated walk of point counts, one move per step."""
 
-    space: str
-    start: int
-    steps: tuple[LinkMove, ...]
+    __slots__ = _fields = ("space", "start", "steps")
+
+    def __init__(self, space: str, start: int, steps: tuple[LinkMove, ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def terminal(self) -> int:

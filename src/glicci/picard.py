@@ -24,27 +24,27 @@ arithmetic, so everything in this module is safe for concurrent use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
+from ._record import Record
 from .errors import AbstractSurface, NonIntegralGenus, RankMismatch
 
 _TERM = re.compile(r"^(-?\d+)(?:\^(\d+))?$")
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """Integer coefficient vector of a divisor class in a declared basis.
 
     Addition, subtraction and integer scaling are componentwise and
-    total; no normalization ever happens behind the caller's back.
+    total; no normalization ever happens behind the caller's back, and
+    a coefficient that is not an integer raises ``TypeError``.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(map(int, self.coeffs))
+    def __init__(self, coeffs: tuple[int, ...]):
+        coeffs = tuple(map(index, coeffs))
         if not coeffs:
             raise ValueError("a divisor class needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -140,8 +140,7 @@ def _symmetric(gram: tuple[tuple[int, ...], ...]) -> bool:
     return all(gram[i][j] == gram[j][i] for i in range(n) for j in range(n))
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Record):
     """A surface with its intersection lattice and distinguished classes.
 
     ``degree`` and ``sectional_genus`` are declared by the caller and
@@ -149,18 +148,18 @@ class SurfaceModel:
     sectional genus must satisfy adjunction, 2*pi - 2 = H.H + H.K.
     """
 
-    name: str
-    gram: tuple[tuple[int, ...], ...]
-    H: DivisorClass
-    K: DivisorClass
-    ambient_dim: int
-    degree: int
-    sectional_genus: int
-    euler_char: int | None = None
+    _fields = ("name", "gram", "H", "K", "ambient_dim", "degree", "sectional_genus",
+               "euler_char")
+    # The cached properties below live in the instance __dict__.
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self):
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", gram)
+    def __init__(self, name: str, gram: tuple[tuple[int, ...], ...], H: DivisorClass,
+                 K: DivisorClass, ambient_dim: int, degree: int, sectional_genus: int,
+                 euler_char: int | None = None):
+        gram = tuple(tuple(map(index, row)) for row in gram)
+        for field, value in zip(self._fields, (name, gram, H, K, ambient_dim, degree,
+                                               sectional_genus, euler_char)):
+            object.__setattr__(self, field, value)
         rank = len(gram)
         if rank == 0 or any(len(row) != rank for row in gram):
             raise ValueError(f"{self.name}: Gram matrix must be square and nonempty")

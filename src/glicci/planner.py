@@ -28,11 +28,12 @@ chains.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
+from ._record import Record
 from .catalog import (
+    _check_int,
     cubic_surface_type,
     p3_acm_family,
     perrin_table,
@@ -40,7 +41,7 @@ from .catalog import (
     quadric_family,
     quadric_ruling_line,
 )
-from .errors import DegreeTooSmall, OutOfGuaranteedRange, SearchBudgetExceeded
+from .errors import DegreeTooSmall, InvalidMove, OutOfGuaranteedRange, SearchBudgetExceeded
 from .moves import (
     BILIAISON,
     LIAISON,
@@ -57,22 +58,26 @@ _SEARCH_CAP = 10_000
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"point count must be an int, got {n!r}")
+    _check_int(n, "point count")
     if n < 1:
         raise DegreeTooSmall(f"need at least one point, got {n}")
 
 
 def _walk(space: str, n: int, next_moves) -> Chain:
     """Follow ``next_moves`` from n points down to one and validate the
-    chain."""
+    chain.  A walk that comes back to a count it has left raises
+    :class:`InvalidMove` instead of looping."""
     _check_n(n)
     steps: list[LinkMove] = []
+    left: set[int] = set()
     cur = n
     while cur > 1:
+        left.add(cur)
         moves = next_moves(cur)
         steps.extend(moves)
         cur = moves[-1].n_to
+        if cur in left:
+            raise InvalidMove(f"{space} walk from {n} returns to {cur}")
     chain = Chain(space, n, tuple(steps))
     validate_chain(chain)
     return chain
@@ -308,18 +313,21 @@ def plan_p3(n: int) -> Chain:
 # ---------------------------------------------------------------------------
 # Brute-force reachability oracle.
 
-@dataclass(frozen=True)
-class ReachabilityOracle:
+class ReachabilityOracle(Record):
     """Undirected admissible-move graph for one ambient, with the set of
     counts connected to 1.  Edges come from every registered carrier
     whose parameters matter below the cap, not from the planners, so
     agreement between the two is a real check."""
 
-    space: str
-    n_max: int
-    cap: int
-    edges: frozenset[frozenset[int]]
-    reachable: frozenset[int]
+    __slots__ = _fields = ("space", "n_max", "cap", "edges", "reachable")
+
+    def __init__(self, space: str, n_max: int, cap: int, edges: frozenset[frozenset[int]],
+                 reachable: frozenset[int]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "reachable", reachable)
 
     def has_edge(self, u: int, v: int) -> bool:
         return frozenset((u, v)) in self.edges

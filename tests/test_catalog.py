@@ -246,6 +246,32 @@ class TestCurveFamilyValidation:
         assert cubic_surface_type.cache_info().currsize == 1024
         assert cubic_surface_type("iii", 1).dg == (3, 0)
 
+    @pytest.mark.parametrize("make, value", [
+        (lambda v: cubic_surface_type("ii", v), 2.5),
+        (lambda v: cubic_surface_type("i", v), True),
+        (lambda v: quadric_family(v, "i"), 2.0),
+        (lambda v: quadric_family(v, "ii"), "2"),
+        (plane_curve_family, 2.5),
+        (plane_curve_family, True),
+        (plane_curve_family, None),
+    ])
+    def test_carrier_parameters_must_be_int(self, make, value):
+        with pytest.raises(TypeError, match=repr(value).replace(".", r"\.")):
+            make(value)
+
+    def test_carrier_caches_are_typed(self):
+        # Equal keys of another type (3.0 == 3, True == 1) must not find
+        # the cached int entry.
+        assert plane_curve_family(3).d == 3
+        assert cubic_surface_type("iii", 1).d == 3
+        assert quadric_family(3, "i").d == 6
+        with pytest.raises(TypeError, match=r"3\.0"):
+            plane_curve_family(3.0)
+        with pytest.raises(TypeError, match="True"):
+            cubic_surface_type("iii", True)
+        with pytest.raises(TypeError, match=r"3\.0"):
+            quadric_family(3.0, "i")
+
     def test_skew_union_records_degree_only(self):
         fam = skew_plane_union(5)
         assert fam.d == 5

@@ -36,6 +36,11 @@ class TestHVectorValidation:
         with pytest.raises(InvalidHVector):
             HVector((1, 2, 4), 2)
 
+    @pytest.mark.parametrize("entries", [(1, 3.0), (1.0,), ("1", "2")])
+    def test_non_integer_entries_are_a_type_error(self, entries):
+        with pytest.raises(TypeError):
+            HVector(entries, 3)
+
     def test_codim_guard(self):
         with pytest.raises(InvalidHVector):
             HVector((1, 1), 4)

@@ -58,6 +58,11 @@ class TestDivisorClass:
     def test_str_uses_runs(self):
         assert str(DivisorClass.parse("8;3^3,2^6,1")) == "(8;3^3,2^6,1)"
 
+    @pytest.mark.parametrize("coeffs", [(1.5, 2), ("3", "4"), (1, 2.0), (None,)])
+    def test_non_integer_coefficients_are_a_type_error(self, coeffs):
+        with pytest.raises(TypeError):
+            DivisorClass(coeffs)
+
     def test_parse_with_matching_rank(self):
         assert DivisorClass.parse("6;2^3,1^7", rank=11) == DivisorClass.parse("6;2^3,1^7")
         assert DivisorClass.parse("7", rank=1).coeffs == (7,)
@@ -326,6 +331,19 @@ class TestSurfaceModelValidation:
                 H=DivisorClass((1, 1)),
                 K=DivisorClass((-2, -2)),
                 ambient_dim=3,
+                degree=3,
+                sectional_genus=0,
+            )
+
+    @pytest.mark.parametrize("gram", [((1.0, 0), (0, -1)), (("1", 0), (0, -1))])
+    def test_non_integer_gram_is_a_type_error(self, gram):
+        with pytest.raises(TypeError):
+            SurfaceModel(
+                name="bad",
+                gram=gram,
+                H=DivisorClass((2, 1)),
+                K=DivisorClass((-3, -1)),
+                ambient_dim=4,
                 degree=3,
                 sectional_genus=0,
             )

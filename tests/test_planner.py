@@ -3,8 +3,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import cubic_spiral_walk
 
-from glicci.catalog import cubic_surface_type
-from glicci.errors import DegreeTooSmall, OutOfGuaranteedRange, SearchBudgetExceeded
+from glicci.catalog import cubic_surface_type, plane_curve_family
+from glicci.errors import (
+    DegreeTooSmall,
+    InvalidMove,
+    OutOfGuaranteedRange,
+    SearchBudgetExceeded,
+)
 from glicci.moves import BILIAISON, LIAISON, Chain, LinkMove, validate_chain
 from glicci.planner import (
     P3_GUARANTEED_MAX,
@@ -12,6 +17,7 @@ from glicci.planner import (
     _cubic_range_move,
     _plane_degree,
     _quadric_level,
+    _walk,
     build_oracle,
     oracle_reachability,
     p3_descending_moves,
@@ -257,6 +263,25 @@ class TestDispatch:
         for planner in (plan_p2, plan_quadric, plan_cubic, plan_p3):
             with pytest.raises(TypeError):
                 planner(True)
+
+
+class TestWalk:
+    # 9 -> 5 -> 2 -> 5 comes back to 5; 10 -> 10 stays put.
+    @pytest.mark.parametrize("n, repeat, hops", [(9, 5, 3), (10, 10, 1)])
+    def test_cycle_raises_at_once(self, n, repeat, hops):
+        line = plane_curve_family(1)
+        cycle = {9: 5, 5: 2, 2: 5, 10: 10}
+        calls = []
+
+        def next_moves(cur):
+            calls.append(cur)
+            if len(calls) > 10:  # fail rather than hang if the guard is gone
+                raise RuntimeError("the walk did not stop at the repeated count")
+            return (LinkMove(BILIAISON, cur, cycle[cur], line, h=1),)
+
+        with pytest.raises(InvalidMove, match=f"p2 walk from {n} returns to {repeat}"):
+            _walk("p2", n, next_moves)
+        assert len(calls) == hops
 
 
 class TestOracle:
