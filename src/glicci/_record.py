@@ -1,9 +1,10 @@
 """Immutable records: the part of a frozen dataclass this package uses.
 
 A record class names its fields in ``_fields`` and sets each one in
-``__init__`` with ``object.__setattr__``.  Equality (same class only),
-hashing and ``repr`` go field by field as a frozen dataclass's do,
-assignment and deletion raise ``AttributeError``, and ``copy`` and
+``__init__`` with ``object.__setattr__`` or, on the planner's hot path,
+with the setters :func:`slot_setters` returns.  Equality (same class
+only), hashing and ``repr`` go field by field as a frozen dataclass's
+do, assignment and deletion raise ``AttributeError``, and ``copy`` and
 ``pickle`` rebuild the record through ``__init__``, which validates it.
 """
 
@@ -35,3 +36,10 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def slot_setters(cls: type[Record]) -> tuple:
+    """The ``__set__`` of each of ``cls``'s slots, in field order.  Called
+    directly they skip the lookup by name that ``object.__setattr__``
+    makes for every field."""
+    return tuple(vars(cls)[name].__set__ for name in cls._fields)

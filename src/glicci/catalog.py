@@ -9,6 +9,13 @@ and on the cubic surface, the table of how many general points of
 degree at most 9 (and the (10,6) case) in 4-space, and the eight
 divisor classes of (10,6) curves on a Bordiga surface.
 
+The cubic-surface families are one table, ``_CUBIC_KINDS``: each kind
+i..iv maps to its base class B (the curve at a = 1), the drop 3a - d,
+the two genus coefficients in g = (3a^2 - g1*a + g0)/2 and its label.
+The carrier at parameter a has class B + (a-1)*H, built coefficient by
+coefficient, and the lattice cross-check of ``CurveFamily`` recomputes
+its (d, g) from that class.
+
 The registry is built once at import time and never mutated; reads are
 unrestricted.
 """
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._record import Record
+from ._record import Record, slot_setters
 from .errors import DegreeTooSmall, NotInTable, UnknownSurface
 from .picard import DivisorClass, SurfaceModel
 
@@ -95,6 +102,12 @@ def _check_int(value, name: str) -> None:
         raise TypeError(f"{name} must be an int, got {value!r}")
 
 
+def _lower(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a str, got {value!r}")
+    return value.lower()
+
+
 def surface(name: str) -> SurfaceModel:
     """Look up a registered surface model by name."""
     try:
@@ -122,13 +135,13 @@ class CurveFamily(Record):
     def __init__(self, ambient: str, d: int, g: int | None, linsys_dim: int | None = None,
                  divisor: DivisorClass | None = None, surface: str | None = None,
                  label: str = ""):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "linsys_dim", linsys_dim)
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "label", label)
+        _set_ambient(self, ambient)
+        _set_d(self, d)
+        _set_g(self, g)
+        _set_linsys_dim(self, linsys_dim)
+        _set_divisor(self, divisor)
+        _set_surface(self, surface)
+        _set_label(self, label)
         self.__post_init__()
 
     def __post_init__(self):
@@ -157,14 +170,24 @@ class CurveFamily(Record):
         return f"({self.d},{self.g}){tag}"
 
 
-# Proper transforms generating the four ACM families on the cubic surface:
-# a line, a conic, a twisted cubic, and a plane cubic (the hyperplane class).
-_CUBIC_BASE = {
-    "i": DivisorClass.parse("0;0^5,-1"),
-    "ii": DivisorClass.parse("1;1,0^5"),
-    "iii": DivisorClass.parse("1;0^6"),
-    "iv": DivisorClass.parse("3;1^6"),
+(_set_ambient, _set_d, _set_g, _set_linsys_dim, _set_divisor, _set_surface,
+ _set_label) = slot_setters(CurveFamily)
+
+
+# The four ACM families on the cubic surface, generated at a = 1 by a
+# line, a conic, a twisted cubic and a plane cubic (the hyperplane
+# class): kind -> (base coefficients, 3a - d, g1, g0, label) with
+# g = (3a^2 - g1*a + g0) / 2.
+_CUBIC_KINDS = {
+    kind: (DivisorClass.parse(base).coeffs, drop, g1, g0, f"type {kind}")
+    for kind, base, drop, g1, g0 in (
+        ("i", "0;0^5,-1", 2, 7, 4),
+        ("ii", "1;1,0^5", 1, 5, 2),
+        ("iii", "1;0^6", 0, 3, 0),
+        ("iv", "3;1^6", 0, 3, 2),
+    )
 }
+_CUBIC_H = _SURFACES["cubic"].H.coeffs
 
 
 @lru_cache(maxsize=_CARRIER_CACHE_SIZE, typed=True)
@@ -181,31 +204,17 @@ def cubic_surface_type(kind: str, a: int) -> CurveFamily:
     Kind k at parameter a is kind k at a-1 raised by one height-1
     biliaison on the surface.
     """
-    kind = kind.lower()
-    if kind not in _CUBIC_BASE:
-        raise ValueError(f"kind must be one of i, ii, iii, iv; got {kind!r}")
+    row = _CUBIC_KINDS.get(kind) or _CUBIC_KINDS.get(_lower(kind, "kind"))
+    if row is None:
+        raise ValueError(f"kind must be one of i, ii, iii, iv; got {kind.lower()!r}")
     _check_int(a, "a")
     if a < 1:
         raise DegreeTooSmall(f"need a >= 1, got {a}")
-    if kind == "i":
-        d, g = 3 * a - 2, (3 * a * a - 7 * a + 4) // 2
-    elif kind == "ii":
-        d, g = 3 * a - 1, (3 * a * a - 5 * a + 2) // 2
-    elif kind == "iii":
-        d, g = 3 * a, (3 * a * a - 3 * a) // 2
-    else:
-        d, g = 3 * a, (3 * a * a - 3 * a + 2) // 2
-    model = _SURFACES["cubic"]
-    divisor = _CUBIC_BASE[kind] + (a - 1) * model.H
-    return CurveFamily(
-        ambient="p3-cubic",
-        d=d,
-        g=g,
-        linsys_dim=d + g - 1,
-        divisor=divisor,
-        surface="cubic",
-        label=f"type {kind}",
-    )
+    base, drop, g1, g0, label = row
+    d, g = 3 * a - drop, (3 * a * a - g1 * a + g0) // 2
+    k = a - 1
+    divisor = DivisorClass([b + k * h for b, h in zip(base, _CUBIC_H)])
+    return CurveFamily("p3-cubic", d, g, d + g - 1, divisor, "cubic", label)
 
 
 @lru_cache(maxsize=_CARRIER_CACHE_SIZE, typed=True)
@@ -214,27 +223,16 @@ def quadric_family(a: int, case: str) -> CurveFamily:
     intersection of bidegree (a, a) with degree 2a, genus (a-1)^2, moving
     in dimension a^2 + 2a; case ii is bidegree (a, a+1) with degree
     2a + 1, genus a(a-1), dimension a^2 + 3a + 1."""
-    case = case.lower()
+    case = _lower(case, "case")
     if case not in ("i", "ii"):
         raise ValueError(f"case must be i or ii, got {case!r}")
     _check_int(a, "a")
     if a < 1:
         raise DegreeTooSmall(f"need a >= 1, got {a}")
-    if case == "i":
-        d, g, dim = 2 * a, (a - 1) ** 2, a * a + 2 * a
-        divisor = DivisorClass((a, a))
-    else:
-        d, g, dim = 2 * a + 1, a * (a - 1), a * a + 3 * a + 1
-        divisor = DivisorClass((a, a + 1))
-    return CurveFamily(
-        ambient="p3-quadric",
-        d=d,
-        g=g,
-        linsys_dim=dim,
-        divisor=divisor,
-        surface="quadric",
-        label=f"bidegree {tuple(divisor.coeffs)}",
-    )
+    # Bidegree (a, b): degree a + b, genus (a-1)(b-1), dimension ab + a + b.
+    b = a if case == "i" else a + 1
+    return CurveFamily("p3-quadric", a + b, (a - 1) * (b - 1), a * b + a + b,
+                       DivisorClass((a, b)), "quadric", f"bidegree ({a}, {b})")
 
 
 def quadric_ruling_line() -> CurveFamily:
@@ -257,13 +255,8 @@ def plane_curve_family(d: int) -> CurveFamily:
     _check_int(d, "d")
     if d < 1:
         raise DegreeTooSmall(f"need d >= 1, got {d}")
-    return CurveFamily(
-        ambient="p2",
-        d=d,
-        g=(d - 1) * (d - 2) // 2,
-        linsys_dim=d * (d + 3) // 2,
-        label=f"plane curve of degree {d}",
-    )
+    return CurveFamily("p2", d, (d - 1) * (d - 2) // 2, d * (d + 3) // 2,
+                       None, None, f"plane curve of degree {d}")
 
 
 class PerrinEntry(Record):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 
-from ._record import Record
+from ._record import Record, slot_setters
 from .catalog import CurveFamily, perrin_m
 from .errors import InvalidMove, NotInTable
 
@@ -67,19 +67,21 @@ class LinkMove(Record):
 
     def __init__(self, kind: str, n_from: int, n_to: int, carrier: CurveFamily,
                  m: int | None = None, h: int | None = None, note: str = ""):
-        if kind not in (LIAISON, BILIAISON):
+        if kind == LIAISON:
+            if m is None:
+                raise InvalidMove("liaison move needs its twist m")
+        elif kind == BILIAISON:
+            if h is None:
+                raise InvalidMove("biliaison move needs its height h")
+        else:
             raise InvalidMove(f"unknown move kind {kind!r}")
-        if kind == LIAISON and m is None:
-            raise InvalidMove("liaison move needs its twist m")
-        if kind == BILIAISON and h is None:
-            raise InvalidMove("biliaison move needs its height h")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n_from", n_from)
-        object.__setattr__(self, "n_to", n_to)
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "note", note)
+        _set_kind(self, kind)
+        _set_n_from(self, n_from)
+        _set_n_to(self, n_to)
+        _set_carrier(self, carrier)
+        _set_m(self, m)
+        _set_h(self, h)
+        _set_note(self, note)
 
     @property
     def ascending(self) -> bool:
@@ -94,6 +96,10 @@ class LinkMove(Record):
             tag = f" {self.carrier.label}" if self.carrier.label else ""
             return f"[{twist} on ({d},{g}){tag}]"
         return f"[bil h={self.h} on ({d},{g})]"
+
+
+(_set_kind, _set_n_from, _set_n_to, _set_carrier, _set_m, _set_h,
+ _set_note) = slot_setters(LinkMove)
 
 
 class Chain(Record):
@@ -259,82 +265,113 @@ def decompose_biliaison(d: int, g: int, source_min_genus: MinGenusFn,
     return out
 
 
-def _validate_step(space: str, step: LinkMove) -> None:
+def _plane_step(space: str, step: LinkMove) -> None:
     carrier = step.carrier
     d, g = carrier.d, carrier.g
-    if space in ("p2", "quadric"):
-        if step.kind != BILIAISON:
-            raise InvalidMove(f"{space} chains use biliaisons only, got {step.kind}")
+    if step.kind != BILIAISON:
+        raise InvalidMove(f"{space} chains use biliaisons only, got {step.kind}")
+    if step.n_to != step.n_from - step.h * d:
+        raise InvalidMove(
+            f"height-{step.h} biliaison on ({d},{g}) must drop {step.h * d} points"
+        )
+    if step.h == 0:
+        if not step.note:
+            raise InvalidMove("height-0 move needs an annotation")
+    elif step.n_to < g:
+        raise InvalidMove(
+            f"residual {step.n_to} below genus {g}: divisor may not be effective"
+        )
+    if carrier.linsys_dim is None:
+        raise InvalidMove(f"carrier {carrier} lacks its linear-system dimension")
+    # A note marks points placed on the carrier by a prior height-0
+    # repositioning, where the general-position containment count
+    # does not apply.
+    if step.n_from > carrier.linsys_dim and "repositioned" not in step.note:
+        raise InvalidMove(
+            f"{step.n_from} general points do not lie on {carrier} "
+            f"(system dimension {carrier.linsys_dim})"
+        )
+
+
+def _cubic_step(space: str, step: LinkMove) -> None:
+    carrier = step.carrier
+    d, g = carrier.d, carrier.g
+    if step.kind != LIAISON:
+        raise InvalidMove("cubic-surface chains use strict liaisons only")
+    if step.n_from + step.n_to != liaison_total(step.m, carrier):
+        raise InvalidMove(
+            f"{step.n_from} + {step.n_to} != deg({step.m}H-K on ({d},{g}))"
+            f" = {liaison_total(step.m, carrier)}"
+        )
+    if not validate_liaison_cubic(step.n_from, step.n_to, carrier):
+        raise InvalidMove(
+            f"{step.n_from} <-> {step.n_to} breaks the window [{g}, {d + g - 1}]"
+            f" on ({d},{g})"
+        )
+
+
+def _p3_step(space: str, step: LinkMove) -> None:
+    carrier = step.carrier
+    d, g = carrier.d, carrier.g
+    if step.kind == BILIAISON:
+        if step.h < 1:
+            raise InvalidMove("3-space chains use biliaisons of height >= 1")
         if step.n_to != step.n_from - step.h * d:
             raise InvalidMove(
                 f"height-{step.h} biliaison on ({d},{g}) must drop {step.h * d} points"
             )
-        if step.h == 0:
-            if not step.note:
-                raise InvalidMove("height-0 move needs an annotation")
-        elif step.n_to < g:
-            raise InvalidMove(
-                f"residual {step.n_to} below genus {g}: divisor may not be effective"
-            )
-        if carrier.linsys_dim is None:
-            raise InvalidMove(f"carrier {carrier} lacks its linear-system dimension")
-        # A note marks points placed on the carrier by a prior height-0
-        # repositioning, where the general-position containment count
-        # does not apply.
-        if step.n_from > carrier.linsys_dim and "repositioned" not in step.note:
-            raise InvalidMove(
-                f"{step.n_from} general points do not lie on {carrier} "
-                f"(system dimension {carrier.linsys_dim})"
-            )
-    elif space == "cubic-surface":
-        if step.kind != LIAISON:
-            raise InvalidMove("cubic-surface chains use strict liaisons only")
+    else:
         if step.n_from + step.n_to != liaison_total(step.m, carrier):
             raise InvalidMove(
                 f"{step.n_from} + {step.n_to} != deg({step.m}H-K on ({d},{g}))"
-                f" = {liaison_total(step.m, carrier)}"
             )
-        if not validate_liaison_cubic(step.n_from, step.n_to, carrier):
+    try:
+        ok = validate_move_p3(step.n_from, step.n_to, carrier)
+    except NotInTable:
+        raise InvalidMove(f"carrier ({d},{g}) missing from the table") from None
+    if not ok:
+        raise InvalidMove(
+            f"{step.n_from} -> {step.n_to} on ({d},{g}) fails the containment"
+            f"/effectiveness bounds"
+        )
+
+
+# The step rule of each space, looked up once per chain.
+_STEP_RULES = {"p2": _plane_step, "quadric": _plane_step, "cubic-surface": _cubic_step,
+               "p3": _p3_step}
+_INT = (int,)
+_OPTIONAL_INT = (int, type(None))
+
+
+def _check_counts(index: int, step: LinkMove) -> None:
+    """Raise InvalidMove naming the first count of the step that is not an exact int."""
+    for key, value, allowed in (("from", step.n_from, _INT), ("to", step.n_to, _INT),
+                                ("m", step.m, _OPTIONAL_INT), ("h", step.h, _OPTIONAL_INT)):
+        if type(value) not in allowed:
             raise InvalidMove(
-                f"{step.n_from} <-> {step.n_to} breaks the window [{g}, {d + g - 1}]"
-                f" on ({d},{g})"
-            )
-    elif space == "p3":
-        if step.kind == BILIAISON:
-            if step.h < 1:
-                raise InvalidMove("3-space chains use biliaisons of height >= 1")
-            if step.n_to != step.n_from - step.h * d:
-                raise InvalidMove(
-                    f"height-{step.h} biliaison on ({d},{g}) must drop {step.h * d} points"
-                )
-        else:
-            if step.n_from + step.n_to != liaison_total(step.m, carrier):
-                raise InvalidMove(
-                    f"{step.n_from} + {step.n_to} != deg({step.m}H-K on ({d},{g}))"
-                )
-        try:
-            ok = validate_move_p3(step.n_from, step.n_to, carrier)
-        except NotInTable:
-            raise InvalidMove(f"carrier ({d},{g}) missing from the table") from None
-        if not ok:
-            raise InvalidMove(
-                f"{step.n_from} -> {step.n_to} on ({d},{g}) fails the containment"
-                f"/effectiveness bounds"
-            )
-    else:
-        raise InvalidMove(f"unknown space {space!r}")
+                f"step {index}: field {key!r} must be int, got {type(value).__name__}")
 
 
 def validate_chain(chain: Chain) -> None:
     """Replay a chain step by step; raises InvalidMove on the first
-    inconsistency (broken linkage or inadmissible move)."""
+    inconsistency (an unknown space, a count that is not an int, broken
+    linkage or an inadmissible move)."""
+    if type(chain.start) is not int:
+        raise InvalidMove(f"chain: field 'start' must be int, got {type(chain.start).__name__}")
     if chain.start < 1:
         raise InvalidMove(f"chains start at a positive count, got {chain.start}")
+    space = chain.space
+    rule = _STEP_RULES.get(space) if isinstance(space, str) else None
+    if rule is None:
+        raise InvalidMove(f"unknown space {space!r}")
     cur = chain.start
-    for step in chain.steps:
+    for index, step in enumerate(chain.steps):
+        if (type(step.n_from) is not int or type(step.n_to) is not int
+                or type(step.m) not in _OPTIONAL_INT or type(step.h) not in _OPTIONAL_INT):
+            _check_counts(index, step)
         if step.n_from != cur:
             raise InvalidMove(
                 f"step starts at {step.n_from} but the chain sits at {cur}"
             )
-        _validate_step(chain.space, step)
+        rule(space, step)
         cur = step.n_to

@@ -222,15 +222,22 @@ class SurfaceModel(Record):
 
     def pair(self, c: DivisorClass, d: DivisorClass) -> int:
         """Intersection number c.d, the Gram-matrix bilinear form."""
-        self._conform(c)
-        self._conform(d)
         x, y = c.coeffs, d.coeffs
-        return sum([g * x[i] * y[j] for i, j, g in self._entries])
+        if not len(x) == len(y) == len(self.gram):
+            self._conform(c)
+            self._conform(d)
+        # A plain loop: cheaper than building a list for sum() over so few entries.
+        total = 0
+        for i, j, g in self._entries:
+            total += g * x[i] * y[j]
+        return total
 
     def degree_of(self, c: DivisorClass) -> int:
         """Degree of the class in the ambient embedding, c.H."""
-        self._conform(c)
-        return sum(map(mul, c.coeffs, self._h_form))
+        x = c.coeffs
+        if len(x) != len(self.gram):
+            self._conform(c)
+        return sum(map(mul, x, self._h_form))
 
     def self_intersection(self, c: DivisorClass) -> int:
         return self.pair(c, c)

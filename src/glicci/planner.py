@@ -139,7 +139,7 @@ def _p2_next(n: int) -> tuple[LinkMove]:
     else:
         d = _plane_degree(n)
         h = 1 if n == (d - 1) * (d + 2) // 2 + 1 else 2
-    return (LinkMove(BILIAISON, n, n - h * d, plane_curve_family(d), h=h),)
+    return (LinkMove(BILIAISON, n, n - h * d, plane_curve_family(d), None, h),)
 
 
 def plan_p2(n: int) -> Chain:
@@ -173,7 +173,7 @@ def _quadric_next(n: int) -> tuple[LinkMove, ...]:
     else:
         a = _quadric_level(n)
         carrier = quadric_family(a, "i" if n <= a * a + 2 * a else "ii")
-    return (LinkMove(BILIAISON, n, n - carrier.d, carrier, h=1),)
+    return (LinkMove(BILIAISON, n, n - carrier.d, carrier, None, 1),)
 
 
 def plan_quadric(n: int) -> Chain:
@@ -250,7 +250,7 @@ def _cubic_next(n: int) -> tuple[LinkMove]:
     if n < 18:
         return _cubic_routes()[n]
     nxt, m, kind, a = _cubic_range_move(n)
-    return (LinkMove(LIAISON, n, nxt, cubic_surface_type(kind, a), m=m),)
+    return (LinkMove(LIAISON, n, nxt, cubic_surface_type(kind, a), m),)
 
 
 def plan_cubic(n: int) -> Chain:

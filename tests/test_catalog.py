@@ -21,6 +21,13 @@ from glicci.errors import DegreeTooSmall, NotInTable, UnknownSurface
 from glicci.hvector import min_genus, min_genus_formula
 from glicci.moves import biliaison_curve
 from glicci.picard import DivisorClass
+from glicci.planner import plan
+
+from oracles import dense_genus, dense_pair
+
+# Proper transforms of the four cubic-surface families at a = 1: a line,
+# a conic, a twisted cubic and a plane cubic (the hyperplane class).
+CUBIC_BASE_TEXT = {"i": "0;0^5,-1", "ii": "1;1,0^5", "iii": "1;0^6", "iv": "3;1^6"}
 
 
 class TestSurfaceRegistry:
@@ -101,6 +108,25 @@ class TestCubicSurfaceTypes:
         with pytest.raises(DegreeTooSmall):
             cubic_surface_type("i", 0)
 
+    @pytest.mark.parametrize("kind", ["i", "ii", "iii", "iv"])
+    def test_kind_table_matches_class_arithmetic_and_closed_forms(self, kind):
+        # The carrier built from the kind table equals one built by
+        # DivisorClass arithmetic from the base curve, with (d, g) from
+        # the docstring formulas and from a dense Gram evaluation.
+        model = surface("cubic")
+        gram, H, K = model.gram, model.H, model.K
+        base = DivisorClass.parse(CUBIC_BASE_TEXT[kind])
+        drop, g1, g0 = {"i": (2, 7, 4), "ii": (1, 5, 2), "iii": (0, 3, 0), "iv": (0, 3, 2)}[kind]
+        for a in range(1, 201):
+            divisor = base + (a - 1) * H
+            d, g = 3 * a - drop, (3 * a * a - g1 * a + g0) // 2
+            assert (dense_pair(gram, divisor.coeffs, H.coeffs),
+                    dense_genus(gram, divisor.coeffs, K.coeffs)) == (d, g)
+            expected = CurveFamily(ambient="p3-cubic", d=d, g=g, linsys_dim=d + g - 1,
+                                   divisor=divisor, surface="cubic", label=f"type {kind}")
+            assert cubic_surface_type(kind, a) == expected
+            assert repr(cubic_surface_type(kind.upper(), a)) == repr(expected)
+
 
 class TestQuadricFamilies:
     @pytest.mark.parametrize(
@@ -115,6 +141,27 @@ class TestQuadricFamilies:
     def test_values(self, a, case, expect):
         fam = quadric_family(a, case)
         assert (fam.d, fam.g, fam.linsys_dim) == expect
+
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    def test_matches_closed_forms_and_dense_lattice(self, case):
+        model = surface("quadric")
+        for a in range(1, 201):
+            if case == "i":
+                coeffs, d, g, dim = (a, a), 2 * a, (a - 1) ** 2, a * a + 2 * a
+            else:
+                coeffs, d, g, dim = (a, a + 1), 2 * a + 1, a * (a - 1), a * a + 3 * a + 1
+            assert (dense_pair(model.gram, coeffs, model.H.coeffs),
+                    dense_genus(model.gram, coeffs, model.K.coeffs)) == (d, g)
+            expected = CurveFamily(ambient="p3-quadric", d=d, g=g, linsys_dim=dim,
+                                   divisor=DivisorClass(coeffs), surface="quadric",
+                                   label=f"bidegree {coeffs}")
+            assert quadric_family(a, case) == expected
+
+    def test_plane_family_matches_closed_forms(self):
+        for d in range(1, 201):
+            assert plane_curve_family(d) == CurveFamily(
+                ambient="p2", d=d, g=(d - 1) * (d - 2) // 2, linsys_dim=d * (d + 3) // 2,
+                label=f"plane curve of degree {d}")
 
     def test_ruling_line(self):
         fam = quadric_ruling_line()
@@ -238,6 +285,24 @@ class TestCurveFamilyValidation:
             CurveFamily(ambient=good.ambient, linsys_dim=good.linsys_dim,
                         divisor=good.divisor, surface=good.surface, label=good.label, **fields)
 
+    def test_every_carrier_built_is_cross_checked_once(self, monkeypatch):
+        # Planning cubic-surface at 10^6 builds carriers only through the
+        # cached constructor, and each one built runs the lattice check.
+        checks = []
+        check = CurveFamily.__post_init__
+
+        def counted(self):
+            checks.append(self)
+            check(self)
+
+        monkeypatch.setattr(CurveFamily, "__post_init__", counted)
+        cubic_surface_type.cache_clear()
+        plan("cubic-surface", 10**6)
+        misses = cubic_surface_type.cache_info().misses
+        assert misses > 100
+        assert len(checks) == misses
+        assert all(fam.divisor is not None for fam in checks)
+
     def test_carrier_caches_are_bounded(self):
         for fn in (cubic_surface_type, quadric_family, plane_curve_family):
             assert fn.cache_info().maxsize == 1024
@@ -254,6 +319,12 @@ class TestCurveFamilyValidation:
         (plane_curve_family, 2.5),
         (plane_curve_family, True),
         (plane_curve_family, None),
+        # The kind and the case must be strings.
+        (lambda v: cubic_surface_type(v, 1), 3),
+        (lambda v: cubic_surface_type(v, 1), None),
+        (lambda v: cubic_surface_type(v, 1), b"i"),
+        (lambda v: quadric_family(2, v), None),
+        (lambda v: quadric_family(2, v), 1),
     ])
     def test_carrier_parameters_must_be_int(self, make, value):
         with pytest.raises(TypeError, match=repr(value).replace(".", r"\.")):

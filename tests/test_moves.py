@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from glicci.catalog import (
     cubic_surface_type,
     p3_acm_family,
+    plane_curve_family,
     quadric_family,
     surface,
     surface_names,
@@ -238,6 +239,36 @@ class TestChains:
             "quadric", 2, (LinkMove(BILIAISON, 2, 2, fam, h=0, note="slide"),)
         )
         good.validate()
+
+    @pytest.mark.parametrize("with_steps", [False, True])
+    def test_unknown_space_rejected_before_the_steps(self, with_steps):
+        # The steps (from 2) do not even link to the start (3).
+        steps = self._chain().steps if with_steps else ()
+        with pytest.raises(InvalidMove, match=r"^unknown space 'p5'$"):
+            validate_chain(Chain("p5", 3, steps))
+
+    def test_non_integer_counts_rejected(self):
+        fam = plane_curve_family(2)
+        good = LinkMove(BILIAISON, 3, 1, fam, h=1)
+        Chain("p2", 3, (good,)).validate()
+        for chain, message in [
+            (Chain("p2", 3.0, (LinkMove(BILIAISON, 3.0, 1.0, fam, h=1),)),
+             r"^chain: field 'start' must be int, got float$"),
+            (Chain("p2", True, ()), r"^chain: field 'start' must be int, got bool$"),
+            (Chain("p2", 3, (LinkMove(BILIAISON, 3.0, 1, fam, h=1),)),
+             r"^step 0: field 'from' must be int, got float$"),
+            (Chain("p2", 3, (good, LinkMove(BILIAISON, 1, 1.0, fam, h=0, note="x"))),
+             r"^step 1: field 'to' must be int, got float$"),
+            (Chain("p2", 3, (LinkMove(BILIAISON, 3, 1, fam, h=True),)),
+             r"^step 0: field 'h' must be int, got bool$"),
+            (Chain("p2", 3, (LinkMove(BILIAISON, 3, 1, fam, m=1.0, h=1),)),
+             r"^step 0: field 'm' must be int, got float$"),
+            (Chain("cubic-surface", 2, (LinkMove(LIAISON, 2, 6, cubic_surface_type("ii", 2),
+                                                 m=True),)),
+             r"^step 0: field 'm' must be int, got bool$"),
+        ]:
+            with pytest.raises(InvalidMove, match=message):
+                validate_chain(chain)
 
     def test_move_kind_fields_enforced(self):
         fam = cubic_surface_type("i", 2)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -109,6 +110,20 @@ class TestPairing:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatch):
             surface("scroll").pair(DivisorClass((1, 2, 3)), DivisorClass((1, 2, 3)))
+
+    @pytest.mark.parametrize("call", [
+        lambda m, bad: m.pair(bad, m.H),
+        lambda m, bad: m.pair(m.H, bad),
+        lambda m, bad: m.pair(bad, bad),
+        lambda m, bad: m.degree_of(bad),
+        lambda m, bad: m.genus_of(bad),
+    ])
+    @pytest.mark.parametrize("bad", [(1, 2), (3,) + (1,) * 7])
+    def test_rank_mismatch_names_the_class_length_and_the_model(self, call, bad):
+        # A wrong length in either argument gives the same text.
+        text = f"class of length {len(bad)} does not fit cubic (rank 7)"
+        with pytest.raises(RankMismatch, match=f"^{re.escape(text)}$"):
+            call(surface("cubic"), DivisorClass(bad))
 
     @given(st.data())
     def test_bilinear_and_symmetric(self, data):
