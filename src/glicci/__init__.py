@@ -71,7 +71,6 @@ from .moves import (
     validate_chain,
     validate_liaison_cubic,
     validate_move_p3,
-    validate_move_p3_undirected,
 )
 from .picard import DivisorClass, SurfaceModel
 from .planner import (

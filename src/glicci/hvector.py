@@ -113,11 +113,7 @@ def min_genus_formula(d: int) -> int:
     """Closed form for the codim-3 nondegenerate minimum:
     (s-1)d - binom(s+2,3) - binom(s+2,4) + 1 where s >= 2 is fixed by
     binom(s+2,3) <= d < binom(s+3,3)."""
-    if d < 4:
-        raise DegreeTooSmall(f"closed form needs d >= 4, got {d}")
-    s = 2
-    while comb(s + 3, 3) <= d:
-        s += 1
+    s = formula_s(d)
     return (s - 1) * d - comb(s + 2, 3) - comb(s + 2, 4) + 1
 
 
@@ -125,7 +121,7 @@ def formula_s(d: int) -> int:
     """The s of :func:`min_genus_formula`, the least degree of a
     hypersurface through a minimal-genus curve of degree d."""
     if d < 4:
-        raise DegreeTooSmall(f"need d >= 4, got {d}")
+        raise DegreeTooSmall(f"closed form needs d >= 4, got {d}")
     s = 2
     while comb(s + 3, 3) <= d:
         s += 1

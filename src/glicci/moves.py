@@ -217,12 +217,6 @@ def validate_move_p3(n: int, n_to: int, carrier: CurveFamily) -> bool:
     return n <= bound and n_to >= carrier.g
 
 
-def validate_move_p3_undirected(n: int, n_to: int, carrier: CurveFamily) -> bool:
-    """Both directions of :func:`validate_move_p3` at once, the right
-    notion for an undirected link between general configurations."""
-    return validate_move_p3(n, n_to, carrier) and validate_move_p3(n_to, n, carrier)
-
-
 def biliaison_curve(dg: tuple[int, int], h: int, s: int,
                     sectional_genus: int) -> tuple[int, int]:
     """Degree and genus after a height-h biliaison of a curve on a
@@ -343,8 +337,13 @@ _INT = (int,)
 _OPTIONAL_INT = (int, type(None))
 
 
-def _check_counts(index: int, step: LinkMove) -> None:
-    """Raise InvalidMove naming the first count of the step that is not an exact int."""
+def _check_fields(index: int, step: LinkMove) -> None:
+    """Raise InvalidMove naming the first field of the step that has the wrong type."""
+    if type(step) is not LinkMove:
+        raise InvalidMove(f"step {index}: expected a LinkMove, got {type(step).__name__}") from None
+    if type(step.carrier) is not CurveFamily:
+        raise InvalidMove(f"step {index} carrier: expected a CurveFamily, "
+                          f"got {type(step.carrier).__name__}") from None
     for key, value, allowed in (("from", step.n_from, _INT), ("to", step.n_to, _INT),
                                 ("m", step.m, _OPTIONAL_INT), ("h", step.h, _OPTIONAL_INT)):
         if type(value) not in allowed:
@@ -354,8 +353,8 @@ def _check_counts(index: int, step: LinkMove) -> None:
 
 def validate_chain(chain: Chain) -> None:
     """Replay a chain step by step; raises InvalidMove on the first
-    inconsistency (an unknown space, a count that is not an int, broken
-    linkage or an inadmissible move)."""
+    inconsistency (an unknown space, a step, carrier or count of the
+    wrong type, broken linkage or an inadmissible move)."""
     if type(chain.start) is not int:
         raise InvalidMove(f"chain: field 'start' must be int, got {type(chain.start).__name__}")
     if chain.start < 1:
@@ -364,14 +363,19 @@ def validate_chain(chain: Chain) -> None:
     rule = _STEP_RULES.get(space) if isinstance(space, str) else None
     if rule is None:
         raise InvalidMove(f"unknown space {space!r}")
+    if type(chain.steps) is not tuple:
+        raise InvalidMove("chain: field 'steps' must be a tuple")
     cur = chain.start
     for index, step in enumerate(chain.steps):
-        if (type(step.n_from) is not int or type(step.n_to) is not int
-                or type(step.m) not in _OPTIONAL_INT or type(step.h) not in _OPTIONAL_INT):
-            _check_counts(index, step)
-        if step.n_from != cur:
-            raise InvalidMove(
-                f"step starts at {step.n_from} but the chain sits at {cur}"
-            )
-        rule(space, step)
+        try:
+            if (type(step.n_from) is not int or type(step.n_to) is not int
+                    or type(step.m) not in _OPTIONAL_INT or type(step.h) not in _OPTIONAL_INT):
+                _check_fields(index, step)
+            if step.n_from != cur:
+                raise InvalidMove(f"step starts at {step.n_from} but the chain sits at {cur}")
+            rule(space, step)
+        except (AttributeError, TypeError):
+            # A step or carrier of the wrong type fails here: name it.
+            _check_fields(index, step)
+            raise
         cur = step.n_to

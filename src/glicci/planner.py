@@ -18,8 +18,10 @@ chain move by move:
 
 The levels and the cubic spiral are closed forms in n.  One breadth-first
 search, ``_bfs``, serves both the tabulated routes (shortest paths to 1)
-and the reachability oracle, which rebuilds the full admissible-move
-graph from the carriers as an independent cross-check of the planners.
+and the reachability oracle.  The oracle lists the candidate moves on
+every carrier of a space and keeps exactly those ``validate_chain``
+admits; it never calls the next-hop functions, so it checks the planners
+independently.  ``p3_descending_moves`` is the same listing from one n.
 
 Planners are pure functions of n; identical inputs give identical
 chains.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
+from itertools import count
 from math import isqrt
 
 from ._record import Record
@@ -47,11 +50,7 @@ from .moves import (
     LIAISON,
     Chain,
     LinkMove,
-    liaison_target,
-    liaison_total,
     validate_chain,
-    validate_move_p3,
-    validate_move_p3_undirected,
 )
 
 _SEARCH_CAP = 10_000
@@ -114,11 +113,16 @@ def _table_routes(rows) -> dict[int, tuple[LinkMove]]:
         u, kind, param, carrier = min(
             nbrs, key=lambda e: (dist[e[0]], e[1] != BILIAISON, e[0])
         )
-        if kind == LIAISON:
-            routes[v] = (LinkMove(LIAISON, v, u, carrier, m=param),)
-        else:
-            routes[v] = (LinkMove(BILIAISON, v, u, carrier, h=param),)
+        routes[v] = (_move(kind, v, u, carrier, param),)
     return routes
+
+
+def _move(kind: str, n: int, n_to: int, carrier, param: int) -> LinkMove:
+    """A move of either kind; ``param`` is the twist m of a liaison or
+    the height h of a biliaison."""
+    if kind == LIAISON:
+        return LinkMove(LIAISON, n, n_to, carrier, param)
+    return LinkMove(BILIAISON, n, n_to, carrier, None, param)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +250,12 @@ def _cubic_range_move(n: int) -> tuple[int, int, str, int]:
     return total + 2 - n, 2 * a - 1, "iii", a
 
 
+def _cubic_cap(n_max: int) -> int:
+    # The top of n_max's level, and at least of level 4 (n = 18..29).
+    a = _cubic_level(max(n_max, 18))
+    return 3 * a * (a + 1) // 2 - 1
+
+
 def _cubic_next(n: int) -> tuple[LinkMove]:
     if n < 18:
         return _cubic_routes()[n]
@@ -315,19 +325,16 @@ def plan_p3(n: int) -> Chain:
 
 class ReachabilityOracle(Record):
     """Undirected admissible-move graph for one ambient, with the set of
-    counts connected to 1.  Edges come from every registered carrier
-    whose parameters matter below the cap, not from the planners, so
-    agreement between the two is a real check."""
+    counts connected to 1.  Edges are the moves validate_chain admits on
+    the carriers of genus at most the cap, found without the planners'
+    next-hop functions, so agreement between the two is a real check."""
 
     __slots__ = _fields = ("space", "n_max", "cap", "edges", "reachable")
 
     def __init__(self, space: str, n_max: int, cap: int, edges: frozenset[frozenset[int]],
                  reachable: frozenset[int]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "reachable", reachable)
+        for field, value in zip(self._fields, (space, n_max, cap, edges, reachable)):
+            object.__setattr__(self, field, value)
 
     def has_edge(self, u: int, v: int) -> bool:
         return frozenset((u, v)) in self.edges
@@ -338,92 +345,56 @@ class ReachabilityOracle(Record):
     def confirms(self, chain: Chain) -> bool:
         """True when every step of the chain is an edge of this graph.
         Height-0 repositioning steps change no count and are skipped."""
-        return all(
-            self.has_edge(s.n_from, s.n_to)
-            for s in chain.steps
-            if s.n_from != s.n_to
-        )
+        return all(self.has_edge(s.n_from, s.n_to) for s in chain.steps if s.n_from != s.n_to)
 
 
-def _biliaison_edges(d: int, g: int, top: int):
-    """Every biliaison n -> n - h*d (h >= 1) on a (d, g) carrier from
-    1 <= n <= top whose residual keeps at least max(g, 1) points."""
-    floor = max(g, 1)
-    for n in range(floor + d, top + 1):
-        for n_to in range(n - d, floor - 1, -d):
-            yield frozenset((n, n_to))
+def _candidates(carrier, n: int, lo: int, hi: int):
+    """(kind, parameter, residual) of every move from n on a (d, g)
+    carrier: the biliaisons n -> n - h*d (h >= 1) whose residual is at
+    least lo, by h, then the liaisons n -> m*d - (2g - 2) - n (m >= 1)
+    whose residual lies in [lo, hi], by m."""
+    d, shift = carrier.d, 2 * carrier.g - 2
+    for h in range(1, (n - lo) // d + 1):
+        yield BILIAISON, h, n - h * d
+    for m in range(max(1, -((n + lo + shift) // -d)), (n + hi + shift) // d + 1):
+        yield LIAISON, m, m * d - shift - n
 
 
-def _p2_graph(n_max: int) -> tuple[int, set[frozenset[int]]]:
-    edges = set()
-    d = 1
-    while (d - 1) * (d - 2) // 2 <= n_max:
-        edges.update(_biliaison_edges(d, (d - 1) * (d - 2) // 2, min(d * (d + 3) // 2, n_max)))
-        d += 1
-    return n_max, edges
+def _admits(space: str, kind: str, n: int, n_to: int, carrier, param: int) -> bool:
+    """True when the one-step chain n -> n_to passes validate_chain."""
+    try:
+        validate_chain(Chain(space, n, (_move(kind, n, n_to, carrier, param),)))
+        return True
+    except InvalidMove:
+        return False
 
 
-def _quadric_graph(n_max: int) -> tuple[int, set[frozenset[int]]]:
-    edges = {frozenset((2, 1))}  # via the ruling line after repositioning
-    a = 1
-    while (a - 1) ** 2 <= n_max:
-        for case in ("i", "ii"):
-            fam = quadric_family(a, case)
-            edges.update(_biliaison_edges(fam.d, fam.g, min(fam.linsys_dim, n_max)))
-        a += 1
-    return n_max, edges
+def _with_linsys(families):
+    """Each carrier with the most general points it holds, its linsys_dim."""
+    return ((family, family.linsys_dim) for family in families)
 
 
-def _cubic_graph(n_max: int) -> tuple[int, set[frozenset[int]]]:
-    level = _cubic_level(max(n_max, 18))
-    cap = 3 * level * (level + 1) // 2 - 1
-    edges = set()
-    a = 1
-    while (3 * a * a - 7 * a + 4) // 2 <= cap:
-        for kind in ("i", "ii", "iii", "iv"):
-            fam = cubic_surface_type(kind, a)
-            d, g = fam.d, fam.g
-            lo, hi = g, d + g - 1
-            if lo > cap:
-                continue
-            m = 1
-            while liaison_total(m, fam) < 2 * lo:
-                m += 1
-            while liaison_total(m, fam) <= 2 * min(hi, cap):
-                total = liaison_total(m, fam)
-                for n in range(max(lo, total - min(hi, cap), 1), min(hi, cap, total - 1) + 1):
-                    n_to = total - n
-                    if n != n_to and lo <= n_to <= hi and n_to <= cap and n_to >= 1:
-                        edges.add(frozenset((n, n_to)))
-                m += 1
-        a += 1
-    return cap, edges
+def _p3_carriers():
+    return ((p3_acm_family(row.d, row.g), row.m) for row in perrin_table())
 
 
-def _p3_graph(n_max: int) -> tuple[int, set[frozenset[int]]]:
-    cap = max(n_max, max(row.m for row in perrin_table()))
-    edges = set()
-    for row in perrin_table():
-        fam = p3_acm_family(row.d, row.g)
-        top = min(row.m, cap)
-        edges.update(_biliaison_edges(row.d, row.g, top))
-        m = 1
-        while liaison_total(m, fam) <= 2 * top:
-            total = liaison_total(m, fam)
-            for n in range(max(row.g, total - top, 1), top + 1):
-                n_to = total - n
-                if n != n_to and validate_move_p3_undirected(n, n_to, fam) and 1 <= n_to <= cap:
-                    edges.add(frozenset((n, n_to)))
-            m += 1
-    return cap, edges
-
-
-# Per space: the planner and the oracle's graph, n_max -> (cap, edges).
+# Per space: the planner, the oracle's cap for n_max, the carriers in
+# order of genus with the most general points each holds, and the edges
+# no carrier gives: on the quadric, 2 -> 1 on a ruling line onto which a
+# height-0 slide has repositioned the points.
 _BY_SPACE = {
-    "p2": (plan_p2, _p2_graph),
-    "quadric": (plan_quadric, _quadric_graph),
-    "cubic-surface": (plan_cubic, _cubic_graph),
-    "p3": (plan_p3, _p3_graph),
+    "p2": (plan_p2, lambda n_max: n_max,
+           lambda: _with_linsys(map(plane_curve_family, count(1))), ()),
+    "quadric": (plan_quadric, lambda n_max: n_max,
+                lambda: _with_linsys(quadric_family(a, case)
+                                     for a in count(1) for case in ("i", "ii")),
+                (frozenset((2, 1)),)),
+    "cubic-surface": (plan_cubic, _cubic_cap,
+                      lambda: _with_linsys(cubic_surface_type(kind, a)
+                                           for a in count(1) for kind in ("i", "ii", "iii", "iv")),
+                      ()),
+    "p3": (plan_p3, lambda n_max: max(n_max, max(row.m for row in perrin_table())),
+           _p3_carriers, ()),
 }
 SPACES = tuple(_BY_SPACE)
 
@@ -437,30 +408,38 @@ def _lookup(space: str):
 
 def plan(space: str, n: int) -> Chain:
     """Dispatch to the planner for the given ambient space."""
-    planner, _ = _lookup(space)
+    planner, *_ = _lookup(space)
     return planner(n)
 
 
 def build_oracle(space: str, n_max: int) -> ReachabilityOracle:
     """Assemble the admissible-move graph for a space and run one
-    breadth-first search from 1."""
-    _, graph = _lookup(space)
+    breadth-first search from 1.  Every carrier of genus at most the cap
+    gives its candidate moves between counts in [max(g, 1), min(held,
+    cap)]; an edge is a biliaison validate_chain admits, or a liaison it
+    admits both ways (taken from its lower end)."""
+    _, cap_of, carriers, extra = _lookup(space)
     _check_n(n_max)
     if n_max > _SEARCH_CAP:
         raise SearchBudgetExceeded(f"oracle capped at n_max <= {_SEARCH_CAP}")
-    cap, edges = graph(n_max)
+    cap = cap_of(n_max)
+    edges = set(extra)
+    for carrier, holds in carriers():
+        if carrier.g > cap:
+            break
+        lo, hi = max(carrier.g, 1), min(holds, cap)
+        for n in range(lo, hi + 1):
+            for kind, param, n_to in _candidates(carrier, n, lo, hi):
+                if kind == LIAISON and (
+                        n_to <= n or not _admits(space, kind, n_to, n, carrier, param)):
+                    continue
+                if _admits(space, kind, n, n_to, carrier, param):
+                    edges.add(frozenset((n, n_to)))
     adjacency: dict[int, set[int]] = {}
-    for edge in edges:
-        u, v = tuple(edge)
+    for u, v in map(tuple, edges):
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
-    return ReachabilityOracle(
-        space=space,
-        n_max=n_max,
-        cap=cap,
-        edges=frozenset(edges),
-        reachable=frozenset(_bfs(adjacency)),
-    )
+    return ReachabilityOracle(space, n_max, cap, frozenset(edges), frozenset(_bfs(adjacency)))
 
 
 def oracle_reachability(space: str, n_max: int) -> dict[int, bool]:
@@ -475,19 +454,9 @@ def p3_descending_moves(n: int) -> list[tuple[str, int, tuple[int, int], int]]:
     strictly smaller count, over the general-points table: entries
     (kind, parameter, (d, g), target).  Empty for n = 20, which is the
     arithmetic behind the open case."""
-    found = []
-    for row in perrin_table():
-        fam = p3_acm_family(row.d, row.g)
-        h = 1
-        while n - h * row.d >= 1:
-            n_to = n - h * row.d
-            if validate_move_p3(n, n_to, fam):
-                found.append((BILIAISON, h, (row.d, row.g), n_to))
-            h += 1
-        m = 1
-        while liaison_total(m, fam) < 2 * n:
-            n_to = liaison_target(n, m, fam)
-            if 1 <= n_to < n and validate_move_p3(n, n_to, fam):
-                found.append((LIAISON, m, (row.d, row.g), n_to))
-            m += 1
-    return found
+    return [
+        (kind, param, carrier.dg, n_to)
+        for carrier, holds in _p3_carriers() if n <= holds
+        for kind, param, n_to in _candidates(carrier, n, max(carrier.g, 1), n - 1)
+        if _admits("p3", kind, n, n_to, carrier, param)
+    ]

@@ -5,12 +5,26 @@ is a dynamic program over all valid h-vectors (no greedy assumption,
 no closed formula), the counter recounts enumerations through a
 different recursion, the lattice reference evaluates the full Gram
 matrix densely on plain integer tuples, and the cubic-surface spiral is
-walked step by step instead of read off in closed form.  Tests pit the package against
-these.
+walked step by step instead of read off in closed form.  The one
+exception is the move-graph reference, which shares nothing with
+``glicci.planner`` but asks ``validate_chain``, the rule it checks the
+oracle against, about every pair of counts.  Tests pit the package
+against these.
 """
 
 from functools import lru_cache
 from math import comb
+
+from glicci.catalog import (
+    cubic_surface_type,
+    p3_acm_family,
+    perrin_table,
+    plane_curve_family,
+    quadric_family,
+    quadric_ruling_line,
+)
+from glicci.errors import InvalidMove
+from glicci.moves import Chain, LinkMove, validate_chain
 
 
 def _bound(i: int, codim: int) -> int:
@@ -95,3 +109,49 @@ def cubic_spiral_walk(a: int):
         cur = nxt
         kind = "ii" if kind == "iv" else "iv"
     return visited, cur
+
+
+def _carriers(space: str, cap: int):
+    """Every carrier of the space with parameter at most cap: a superset
+    of the carriers of genus at most cap, since the genus grows faster."""
+    if space == "p2":
+        return [plane_curve_family(d) for d in range(1, cap + 1)]
+    if space == "quadric":
+        return [quadric_ruling_line()] + [
+            quadric_family(a, case) for a in range(1, cap + 1) for case in ("i", "ii")
+        ]
+    if space == "cubic-surface":
+        return [cubic_surface_type(kind, a) for a in range(1, cap + 1)
+                for kind in ("i", "ii", "iii", "iv")]
+    return [p3_acm_family(row.d, row.g) for row in perrin_table()]
+
+
+def _accepts(space: str, n: int, move: LinkMove) -> bool:
+    try:
+        validate_chain(Chain(space, n, (move,)))
+    except InvalidMove:
+        return False
+    return True
+
+
+def move_graph_edges(space: str, cap: int) -> set:
+    """Every pair 1 <= n < n2 <= cap joined on some carrier by a one-step
+    chain that validate_chain accepts: a biliaison from n2 down to n, of
+    height h = (n2 - n)/d, or a liaison accepted both ways, of twist
+    m = (n + n2 + 2g - 2)/d.  h and m come from division, so no move is
+    pruned before the rule sees it."""
+    edges = set()
+    for carrier in _carriers(space, cap):
+        d, g = carrier.d, carrier.g
+        for n in range(1, cap + 1):
+            for n2 in range(n + 1, cap + 1):
+                if (n2 - n) % d == 0 and _accepts(
+                        space, n2, LinkMove("biliaison", n2, n, carrier, h=(n2 - n) // d)):
+                    edges.add(frozenset((n, n2)))
+                m, rest = divmod(n + n2 + 2 * g - 2, d)
+                if rest == 0 and all(
+                    _accepts(space, a, LinkMove("liaison", a, b, carrier, m=m))
+                    for a, b in ((n, n2), (n2, n))
+                ):
+                    edges.add(frozenset((n, n2)))
+    return edges

@@ -26,10 +26,9 @@ from glicci.moves import (
     validate_chain,
     validate_liaison_cubic,
     validate_move_p3,
-    validate_move_p3_undirected,
 )
 from glicci.picard import DivisorClass
-from glicci.planner import plan_cubic
+from glicci.planner import build_oracle, plan_cubic
 
 carriers = st.builds(
     cubic_surface_type,
@@ -89,13 +88,13 @@ class TestValidators:
             validate_move_p3(12, 2, off)
 
     def test_p3_undirected(self):
-        nine_nine = p3_acm_family(9, 9)
-        assert validate_move_p3_undirected(12, 17, nine_nine)
-        # 19 -> 31 would be admissible one way only; the undirected rule
-        # rejects it because 31 points cannot sit on the curve.
+        oracle = build_oracle("p3", 40)
+        assert oracle.has_edge(12, 17)
+        # 19 -> 31 would be admissible one way only; the oracle needs a
+        # liaison both ways, and 31 points cannot sit on the curve.
         ten_eleven = p3_acm_family(10, 11)
         assert validate_move_p3(19, 31, ten_eleven)
-        assert not validate_move_p3_undirected(19, 31, ten_eleven)
+        assert not oracle.has_edge(19, 31)
 
 
 class TestBiliaisonCurve:
@@ -269,6 +268,28 @@ class TestChains:
         ]:
             with pytest.raises(InvalidMove, match=message):
                 validate_chain(chain)
+
+    def test_step_that_is_not_a_move_rejected(self):
+        with pytest.raises(InvalidMove, match=r"^step 0: expected a LinkMove, got NoneType$"):
+            validate_chain(Chain("p2", 3, (None,)))
+        good = LinkMove(BILIAISON, 3, 1, plane_curve_family(2), h=1)
+        with pytest.raises(InvalidMove, match=r"^step 1: expected a LinkMove, got dict$"):
+            validate_chain(Chain("p2", 3, (good, {"from": 1, "to": 1})))
+
+    def test_steps_that_are_not_a_tuple_rejected(self):
+        with pytest.raises(InvalidMove, match=r"^chain: field 'steps' must be a tuple$"):
+            validate_chain(Chain("p2", 3, 5))
+
+    @pytest.mark.parametrize("space, move", [
+        ("p2", LinkMove(BILIAISON, 3, 1, "x", h=1)),
+        ("quadric", LinkMove(BILIAISON, 3, 1, "x", h=1)),
+        ("cubic-surface", LinkMove(LIAISON, 3, 1, "x", m=1)),
+        ("p3", LinkMove(BILIAISON, 3, 1, "x", h=1)),
+    ])
+    def test_carrier_that_is_not_a_family_rejected(self, space, move):
+        with pytest.raises(InvalidMove,
+                           match=r"^step 0 carrier: expected a CurveFamily, got str$"):
+            validate_chain(Chain(space, 3, (move,)))
 
     def test_move_kind_fields_enforced(self):
         fam = cubic_surface_type("i", 2)

@@ -1,0 +1,178 @@
+"""The oracle and the 20-point obstruction against references that share
+no code with ``glicci.planner``.
+
+``ORACLES`` and ``P3_DESCENDING`` were computed by the planner's earlier
+per-space graph builders, before every graph came from one candidate
+enumerator; they pin the cap, the edge count, the counts reachable from
+1 (as runs of consecutive counts) and a SHA-256 of the sorted edge list.
+``move_graph_edges`` re-derives the edges for small caps from
+``validate_chain`` alone, so it fails if the enumerator ever drops an
+admissible move.
+"""
+
+import hashlib
+
+import pytest
+from oracles import move_graph_edges
+
+from glicci.moves import BILIAISON, LIAISON
+from glicci.planner import build_oracle, p3_descending_moves
+
+# (space, n_max, cap, edge count, reachable runs, SHA-256 of the edges
+# "u v" with u < v, one per line in sorted order).
+ORACLES = (
+    ("p2", 1, 1, 0, ((1, 1),),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p2", 2, 2, 1, ((1, 2),),
+     "f71998fe363b9c29116c80b5eecf33a2fedca3b6159724384485804b71651029"),
+    ("p2", 17, 17, 37, ((1, 17),),
+     "c60381414848adab8080355030069c1ac5208c220e8149bd0c0c290e38ca4683"),
+    ("p2", 18, 18, 40, ((1, 18),),
+     "489283ba6833a6af6695988000ea4ea4b878395cef1be2d28176f7076a5815e5"),
+    ("p2", 19, 19, 43, ((1, 19),),
+     "90eccdb03cc0c9d1e762277f2a0e5e0acfe9359c3a2400340a401cabd16f81e2"),
+    ("p2", 20, 20, 46, ((1, 20),),
+     "f7367e3dc33169a722bff91d45d328e66455a9232d00a5fd2826f05ffedfbfb6"),
+    ("p2", 120, 120, 326, ((1, 120),),
+     "234d97db38ae65b949bf070c3cc613714df3374ac34b997676d4ddbdb821e591"),
+    ("p2", 300, 300, 848, ((1, 300),),
+     "0c87a5aa45a117f995dbfca3c733faf4f14bf1d244313c992fbaab632715f1b3"),
+    ("p2", 500, 500, 1434, ((1, 500),),
+     "ab86b9f9bd4e89d65a317b84654b5278466d5347df012e136b54087509291a50"),
+    ("p2", 10_000, 10000, 29716, ((1, 10000),),
+     "c81fa44ff1c337b037ba0039a685fc8ce76bc58cf80c25d9755f2acceec65f65"),
+    ("quadric", 1, 1, 1, ((1, 2),),
+     "f71998fe363b9c29116c80b5eecf33a2fedca3b6159724384485804b71651029"),
+    ("quadric", 2, 2, 1, ((1, 2),),
+     "f71998fe363b9c29116c80b5eecf33a2fedca3b6159724384485804b71651029"),
+    ("quadric", 17, 17, 25, ((1, 17),),
+     "176122127db36302c92c67ac7e3f4cd9bc6c99517e0be8e5ca551660fe788971"),
+    ("quadric", 18, 18, 27, ((1, 18),),
+     "47f5c10b9c98923e8b8d7b3d3392fdf6e93d9af4f7b9781e61a6dddceeca8be7"),
+    ("quadric", 19, 19, 29, ((1, 19),),
+     "88a9d397fb61dd21f0c2b3eaded7c1de22490119244eea04653e34345a8c1783"),
+    ("quadric", 20, 20, 30, ((1, 20),),
+     "64a2ac2c9af03c9c2d2036526942c582b03d54ef08f59714d1edafaa1a93a244"),
+    ("quadric", 120, 120, 218, ((1, 120),),
+     "617126e24b80a06386e12920a4489ef72562ddff890a1f3a2dbca48ab82ab85e"),
+    ("quadric", 300, 300, 565, ((1, 300),),
+     "600c7bfba6a7194c75cfb7048407bb0bcef6e3b40c7c03eb6c8c5d117eaaacd9"),
+    ("quadric", 500, 500, 955, ((1, 500),),
+     "480f683367931b3ea70fc50cc67e2ab6d6b0ab1372e4a9253d32f2ce96d959ef"),
+    ("quadric", 10_000, 10000, 19799, ((1, 10000),),
+     "20cc20dd69fd851edf2c0d3e558bd86bba3b545eb16b362e609eb9dfc2049e60"),
+    ("cubic-surface", 1, 29, 37, ((1, 29),),
+     "c894418f60b331b49c96ca5e28339493092554812b0fb3b9702d15678ddd38f6"),
+    ("cubic-surface", 2, 29, 37, ((1, 29),),
+     "c894418f60b331b49c96ca5e28339493092554812b0fb3b9702d15678ddd38f6"),
+    ("cubic-surface", 17, 29, 37, ((1, 29),),
+     "c894418f60b331b49c96ca5e28339493092554812b0fb3b9702d15678ddd38f6"),
+    ("cubic-surface", 18, 29, 37, ((1, 29),),
+     "c894418f60b331b49c96ca5e28339493092554812b0fb3b9702d15678ddd38f6"),
+    ("cubic-surface", 19, 29, 37, ((1, 29),),
+     "c894418f60b331b49c96ca5e28339493092554812b0fb3b9702d15678ddd38f6"),
+    ("cubic-surface", 20, 29, 37, ((1, 29),),
+     "c894418f60b331b49c96ca5e28339493092554812b0fb3b9702d15678ddd38f6"),
+    ("cubic-surface", 120, 134, 186, ((1, 134),),
+     "e811bdcea44b43dda63abb98d419f2eda1cd3f55a2b7b71f3e6775ab3f5516a1"),
+    ("cubic-surface", 300, 314, 447, ((1, 314),),
+     "a2361f7bb4f192a27f5e4e3be54f270ca1f32b50a85eb997cc058f4eb01bead4"),
+    ("cubic-surface", 500, 512, 737, ((1, 512),),
+     "82a1337c8f36d10fa7eee512718a08442c986a7fab68b6672fc5dba329a331e2"),
+    ("cubic-surface", 10_000, 10208, 15169, ((1, 10208),),
+     "50665a7e467e653783e09428efe356c14d4ca404bcead83e9fb72328717dbb4b"),
+    ("p3", 1, 20, 47, ((1, 19),),
+     "940e6fff9bbdf8afe189b63ded607592124de9da7f10e68c4f28c0719c3d4a2b"),
+    ("p3", 2, 20, 47, ((1, 19),),
+     "940e6fff9bbdf8afe189b63ded607592124de9da7f10e68c4f28c0719c3d4a2b"),
+    ("p3", 17, 20, 47, ((1, 19),),
+     "940e6fff9bbdf8afe189b63ded607592124de9da7f10e68c4f28c0719c3d4a2b"),
+    ("p3", 18, 20, 47, ((1, 19),),
+     "940e6fff9bbdf8afe189b63ded607592124de9da7f10e68c4f28c0719c3d4a2b"),
+    ("p3", 19, 20, 47, ((1, 19),),
+     "940e6fff9bbdf8afe189b63ded607592124de9da7f10e68c4f28c0719c3d4a2b"),
+    ("p3", 20, 20, 47, ((1, 19),),
+     "940e6fff9bbdf8afe189b63ded607592124de9da7f10e68c4f28c0719c3d4a2b"),
+    ("p3", 120, 120, 47, ((1, 19),),
+     "940e6fff9bbdf8afe189b63ded607592124de9da7f10e68c4f28c0719c3d4a2b"),
+    ("p3", 300, 300, 47, ((1, 19),),
+     "940e6fff9bbdf8afe189b63ded607592124de9da7f10e68c4f28c0719c3d4a2b"),
+    ("p3", 500, 500, 47, ((1, 19),),
+     "940e6fff9bbdf8afe189b63ded607592124de9da7f10e68c4f28c0719c3d4a2b"),
+    ("p3", 10_000, 10000, 47, ((1, 19),),
+     "940e6fff9bbdf8afe189b63ded607592124de9da7f10e68c4f28c0719c3d4a2b"),
+)
+
+# p3_descending_moves(n) for 2 <= n <= 19; it is empty for n = 1 and for
+# 20 <= n <= 39.
+P3_DESCENDING = {
+    2: [(BILIAISON, 1, (1, 0), 1), (LIAISON, 1, (1, 0), 1)],
+    3: [(BILIAISON, 1, (2, 0), 1), (LIAISON, 1, (2, 0), 1), (LIAISON, 1, (3, 0), 2),
+        (LIAISON, 1, (4, 1), 1)],
+    4: [(BILIAISON, 1, (3, 0), 1), (LIAISON, 1, (3, 0), 1)],
+    5: [(BILIAISON, 1, (3, 0), 2), (LIAISON, 2, (3, 0), 3), (BILIAISON, 1, (4, 1), 1),
+        (LIAISON, 2, (4, 1), 3), (LIAISON, 2, (5, 2), 3), (LIAISON, 2, (6, 3), 3)],
+    6: [(BILIAISON, 1, (3, 0), 3), (LIAISON, 2, (3, 0), 2), (LIAISON, 3, (3, 0), 5),
+        (BILIAISON, 1, (4, 1), 2), (LIAISON, 2, (4, 1), 2), (LIAISON, 2, (5, 2), 2)],
+    7: [(BILIAISON, 1, (4, 1), 3), (LIAISON, 2, (4, 1), 1), (LIAISON, 3, (4, 1), 5),
+        (BILIAISON, 1, (5, 2), 2), (LIAISON, 3, (5, 2), 6), (LIAISON, 3, (7, 5), 6)],
+    8: [(BILIAISON, 1, (4, 1), 4), (LIAISON, 3, (4, 1), 4), (BILIAISON, 1, (5, 2), 3),
+        (LIAISON, 3, (5, 2), 5), (LIAISON, 3, (6, 3), 6), (LIAISON, 3, (7, 5), 5)],
+    9: [(BILIAISON, 1, (5, 2), 4), (LIAISON, 3, (5, 2), 4), (BILIAISON, 1, (6, 3), 3),
+        (LIAISON, 3, (6, 3), 5)],
+    10: [(BILIAISON, 1, (6, 3), 4), (LIAISON, 3, (6, 3), 4)],
+    11: [(BILIAISON, 1, (6, 3), 5), (LIAISON, 3, (6, 3), 3), (LIAISON, 4, (6, 3), 9),
+        (LIAISON, 4, (7, 5), 9), (LIAISON, 4, (8, 7), 9), (LIAISON, 4, (9, 9), 9)],
+    12: [(BILIAISON, 1, (6, 3), 6), (LIAISON, 4, (6, 3), 8), (BILIAISON, 1, (7, 5), 5),
+        (LIAISON, 4, (7, 5), 8), (LIAISON, 4, (8, 7), 8)],
+    13: [(BILIAISON, 1, (7, 5), 6), (LIAISON, 4, (7, 5), 7), (LIAISON, 4, (8, 7), 7)],
+    14: [(BILIAISON, 1, (7, 5), 7), (LIAISON, 4, (7, 5), 6), (LIAISON, 5, (7, 5), 13)],
+    15: [(BILIAISON, 1, (8, 7), 7), (LIAISON, 5, (8, 7), 13), (LIAISON, 5, (9, 9), 14)],
+    16: [(BILIAISON, 1, (8, 7), 8), (LIAISON, 5, (8, 7), 12), (LIAISON, 5, (9, 9), 13),
+        (LIAISON, 5, (10, 11), 14)],
+    17: [(LIAISON, 5, (9, 9), 12), (LIAISON, 5, (10, 11), 13)],
+    18: [(BILIAISON, 1, (9, 9), 9), (LIAISON, 5, (9, 9), 11), (LIAISON, 5, (10, 11), 12)],
+    19: [(LIAISON, 5, (10, 11), 11)],
+}
+
+
+def _runs(counts):
+    runs = []
+    for v in sorted(counts):
+        if runs and runs[-1][1] == v - 1:
+            runs[-1] = (runs[-1][0], v)
+        else:
+            runs.append((v, v))
+    return tuple(runs)
+
+
+@pytest.mark.parametrize("space, n_max, cap, count, reachable, digest", ORACLES)
+def test_oracle_matches_the_recorded_graph(space, n_max, cap, count, reachable, digest):
+    oracle = build_oracle(space, n_max)
+    edges = sorted(tuple(sorted(edge)) for edge in oracle.edges)
+    assert oracle.cap == cap
+    assert len(edges) == count
+    assert _runs(oracle.reachable) == reachable
+    text = "\n".join(f"{u} {v}" for u, v in edges)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_descending_moves_match_the_recorded_table():
+    for n in range(1, 40):
+        assert p3_descending_moves(n) == P3_DESCENDING.get(n, [])
+
+
+@pytest.mark.parametrize("space, n_max", [
+    *((space, n_max) for space in ("p2", "quadric") for n_max in (1, 2, 17, 20, 41, 60)),
+    ("cubic-surface", 1), ("cubic-surface", 29), ("cubic-surface", 30), ("cubic-surface", 44),
+    ("p3", 1), ("p3", 20), ("p3", 39), ("p3", 60),
+])
+def test_oracle_keeps_every_move_validate_chain_admits(space, n_max):
+    oracle = build_oracle(space, n_max)
+    assert oracle.cap <= 60
+    expected = move_graph_edges(space, oracle.cap)
+    if space == "quadric":
+        # The declared edge: 2 -> 1 on a ruling line after a height-0
+        # slide, outside the containment count for general points.
+        expected.add(frozenset((2, 1)))
+    assert oracle.edges == expected
