@@ -4,10 +4,11 @@ Surfaces: the cubic scroll, Del Pezzo, Castelnuovo and Bordiga surfaces
 in 4-space (as plane blow-ups), the quadric and cubic surfaces in
 3-space, and the degree-10 determinantal surface in 4-space (abstract,
 lattice generated by H and K).  Curves: the ACM families on the quadric
-and on the cubic surface, the table of how many general points of
-3-space lie on small ACM curves, the descent catalog for ACM curves of
-degree at most 9 (and the (10,6) case) in 4-space, and the eight
-divisor classes of (10,6) curves on a Bordiga surface.
+and on the cubic surface, the table (derived from h-vectors) of how
+many general points of 3-space lie on small ACM curves, the descent
+catalog for ACM curves of degree at most 9 (and the (10,6) case) in
+4-space, and the eight divisor classes of (10,6) curves on a Bordiga
+surface.
 
 The cubic-surface families are one table, ``_CUBIC_KINDS``: each kind
 i..iv maps to its base class B (the curve at a = 1), the drop 3a - d,
@@ -23,9 +24,11 @@ unrestricted.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from ._record import Record, slot_setters
 from .errors import DegreeTooSmall, NotInTable, UnknownSurface
+from .hvector import min_genus, s_zero
 from .picard import DivisorClass, SurfaceModel
 
 
@@ -271,19 +274,12 @@ class PerrinEntry(Record):
         object.__setattr__(self, "m", m)
 
 
-_PERRIN_ROWS = (
-    PerrinEntry(1, 0, 2),
-    PerrinEntry(2, 0, 3),
-    PerrinEntry(3, 0, 6),
-    PerrinEntry(4, 1, 8),
-    PerrinEntry(5, 2, 9),
-    PerrinEntry(6, 3, 12),
-    PerrinEntry(7, 5, 14),
-    PerrinEntry(8, 7, 16),
-    PerrinEntry(9, 9, 18),
-    PerrinEntry(10, 11, 20),
-)
+def _perrin_row(d: int) -> PerrinEntry:
+    g, witness = min_genus(d, 2, nondegenerate=False)
+    return PerrinEntry(d, g, min(2 * d, comb(s_zero(witness) + 3, 3) - 1))
 
+
+_PERRIN_ROWS = tuple(map(_perrin_row, range(1, 11)))
 _PERRIN_M = {(row.d, row.g): row.m for row in _PERRIN_ROWS}
 
 
@@ -293,8 +289,12 @@ def perrin_table() -> tuple[PerrinEntry, ...]:
 
 def perrin_m(d: int, g: int) -> int:
     """Maximum number of general points of 3-space on an ACM (d, g)
-    curve.  The naive value 2d holds except for the conic (plane bound 3)
-    and the (5, 2) curve (quadric bound 9)."""
+    curve of the table: one row per degree d = 1..10, at the least genus
+    over h-vectors of degree d.  The curves move in a family of dimension
+    4d, so they hold at most 2d general points, and the points lie on a
+    surface of the least degree s through the curve (``s_zero`` of the
+    witness h-vector), which holds binom(s+3, 3) - 1 of them.  The smaller
+    bound is 2d except for the conic (3) and the (5, 2) curve (9)."""
     try:
         return _PERRIN_M[(d, g)]
     except KeyError:

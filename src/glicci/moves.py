@@ -264,6 +264,8 @@ def _plane_step(space: str, step: LinkMove) -> None:
     d, g = carrier.d, carrier.g
     if step.kind != BILIAISON:
         raise InvalidMove(f"{space} chains use biliaisons only, got {step.kind}")
+    if step.h < 0:
+        raise InvalidMove(f"{space} chains use biliaisons of height >= 0, got {step.h}")
     if step.n_to != step.n_from - step.h * d:
         raise InvalidMove(
             f"height-{step.h} biliaison on ({d},{g}) must drop {step.h * d} points"
@@ -338,7 +340,8 @@ _OPTIONAL_INT = (int, type(None))
 
 
 def _check_fields(index: int, step: LinkMove) -> None:
-    """Raise InvalidMove naming the first field of the step that has the wrong type."""
+    """Raise InvalidMove naming the first field of the step, or of its
+    carrier's (d, g), that has the wrong type."""
     if type(step) is not LinkMove:
         raise InvalidMove(f"step {index}: expected a LinkMove, got {type(step).__name__}") from None
     if type(step.carrier) is not CurveFamily:
@@ -349,6 +352,10 @@ def _check_fields(index: int, step: LinkMove) -> None:
         if type(value) not in allowed:
             raise InvalidMove(
                 f"step {index}: field {key!r} must be int, got {type(value).__name__}")
+    for key, value in (("d", step.carrier.d), ("g", step.carrier.g)):
+        if type(value) is not int:
+            raise InvalidMove(
+                f"step {index} carrier: field {key!r} must be int, got {type(value).__name__}")
 
 
 def validate_chain(chain: Chain) -> None:

@@ -6,22 +6,26 @@ function ``next_moves(n)``, the tuple of moves that leaves n points, and
 chain move by move:
 
   * p2: one ascending biliaison on plane curves of the least degree
-    that holds the points;
+    that holds the points, except that 2 and 4 points drop by height 1
+    onto a line and a conic;
   * quadric: one ascending biliaison on the two ACM families of the
     quadric, except that n = 2 first slides the points along a twisted
     cubic (a height-0 biliaison) onto a ruling line;
   * cubic surface: one strict liaison by m*H - K on the four ACM
-    families, from a tabulated route for n <= 17 and in closed form on
-    the six ranges of each level above that;
-  * p3: the tabulated route over the eleven moves, total for n <= 19
-    and a typed open-case error beyond.
+    families, in closed form on the six ranges of each level, with
+    literal moves at n in {2, 3, 5, 6} where the recorded chain leaves
+    the formula;
+  * p3: a height-1 biliaison on the least-degree row of the
+    general-points table that holds the points, except for the liaisons
+    by 5H - K at n = 17 and 19; total for n <= 19 and a typed open-case
+    error beyond.
 
-The levels and the cubic spiral are closed forms in n.  One breadth-first
-search, ``_bfs``, serves both the tabulated routes (shortest paths to 1)
-and the reachability oracle.  The oracle lists the candidate moves on
-every carrier of a space and keeps exactly those ``validate_chain``
-admits; it never calls the next-hop functions, so it checks the planners
-independently.  ``p3_descending_moves`` is the same listing from one n.
+Every next hop is a formula in n; the levels and the cubic spiral are
+closed forms.  The reachability oracle lists the candidate moves on
+every carrier of a space, keeps exactly those ``validate_chain`` admits
+and runs the one breadth-first search, ``_bfs``; it never calls the
+next-hop functions, so it checks the planners independently.
+``p3_descending_moves`` is the same listing from one n.
 
 Planners are pure functions of n; identical inputs give identical
 chains.
@@ -29,8 +33,6 @@ chains.
 
 from __future__ import annotations
 
-from collections import deque
-from functools import lru_cache
 from itertools import count
 from math import isqrt
 
@@ -82,47 +84,15 @@ def _walk(space: str, n: int, next_moves) -> Chain:
     return chain
 
 
-def _bfs(adjacency: dict[int, list[int] | set[int]]) -> dict[int, int]:
-    """Distance from 1 of every vertex connected to it."""
-    dist = {1: 0}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
+def _bfs(adjacency: dict[int, set[int]]) -> set[int]:
+    """Every vertex connected to 1, found breadth first."""
+    queue, seen = [1], {1}
+    for v in queue:
         for u in adjacency.get(v, ()):
-            if u not in dist:
-                dist[u] = dist[v] + 1
+            if u not in seen:
+                seen.add(u)
                 queue.append(u)
-    return dist
-
-
-def _table_routes(rows) -> dict[int, tuple[LinkMove]]:
-    """Next hop toward 1 for every count in a table of moves, each row
-    ``(lo, hi, kind, param, carrier)`` usable both ways: a shortest
-    path, preferring biliaisons over liaisons and then smaller targets.
-    ``param`` is the twist m of a liaison or the height h of a
-    biliaison."""
-    adjacency: dict[int, list[tuple]] = {}
-    for lo, hi, kind, param, carrier in rows:
-        adjacency.setdefault(lo, []).append((hi, kind, param, carrier))
-        adjacency.setdefault(hi, []).append((lo, kind, param, carrier))
-    dist = _bfs({v: [u for u, *_ in nbrs] for v, nbrs in adjacency.items()})
-    routes = {}
-    for v, nbrs in adjacency.items():
-        if v == 1:
-            continue
-        u, kind, param, carrier = min(
-            nbrs, key=lambda e: (dist[e[0]], e[1] != BILIAISON, e[0])
-        )
-        routes[v] = (_move(kind, v, u, carrier, param),)
-    return routes
-
-
-def _move(kind: str, n: int, n_to: int, carrier, param: int) -> LinkMove:
-    """A move of either kind; ``param`` is the twist m of a liaison or
-    the height h of a biliaison."""
-    if kind == LIAISON:
-        return LinkMove(LIAISON, n, n_to, carrier, param)
-    return LinkMove(BILIAISON, n, n_to, carrier, None, param)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +104,9 @@ def _plane_degree(n: int) -> int:
 
 
 def _p2_next(n: int) -> tuple[LinkMove]:
-    if n == 2:
-        d, h = 1, 1
-    elif n in (3, 4):
-        d, h = 2, 1
-    elif n == 5:
-        d, h = 2, 2
+    if n in (2, 4):
+        # The formula's height 2 would drop to 0 points: one line, one conic.
+        d, h = n // 2, 1
     else:
         d = _plane_degree(n)
         h = 1 if n == (d - 1) * (d + 2) // 2 + 1 else 2
@@ -170,13 +137,8 @@ def _quadric_next(n: int) -> tuple[LinkMove, ...]:
             LinkMove(BILIAISON, 2, 1, quadric_ruling_line(), h=1,
                      note="points repositioned onto the line"),
         )
-    if n == 3:
-        carrier = quadric_family(1, "i")  # the conic (2, 0)
-    elif n in (4, 5):
-        carrier = quadric_family(1, "ii")  # the twisted cubic (3, 0)
-    else:
-        a = _quadric_level(n)
-        carrier = quadric_family(a, "i" if n <= a * a + 2 * a else "ii")
+    a = _quadric_level(n)
+    carrier = quadric_family(a, "i" if n <= a * a + 2 * a else "ii")
     return (LinkMove(BILIAISON, n, n - carrier.d, carrier, None, 1),)
 
 
@@ -191,33 +153,17 @@ def plan_quadric(n: int) -> Chain:
 # ---------------------------------------------------------------------------
 # Points on the nonsingular cubic surface.
 
-# Tabulated liaisons for n <= 8 and 9 <= n <= 17: (n, n', m, kind, a).
-_CUBIC_TABLE = (
-    (1, 3, 1, "i", 2),     # H-K on (4,1)
-    (2, 6, 2, "ii", 2),    # 2H-K on (5,2)
-    (3, 5, 2, "ii", 2),
-    (6, 8, 3, "iii", 2),   # 3H-K on (6,3)
-    (4, 8, 3, "iv", 2),    # 3H-K on (6,4)
-    (5, 7, 3, "iv", 2),
-    (6, 7, 3, "i", 3),     # 3H-K on (7,5)
-    (9, 11, 4, "i", 3),    # 4H-K on (7,5)
-    (7, 13, 4, "ii", 3),   # 4H-K on (8,7)
-    (8, 12, 4, "ii", 3),
-    (12, 17, 5, "iii", 3),  # 5H-K on (9,9)
-    (13, 16, 5, "iii", 3),
-    (10, 17, 5, "iv", 3),  # 5H-K on (9,10)
-    (11, 16, 5, "iv", 3),
-    (12, 15, 5, "iv", 3),
-    (13, 14, 5, "iv", 3),
-)
-
-
-@lru_cache(maxsize=1)
-def _cubic_routes() -> dict[int, tuple[LinkMove]]:
-    return _table_routes(
-        (lo, hi, LIAISON, m, cubic_surface_type(kind, a))
-        for lo, hi, m, kind, a in _CUBIC_TABLE
-    )
+# The counts where the recorded chain leaves the closed form, as
+# (target, m, kind, a).  At 3 the formula's move would break the window
+# (5 > 4 on (4,1)); at 5 and 6 it would cycle (5 -> 7 -> 5, 6 -> 2 -> 6);
+# 2 keeps the recorded chain 2 -> 6 -> 7 -> 5 -> 3 -> 1, where the formula
+# would link 2 -> 1 on the plane cubic.
+_CUBIC_EXCEPTIONS = {
+    2: (6, 2, "ii", 2),  # 2H-K on (5,2)
+    3: (1, 1, "i", 2),  # H-K on (4,1)
+    5: (3, 2, "ii", 2),  # 2H-K on (5,2)
+    6: (7, 3, "i", 3),  # 3H-K on (7,5)
+}
 
 
 def _cubic_level(n: int) -> int:
@@ -226,7 +172,8 @@ def _cubic_level(n: int) -> int:
 
 
 def _cubic_range_move(n: int) -> tuple[int, int, str, int]:
-    """The single outgoing move (target, m, kind, a) for n >= 18.
+    """The single outgoing move (target, m, kind, a) for n = 4 and
+    n >= 7.
 
     With n = n0 + t at level a (n0 = 3a(a-1)/2), the offsets t fall in
     six ranges.  In ranges D and E (a+2 <= t <= 2a) the two liaisons of
@@ -257,17 +204,16 @@ def _cubic_cap(n_max: int) -> int:
 
 
 def _cubic_next(n: int) -> tuple[LinkMove]:
-    if n < 18:
-        return _cubic_routes()[n]
-    nxt, m, kind, a = _cubic_range_move(n)
+    nxt, m, kind, a = _CUBIC_EXCEPTIONS.get(n) or _cubic_range_move(n)
     return (LinkMove(LIAISON, n, nxt, cubic_surface_type(kind, a), m),)
 
 
 def plan_cubic(n: int) -> Chain:
     """Reduce n general points on a fixed nonsingular cubic surface to a
     single point by strict liaisons on its four ACM curve families.
-    Tabulated links handle n <= 17; the six-range schedule handles the
-    rest, recursing once a link drops below the current block."""
+    The six-range schedule of each level gives every link, recursing
+    once a link drops below the current block, except the four literal
+    links at n in {2, 3, 5, 6}."""
     return _walk("cubic-surface", n, _cubic_next)
 
 
@@ -276,37 +222,27 @@ def plan_cubic(n: int) -> Chain:
 
 P3_GUARANTEED_MAX = 19
 
-# The eleven tabulated moves: height-1 biliaisons as (low, high, d, g)
-# and the two liaisons as (low, high, m, d, g).
-_P3_BILIAISONS = (
-    (1, 2, 1, 0),
-    (1, 3, 2, 0),
-    (1, 4, 3, 0), (2, 5, 3, 0), (3, 6, 3, 0),
-    (3, 7, 4, 1), (4, 8, 4, 1),
-    (4, 9, 5, 2),
-    (4, 10, 6, 3), (5, 11, 6, 3), (6, 12, 6, 3),
-    (6, 13, 7, 5), (7, 14, 7, 5),
-    (7, 15, 8, 7), (8, 16, 8, 7),
-    (9, 18, 9, 9),
-)
-_P3_LIAISONS = (
-    (12, 17, 5, 9, 9),
-    (11, 19, 5, 10, 11),
-)
+# The two counts whose least-degree biliaison leaves a residual below
+# the genus (8 < 9 on (9,9), 9 < 11 on (10,11)) link by 5H-K instead:
+# n -> (target, m, d, g).
+_P3_EXCEPTIONS = {17: (12, 5, 9, 9), 19: (11, 5, 10, 11)}
 
 
-@lru_cache(maxsize=1)
-def _p3_routes() -> dict[int, tuple[LinkMove]]:
-    rows = [(lo, hi, BILIAISON, 1, p3_acm_family(d, g)) for lo, hi, d, g in _P3_BILIAISONS]
-    rows += [(lo, hi, LIAISON, m, p3_acm_family(d, g)) for lo, hi, m, d, g in _P3_LIAISONS]
-    return _table_routes(rows)
+def _p3_next(n: int) -> tuple[LinkMove]:
+    if n in _P3_EXCEPTIONS:
+        nxt, m, d, g = _P3_EXCEPTIONS[n]
+        return (LinkMove(LIAISON, n, nxt, p3_acm_family(d, g), m),)
+    row = next(row for row in perrin_table() if n <= row.m)
+    return (LinkMove(BILIAISON, n, n - row.d, p3_acm_family(row.d, row.g), None, 1),)
 
 
 def plan_p3(n: int) -> Chain:
-    """Reduce n <= 19 general points of 3-space to one point with the
-    eleven tabulated moves.  For n not 17 or 19 the chain descends by
-    biliaisons alone; those two need one liaison each.  For n >= 20 no
-    tabulated move applies (the (10,11) carrier would need a residual of
+    """Reduce n <= 19 general points of 3-space to one point.  Each step
+    is a height-1 biliaison on the least-degree row of the general-points
+    table that holds the points, except at n = 17 and 19, where that
+    biliaison's residual falls below the genus and the points link by
+    5H - K on (9,9) and on (10,11) instead.  For n >= 20 no descending
+    move applies (the (10,11) carrier would need a residual of
     degree 10, below its genus), and whether such a set reduces at all
     is open, so the planner raises OutOfGuaranteedRange."""
     _check_n(n)
@@ -317,7 +253,7 @@ def plan_p3(n: int) -> Chain:
             "only carrier is the (10,11) curve, whose moves leave a residual of "
             "degree 10 < genus 11), and the reduction question is open"
         )
-    return _walk("p3", n, _p3_routes().__getitem__)
+    return _walk("p3", n, _p3_next)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +299,9 @@ def _candidates(carrier, n: int, lo: int, hi: int):
 def _admits(space: str, kind: str, n: int, n_to: int, carrier, param: int) -> bool:
     """True when the one-step chain n -> n_to passes validate_chain."""
     try:
-        validate_chain(Chain(space, n, (_move(kind, n, n_to, carrier, param),)))
+        move = (LinkMove(LIAISON, n, n_to, carrier, param) if kind == LIAISON
+                else LinkMove(BILIAISON, n, n_to, carrier, None, param))
+        validate_chain(Chain(space, n, (move,)))
         return True
     except InvalidMove:
         return False

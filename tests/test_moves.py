@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glicci.catalog import (
+    CurveFamily,
     cubic_surface_type,
     p3_acm_family,
     plane_curve_family,
@@ -238,6 +239,40 @@ class TestChains:
             "quadric", 2, (LinkMove(BILIAISON, 2, 2, fam, h=0, note="slide"),)
         )
         good.validate()
+
+    @pytest.mark.parametrize("space, start, fam, h", [
+        ("p2", 2, plane_curve_family(1), -48),  # 50 points "on" a line
+        ("quadric", 3, quadric_family(1, "i"), -500),  # 1003 on the conic
+        ("quadric", 2, quadric_family(1, "ii"), -1),
+    ])
+    def test_negative_height_rejected_in_the_plane_and_quadric(self, space, start, fam, h):
+        move = LinkMove(BILIAISON, start, start - h * fam.d, fam, h=h, note="repositioned")
+        with pytest.raises(InvalidMove, match=rf"^{space} chains use biliaisons of height >= 0"):
+            validate_chain(Chain(space, start, (move,)))
+
+    @pytest.mark.parametrize("space, kind, d, g, key, got", [
+        ("p2", BILIAISON, 2, None, "g", "NoneType"),
+        ("p2", BILIAISON, "2", 0, "d", "str"),
+        ("quadric", BILIAISON, 2, None, "g", "NoneType"),
+        ("cubic-surface", LIAISON, 4, None, "g", "NoneType"),
+        ("cubic-surface", LIAISON, "4", 1, "d", "str"),
+        ("p3", BILIAISON, "2", 0, "d", "str"),
+    ])
+    def test_ill_typed_carrier_degree_or_genus_rejected(self, space, kind, d, g, key, got):
+        carrier = CurveFamily(space, d, g, 5)
+        param = {"m": 1} if kind == LIAISON else {"h": 1}
+        move = LinkMove(kind, 3, 1, carrier, **param)
+        with pytest.raises(InvalidMove,
+                           match=rf"^step 0 carrier: field '{key}' must be int, got {got}$"):
+            validate_chain(Chain(space, 3, (move,)))
+
+    def test_null_genus_from_json_rejected(self):
+        data = plan_cubic(18).to_dict()
+        data["steps"][1]["carrier"]["g"] = None
+        chain = Chain.from_dict(data)
+        with pytest.raises(InvalidMove,
+                           match=r"^step 1 carrier: field 'g' must be int, got NoneType$"):
+            validate_chain(chain)
 
     @pytest.mark.parametrize("with_steps", [False, True])
     def test_unknown_space_rejected_before_the_steps(self, with_steps):

@@ -1,0 +1,226 @@
+"""Small-count chains and the general-points table, pinned as literals.
+
+Each planner's next hop is a formula in n with a few literal moves where
+the recorded chain leaves it (cubic surface n in {2, 3, 5, 6}, 3-space
+n in {17, 19}, the plane's n in {2, 4} and the quadric's n = 2 slide).
+These literals pin every chain those formulas and exceptions produce
+for cubic n <= 17, 3-space n <= 19 and the plane and quadric n <= 6:
+the point sequence and, per step, the kind, twist m or height h, the
+carrier's (d, g) and label, and the note.  ``PERRIN_ROWS`` pins the
+general-points table derived from h-vectors.
+"""
+
+import pytest
+
+from glicci.catalog import perrin_m, perrin_table
+from glicci.moves import BILIAISON, LIAISON
+from glicci.planner import plan
+
+# (space, point sequence, steps); a step is (kind, m or h, d, g, label)
+# followed by its note when it has one.  "L" is a liaison by m*H - K and
+# "B" a biliaison of height h.
+CHAINS = (
+    ("p2", (2, 1), (
+        ("B", 1, 1, 0, "plane curve of degree 1"),
+    )),
+    ("p2", (3, 1), (
+        ("B", 1, 2, 0, "plane curve of degree 2"),
+    )),
+    ("p2", (4, 2, 1), (
+        ("B", 1, 2, 0, "plane curve of degree 2"),
+        ("B", 1, 1, 0, "plane curve of degree 1"),
+    )),
+    ("p2", (5, 1), (
+        ("B", 2, 2, 0, "plane curve of degree 2"),
+    )),
+    ("p2", (6, 3, 1), (
+        ("B", 1, 3, 1, "plane curve of degree 3"),
+        ("B", 1, 2, 0, "plane curve of degree 2"),
+    )),
+    ("quadric", (2, 2, 1), (
+        ("B", 0, 3, 0, "bidegree (1, 2)", "slide along the twisted cubic onto a ruling line"),
+        ("B", 1, 1, 0, "ruling line", "points repositioned onto the line"),
+    )),
+    ("quadric", (3, 1), (
+        ("B", 1, 2, 0, "bidegree (1, 1)"),
+    )),
+    ("quadric", (4, 1), (
+        ("B", 1, 3, 0, "bidegree (1, 2)"),
+    )),
+    ("quadric", (5, 2, 2, 1), (
+        ("B", 1, 3, 0, "bidegree (1, 2)"),
+        ("B", 0, 3, 0, "bidegree (1, 2)", "slide along the twisted cubic onto a ruling line"),
+        ("B", 1, 1, 0, "ruling line", "points repositioned onto the line"),
+    )),
+    ("quadric", (6, 2, 2, 1), (
+        ("B", 1, 4, 1, "bidegree (2, 2)"),
+        ("B", 0, 3, 0, "bidegree (1, 2)", "slide along the twisted cubic onto a ruling line"),
+        ("B", 1, 1, 0, "ruling line", "points repositioned onto the line"),
+    )),
+    ("cubic-surface", (2, 6, 7, 5, 3, 1), (
+        ("L", 2, 5, 2, "type ii"), ("L", 3, 7, 5, "type i"), ("L", 3, 6, 4, "type iv"),
+        ("L", 2, 5, 2, "type ii"), ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (3, 1), (
+        ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (4, 8, 6, 7, 5, 3, 1), (
+        ("L", 3, 6, 4, "type iv"), ("L", 3, 6, 3, "type iii"), ("L", 3, 7, 5, "type i"),
+        ("L", 3, 6, 4, "type iv"), ("L", 2, 5, 2, "type ii"), ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (5, 3, 1), (
+        ("L", 2, 5, 2, "type ii"), ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (6, 7, 5, 3, 1), (
+        ("L", 3, 7, 5, "type i"), ("L", 3, 6, 4, "type iv"), ("L", 2, 5, 2, "type ii"),
+        ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (7, 5, 3, 1), (
+        ("L", 3, 6, 4, "type iv"), ("L", 2, 5, 2, "type ii"), ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (8, 6, 7, 5, 3, 1), (
+        ("L", 3, 6, 3, "type iii"), ("L", 3, 7, 5, "type i"), ("L", 3, 6, 4, "type iv"),
+        ("L", 2, 5, 2, "type ii"), ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (9, 11, 16, 13, 7, 5, 3, 1), (
+        ("L", 4, 7, 5, "type i"), ("L", 5, 9, 10, "type iv"), ("L", 5, 9, 9, "type iii"),
+        ("L", 4, 8, 7, "type ii"), ("L", 3, 6, 4, "type iv"), ("L", 2, 5, 2, "type ii"),
+        ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (10, 17, 12, 8, 6, 7, 5, 3, 1), (
+        ("L", 5, 9, 10, "type iv"), ("L", 5, 9, 9, "type iii"), ("L", 4, 8, 7, "type ii"),
+        ("L", 3, 6, 3, "type iii"), ("L", 3, 7, 5, "type i"), ("L", 3, 6, 4, "type iv"),
+        ("L", 2, 5, 2, "type ii"), ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (11, 16, 13, 7, 5, 3, 1), (
+        ("L", 5, 9, 10, "type iv"), ("L", 5, 9, 9, "type iii"), ("L", 4, 8, 7, "type ii"),
+        ("L", 3, 6, 4, "type iv"), ("L", 2, 5, 2, "type ii"), ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (12, 8, 6, 7, 5, 3, 1), (
+        ("L", 4, 8, 7, "type ii"), ("L", 3, 6, 3, "type iii"), ("L", 3, 7, 5, "type i"),
+        ("L", 3, 6, 4, "type iv"), ("L", 2, 5, 2, "type ii"), ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (13, 7, 5, 3, 1), (
+        ("L", 4, 8, 7, "type ii"), ("L", 3, 6, 4, "type iv"), ("L", 2, 5, 2, "type ii"),
+        ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (14, 13, 7, 5, 3, 1), (
+        ("L", 5, 9, 10, "type iv"), ("L", 4, 8, 7, "type ii"), ("L", 3, 6, 4, "type iv"),
+        ("L", 2, 5, 2, "type ii"), ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (15, 12, 8, 6, 7, 5, 3, 1), (
+        ("L", 5, 9, 10, "type iv"), ("L", 4, 8, 7, "type ii"), ("L", 3, 6, 3, "type iii"),
+        ("L", 3, 7, 5, "type i"), ("L", 3, 6, 4, "type iv"), ("L", 2, 5, 2, "type ii"),
+        ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (16, 13, 7, 5, 3, 1), (
+        ("L", 5, 9, 9, "type iii"), ("L", 4, 8, 7, "type ii"), ("L", 3, 6, 4, "type iv"),
+        ("L", 2, 5, 2, "type ii"), ("L", 1, 4, 1, "type i"),
+    )),
+    ("cubic-surface", (17, 12, 8, 6, 7, 5, 3, 1), (
+        ("L", 5, 9, 9, "type iii"), ("L", 4, 8, 7, "type ii"), ("L", 3, 6, 3, "type iii"),
+        ("L", 3, 7, 5, "type i"), ("L", 3, 6, 4, "type iv"), ("L", 2, 5, 2, "type ii"),
+        ("L", 1, 4, 1, "type i"),
+    )),
+    ("p3", (2, 1), (
+        ("B", 1, 1, 0, "ACM (1,0)"),
+    )),
+    ("p3", (3, 1), (
+        ("B", 1, 2, 0, "ACM (2,0)"),
+    )),
+    ("p3", (4, 1), (
+        ("B", 1, 3, 0, "ACM (3,0)"),
+    )),
+    ("p3", (5, 2, 1), (
+        ("B", 1, 3, 0, "ACM (3,0)"), ("B", 1, 1, 0, "ACM (1,0)"),
+    )),
+    ("p3", (6, 3, 1), (
+        ("B", 1, 3, 0, "ACM (3,0)"), ("B", 1, 2, 0, "ACM (2,0)"),
+    )),
+    ("p3", (7, 3, 1), (
+        ("B", 1, 4, 1, "ACM (4,1)"), ("B", 1, 2, 0, "ACM (2,0)"),
+    )),
+    ("p3", (8, 4, 1), (
+        ("B", 1, 4, 1, "ACM (4,1)"), ("B", 1, 3, 0, "ACM (3,0)"),
+    )),
+    ("p3", (9, 4, 1), (
+        ("B", 1, 5, 2, "ACM (5,2)"), ("B", 1, 3, 0, "ACM (3,0)"),
+    )),
+    ("p3", (10, 4, 1), (
+        ("B", 1, 6, 3, "ACM (6,3)"), ("B", 1, 3, 0, "ACM (3,0)"),
+    )),
+    ("p3", (11, 5, 2, 1), (
+        ("B", 1, 6, 3, "ACM (6,3)"), ("B", 1, 3, 0, "ACM (3,0)"),
+        ("B", 1, 1, 0, "ACM (1,0)"),
+    )),
+    ("p3", (12, 6, 3, 1), (
+        ("B", 1, 6, 3, "ACM (6,3)"), ("B", 1, 3, 0, "ACM (3,0)"),
+        ("B", 1, 2, 0, "ACM (2,0)"),
+    )),
+    ("p3", (13, 6, 3, 1), (
+        ("B", 1, 7, 5, "ACM (7,5)"), ("B", 1, 3, 0, "ACM (3,0)"),
+        ("B", 1, 2, 0, "ACM (2,0)"),
+    )),
+    ("p3", (14, 7, 3, 1), (
+        ("B", 1, 7, 5, "ACM (7,5)"), ("B", 1, 4, 1, "ACM (4,1)"),
+        ("B", 1, 2, 0, "ACM (2,0)"),
+    )),
+    ("p3", (15, 7, 3, 1), (
+        ("B", 1, 8, 7, "ACM (8,7)"), ("B", 1, 4, 1, "ACM (4,1)"),
+        ("B", 1, 2, 0, "ACM (2,0)"),
+    )),
+    ("p3", (16, 8, 4, 1), (
+        ("B", 1, 8, 7, "ACM (8,7)"), ("B", 1, 4, 1, "ACM (4,1)"),
+        ("B", 1, 3, 0, "ACM (3,0)"),
+    )),
+    ("p3", (17, 12, 6, 3, 1), (
+        ("L", 5, 9, 9, "ACM (9,9)"), ("B", 1, 6, 3, "ACM (6,3)"),
+        ("B", 1, 3, 0, "ACM (3,0)"), ("B", 1, 2, 0, "ACM (2,0)"),
+    )),
+    ("p3", (18, 9, 4, 1), (
+        ("B", 1, 9, 9, "ACM (9,9)"), ("B", 1, 5, 2, "ACM (5,2)"),
+        ("B", 1, 3, 0, "ACM (3,0)"),
+    )),
+    ("p3", (19, 11, 5, 2, 1), (
+        ("L", 5, 10, 11, "ACM (10,11)"), ("B", 1, 6, 3, "ACM (6,3)"),
+        ("B", 1, 3, 0, "ACM (3,0)"), ("B", 1, 1, 0, "ACM (1,0)"),
+    )),
+)
+
+# (d, g, m): an ACM (d, g) curve of 3-space holds at most m general points.
+PERRIN_ROWS = (
+    (1, 0, 2), (2, 0, 3), (3, 0, 6), (4, 1, 8), (5, 2, 9),
+    (6, 3, 12), (7, 5, 14), (8, 7, 16), (9, 9, 18), (10, 11, 20),
+)
+
+
+def _step(step):
+    if step.kind == LIAISON:
+        assert step.h is None
+        kind, param = "L", step.m
+    else:
+        assert step.kind == BILIAISON and step.m is None
+        kind, param = "B", step.h
+    note = (step.note,) if step.note else ()
+    return (kind, param, step.carrier.d, step.carrier.g, step.carrier.label) + note
+
+
+@pytest.mark.parametrize("space,points,steps", CHAINS,
+                         ids=[f"{space}-{points[0]}" for space, points, _ in CHAINS])
+def test_recorded_chain(space, points, steps):
+    chain = plan(space, points[0])
+    assert tuple(chain.point_sequence()) == points
+    assert [(s.n_from, s.n_to) for s in chain.steps] == list(zip(points, points[1:]))
+    assert tuple(map(_step, chain.steps)) == steps
+
+
+def test_every_small_count_is_pinned():
+    pinned = {(space, points[0]) for space, points, _ in CHAINS}
+    tops = {"p2": 6, "quadric": 6, "cubic-surface": 17, "p3": 19}
+    assert pinned == {(space, n) for space, top in tops.items() for n in range(2, top + 1)}
+
+
+def test_general_points_table():
+    assert [(row.d, row.g, row.m) for row in perrin_table()] == list(PERRIN_ROWS)
+    for d, g, m in PERRIN_ROWS:
+        assert perrin_m(d, g) == m
