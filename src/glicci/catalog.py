@@ -13,9 +13,12 @@ surface.
 The cubic-surface families are one table, ``_CUBIC_KINDS``: each kind
 i..iv maps to its base class B (the curve at a = 1), the drop 3a - d,
 the two genus coefficients in g = (3a^2 - g1*a + g0)/2 and its label.
-The carrier at parameter a has class B + (a-1)*H, built coefficient by
-coefficient, and the lattice cross-check of ``CurveFamily`` recomputes
-its (d, g) from that class.
+The carrier at parameter a has class B + k*H with k = a - 1.  Since
+H = (3; 1^6) and every tail coefficient b_i of B is -1, 0 or 1, that
+class is (b_0 + 3k; b_1 + k, ..., b_6 + k), and its tail is picked from
+the three integers (k - 1, k, k + 1): a carrier holds one integer object
+per distinct coefficient rather than seven.  The lattice cross-check of
+``CurveFamily`` recomputes its (d, g) from that class.
 
 The registry is built once at import time and never mutated; reads are
 unrestricted.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 
 from ._record import Record, slot_setters
 from .errors import DegreeTooSmall, NotInTable, UnknownSurface
@@ -177,12 +181,18 @@ class CurveFamily(Record):
  _set_label) = slot_setters(CurveFamily)
 
 
+def _cubic_kind(kind: str, base: str, drop: int, g1: int, g0: int):
+    head, *tail = DivisorClass.parse(base).coeffs
+    return head, itemgetter(*(b + 1 for b in tail)), drop, g1, g0, f"type {kind}"
+
+
 # The four ACM families on the cubic surface, generated at a = 1 by a
 # line, a conic, a twisted cubic and a plane cubic (the hyperplane
-# class): kind -> (base coefficients, 3a - d, g1, g0, label) with
+# class) B = (b_0; b_1, ..., b_6): kind -> (b_0, the picker of each
+# b_i + k from (k - 1, k, k + 1), 3a - d, g1, g0, label) with
 # g = (3a^2 - g1*a + g0) / 2.
 _CUBIC_KINDS = {
-    kind: (DivisorClass.parse(base).coeffs, drop, g1, g0, f"type {kind}")
+    kind: _cubic_kind(kind, base, drop, g1, g0)
     for kind, base, drop, g1, g0 in (
         ("i", "0;0^5,-1", 2, 7, 4),
         ("ii", "1;1,0^5", 1, 5, 2),
@@ -190,7 +200,6 @@ _CUBIC_KINDS = {
         ("iv", "3;1^6", 0, 3, 2),
     )
 }
-_CUBIC_H = _SURFACES["cubic"].H.coeffs
 
 
 @lru_cache(maxsize=_CARRIER_CACHE_SIZE, typed=True)
@@ -213,10 +222,10 @@ def cubic_surface_type(kind: str, a: int) -> CurveFamily:
     _check_int(a, "a")
     if a < 1:
         raise DegreeTooSmall(f"need a >= 1, got {a}")
-    base, drop, g1, g0, label = row
+    head, pick_tail, drop, g1, g0, label = row
     d, g = 3 * a - drop, (3 * a * a - g1 * a + g0) // 2
     k = a - 1
-    divisor = DivisorClass([b + k * h for b, h in zip(base, _CUBIC_H)])
+    divisor = DivisorClass((head + 3 * k,) + pick_tail((k - 1, k, k + 1)))
     return CurveFamily("p3-cubic", d, g, d + g - 1, divisor, "cubic", label)
 
 

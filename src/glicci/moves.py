@@ -332,9 +332,12 @@ def _p3_step(space: str, step: LinkMove) -> None:
         )
 
 
-# The step rule of each space, looked up once per chain.
+# The step rule of each space, looked up once per chain, and the move
+# kinds that rule can admit; it rejects every other kind outright.
 _STEP_RULES = {"p2": _plane_step, "quadric": _plane_step, "cubic-surface": _cubic_step,
                "p3": _p3_step}
+_STEP_KINDS = {"p2": (BILIAISON,), "quadric": (BILIAISON,), "cubic-surface": (LIAISON,),
+               "p3": (BILIAISON, LIAISON)}
 _INT = (int,)
 _OPTIONAL_INT = (int, type(None))
 
@@ -376,7 +379,8 @@ def validate_chain(chain: Chain) -> None:
     for index, step in enumerate(chain.steps):
         try:
             if (type(step.n_from) is not int or type(step.n_to) is not int
-                    or type(step.m) not in _OPTIONAL_INT or type(step.h) not in _OPTIONAL_INT):
+                    or type(step.m) not in _OPTIONAL_INT or type(step.h) not in _OPTIONAL_INT
+                    or type(step.carrier.d) is not int or type(step.carrier.g) is not int):
                 _check_fields(index, step)
             if step.n_from != cur:
                 raise InvalidMove(f"step starts at {step.n_from} but the chain sits at {cur}")

@@ -48,6 +48,7 @@ from .catalog import (
 )
 from .errors import DegreeTooSmall, InvalidMove, OutOfGuaranteedRange, SearchBudgetExceeded
 from .moves import (
+    _STEP_KINDS,
     BILIAISON,
     LIAISON,
     Chain,
@@ -67,18 +68,28 @@ def _check_n(n: int) -> None:
 def _walk(space: str, n: int, next_moves) -> Chain:
     """Follow ``next_moves`` from n points down to one and validate the
     chain.  A walk that comes back to a count it has left raises
-    :class:`InvalidMove` instead of looping."""
+    :class:`InvalidMove` instead of looping.
+
+    The guard is Brent's cycle check and holds one remembered count,
+    ``mark``, whatever the length of the walk.  Each new count is
+    compared with the mark; whenever the hops since the mark last moved
+    reach a power of two, the mark moves to the current count and the
+    power doubles.  A repeated count is caught within fewer than
+    3 * (tail + cycle length) hops, and only a count that really comes
+    back raises."""
     _check_n(n)
     steps: list[LinkMove] = []
-    left: set[int] = set()
-    cur = n
+    cur = mark = n
+    power = hops = 1
     while cur > 1:
-        left.add(cur)
         moves = next_moves(cur)
         steps.extend(moves)
         cur = moves[-1].n_to
-        if cur in left:
+        if cur == mark:
             raise InvalidMove(f"{space} walk from {n} returns to {cur}")
+        if hops == power:
+            mark, power, hops = cur, 2 * power, 0
+        hops += 1
     chain = Chain(space, n, tuple(steps))
     validate_chain(chain)
     return chain
@@ -284,16 +295,20 @@ class ReachabilityOracle(Record):
         return all(self.has_edge(s.n_from, s.n_to) for s in chain.steps if s.n_from != s.n_to)
 
 
-def _candidates(carrier, n: int, lo: int, hi: int):
+def _candidates(space: str, carrier, n: int, lo: int, hi: int):
     """(kind, parameter, residual) of every move from n on a (d, g)
-    carrier: the biliaisons n -> n - h*d (h >= 1) whose residual is at
-    least lo, by h, then the liaisons n -> m*d - (2g - 2) - n (m >= 1)
-    whose residual lies in [lo, hi], by m."""
+    carrier, of the kinds the space's rule can admit: the biliaisons
+    n -> n - h*d (h >= 1) whose residual is at least lo, by h, then the
+    liaisons n -> m*d - (2g - 2) - n (m >= 1) whose residual lies in
+    [lo, hi], by m."""
+    kinds = _STEP_KINDS[space]
     d, shift = carrier.d, 2 * carrier.g - 2
-    for h in range(1, (n - lo) // d + 1):
-        yield BILIAISON, h, n - h * d
-    for m in range(max(1, -((n + lo + shift) // -d)), (n + hi + shift) // d + 1):
-        yield LIAISON, m, m * d - shift - n
+    if BILIAISON in kinds:
+        for h in range(1, (n - lo) // d + 1):
+            yield BILIAISON, h, n - h * d
+    if LIAISON in kinds:
+        for m in range(max(1, -((n + lo + shift) // -d)), (n + hi + shift) // d + 1):
+            yield LIAISON, m, m * d - shift - n
 
 
 def _admits(space: str, kind: str, n: int, n_to: int, carrier, param: int) -> bool:
@@ -367,7 +382,7 @@ def build_oracle(space: str, n_max: int) -> ReachabilityOracle:
             break
         lo, hi = max(carrier.g, 1), min(holds, cap)
         for n in range(lo, hi + 1):
-            for kind, param, n_to in _candidates(carrier, n, lo, hi):
+            for kind, param, n_to in _candidates(space, carrier, n, lo, hi):
                 if kind == LIAISON and (
                         n_to <= n or not _admits(space, kind, n_to, n, carrier, param)):
                     continue
@@ -395,6 +410,6 @@ def p3_descending_moves(n: int) -> list[tuple[str, int, tuple[int, int], int]]:
     return [
         (kind, param, carrier.dg, n_to)
         for carrier, holds in _p3_carriers() if n <= holds
-        for kind, param, n_to in _candidates(carrier, n, max(carrier.g, 1), n - 1)
+        for kind, param, n_to in _candidates("p3", carrier, n, max(carrier.g, 1), n - 1)
         if _admits("p3", kind, n, n_to, carrier, param)
     ]

@@ -1,0 +1,66 @@
+"""Memory a plan holds per step, and the walk guard that keeps none.
+
+A deep plan keeps every step, so its memory grows with the chain; these
+tests pin what each step costs and that nothing else grows with it.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from glicci.catalog import cubic_surface_type, plane_curve_family, quadric_family
+from glicci.errors import InvalidMove
+from glicci.moves import BILIAISON, LinkMove
+from glicci.planner import _walk, plan
+
+# Traced bytes per step of plan("cubic-surface", 10**7): 622 when the
+# walk kept a set of every count it left and each carrier built seven
+# coefficient integers, about 465 with the constant-memory guard and
+# shared coefficients (443-465 on Python 3.10-3.13).
+CUBIC_BYTES_PER_STEP = 520
+
+
+def test_deep_cubic_plan_peak_bytes_per_step():
+    for constructor in (cubic_surface_type, quadric_family, plane_curve_family):
+        constructor.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        chain = plan("cubic-surface", 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(chain.steps) == 7572
+    assert peak / len(chain.steps) <= CUBIC_BYTES_PER_STEP
+
+
+@pytest.mark.parametrize("kind", ["i", "ii", "iii", "iv"])
+def test_cubic_carrier_holds_one_object_per_distinct_coefficient(kind):
+    # Integers above 256 are separate objects; the class B + k*H has at
+    # most four distinct values (b_0 + 3k and k - 1, k, k + 1).
+    for a in [*range(1, 51), *range(300, 350), 10**6, 10**12]:
+        coeffs = cubic_surface_type(kind, a).divisor.coeffs
+        assert len({id(c) for c in coeffs}) == len(set(coeffs)), (kind, a, coeffs)
+
+
+def test_walk_guard_catches_a_tail_into_a_cycle_in_time():
+    # Seven counts 100..94 lead into the 5-cycle 50 -> 51 -> ... -> 54 -> 50.
+    line = plane_curve_family(1)
+    hop = {100 - i: 99 - i for i in range(6)}
+    hop[94] = 50
+    hop.update({50 + i: 51 + i for i in range(4)})
+    hop[54] = 50
+    tail, cycle = 7, 5
+    calls = []
+
+    def next_moves(cur):
+        calls.append(cur)
+        if len(calls) > 10 * (tail + cycle):  # fail rather than hang
+            raise RuntimeError("the walk did not stop in the cycle")
+        return (LinkMove(BILIAISON, cur, hop[cur], line, h=1),)
+
+    with pytest.raises(InvalidMove, match=r"^p2 walk from 100 returns to 5[0-4]$"):
+        _walk("p2", 100, next_moves)
+    assert len(calls) < 3 * (tail + cycle)
+    assert set(calls[tail:]) == {50, 51, 52, 53, 54}

@@ -274,6 +274,22 @@ class TestChains:
                            match=r"^step 1 carrier: field 'g' must be int, got NoneType$"):
             validate_chain(chain)
 
+    # Steps whose rule passes whatever the type of the carrier's d or g:
+    # the arithmetic agrees with 2.0 as with 2, and a height-0 step never
+    # reads the genus.
+    @pytest.mark.parametrize("space, move, key, got", [
+        ("p2", LinkMove(BILIAISON, 3, 1, CurveFamily("p2", 2.0, 0, 5), h=1), "d", "float"),
+        ("quadric", LinkMove(BILIAISON, 3, 3, CurveFamily("p3-quadric", 3, None, 5), h=0,
+                             note="slide"), "g", "NoneType"),
+        ("cubic-surface", LinkMove(LIAISON, 2, 6, CurveFamily("p3-cubic", 5, 2.0, 6), 2),
+         "g", "float"),
+    ])
+    def test_ill_typed_carrier_rejected_where_the_rule_passes(self, space, move, key, got):
+        chain = Chain(space, move.n_from, (move,))
+        with pytest.raises(InvalidMove,
+                           match=rf"^step 0 carrier: field '{key}' must be int, got {got}$"):
+            validate_chain(chain)
+
     @pytest.mark.parametrize("with_steps", [False, True])
     def test_unknown_space_rejected_before_the_steps(self, with_steps):
         # The steps (from 2) do not even link to the start (3).

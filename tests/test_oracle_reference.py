@@ -13,9 +13,9 @@ admissible move.
 import hashlib
 
 import pytest
-from oracles import move_graph_edges
+from oracles import _accepts, _carriers, move_graph_edges
 
-from glicci.moves import BILIAISON, LIAISON
+from glicci.moves import _STEP_KINDS, _STEP_RULES, BILIAISON, LIAISON, LinkMove
 from glicci.planner import build_oracle, p3_descending_moves
 
 # (space, n_max, cap, edge count, reachable runs, SHA-256 of the edges
@@ -176,3 +176,29 @@ def test_oracle_keeps_every_move_validate_chain_admits(space, n_max):
         # slide, outside the containment count for general points.
         expected.add(frozenset((2, 1)))
     assert oracle.edges == expected
+
+
+
+def test_every_space_declares_its_move_kinds():
+    assert set(_STEP_KINDS) == set(_STEP_RULES)
+
+
+@pytest.mark.parametrize("space, kind", [
+    (space, kind) for space in sorted(_STEP_RULES) for kind in (BILIAISON, LIAISON)
+    if kind not in _STEP_KINDS[space]
+])
+def test_kinds_outside_the_table_are_never_admitted(space, kind):
+    # The enumerator lists only the kinds in _STEP_KINDS, so the table
+    # may only prune moves the rule rejects: every move of another kind,
+    # at any count, parameter and note on any carrier, fails.
+    for carrier in _carriers(space, 12):
+        for n in range(1, 31):
+            for param in range(-2, 7):
+                for note in ("", "repositioned"):
+                    if kind == LIAISON:
+                        n_to = param * carrier.d - (2 * carrier.g - 2) - n
+                        move = LinkMove(LIAISON, n, n_to, carrier, param, note=note)
+                    else:
+                        n_to = n - param * carrier.d
+                        move = LinkMove(BILIAISON, n, n_to, carrier, None, param, note)
+                    assert not _accepts(space, n, move), move
