@@ -150,8 +150,8 @@ class Chain(Record):
     @classmethod
     def from_dict(cls, data: dict) -> "Chain":
         """Rebuild a chain from :meth:`to_dict` output.  A missing or
-        ill-typed field raises :class:`InvalidMove` naming the step index
-        and the field."""
+        ill-typed field, an unknown move kind or a kind without its
+        parameter raises :class:`InvalidMove` naming the step index."""
         space = _field(data, "space", str, "chain")
         start = _field(data, "start", int, "chain")
         steps = []
@@ -159,7 +159,7 @@ class Chain(Record):
             where = f"step {index}"
             carrier = _field(raw, "carrier", dict, where)
             on = f"{where} carrier"
-            steps.append(LinkMove(
+            fields = dict(
                 kind=_field(raw, "kind", str, where),
                 n_from=_field(raw, "from", int, where),
                 n_to=_field(raw, "to", int, where),
@@ -173,7 +173,11 @@ class Chain(Record):
                 m=_field(raw, "m", int, where, null=True, default=None),
                 h=_field(raw, "h", int, where, null=True, default=None),
                 note=_field(raw, "note", str, where, default=""),
-            ))
+            )
+            try:
+                steps.append(LinkMove(**fields))
+            except InvalidMove as exc:
+                raise InvalidMove(f"{where}: {exc}") from None
         chain = cls(space=space, start=start, steps=tuple(steps))
         if chain.terminal != data.get("terminal", chain.terminal):
             raise InvalidMove("serialized terminal disagrees with steps")
@@ -259,85 +263,77 @@ def decompose_biliaison(d: int, g: int, source_min_genus: MinGenusFn,
     return out
 
 
-def _plane_step(space: str, step: LinkMove) -> None:
-    carrier = step.carrier
-    d, g = carrier.d, carrier.g
-    if step.kind != BILIAISON:
-        raise InvalidMove(f"{space} chains use biliaisons only, got {step.kind}")
-    if step.h < 0:
-        raise InvalidMove(f"{space} chains use biliaisons of height >= 0, got {step.h}")
-    if step.n_to != step.n_from - step.h * d:
-        raise InvalidMove(
-            f"height-{step.h} biliaison on ({d},{g}) must drop {step.h * d} points"
-        )
-    if step.h == 0:
-        if not step.note:
+def _drop(n: int, n_to: int, carrier: CurveFamily, h: int) -> None:
+    """A height-h biliaison on a degree-d carrier drops h*d points."""
+    if n_to != n - h * carrier.d:
+        raise InvalidMove(f"height-{h} biliaison on ({carrier.d},{carrier.g})"
+                          f" must drop {h * carrier.d} points")
+
+
+def _total(n: int, n_to: int, carrier: CurveFamily, m: int) -> None:
+    """The two ends of a liaison by m*H - K add up to its degree."""
+    total = liaison_total(m, carrier)
+    if n + n_to != total:
+        raise InvalidMove(f"{n} + {n_to} != deg({m}H-K on ({carrier.d},{carrier.g})) = {total}")
+
+
+def _plane_biliaison(space: str, n: int, n_to: int, carrier: CurveFamily, h: int, note: str):
+    if h < 0:
+        raise InvalidMove(f"{space} chains use biliaisons of height >= 0, got {h}")
+    _drop(n, n_to, carrier, h)
+    if h == 0:
+        if not note:
             raise InvalidMove("height-0 move needs an annotation")
-    elif step.n_to < g:
-        raise InvalidMove(
-            f"residual {step.n_to} below genus {g}: divisor may not be effective"
-        )
+    elif n_to < carrier.g:
+        raise InvalidMove(f"residual {n_to} below genus {carrier.g}: divisor may not be effective")
     if carrier.linsys_dim is None:
         raise InvalidMove(f"carrier {carrier} lacks its linear-system dimension")
     # A note marks points placed on the carrier by a prior height-0
     # repositioning, where the general-position containment count
     # does not apply.
-    if step.n_from > carrier.linsys_dim and "repositioned" not in step.note:
-        raise InvalidMove(
-            f"{step.n_from} general points do not lie on {carrier} "
-            f"(system dimension {carrier.linsys_dim})"
-        )
+    if n > carrier.linsys_dim and "repositioned" not in note:
+        raise InvalidMove(f"{n} general points do not lie on {carrier}"
+                          f" (system dimension {carrier.linsys_dim})")
 
 
-def _cubic_step(space: str, step: LinkMove) -> None:
-    carrier = step.carrier
+def _cubic_liaison(space: str, n: int, n_to: int, carrier: CurveFamily, m: int, note: str):
+    _total(n, n_to, carrier, m)
+    if not validate_liaison_cubic(n, n_to, carrier):
+        d, g = carrier.d, carrier.g
+        raise InvalidMove(f"{n} <-> {n_to} breaks the window [{g}, {d + g - 1}] on ({d},{g})")
+
+
+def _p3_bounds(n: int, n_to: int, carrier: CurveFamily) -> None:
     d, g = carrier.d, carrier.g
-    if step.kind != LIAISON:
-        raise InvalidMove("cubic-surface chains use strict liaisons only")
-    if step.n_from + step.n_to != liaison_total(step.m, carrier):
-        raise InvalidMove(
-            f"{step.n_from} + {step.n_to} != deg({step.m}H-K on ({d},{g}))"
-            f" = {liaison_total(step.m, carrier)}"
-        )
-    if not validate_liaison_cubic(step.n_from, step.n_to, carrier):
-        raise InvalidMove(
-            f"{step.n_from} <-> {step.n_to} breaks the window [{g}, {d + g - 1}]"
-            f" on ({d},{g})"
-        )
-
-
-def _p3_step(space: str, step: LinkMove) -> None:
-    carrier = step.carrier
-    d, g = carrier.d, carrier.g
-    if step.kind == BILIAISON:
-        if step.h < 1:
-            raise InvalidMove("3-space chains use biliaisons of height >= 1")
-        if step.n_to != step.n_from - step.h * d:
-            raise InvalidMove(
-                f"height-{step.h} biliaison on ({d},{g}) must drop {step.h * d} points"
-            )
-    else:
-        if step.n_from + step.n_to != liaison_total(step.m, carrier):
-            raise InvalidMove(
-                f"{step.n_from} + {step.n_to} != deg({step.m}H-K on ({d},{g}))"
-            )
     try:
-        ok = validate_move_p3(step.n_from, step.n_to, carrier)
+        ok = validate_move_p3(n, n_to, carrier)
     except NotInTable:
         raise InvalidMove(f"carrier ({d},{g}) missing from the table") from None
     if not ok:
-        raise InvalidMove(
-            f"{step.n_from} -> {step.n_to} on ({d},{g}) fails the containment"
-            f"/effectiveness bounds"
-        )
+        raise InvalidMove(f"{n} -> {n_to} on ({d},{g}) fails the containment"
+                          f"/effectiveness bounds")
 
 
-# The step rule of each space, looked up once per chain, and the move
-# kinds that rule can admit; it rejects every other kind outright.
-_STEP_RULES = {"p2": _plane_step, "quadric": _plane_step, "cubic-surface": _cubic_step,
-               "p3": _p3_step}
-_STEP_KINDS = {"p2": (BILIAISON,), "quadric": (BILIAISON,), "cubic-surface": (LIAISON,),
-               "p3": (BILIAISON, LIAISON)}
+def _p3_biliaison(space: str, n: int, n_to: int, carrier: CurveFamily, h: int, note: str):
+    if h < 1:
+        raise InvalidMove("3-space chains use biliaisons of height >= 1")
+    _drop(n, n_to, carrier, h)
+    _p3_bounds(n, n_to, carrier)
+
+
+def _p3_liaison(space: str, n: int, n_to: int, carrier: CurveFamily, m: int, note: str):
+    _total(n, n_to, carrier, m)
+    _p3_bounds(n, n_to, carrier)
+
+
+# The step rules of each space by move kind.  rule(space, n, n_to,
+# carrier, param, note) raises InvalidMove unless the move n -> n_to is
+# admissible; param is the twist m of a liaison or the height h of a
+# biliaison.  A kind with no rule in its space is never admitted.
+_PLANE = {BILIAISON: _plane_biliaison}
+_RULES = {"p2": _PLANE, "quadric": _PLANE, "cubic-surface": {LIAISON: _cubic_liaison},
+          "p3": {BILIAISON: _p3_biliaison, LIAISON: _p3_liaison}}
+
 _INT = (int,)
 _OPTIONAL_INT = (int, type(None))
 
@@ -370,8 +366,8 @@ def validate_chain(chain: Chain) -> None:
     if chain.start < 1:
         raise InvalidMove(f"chains start at a positive count, got {chain.start}")
     space = chain.space
-    rule = _STEP_RULES.get(space) if isinstance(space, str) else None
-    if rule is None:
+    rules = _RULES.get(space) if isinstance(space, str) else None
+    if rules is None:
         raise InvalidMove(f"unknown space {space!r}")
     if type(chain.steps) is not tuple:
         raise InvalidMove("chain: field 'steps' must be a tuple")
@@ -384,7 +380,11 @@ def validate_chain(chain: Chain) -> None:
                 _check_fields(index, step)
             if step.n_from != cur:
                 raise InvalidMove(f"step starts at {step.n_from} but the chain sits at {cur}")
-            rule(space, step)
+            rule = rules.get(step.kind)
+            if rule is None:
+                raise InvalidMove(f"{space} chains use no {step.kind} moves")
+            rule(space, cur, step.n_to, step.carrier,
+                 step.m if step.kind == LIAISON else step.h, step.note)
         except (AttributeError, TypeError):
             # A step or carrier of the wrong type fails here: name it.
             _check_fields(index, step)

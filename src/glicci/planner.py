@@ -22,9 +22,9 @@ chain move by move:
 
 Every next hop is a formula in n; the levels and the cubic spiral are
 closed forms.  The reachability oracle lists the candidate moves on
-every carrier of a space, keeps exactly those ``validate_chain`` admits
-and runs the one breadth-first search, ``_bfs``; it never calls the
-next-hop functions, so it checks the planners independently.
+every carrier of a space, keeps exactly those the space's step rules
+admit and runs the one breadth-first search, ``_bfs``; it never calls
+the next-hop functions, so it checks the planners independently.
 ``p3_descending_moves`` is the same listing from one n.
 
 Planners are pure functions of n; identical inputs give identical
@@ -48,7 +48,7 @@ from .catalog import (
 )
 from .errors import DegreeTooSmall, InvalidMove, OutOfGuaranteedRange, SearchBudgetExceeded
 from .moves import (
-    _STEP_KINDS,
+    _RULES,
     BILIAISON,
     LIAISON,
     Chain,
@@ -272,7 +272,7 @@ def plan_p3(n: int) -> Chain:
 
 class ReachabilityOracle(Record):
     """Undirected admissible-move graph for one ambient, with the set of
-    counts connected to 1.  Edges are the moves validate_chain admits on
+    counts connected to 1.  Edges are the moves the step rules admit on
     the carriers of genus at most the cap, found without the planners'
     next-hop functions, so agreement between the two is a real check."""
 
@@ -297,26 +297,24 @@ class ReachabilityOracle(Record):
 
 def _candidates(space: str, carrier, n: int, lo: int, hi: int):
     """(kind, parameter, residual) of every move from n on a (d, g)
-    carrier, of the kinds the space's rule can admit: the biliaisons
+    carrier, of the kinds the space has rules for: the biliaisons
     n -> n - h*d (h >= 1) whose residual is at least lo, by h, then the
     liaisons n -> m*d - (2g - 2) - n (m >= 1) whose residual lies in
     [lo, hi], by m."""
-    kinds = _STEP_KINDS[space]
+    rules = _RULES[space]
     d, shift = carrier.d, 2 * carrier.g - 2
-    if BILIAISON in kinds:
+    if BILIAISON in rules:
         for h in range(1, (n - lo) // d + 1):
             yield BILIAISON, h, n - h * d
-    if LIAISON in kinds:
+    if LIAISON in rules:
         for m in range(max(1, -((n + lo + shift) // -d)), (n + hi + shift) // d + 1):
             yield LIAISON, m, m * d - shift - n
 
 
 def _admits(space: str, kind: str, n: int, n_to: int, carrier, param: int) -> bool:
-    """True when the one-step chain n -> n_to passes validate_chain."""
+    """True when the space's rule for the kind admits the move n -> n_to."""
     try:
-        move = (LinkMove(LIAISON, n, n_to, carrier, param) if kind == LIAISON
-                else LinkMove(BILIAISON, n, n_to, carrier, None, param))
-        validate_chain(Chain(space, n, (move,)))
+        _RULES[space][kind](space, n, n_to, carrier, param, "")
         return True
     except InvalidMove:
         return False
@@ -369,7 +367,7 @@ def build_oracle(space: str, n_max: int) -> ReachabilityOracle:
     """Assemble the admissible-move graph for a space and run one
     breadth-first search from 1.  Every carrier of genus at most the cap
     gives its candidate moves between counts in [max(g, 1), min(held,
-    cap)]; an edge is a biliaison validate_chain admits, or a liaison it
+    cap)]; an edge is a biliaison the space's rule admits, or a liaison it
     admits both ways (taken from its lower end)."""
     _, cap_of, carriers, extra = _lookup(space)
     _check_n(n_max)
@@ -407,6 +405,7 @@ def p3_descending_moves(n: int) -> list[tuple[str, int, tuple[int, int], int]]:
     strictly smaller count, over the general-points table: entries
     (kind, parameter, (d, g), target).  Empty for n = 20, which is the
     arithmetic behind the open case."""
+    _check_n(n)
     return [
         (kind, param, carrier.dg, n_to)
         for carrier, holds in _p3_carriers() if n <= holds

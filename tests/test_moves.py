@@ -29,7 +29,7 @@ from glicci.moves import (
     validate_move_p3,
 )
 from glicci.picard import DivisorClass
-from glicci.planner import build_oracle, plan_cubic
+from glicci.planner import build_oracle, plan, plan_cubic
 
 carriers = st.builds(
     cubic_surface_type,
@@ -389,6 +389,23 @@ class TestChains:
         data = plan_cubic(18).to_dict()
         del data["steps"][0]["carrier"]["d"]
         with pytest.raises(InvalidMove, match=r"step 0 carrier: missing field 'd'"):
+            Chain.from_dict(data)
+
+    @pytest.mark.parametrize("space, n, index, key, value, message", [
+        ("cubic-surface", 18, 2, "m", None, r"^step 2: liaison move needs its twist m$"),
+        ("cubic-surface", 18, 2, "m", ..., r"^step 2: liaison move needs its twist m$"),
+        ("p2", 17, 1, "h", None, r"^step 1: biliaison move needs its height h$"),
+        ("p2", 17, 1, "h", ..., r"^step 1: biliaison move needs its height h$"),
+        ("p3", 17, 1, "kind", "link", r"^step 1: unknown move kind 'link'$"),
+    ])
+    def test_from_dict_names_the_step_of_a_bad_move(self, space, n, index, key, value, message):
+        # ``...`` deletes the field.
+        data = plan(space, n).to_dict()
+        if value is ...:
+            del data["steps"][index][key]
+        else:
+            data["steps"][index][key] = value
+        with pytest.raises(InvalidMove, match=message):
             Chain.from_dict(data)
 
     @pytest.mark.parametrize(

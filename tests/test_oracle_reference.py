@@ -5,6 +5,9 @@ no code with ``glicci.planner``.
 per-space graph builders, before every graph came from one candidate
 enumerator; they pin the cap, the edge count, the counts reachable from
 1 (as runs of consecutive counts) and a SHA-256 of the sorted edge list.
+``ACCEPTANCE_DIGESTS`` pin the edges and reachable sets at the caps of
+the acceptance suite, as built before the oracle asked the step rules
+about each candidate directly instead of through a one-step chain.
 ``move_graph_edges`` re-derives the edges for small caps from
 ``validate_chain`` alone, so it fails if the enumerator ever drops an
 admissible move.
@@ -15,8 +18,9 @@ import hashlib
 import pytest
 from oracles import _accepts, _carriers, move_graph_edges
 
-from glicci.moves import _STEP_KINDS, _STEP_RULES, BILIAISON, LIAISON, LinkMove
-from glicci.planner import build_oracle, p3_descending_moves
+from glicci.errors import InvalidMove
+from glicci.moves import _RULES, BILIAISON, LIAISON, Chain, LinkMove
+from glicci.planner import SPACES, build_oracle, p3_descending_moves, plan
 
 # (space, n_max, cap, edge count, reachable runs, SHA-256 of the edges
 # "u v" with u < v, one per line in sorted order).
@@ -178,19 +182,81 @@ def test_oracle_keeps_every_move_validate_chain_admits(space, n_max):
     assert oracle.edges == expected
 
 
+# SHA-256 of the sorted edges "u v", one per line, then the line
+# "reachable" followed by every reachable count, at the caps of the
+# acceptance suite.
+ACCEPTANCE_DIGESTS = (
+    ("cubic-surface", 500, "e280b424d0814439df35e0368e69b1e8b16be0f821a1bcccfdf398a6aae63ded"),
+    ("p2", 300, "f9985d5c001889d6bea34ae1b9cece4441a5b939fcf96efefda7cf958a763ce4"),
+    ("quadric", 300, "e26778758cb2c49f7ae3c47c609fdab3074fed478dc9579daf9b44f0cd7a9d8b"),
+    ("p3", 19, "91ed93fe95dd20ff436ec5c2292662b0745c22867a43dfc2e7993a259e9fd524"),
+    ("p3", 39, "91ed93fe95dd20ff436ec5c2292662b0745c22867a43dfc2e7993a259e9fd524"),
+)
 
-def test_every_space_declares_its_move_kinds():
-    assert set(_STEP_KINDS) == set(_STEP_RULES)
+
+@pytest.mark.parametrize("space, n_max, digest", ACCEPTANCE_DIGESTS)
+def test_oracle_digest_at_the_acceptance_caps(space, n_max, digest):
+    oracle = build_oracle(space, n_max)
+    lines = [f"{u} {v}" for u, v in sorted(tuple(sorted(edge)) for edge in oracle.edges)]
+    lines.append("reachable " + " ".join(map(str, sorted(oracle.reachable))))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_descending_moves_digest():
+    text = "\n".join(f"{n} {p3_descending_moves(n)!r}" for n in range(1, 40))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a7732218e1e299f1d6f24b9f41e4909396b79a52a13c88a1c30ff9fb69d847bc")
+
+
+def test_candidates_are_tested_without_building_records(monkeypatch):
+    built = []
+
+    def counting(init):
+        def __init__(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return __init__
+
+    for cls in (LinkMove, Chain):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    build_oracle("p2", 60)
+    p3_descending_moves(12)
+    assert built == []
+    plan("p2", 5)
+    assert built == ["LinkMove", "Chain"]
+
+
+def _planner_step(space, kind):
+    return next(step for n in range(2, 20) for step in plan(space, n).steps
+                if step.kind == kind and step.n_from != step.n_to)
 
 
 @pytest.mark.parametrize("space, kind", [
-    (space, kind) for space in sorted(_STEP_RULES) for kind in (BILIAISON, LIAISON)
-    if kind not in _STEP_KINDS[space]
+    (space, kind) for space in sorted(_RULES) for kind in sorted(_RULES[space])
+])
+def test_every_rule_admits_a_planner_step_and_rejects_its_neighbours(space, kind):
+    step = _planner_step(space, kind)
+    rule = _RULES[space][kind]
+    param = step.m if kind == LIAISON else step.h
+    rule(space, step.n_from, step.n_to, step.carrier, param, step.note)
+    for n_to in (step.n_to - 1, step.n_to + 1):
+        with pytest.raises(InvalidMove):
+            rule(space, step.n_from, n_to, step.carrier, param, step.note)
+
+
+def test_every_space_declares_its_move_kinds():
+    assert set(_RULES) == set(SPACES)
+    assert all(rules and set(rules) <= {BILIAISON, LIAISON} for rules in _RULES.values())
+
+
+@pytest.mark.parametrize("space, kind", [
+    (space, kind) for space in sorted(_RULES) for kind in (BILIAISON, LIAISON)
+    if kind not in _RULES[space]
 ])
 def test_kinds_outside_the_table_are_never_admitted(space, kind):
-    # The enumerator lists only the kinds in _STEP_KINDS, so the table
-    # may only prune moves the rule rejects: every move of another kind,
-    # at any count, parameter and note on any carrier, fails.
+    # The enumerator lists only the kinds in _RULES, so the table may
+    # only prune moves validate_chain rejects: every move of another
+    # kind, at any count, parameter and note on any carrier, fails.
     for carrier in _carriers(space, 12):
         for n in range(1, 31):
             for param in range(-2, 7):

@@ -308,6 +308,15 @@ class TestOracle:
     def test_no_descending_move_from_twenty(self):
         assert p3_descending_moves(20) == []
 
+    @pytest.mark.parametrize("n, error, message", [
+        (0, DegreeTooSmall, r"^need at least one point, got 0$"),
+        (True, TypeError, r"^point count must be an int, got True$"),
+        (20.0, TypeError, r"^point count must be an int, got 20\.0$"),
+    ])
+    def test_descending_moves_check_n(self, n, error, message):
+        with pytest.raises(error, match=message):
+            p3_descending_moves(n)
+
     def test_nineteen_has_its_liaison(self):
         moves = p3_descending_moves(19)
         assert (LIAISON, 5, (10, 11), 11) in moves
