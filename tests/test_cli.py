@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -131,7 +132,34 @@ class TestHvectorCommand:
                           "witness": [1, 3, 6, 10]}
 
 
+# SHA-256 of the stdout of ``glicci verify SUITE [MODE]``, taken before
+# the suites became tables of rows.
+VERIFY_STDOUT = {
+    ("catalog", ""): "673e2c04b35137057f7c5e4c45d79715649b40afac5ed00d3db70d118b22ab3c",
+    ("catalog", "--quiet"): "c28ffe06eba45ba53c7cb0f9dbbe065123614a6f502a028bb13021605e207750",
+    ("catalog", "--json"): "4a151fffdd9020115be495d2608292cbb8d3686abc368392c6a95772b29cdebb",
+    ("bordiga", ""): "d235ca433cbf0b352ce604444fc34cdb5ebf9e7786d7c7fef6b86263d5c478f6",
+    ("bordiga", "--quiet"): "d090485e76fc71d37fa11530a43466604f26e77b5f2819eb8675261f1d251c03",
+    ("bordiga", "--json"): "cf90e162d3d250a6dfc8855b23d6f3ea4c1933a7b2159358c326f1c6badcf7eb",
+    ("deg20", ""): "ef09c2858144fac72b34a8402bc8b3a7880dede6bee03ed5aaa72fcb224be094",
+    ("deg20", "--quiet"): "5f477edeeec74b1eeba91d66ac12711f836c895ab1a1e9d8601c6d6452464e46",
+    ("deg20", "--json"): "5921afd73c4baa677f506dff8800509e03787e25e2dbc478bbb127e4f92091b6",
+    ("rao", ""): "b4fc30b9b364ef79160aedaebde02bf26e2c4dff6b88027188667d0e700353b8",
+    ("rao", "--quiet"): "84e581b54414d46c8e584a8e478b16a7918ec9ba18ca2091f25b5868f3949533",
+    ("rao", "--json"): "53891f8ccf4173bf3a3cbb0c7710cd77634a2e6cd5f4172aade67567f2631630",
+    ("all", ""): "99533d87d904a781d714d724626907aa8a1a17d7a8cef9ba56c5fc84116a6a5a",
+    ("all", "--quiet"): "b63b40a85af4ca43ebe4e9d5d5152feb7ff9ac10bfbe88a71ac66c2b26fd6622",
+    ("all", "--json"): "700c63d34de3aa19390e987bb8530d7da31a703895b85434e3dea7559bd17672",
+}
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("suite,mode", sorted(VERIFY_STDOUT))
+    def test_stdout_pinned(self, capsys, suite, mode):
+        code, out, _ = run(capsys, "verify", suite, *mode.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT[suite, mode]
+
     def test_all_exit_zero_and_many_claims(self, capsys):
         code, out, _ = run(capsys, "verify", "all")
         assert code == 0
