@@ -33,7 +33,6 @@ from .catalog import (
     perrin_table,
     plane_curve_family,
     quadric_family,
-    skew_plane_union,
     small_degree_acm_pairs,
     small_degree_descents,
     surface,

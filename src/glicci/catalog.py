@@ -422,18 +422,3 @@ def bordiga_eleven_seven() -> tuple[DivisorClass, ...]:
         DivisorClass.parse(text)
         for text in ("6;2^3,1^7", "7;2^8,1,0", "7;3,2^5,1^4", "8;3^3,2^5,1^2")
     )
-
-
-def skew_plane_union(d: int) -> CurveFamily:
-    """Minimal curve of degree d with one-dimensional Rao module in
-    degree zero: a plane curve of degree d - 1 plus a skew line.  Only
-    the degree accounting is recorded; the genus of a disconnected curve
-    is out of scope here."""
-    if d < 2:
-        raise DegreeTooSmall(f"need d >= 2, got {d}")
-    return CurveFamily(
-        ambient="p4",
-        d=d,
-        g=None,
-        label=f"plane curve of degree {d - 1} plus a skew line",
-    )

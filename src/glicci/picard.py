@@ -30,7 +30,10 @@ from operator import add, index, mul, sub
 from ._record import Record
 from .errors import AbstractSurface, NonIntegralGenus, RankMismatch
 
-_TERM = re.compile(r"^(-?\d+)(?:\^(\d+))?$")
+# One ASCII grammar for every coefficient: int() alone would also take
+# "+2", "1_0" and non-ASCII digits.
+_COEFF = re.compile("-?[0-9]+")
+_TERM = re.compile(rf"({_COEFF.pattern})(?:\^([0-9]+))?")
 
 
 class DivisorClass(Record):
@@ -59,16 +62,14 @@ class DivisorClass(Record):
         head, sep, tail = text.replace(" ", "").partition(";")
         if not head:
             raise ValueError(f"empty divisor class string: {text!r}")
-        try:
-            lead = int(head)
-        except ValueError:
-            raise ValueError(f"bad leading coefficient in {text!r}") from None
+        if _COEFF.fullmatch(head) is None:
+            raise ValueError(f"bad leading coefficient in {text!r}")
         runs = []
         if sep:
             if not tail:
                 raise ValueError(f"trailing ';' in {text!r}")
             for term in tail.split(","):
-                match = _TERM.match(term)
+                match = _TERM.fullmatch(term)
                 if match is None:
                     raise ValueError(f"bad coefficient term {term!r} in {text!r}")
                 repeat = int(match.group(2) or 1)
@@ -78,7 +79,7 @@ class DivisorClass(Record):
         length = 1 + sum(repeat for _, repeat in runs)
         if rank is not None and length != rank:
             raise RankMismatch(f"class of length {length} does not fit rank {rank}")
-        coeffs = [lead]
+        coeffs = [int(head)]
         for value, repeat in runs:
             coeffs.extend([value] * repeat)
         return cls(tuple(coeffs))

@@ -11,7 +11,6 @@ from glicci.catalog import (
     plane_curve_family,
     quadric_family,
     quadric_ruling_line,
-    skew_plane_union,
     small_degree_acm_pairs,
     small_degree_descents,
     surface,
@@ -342,11 +341,3 @@ class TestCurveFamilyValidation:
             cubic_surface_type("iii", True)
         with pytest.raises(TypeError, match=r"3\.0"):
             quadric_family(3.0, "i")
-
-    def test_skew_union_records_degree_only(self):
-        fam = skew_plane_union(5)
-        assert fam.d == 5
-        assert fam.g is None
-        assert "degree 4" in fam.label and "line" in fam.label
-        with pytest.raises(DegreeTooSmall):
-            skew_plane_union(1)

@@ -100,6 +100,14 @@ class TestDivisorCommand:
         code, _, err = run(capsys, "divisor", "scroll", "nonsense")
         assert code == 1
 
+    # Head and tail share one ASCII grammar; "1_0" once read as 10.
+    @pytest.mark.parametrize("text", ["1_0;1", "+2;1", "٢;1", "2;١"])
+    def test_coefficients_are_ascii_integers(self, capsys, text):
+        code, out, err = run(capsys, "divisor", "scroll", text)
+        assert code == 1
+        assert out == ""
+        assert "error: bad" in err
+
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "divisor", "det10", "1;1", "--json")
         assert code == 0
