@@ -7,8 +7,12 @@ These literals pin every chain those formulas and exceptions produce
 for cubic n <= 17, 3-space n <= 19 and the plane and quadric n <= 6:
 the point sequence and, per step, the kind, twist m or height h, the
 carrier's (d, g) and label, and the note.  ``PERRIN_ROWS`` pins the
-general-points table derived from h-vectors.
+general-points table derived from h-vectors.  ``LARGE_CHAINS`` pins
+whole chains at n near 10^7, 10^7.5 and 10^8 by the SHA-256 of their
+JSON, where the carriers reach levels no other test builds.
 """
+
+import hashlib
 
 import pytest
 
@@ -193,6 +197,25 @@ PERRIN_ROWS = (
     (6, 3, 12), (7, 5, 14), (8, 7, 16), (9, 9, 18), (10, 11, 20),
 )
 
+# (space, n, steps, SHA-256 of plan(space, n).to_json()).
+LARGE_CHAINS = (
+    ("p2", 10000019, 2862, "d42b7a30b83d1cad71755b497f2d4de9dfdaec9a809c7de79799bbc32e849f6a"),
+    ("p2", 31622777, 6302, "a276f77ca623ca8912e64d191b2e154c70db8a830f8a75b4138c442ef1e736ba"),
+    ("p2", 99999989, 8977, "d0db48e88fb16a60e58e782570ac8c6554655cd27b5f4c2412f53c3adb5631ae"),
+    ("quadric", 10000019, 3163,
+     "ea23614eb2834dcbf2b7d50627b575b34147ebc2c08ecfee023dbc18b0c631a7"),
+    ("quadric", 31622777, 5624,
+     "9c17f99234ccb1ce421b208cf13fb8cc0c095be83854da84771f953bd55e17aa"),
+    ("quadric", 99999989, 9999,
+     "a3e33e3e8e2b021f3f9a98dc7c348a6d43e939cce00307a1db4b0dfc424d000e"),
+    ("cubic-surface", 10000019, 7610,
+     "a3e9bff5418f8ce3944fd3bcb0fbd2814b676c9a66e49ea3acab99dd123b4f7f"),
+    ("cubic-surface", 31622777, 9183,
+     "585078d822fc72d8a1ca7dd1378effd008937166341a7c8112e04554b5587f5f"),
+    ("cubic-surface", 99999989, 22794,
+     "35ecc1265432021558c860575f7a2ca32ebcdbb5e773297c59ae5e2b22d60840"),
+)
+
 
 def _step(step):
     if step.kind == LIAISON:
@@ -212,6 +235,15 @@ def test_recorded_chain(space, points, steps):
     assert tuple(chain.point_sequence()) == points
     assert [(s.n_from, s.n_to) for s in chain.steps] == list(zip(points, points[1:]))
     assert tuple(map(_step, chain.steps)) == steps
+
+
+@pytest.mark.parametrize("space,n,length,digest", LARGE_CHAINS,
+                         ids=[f"{space}-{n}" for space, n, _, _ in LARGE_CHAINS])
+def test_large_chain(space, n, length, digest):
+    chain = plan(space, n)
+    assert len(chain.steps) == length
+    assert chain.terminal == 1
+    assert hashlib.sha256(chain.to_json().encode()).hexdigest() == digest
 
 
 def test_every_small_count_is_pinned():
