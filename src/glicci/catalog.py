@@ -14,11 +14,19 @@ The cubic-surface families are one table, ``_CUBIC_KINDS``: each kind
 i..iv maps to its base class B (the curve at a = 1), the drop 3a - d,
 the two genus coefficients in g = (3a^2 - g1*a + g0)/2 and its label.
 The carrier at parameter a has class B + k*H with k = a - 1.  Since
-H = (3; 1^6) and every tail coefficient b_i of B is -1, 0 or 1, that
-class is (b_0 + 3k; b_1 + k, ..., b_6 + k), and its tail is picked from
-the three integers (k - 1, k, k + 1): a carrier holds one integer object
-per distinct coefficient rather than seven.  The lattice cross-check of
-``CurveFamily`` recomputes its (d, g) from that class.
+H = (3; 1^6), that class is (b_0 + 3k; b_1 + k, ..., b_6 + k).  The tail
+coefficients b_i of each B lie within three consecutive integers from
+low = min b_i, so the tail is picked from low + k, low + k + 1 and
+low + k + 2: a carrier holds one integer object per distinct coefficient
+rather than seven.
+
+The (d, g) formulas of ``cubic_surface_type``, ``quadric_family`` and
+``quadric_ruling_line`` are certified once, at import, by ``_certify``:
+both the formula and the lattice's degree and twice its genus are
+integer polynomials of degree at most 2 in a, so agreeing at a = 1, 2, 3
+they agree for every a.  These three constructors then build their
+carriers without the per-carrier lattice check that every other
+``CurveFamily(...)`` runs.
 
 The registry is built once at import time and never mutated; reads are
 unrestricted.
@@ -135,6 +143,10 @@ class CurveFamily(Record):
     that family is a linear system (plane curves, curves on the quadric
     or the cubic surface).  When a divisor class and surface are given,
     the stored (d, g) is recomputed from the lattice on construction.
+    The certified constructors (``cubic_surface_type``, ``quadric_family``
+    and ``quadric_ruling_line``) skip that recomputation: the import-time
+    certificate has proved their closed forms equal to the lattice's at
+    three values of a, which fixes two polynomials of degree at most 2.
     """
 
     __slots__ = _fields = ("ambient", "d", "g", "linsys_dim", "divisor", "surface", "label")
@@ -181,25 +193,64 @@ class CurveFamily(Record):
  _set_label) = slot_setters(CurveFamily)
 
 
+_new = object.__new__
+(_set_coeffs,) = slot_setters(DivisorClass)
+
+
+def _class(coeffs: tuple[int, ...]) -> DivisorClass:
+    """``DivisorClass(coeffs)`` without its per-coefficient ``index``
+    conversion, for a tuple the caller built from ints."""
+    divisor = _new(DivisorClass)
+    _set_coeffs(divisor, coeffs)
+    return divisor
+
+
+def _trusted(ambient: str, d: int, g: int, linsys_dim: int, divisor: DivisorClass,
+             surface: str, label: str) -> CurveFamily:
+    """The carrier ``CurveFamily(...)`` would build, without its lattice
+    check: only for the certified constructors, whose (d, g) formulas
+    :func:`_certify` has proved equal to the lattice's for every a."""
+    family = _new(CurveFamily)
+    _set_ambient(family, ambient)
+    _set_d(family, d)
+    _set_g(family, g)
+    _set_linsys_dim(family, linsys_dim)
+    _set_divisor(family, divisor)
+    _set_surface(family, surface)
+    _set_label(family, label)
+    return family
+
+
 def _cubic_kind(kind: str, base: str, drop: int, g1: int, g0: int):
     head, *tail = DivisorClass.parse(base).coeffs
-    return head, itemgetter(*(b + 1 for b in tail)), drop, g1, g0, f"type {kind}"
+    low = min(tail)
+    if max(tail) > low + 2:
+        raise ValueError(f"type {kind}: the tail of {base} spans more than three integers")
+    return head, low, itemgetter(*(b - low for b in tail)), drop, g1, g0, f"type {kind}"
 
 
 # The four ACM families on the cubic surface, generated at a = 1 by a
 # line, a conic, a twisted cubic and a plane cubic (the hyperplane
-# class) B = (b_0; b_1, ..., b_6): kind -> (b_0, the picker of each
-# b_i + k from (k - 1, k, k + 1), 3a - d, g1, g0, label) with
-# g = (3a^2 - g1*a + g0) / 2.
-_CUBIC_KINDS = {
-    kind: _cubic_kind(kind, base, drop, g1, g0)
-    for kind, base, drop, g1, g0 in (
-        ("i", "0;0^5,-1", 2, 7, 4),
-        ("ii", "1;1,0^5", 1, 5, 2),
-        ("iii", "1;0^6", 0, 3, 0),
-        ("iv", "3;1^6", 0, 3, 2),
-    )
-}
+# class) B = (b_0; b_1, ..., b_6), as (kind, B, 3a - d, g1, g0) with
+# g = (3a^2 - g1*a + g0) / 2.  ``_CUBIC_KINDS`` maps each kind to
+# (b_0, low = min b_i, the picker of each b_i + k from the three integers
+# low + k, low + k + 1, low + k + 2, 3a - d, g1, g0, label).
+_CUBIC_BASES = (
+    ("i", "0;0^5,-1", 2, 7, 4),
+    ("ii", "1;1,0^5", 1, 5, 2),
+    ("iii", "1;0^6", 0, 3, 0),
+    ("iv", "3;1^6", 0, 3, 2),
+)
+_CUBIC_KINDS = {spec[0]: _cubic_kind(*spec) for spec in _CUBIC_BASES}
+
+
+def _cubic_carrier(row, a: int) -> CurveFamily:
+    head, low, pick_tail, drop, g1, g0, label = row
+    d, g = 3 * a - drop, (3 * a * a - g1 * a + g0) // 2
+    k = a - 1
+    c = low + k
+    divisor = _class((head + 3 * k,) + pick_tail((c, c + 1, c + 2)))
+    return _trusted("p3-cubic", d, g, d + g - 1, divisor, "cubic", label)
 
 
 @lru_cache(maxsize=_CARRIER_CACHE_SIZE, typed=True)
@@ -222,11 +273,14 @@ def cubic_surface_type(kind: str, a: int) -> CurveFamily:
     _check_int(a, "a")
     if a < 1:
         raise DegreeTooSmall(f"need a >= 1, got {a}")
-    head, pick_tail, drop, g1, g0, label = row
-    d, g = 3 * a - drop, (3 * a * a - g1 * a + g0) // 2
-    k = a - 1
-    divisor = DivisorClass((head + 3 * k,) + pick_tail((k - 1, k, k + 1)))
-    return CurveFamily("p3-cubic", d, g, d + g - 1, divisor, "cubic", label)
+    return _cubic_carrier(row, a)
+
+
+def _quadric_carrier(a: int, case: str) -> CurveFamily:
+    # Bidegree (a, b): degree a + b, genus (a-1)(b-1), dimension ab + a + b.
+    b = a if case == "i" else a + 1
+    return _trusted("p3-quadric", a + b, (a - 1) * (b - 1), a * b + a + b,
+                    _class((a, b)), "quadric", f"bidegree ({a}, {b})")
 
 
 @lru_cache(maxsize=_CARRIER_CACHE_SIZE, typed=True)
@@ -241,23 +295,49 @@ def quadric_family(a: int, case: str) -> CurveFamily:
     _check_int(a, "a")
     if a < 1:
         raise DegreeTooSmall(f"need a >= 1, got {a}")
-    # Bidegree (a, b): degree a + b, genus (a-1)(b-1), dimension ab + a + b.
-    b = a if case == "i" else a + 1
-    return CurveFamily("p3-quadric", a + b, (a - 1) * (b - 1), a * b + a + b,
-                       DivisorClass((a, b)), "quadric", f"bidegree ({a}, {b})")
+    return _quadric_carrier(a, case)
 
 
 def quadric_ruling_line() -> CurveFamily:
     """A line of one ruling of the quadric; it moves in a pencil."""
-    return CurveFamily(
-        ambient="p3-quadric",
-        d=1,
-        g=0,
-        linsys_dim=1,
-        divisor=DivisorClass((1, 0)),
-        surface="quadric",
-        label="ruling line",
-    )
+    return _trusted("p3-quadric", 1, 0, 1, _class((1, 0)), "quadric", "ruling line")
+
+
+def _certify() -> None:
+    """Prove the certified constructors' (d, g) equal to the lattice's.
+
+    For a cubic kind the class is B + (a-1)H, so its lattice degree is
+    linear in a and twice its lattice genus, c.c + c.K + 2, is quadratic
+    in a; the formulas d = 3a - drop and 2g = 3a^2 - g1*a + g0 are too,
+    and so are the quadric's, whose class is (a, a) or (a, a+1).  Two
+    integer polynomials of degree at most 2 that agree at a = 1, 2, 3 are
+    equal, so the checks below hold for every a.  2g is compared before
+    the division by 2, which could hide an odd numerator.  Raises
+    ``ValueError`` naming the family whose formula disagrees.
+    """
+    line = quadric_ruling_line()
+    carriers = [("quadric ruling line", 1, line, 2 * line.g)]
+    for kind, row in _CUBIC_KINDS.items():
+        what = f"cubic type {kind}"
+        *_, g1, g0, _ = row
+        carriers += [(what, a, _cubic_carrier(row, a), 3 * a * a - g1 * a + g0)
+                     for a in (1, 2, 3)]
+    for case in ("i", "ii"):
+        what = f"quadric case {case}"
+        for a in (1, 2, 3):
+            family = _quadric_carrier(a, case)
+            carriers.append((what, a, family, 2 * family.g))
+    for what, a, family, twice_g in carriers:
+        model = _SURFACES[family.surface]
+        d, g = model.degree_of(family.divisor), model.genus_of(family.divisor)
+        if (family.d, family.g, twice_g) != (d, g, 2 * g):
+            raise ValueError(
+                f"{what} at a = {a}: formula d = {family.d}, g = {family.g}, 2g = {twice_g}; "
+                f"lattice class {family.divisor} has d = {d}, g = {g}"
+            )
+
+
+_certify()
 
 
 @lru_cache(maxsize=_CARRIER_CACHE_SIZE, typed=True)

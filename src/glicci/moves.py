@@ -179,7 +179,7 @@ class Chain(Record):
             except InvalidMove as exc:
                 raise InvalidMove(f"{where}: {exc}") from None
         chain = cls(space=space, start=start, steps=tuple(steps))
-        if chain.terminal != data.get("terminal", chain.terminal):
+        if chain.terminal != _field(data, "terminal", int, "chain", default=chain.terminal):
             raise InvalidMove("serialized terminal disagrees with steps")
         return chain
 

@@ -1,5 +1,6 @@
 import pytest
 
+from glicci import catalog
 from glicci.catalog import (
     CurveFamily,
     bordiga_eleven_seven,
@@ -258,6 +259,70 @@ class TestSectionalGenusMinimality:
             )
 
 
+def _cubic_mutants():
+    """(id, kind, spec) for each +-1 change of one coefficient of a cubic
+    kind: the seven entries of its base class, drop, g1 and g0."""
+    for kind, base, drop, g1, g0 in catalog._CUBIC_BASES:
+        coeffs = DivisorClass.parse(base).coeffs
+        for delta in (1, -1):
+            for i in range(len(coeffs)):
+                mutated = list(coeffs)
+                mutated[i] += delta
+                text = f"{mutated[0]};" + ",".join(map(str, mutated[1:]))
+                yield f"{kind}-b{i}{delta:+d}", kind, (kind, text, drop, g1, g0)
+            yield f"{kind}-drop{delta:+d}", kind, (kind, base, drop + delta, g1, g0)
+            yield f"{kind}-g1{delta:+d}", kind, (kind, base, drop, g1 + delta, g0)
+            yield f"{kind}-g0{delta:+d}", kind, (kind, base, drop, g1, g0 + delta)
+
+
+CUBIC_MUTANTS = list(_cubic_mutants())
+
+
+class TestCertificate:
+    """Every +-1 change of a cubic kind's coefficients, and a slip in the
+    quadric's genus formula, fails the import-time certificate."""
+
+    def test_table_is_the_recorded_bases(self):
+        assert {kind: base for kind, base, *_ in catalog._CUBIC_BASES} == CUBIC_BASE_TEXT
+        assert len(CUBIC_MUTANTS) == 4 * 2 * (7 + 3)
+
+    @pytest.mark.parametrize("kind, spec", [m[1:] for m in CUBIC_MUTANTS],
+                             ids=[m[0] for m in CUBIC_MUTANTS])
+    def test_every_cubic_coefficient_mutant_fails(self, monkeypatch, kind, spec):
+        monkeypatch.setitem(catalog._CUBIC_KINDS, kind, catalog._cubic_kind(*spec))
+        with pytest.raises(ValueError, match=f"^cubic type {kind} at a = "):
+            catalog._certify()
+
+    def test_odd_numerator_is_caught_before_halving(self, monkeypatch):
+        # g0 + 1 leaves every (3a^2 - g1*a + g0 + 1) // 2 unchanged, so
+        # only the comparison of the undivided 2g finds it.
+        kind, base, drop, g1, g0 = catalog._CUBIC_BASES[2]
+        row = catalog._cubic_kind(kind, base, drop, g1, g0 + 1)
+        for a in (1, 2, 3):
+            assert catalog._cubic_carrier(row, a) == cubic_surface_type(kind, a)
+        monkeypatch.setitem(catalog._CUBIC_KINDS, kind, row)
+        with pytest.raises(ValueError, match="^cubic type iii at a = 1: formula d = 3, g = 0, 2g = 1;"):
+            catalog._certify()
+
+    def test_quadric_formula_mutant_fails(self, monkeypatch):
+        carrier = catalog._quadric_carrier
+
+        def slipped(a, case):
+            family = carrier(a, case)
+            if case == "ii":  # genus a(a+1) instead of a(a-1)
+                return catalog._trusted(family.ambient, family.d, a * (a + 1), family.linsys_dim,
+                                        family.divisor, family.surface, family.label)
+            return family
+
+        monkeypatch.setattr(catalog, "_quadric_carrier", slipped)
+        with pytest.raises(ValueError, match="^quadric case ii at a = 1: "):
+            catalog._certify()
+
+    def test_tail_wider_than_three_integers_is_refused(self):
+        with pytest.raises(ValueError, match="type i"):
+            catalog._cubic_kind("i", "0;1,0^4,-2", 2, 7, 4)
+
+
 class TestCurveFamilyValidation:
     def test_stored_dg_must_match_lattice(self):
         with pytest.raises(ValueError):
@@ -284,9 +349,11 @@ class TestCurveFamilyValidation:
             CurveFamily(ambient=good.ambient, linsys_dim=good.linsys_dim,
                         divisor=good.divisor, surface=good.surface, label=good.label, **fields)
 
-    def test_every_carrier_built_is_cross_checked_once(self, monkeypatch):
-        # Planning cubic-surface at 10^6 builds carriers only through the
-        # cached constructor, and each one built runs the lattice check.
+    def test_certified_carriers_skip_the_check_and_equal_checked_ones(self, monkeypatch):
+        # The planner's cubic and quadric carriers come from constructors
+        # whose (d, g) formulas the import-time certificate proves, so
+        # building them runs no lattice check; each equals the carrier the
+        # checking constructor builds from the same fields.
         checks = []
         check = CurveFamily.__post_init__
 
@@ -295,12 +362,26 @@ class TestCurveFamilyValidation:
             check(self)
 
         monkeypatch.setattr(CurveFamily, "__post_init__", counted)
-        cubic_surface_type.cache_clear()
+        for constructor in (cubic_surface_type, quadric_family):
+            constructor.cache_clear()
         plan("cubic-surface", 10**6)
-        misses = cubic_surface_type.cache_info().misses
-        assert misses > 100
-        assert len(checks) == misses
-        assert all(fam.divisor is not None for fam in checks)
+        assert cubic_surface_type.cache_info().misses > 100
+        assert checks == []
+        built = [cubic_surface_type(kind, a) for kind in ("i", "ii", "iii", "iv")
+                 for a in [*range(1, 51), 10**6, 10**12]]
+        built += [quadric_family(a, case) for case in ("i", "ii")
+                  for a in [*range(1, 51), 10**6, 10**12]]
+        built.append(quadric_ruling_line())
+        assert checks == []
+        for family in built:
+            fields = {name: getattr(family, name) for name in family._fields}
+            fields["divisor"] = DivisorClass(family.divisor.coeffs)
+            checked = CurveFamily(**fields)
+            assert type(family) is CurveFamily and type(family.divisor) is DivisorClass
+            assert all(type(c) is int for c in family.divisor.coeffs)
+            assert family == checked and hash(family) == hash(checked)
+            assert repr(family) == repr(checked)
+        assert len(checks) == len(built)
 
     def test_carrier_caches_are_bounded(self):
         for fn in (cubic_surface_type, quadric_family, plane_curve_family):

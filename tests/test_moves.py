@@ -381,6 +381,17 @@ class TestChains:
         with pytest.raises(InvalidMove):
             chain.validate()
 
+    @pytest.mark.parametrize("value, kind", [(True, "bool"), (1.0, "float"), ("1", "str")])
+    def test_from_dict_terminal_must_be_int(self, value, kind):
+        # The chain ends at 1, which true and 1.0 compare equal to.
+        data = plan_cubic(18).to_dict()
+        assert data["terminal"] == 1
+        data["terminal"] = value
+        with pytest.raises(InvalidMove, match=f"^chain: field 'terminal' must be int, got {kind}$"):
+            Chain.from_dict(data)
+        del data["terminal"]
+        assert Chain.from_dict(data).to_dict() == plan_cubic(18).to_dict()
+
     def test_from_dict_names_missing_step_field(self):
         data = plan_cubic(18).to_dict()
         del data["steps"][2]["to"]
