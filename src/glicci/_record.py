@@ -43,3 +43,8 @@ def slot_setters(cls: type[Record]) -> tuple:
     directly they skip the lookup by name that ``object.__setattr__``
     makes for every field."""
     return tuple(vars(cls)[name].__set__ for name in cls._fields)
+
+
+def field_error(name: str, kind: type, value) -> TypeError:
+    """The ``TypeError`` for a field ``name`` whose value is not a ``kind``."""
+    return TypeError(f"field {name!r} must be {kind.__name__}, got {type(value).__name__}")

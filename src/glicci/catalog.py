@@ -24,9 +24,9 @@ The (d, g) formulas of ``cubic_surface_type``, ``quadric_family`` and
 ``quadric_ruling_line`` are certified once, at import, by ``_certify``:
 both the formula and the lattice's degree and twice its genus are
 integer polynomials of degree at most 2 in a, so agreeing at a = 1, 2, 3
-they agree for every a.  These three constructors then build their
-carriers without the per-carrier lattice check that every other
-``CurveFamily(...)`` runs.
+they agree for every a.  These and ``plane_curve_family`` (no class to
+check) build their carriers without the per-carrier checks that every
+other ``CurveFamily(...)`` runs.
 
 The registry is built once at import time and never mutated; reads are
 unrestricted.
@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import comb
 from operator import itemgetter
 
-from ._record import Record, slot_setters
+from ._record import Record, field_error, slot_setters
 from .errors import DegreeTooSmall, NotInTable, UnknownSurface
 from .hvector import min_genus, s_zero
 from .picard import DivisorClass, SurfaceModel
@@ -141,19 +141,31 @@ class CurveFamily(Record):
 
     ``linsys_dim`` is the dimension of the family the curve moves in when
     that family is a linear system (plane curves, curves on the quadric
-    or the cubic surface).  When a divisor class and surface are given,
-    the stored (d, g) is recomputed from the lattice on construction.
-    The certified constructors (``cubic_surface_type``, ``quadric_family``
-    and ``quadric_ruling_line``) skip that recomputation: the import-time
-    certificate has proved their closed forms equal to the lattice's at
-    three values of a, which fixes two polynomials of degree at most 2.
+    or the cubic surface).  A field of the wrong type raises ``TypeError``
+    naming it.  When a divisor class and surface are given, the stored
+    (d, g) is recomputed from the lattice on construction.  The
+    constructors built on :func:`_trusted` skip both checks.
     """
 
     __slots__ = _fields = ("ambient", "d", "g", "linsys_dim", "divisor", "surface", "label")
 
-    def __init__(self, ambient: str, d: int, g: int | None, linsys_dim: int | None = None,
+    def __init__(self, ambient: str, d: int, g: int, linsys_dim: int | None = None,
                  divisor: DivisorClass | None = None, surface: str | None = None,
                  label: str = ""):
+        if type(ambient) is not str:
+            raise field_error("ambient", str, ambient)
+        if type(d) is not int:
+            raise field_error("d", int, d)
+        if type(g) is not int:
+            raise field_error("g", int, g)
+        if linsys_dim is not None and type(linsys_dim) is not int:
+            raise field_error("linsys_dim", int, linsys_dim)
+        if divisor is not None and type(divisor) is not DivisorClass:
+            raise field_error("divisor", DivisorClass, divisor)
+        if surface is not None and type(surface) is not str:
+            raise field_error("surface", str, surface)
+        if type(label) is not str:
+            raise field_error("label", str, label)
         _set_ambient(self, ambient)
         _set_d(self, d)
         _set_g(self, g)
@@ -167,21 +179,16 @@ class CurveFamily(Record):
         """The lattice (d, g) cross-check, run by ``__init__``; a method
         of its own so that a profiler can time it apart."""
         if self.divisor is not None and self.surface is not None:
-            model = _SURFACES[self.surface]
-            d = model.degree_of(self.divisor)
-            if d != self.d:
-                raise ValueError(
-                    f"{self.label or self.divisor}: stored degree {self.d} != lattice degree {d}"
-                )
-            if self.g is not None:
-                g = model.genus_of(self.divisor)
-                if g != self.g:
-                    raise ValueError(
-                        f"{self.label or self.divisor}: stored genus {self.g} != lattice genus {g}"
-                    )
+            model = surface(self.surface)
+            for what, stored, lattice in (("degree", self.d, model.degree_of),
+                                          ("genus", self.g, model.genus_of)):
+                value = lattice(self.divisor)
+                if value != stored:
+                    raise ValueError(f"{self.label or self.divisor}: stored {what} {stored}"
+                                     f" != lattice {what} {value}")
 
     @property
-    def dg(self) -> tuple[int, int | None]:
+    def dg(self) -> tuple[int, int]:
         return (self.d, self.g)
 
     def __str__(self) -> str:
@@ -205,11 +212,11 @@ def _class(coeffs: tuple[int, ...]) -> DivisorClass:
     return divisor
 
 
-def _trusted(ambient: str, d: int, g: int, linsys_dim: int, divisor: DivisorClass,
-             surface: str, label: str) -> CurveFamily:
-    """The carrier ``CurveFamily(...)`` would build, without its lattice
-    check: only for the certified constructors, whose (d, g) formulas
-    :func:`_certify` has proved equal to the lattice's for every a."""
+def _trusted(ambient: str, d: int, g: int, linsys_dim: int, divisor: DivisorClass | None,
+             surface: str | None, label: str) -> CurveFamily:
+    """The carrier ``CurveFamily(...)`` would build, without its checks:
+    only for fields built from ints, with a (d, g) that :func:`_certify`
+    has proved for every a or no class to check (plane curves)."""
     family = _new(CurveFamily)
     _set_ambient(family, ambient)
     _set_d(family, d)
@@ -347,8 +354,8 @@ def plane_curve_family(d: int) -> CurveFamily:
     _check_int(d, "d")
     if d < 1:
         raise DegreeTooSmall(f"need d >= 1, got {d}")
-    return CurveFamily("p2", d, (d - 1) * (d - 2) // 2, d * (d + 3) // 2,
-                       None, None, f"plane curve of degree {d}")
+    return _trusted("p2", d, (d - 1) * (d - 2) // 2, d * (d + 3) // 2,
+                    None, None, f"plane curve of degree {d}")
 
 
 class PerrinEntry(Record):

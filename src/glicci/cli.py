@@ -53,11 +53,7 @@ def _envelope(command: str, inputs: dict, result) -> str:
 
 
 def _cmd_plan(args) -> int:
-    try:
-        chain = plan(args.space, args.n)
-    except OutOfGuaranteedRange as exc:
-        print(f"open case: {exc}", file=sys.stderr)
-        return 2
+    chain = plan(args.space, args.n)
     if args.json:
         print(_envelope("plan", {"space": args.space, "n": args.n}, chain.to_dict()))
         return 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 
-from ._record import Record, slot_setters
+from ._record import Record, field_error, slot_setters
 from .catalog import CurveFamily, perrin_m
 from .errors import InvalidMove, NotInTable
 
@@ -31,28 +31,25 @@ LIAISON = "liaison"
 BILIAISON = "biliaison"
 
 
-_REQUIRED = object()
-
-
-def _field(raw, key: str, kind: type, where: str, *, null: bool = False, default=_REQUIRED):
-    """``raw[key]``, checked to be a ``kind`` (or None when ``null``).
-    A key with a default may be absent.  JSON booleans are not integers
-    here.  Anything else raises :class:`InvalidMove` naming ``where``
-    and the key."""
+def _field(raw, key: str, where: str, kind: type | None = None):
+    """``raw[key]``, checked to be a ``kind`` when one is given: the JSON
+    shape (list, object) or the terminal count.  Anything else raises
+    :class:`InvalidMove` naming ``where`` and the key."""
     if not isinstance(raw, dict):
         raise InvalidMove(f"{where}: expected an object, got {type(raw).__name__}")
     if key not in raw:
-        if default is _REQUIRED:
-            raise InvalidMove(f"{where}: missing field {key!r}")
-        return default
+        raise InvalidMove(f"{where}: missing field {key!r}")
     value = raw[key]
-    if value is None and null:
-        return None
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if kind is not None and type(value) is not kind:
         raise InvalidMove(
             f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"
         )
     return value
+
+
+def _optional(raw: dict, *keys: str) -> dict:
+    """The ``keys`` present in ``raw``; a constructor's defaults fill in the rest."""
+    return {key: raw[key] for key in keys if key in raw}
 
 
 class LinkMove(Record):
@@ -60,13 +57,29 @@ class LinkMove(Record):
 
     ``m`` is the liaison twist (the move links through |m*H - K| on the
     carrier); ``h`` is the biliaison height.  ``note`` carries narrative
-    annotations such as the height-0 repositioning step.
+    annotations such as the height-0 repositioning step.  A field of the
+    wrong type raises ``TypeError`` naming it, the counts by their
+    serialized keys ``from`` and ``to``.
     """
 
     __slots__ = _fields = ("kind", "n_from", "n_to", "carrier", "m", "h", "note")
 
     def __init__(self, kind: str, n_from: int, n_to: int, carrier: CurveFamily,
                  m: int | None = None, h: int | None = None, note: str = ""):
+        if type(kind) is not str:
+            raise field_error("kind", str, kind)
+        if type(n_from) is not int:
+            raise field_error("from", int, n_from)
+        if type(n_to) is not int:
+            raise field_error("to", int, n_to)
+        if type(carrier) is not CurveFamily:
+            raise field_error("carrier", CurveFamily, carrier)
+        if m is not None and type(m) is not int:
+            raise field_error("m", int, m)
+        if h is not None and type(h) is not int:
+            raise field_error("h", int, h)
+        if type(note) is not str:
+            raise field_error("note", str, note)
         if kind == LIAISON:
             if m is None:
                 raise InvalidMove("liaison move needs its twist m")
@@ -103,11 +116,17 @@ class LinkMove(Record):
 
 
 class Chain(Record):
-    """A validated walk of point counts, one move per step."""
+    """A walk of point counts, one move per step; see :func:`validate_chain`."""
 
     __slots__ = _fields = ("space", "start", "steps")
 
     def __init__(self, space: str, start: int, steps: tuple[LinkMove, ...]):
+        if type(space) is not str:
+            raise field_error("space", str, space)
+        if type(start) is not int:
+            raise field_error("start", int, start)
+        if type(steps) is not tuple:
+            raise field_error("steps", tuple, steps)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "steps", steps)
@@ -149,42 +168,45 @@ class Chain(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "Chain":
-        """Rebuild a chain from :meth:`to_dict` output.  A missing or
-        ill-typed field, an unknown move kind or a kind without its
-        parameter raises :class:`InvalidMove` naming the step index."""
-        space = _field(data, "space", str, "chain")
-        start = _field(data, "start", int, "chain")
+        """Rebuild a chain from :meth:`to_dict` output.  A missing field, a
+        wrong JSON shape or whatever the records' constructors refuse
+        raises :class:`InvalidMove` naming the step index."""
+        space = _field(data, "space", "chain")
+        start = _field(data, "start", "chain")
         steps = []
-        for index, raw in enumerate(_field(data, "steps", list, "chain")):
+        for index, raw in enumerate(_field(data, "steps", "chain", list)):
             where = f"step {index}"
-            carrier = _field(raw, "carrier", dict, where)
-            on = f"{where} carrier"
+            carrier = _field(raw, "carrier", where, dict)
             fields = dict(
-                kind=_field(raw, "kind", str, where),
-                n_from=_field(raw, "from", int, where),
-                n_to=_field(raw, "to", int, where),
-                carrier=CurveFamily(
-                    ambient=_field(carrier, "ambient", str, on),
-                    d=_field(carrier, "d", int, on),
-                    g=_field(carrier, "g", int, on, null=True),
-                    linsys_dim=_field(carrier, "linsys_dim", int, on, null=True, default=None),
-                    label=_field(carrier, "label", str, on, default=""),
-                ),
-                m=_field(raw, "m", int, where, null=True, default=None),
-                h=_field(raw, "h", int, where, null=True, default=None),
-                note=_field(raw, "note", str, where, default=""),
+                kind=_field(raw, "kind", where),
+                n_from=_field(raw, "from", where),
+                n_to=_field(raw, "to", where),
+                **_optional(raw, "m", "h", "note"),
             )
+            on = f"{where} carrier"
             try:
-                steps.append(LinkMove(**fields))
-            except InvalidMove as exc:
+                family = CurveFamily(
+                    ambient=_field(carrier, "ambient", on),
+                    d=_field(carrier, "d", on),
+                    g=_field(carrier, "g", on),
+                    **_optional(carrier, "linsys_dim", "label"),
+                )
+            except TypeError as exc:
+                raise InvalidMove(f"{on}: {exc}") from None
+            try:
+                steps.append(LinkMove(carrier=family, **fields))
+            except (TypeError, InvalidMove) as exc:
                 raise InvalidMove(f"{where}: {exc}") from None
-        chain = cls(space=space, start=start, steps=tuple(steps))
-        if chain.terminal != _field(data, "terminal", int, "chain", default=chain.terminal):
+        try:
+            chain = cls(space, start, tuple(steps))
+        except TypeError as exc:
+            raise InvalidMove(f"chain: {exc}") from None
+        if "terminal" in data and chain.terminal != _field(data, "terminal", "chain", int):
             raise InvalidMove("serialized terminal disagrees with steps")
         return chain
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Chain":
@@ -334,59 +356,25 @@ _PLANE = {BILIAISON: _plane_biliaison}
 _RULES = {"p2": _PLANE, "quadric": _PLANE, "cubic-surface": {LIAISON: _cubic_liaison},
           "p3": {BILIAISON: _p3_biliaison, LIAISON: _p3_liaison}}
 
-_INT = (int,)
-_OPTIONAL_INT = (int, type(None))
-
-
-def _check_fields(index: int, step: LinkMove) -> None:
-    """Raise InvalidMove naming the first field of the step, or of its
-    carrier's (d, g), that has the wrong type."""
-    if type(step) is not LinkMove:
-        raise InvalidMove(f"step {index}: expected a LinkMove, got {type(step).__name__}") from None
-    if type(step.carrier) is not CurveFamily:
-        raise InvalidMove(f"step {index} carrier: expected a CurveFamily, "
-                          f"got {type(step.carrier).__name__}") from None
-    for key, value, allowed in (("from", step.n_from, _INT), ("to", step.n_to, _INT),
-                                ("m", step.m, _OPTIONAL_INT), ("h", step.h, _OPTIONAL_INT)):
-        if type(value) not in allowed:
-            raise InvalidMove(
-                f"step {index}: field {key!r} must be int, got {type(value).__name__}")
-    for key, value in (("d", step.carrier.d), ("g", step.carrier.g)):
-        if type(value) is not int:
-            raise InvalidMove(
-                f"step {index} carrier: field {key!r} must be int, got {type(value).__name__}")
-
-
 def validate_chain(chain: Chain) -> None:
     """Replay a chain step by step; raises InvalidMove on the first
-    inconsistency (an unknown space, a step, carrier or count of the
-    wrong type, broken linkage or an inadmissible move)."""
-    if type(chain.start) is not int:
-        raise InvalidMove(f"chain: field 'start' must be int, got {type(chain.start).__name__}")
+    inconsistency (a start below one, an unknown space, a step that is
+    not a LinkMove, broken linkage or an inadmissible move)."""
     if chain.start < 1:
         raise InvalidMove(f"chains start at a positive count, got {chain.start}")
     space = chain.space
-    rules = _RULES.get(space) if isinstance(space, str) else None
+    rules = _RULES.get(space)
     if rules is None:
         raise InvalidMove(f"unknown space {space!r}")
-    if type(chain.steps) is not tuple:
-        raise InvalidMove("chain: field 'steps' must be a tuple")
     cur = chain.start
     for index, step in enumerate(chain.steps):
-        try:
-            if (type(step.n_from) is not int or type(step.n_to) is not int
-                    or type(step.m) not in _OPTIONAL_INT or type(step.h) not in _OPTIONAL_INT
-                    or type(step.carrier.d) is not int or type(step.carrier.g) is not int):
-                _check_fields(index, step)
-            if step.n_from != cur:
-                raise InvalidMove(f"step starts at {step.n_from} but the chain sits at {cur}")
-            rule = rules.get(step.kind)
-            if rule is None:
-                raise InvalidMove(f"{space} chains use no {step.kind} moves")
-            rule(space, cur, step.n_to, step.carrier,
-                 step.m if step.kind == LIAISON else step.h, step.note)
-        except (AttributeError, TypeError):
-            # A step or carrier of the wrong type fails here: name it.
-            _check_fields(index, step)
-            raise
+        if type(step) is not LinkMove:
+            raise InvalidMove(f"step {index}: expected a LinkMove, got {type(step).__name__}")
+        if step.n_from != cur:
+            raise InvalidMove(f"step starts at {step.n_from} but the chain sits at {cur}")
+        rule = rules.get(step.kind)
+        if rule is None:
+            raise InvalidMove(f"{space} chains use no {step.kind} moves")
+        rule(space, cur, step.n_to, step.carrier,
+             step.m if step.kind == LIAISON else step.h, step.note)
         cur = step.n_to

@@ -240,6 +240,14 @@ _P3_EXCEPTIONS = {17: (12, 5, 9, 9), 19: (11, 5, 10, 11)}
 
 
 def _p3_next(n: int) -> tuple[LinkMove]:
+    # Only a walk's start can be out of range: every move here descends.
+    if n > P3_GUARANTEED_MAX:
+        raise OutOfGuaranteedRange(
+            f"{n} > {P3_GUARANTEED_MAX} general points in 3-space: no descending "
+            "move over the general-points table is admissible (for 20 points the "
+            "only carrier is the (10,11) curve, whose moves leave a residual of "
+            "degree 10 < genus 11), and the reduction question is open"
+        )
     if n in _P3_EXCEPTIONS:
         nxt, m, d, g = _P3_EXCEPTIONS[n]
         return (LinkMove(LIAISON, n, nxt, p3_acm_family(d, g), m),)
@@ -256,14 +264,6 @@ def plan_p3(n: int) -> Chain:
     move applies (the (10,11) carrier would need a residual of
     degree 10, below its genus), and whether such a set reduces at all
     is open, so the planner raises OutOfGuaranteedRange."""
-    _check_n(n)
-    if n > P3_GUARANTEED_MAX:
-        raise OutOfGuaranteedRange(
-            f"{n} > {P3_GUARANTEED_MAX} general points in 3-space: no descending "
-            "move over the general-points table is admissible (for 20 points the "
-            "only carrier is the (10,11) curve, whose moves leave a residual of "
-            "degree 10 < genus 11), and the reduction question is open"
-        )
     return _walk("p3", n, _p3_next)
 
 

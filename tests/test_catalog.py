@@ -334,6 +334,12 @@ class TestCurveFamilyValidation:
                 surface="scroll",
             )
 
+    def test_unknown_surface_named_with_the_known_ones(self):
+        with pytest.raises(UnknownSurface, match=r"^\"no surface named 'nope'; known: "
+                                                 r"bordiga, castelnuovo, cubic, delpezzo, "
+                                                 r"det10, quadric, scroll\"$"):
+            CurveFamily("p4-x", 3, 0, divisor=DivisorClass((1, 2)), surface="nope")
+
     @pytest.mark.parametrize(
         "make",
         [lambda a: cubic_surface_type("i", a), lambda a: cubic_surface_type("iv", a),

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glicci.catalog import (
@@ -259,36 +259,62 @@ class TestChains:
         ("p3", BILIAISON, "2", 0, "d", "str"),
     ])
     def test_ill_typed_carrier_degree_or_genus_rejected(self, space, kind, d, g, key, got):
-        carrier = CurveFamily(space, d, g, 5)
+        with pytest.raises(TypeError, match=rf"^field '{key}' must be int, got {got}$"):
+            CurveFamily(space, d, g, 5)
         param = {"m": 1} if kind == LIAISON else {"h": 1}
-        move = LinkMove(kind, 3, 1, carrier, **param)
+        step = {"kind": kind, "from": 3, "to": 1, "carrier": {"ambient": space, "d": d, "g": g},
+                **param}
         with pytest.raises(InvalidMove,
                            match=rf"^step 0 carrier: field '{key}' must be int, got {got}$"):
-            validate_chain(Chain(space, 3, (move,)))
+            Chain.from_dict({"space": space, "start": 3, "steps": [step]})
 
     def test_null_genus_from_json_rejected(self):
         data = plan_cubic(18).to_dict()
         data["steps"][1]["carrier"]["g"] = None
-        chain = Chain.from_dict(data)
         with pytest.raises(InvalidMove,
                            match=r"^step 1 carrier: field 'g' must be int, got NoneType$"):
-            validate_chain(chain)
+            Chain.from_dict(data)
 
-    # Steps whose rule passes whatever the type of the carrier's d or g:
-    # the arithmetic agrees with 2.0 as with 2, and a height-0 step never
-    # reads the genus.
+    # Steps whose rule would pass whatever the type of the carrier's d or
+    # g: the arithmetic agrees with 2.0 as with 2, and a height-0 step
+    # never reads the genus.  Only the carrier's constructor can refuse
+    # them.  Each move is (kind, from, to, carrier fields, parameter).
     @pytest.mark.parametrize("space, move, key, got", [
-        ("p2", LinkMove(BILIAISON, 3, 1, CurveFamily("p2", 2.0, 0, 5), h=1), "d", "float"),
-        ("quadric", LinkMove(BILIAISON, 3, 3, CurveFamily("p3-quadric", 3, None, 5), h=0,
-                             note="slide"), "g", "NoneType"),
-        ("cubic-surface", LinkMove(LIAISON, 2, 6, CurveFamily("p3-cubic", 5, 2.0, 6), 2),
-         "g", "float"),
+        ("p2", (BILIAISON, 3, 1, ("p2", 2.0, 0, 5), {"h": 1}), "d", "float"),
+        ("quadric", (BILIAISON, 3, 3, ("p3-quadric", 3, None, 5), {"h": 0, "note": "slide"}),
+         "g", "NoneType"),
+        ("cubic-surface", (LIAISON, 2, 6, ("p3-cubic", 5, 2.0, 6), {"m": 2}), "g", "float"),
     ])
     def test_ill_typed_carrier_rejected_where_the_rule_passes(self, space, move, key, got):
-        chain = Chain(space, move.n_from, (move,))
-        with pytest.raises(InvalidMove,
-                           match=rf"^step 0 carrier: field '{key}' must be int, got {got}$"):
-            validate_chain(chain)
+        kind, n_from, n_to, carrier, param = move
+        with pytest.raises(TypeError, match=rf"^field '{key}' must be int, got {got}$"):
+            Chain(space, n_from, (LinkMove(kind, n_from, n_to, CurveFamily(*carrier), **param),))
+
+    @pytest.mark.parametrize("record, key, value, kind, got", [
+        ("carrier", "linsys_dim", 5.0, "int", "float"),
+        ("carrier", "linsys_dim", "5", "int", "str"),
+        ("carrier", "linsys_dim", [3], "int", "list"),
+        ("carrier", "linsys_dim", True, "int", "bool"),
+        ("carrier", "ambient", 7, "str", "int"),
+        ("carrier", "label", None, "str", "NoneType"),
+        ("carrier", "g", None, "int", "NoneType"),
+        ("carrier", "divisor", (1, 1), "DivisorClass", "tuple"),
+        ("carrier", "surface", 3, "str", "int"),
+        ("step", "note", None, "str", "NoneType"),
+        ("step", "kind", 3, "str", "int"),
+        ("chain", "space", None, "str", "NoneType"),
+    ])
+    def test_ill_typed_field_named_on_construction(self, record, key, value, kind, got):
+        cls, fields = {
+            "carrier": (CurveFamily, dict(ambient="p2", d=2, g=0, linsys_dim=5, label="conic")),
+            "step": (LinkMove, dict(kind=BILIAISON, n_from=3, n_to=1,
+                                    carrier=plane_curve_family(2), h=1)),
+            "chain": (Chain, dict(space="p2", start=3, steps=())),
+        }[record]
+        cls(**fields)
+        fields[key] = value
+        with pytest.raises(TypeError, match=rf"^field '{key}' must be {kind}, got {got}$"):
+            cls(**fields)
 
     @pytest.mark.parametrize("with_steps", [False, True])
     def test_unknown_space_rejected_before_the_steps(self, with_steps):
@@ -299,26 +325,22 @@ class TestChains:
 
     def test_non_integer_counts_rejected(self):
         fam = plane_curve_family(2)
-        good = LinkMove(BILIAISON, 3, 1, fam, h=1)
-        Chain("p2", 3, (good,)).validate()
-        for chain, message in [
-            (Chain("p2", 3.0, (LinkMove(BILIAISON, 3.0, 1.0, fam, h=1),)),
-             r"^chain: field 'start' must be int, got float$"),
-            (Chain("p2", True, ()), r"^chain: field 'start' must be int, got bool$"),
-            (Chain("p2", 3, (LinkMove(BILIAISON, 3.0, 1, fam, h=1),)),
-             r"^step 0: field 'from' must be int, got float$"),
-            (Chain("p2", 3, (good, LinkMove(BILIAISON, 1, 1.0, fam, h=0, note="x"))),
-             r"^step 1: field 'to' must be int, got float$"),
-            (Chain("p2", 3, (LinkMove(BILIAISON, 3, 1, fam, h=True),)),
-             r"^step 0: field 'h' must be int, got bool$"),
-            (Chain("p2", 3, (LinkMove(BILIAISON, 3, 1, fam, m=1.0, h=1),)),
-             r"^step 0: field 'm' must be int, got float$"),
-            (Chain("cubic-surface", 2, (LinkMove(LIAISON, 2, 6, cubic_surface_type("ii", 2),
-                                                 m=True),)),
-             r"^step 0: field 'm' must be int, got bool$"),
+        Chain("p2", 3, (LinkMove(BILIAISON, 3, 1, fam, h=1),)).validate()
+        for build, message in [
+            (lambda: Chain("p2", 3.0, ()), r"^field 'start' must be int, got float$"),
+            (lambda: Chain("p2", True, ()), r"^field 'start' must be int, got bool$"),
+            (lambda: LinkMove(BILIAISON, 3.0, 1, fam, h=1),
+             r"^field 'from' must be int, got float$"),
+            (lambda: LinkMove(BILIAISON, 1, 1.0, fam, h=0, note="x"),
+             r"^field 'to' must be int, got float$"),
+            (lambda: LinkMove(BILIAISON, 3, 1, fam, h=True), r"^field 'h' must be int, got bool$"),
+            (lambda: LinkMove(BILIAISON, 3, 1, fam, m=1.0, h=1),
+             r"^field 'm' must be int, got float$"),
+            (lambda: LinkMove(LIAISON, 2, 6, cubic_surface_type("ii", 2), m=True),
+             r"^field 'm' must be int, got bool$"),
         ]:
-            with pytest.raises(InvalidMove, match=message):
-                validate_chain(chain)
+            with pytest.raises(TypeError, match=message):
+                build()
 
     def test_step_that_is_not_a_move_rejected(self):
         with pytest.raises(InvalidMove, match=r"^step 0: expected a LinkMove, got NoneType$"):
@@ -328,19 +350,23 @@ class TestChains:
             validate_chain(Chain("p2", 3, (good, {"from": 1, "to": 1})))
 
     def test_steps_that_are_not_a_tuple_rejected(self):
-        with pytest.raises(InvalidMove, match=r"^chain: field 'steps' must be a tuple$"):
-            validate_chain(Chain("p2", 3, 5))
+        with pytest.raises(TypeError, match=r"^field 'steps' must be tuple, got int$"):
+            Chain("p2", 3, 5)
 
+    # Each move is its space's kind and parameter.
     @pytest.mark.parametrize("space, move", [
-        ("p2", LinkMove(BILIAISON, 3, 1, "x", h=1)),
-        ("quadric", LinkMove(BILIAISON, 3, 1, "x", h=1)),
-        ("cubic-surface", LinkMove(LIAISON, 3, 1, "x", m=1)),
-        ("p3", LinkMove(BILIAISON, 3, 1, "x", h=1)),
+        ("p2", (BILIAISON, {"h": 1})),
+        ("quadric", (BILIAISON, {"h": 1})),
+        ("cubic-surface", (LIAISON, {"m": 1})),
+        ("p3", (BILIAISON, {"h": 1})),
     ])
     def test_carrier_that_is_not_a_family_rejected(self, space, move):
-        with pytest.raises(InvalidMove,
-                           match=r"^step 0 carrier: expected a CurveFamily, got str$"):
-            validate_chain(Chain(space, 3, (move,)))
+        kind, param = move
+        with pytest.raises(TypeError, match=r"^field 'carrier' must be CurveFamily, got str$"):
+            LinkMove(kind, 3, 1, "x", **param)
+        step = {"kind": kind, "from": 3, "to": 1, "carrier": "x", **param}
+        with pytest.raises(InvalidMove, match=r"^step 0: field 'carrier' must be dict, got str$"):
+            Chain.from_dict({"space": space, "start": 3, "steps": [step]})
 
     def test_move_kind_fields_enforced(self):
         fam = cubic_surface_type("i", 2)
@@ -464,3 +490,13 @@ class TestChains:
         chain = Chain.from_dict(data)
         assert chain.point_sequence() == plan_cubic(18).point_sequence()
         assert all(s.note == "" and s.carrier.label == "" for s in chain.steps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_planned_chain_round_trips(self, data):
+        space = data.draw(st.sampled_from(["p2", "quadric", "cubic-surface", "p3"]))
+        n = data.draw(st.integers(1, 19 if space == "p3" else 10**6))
+        chain = plan(space, n)
+        back = Chain.from_json(chain.to_json())
+        validate_chain(back)
+        assert back.to_dict() == chain.to_dict()
