@@ -2,11 +2,15 @@
 
 A record class names its fields in ``_fields`` and sets each one in
 ``__init__`` with ``object.__setattr__`` or, on the planner's hot path,
-with the setters :func:`slot_setters` returns.  Equality (same class
+on a draft (see :func:`draft`) in ``__new__``.  Equality (same class
 only), hashing and ``repr`` go field by field as a frozen dataclass's
 do, assignment and deletion raise ``AttributeError``, and ``copy`` and
-``pickle`` rebuild the record through ``__init__``, which validates it.
+``pickle`` rebuild the record through its constructor, which validates
+it.  :func:`field_error` and :func:`int_entries` give the constructors
+their ``TypeError`` naming the field or entry.
 """
+
+from operator import index
 
 
 class Record:
@@ -38,13 +42,37 @@ class Record:
         return type(self), self._values()
 
 
-def slot_setters(cls: type[Record]) -> tuple:
-    """The ``__set__`` of each of ``cls``'s slots, in field order.  Called
-    directly they skip the lookup by name that ``object.__setattr__``
-    makes for every field."""
-    return tuple(vars(cls)[name].__set__ for name in cls._fields)
+def draft(cls: type[Record]) -> type[Record]:
+    """A class with the slots of ``cls``, a direct subclass of
+    :class:`Record`, whose instances take plain assignment.
+
+    A hot constructor takes ``object.__new__`` of the draft, assigns
+    every field and then sets ``__class__`` to ``cls``.  Both classes lay
+    out the same slots on the same base, so Python allows the switch, and
+    the object is a ``cls`` record, immutable, from then on.  A plain
+    slot store costs about half a call to the slot descriptor's
+    ``__set__``."""
+    return type(f"{cls.__name__}Draft", (Record,), {
+        "__slots__": cls._fields,
+        "__setattr__": object.__setattr__,
+        "__delattr__": object.__delattr__,
+    })
 
 
 def field_error(name: str, kind: type, value) -> TypeError:
     """The ``TypeError`` for a field ``name`` whose value is not a ``kind``."""
     return TypeError(f"field {name!r} must be {kind.__name__}, got {type(value).__name__}")
+
+
+def int_entries(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints.  An entry that is a ``bool``, or has
+    no ``__index__``, raises ``TypeError`` naming its position, as in
+    ``coefficient 0 must be int, got bool``."""
+    entries = []
+    for position, value in enumerate(values):
+        if type(value) is not int:
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise TypeError(f"{what} {position} must be int, got {type(value).__name__}")
+            value = index(value)
+        entries.append(value)
+    return tuple(entries)

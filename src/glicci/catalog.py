@@ -26,19 +26,24 @@ both the formula and the lattice's degree and twice its genus are
 integer polynomials of degree at most 2 in a, so agreeing at a = 1, 2, 3
 they agree for every a.  These and ``plane_curve_family`` (no class to
 check) build their carriers without the per-carrier checks that every
-other ``CurveFamily(...)`` runs.
+other ``CurveFamily(...)`` runs.  ``cubic_surface_type``,
+``quadric_family`` and ``plane_curve_family`` check their arguments and
+then build through one bounded memo, ``_memo``, which keeps every
+carrier of parameter below ``_MEMO_BELOW`` and builds larger ones
+fresh; the planner, whose arguments are ints it computed, calls
+``_memo`` directly.
 
-The registry is built once at import time and never mutated; reads are
-unrestricted.
+The registry is built once at import time and never mutated.  The memo
+only grows, up to its bound, and a carrier it returns equals the one
+built fresh.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from operator import itemgetter
 
-from ._record import Record, field_error, slot_setters
+from ._record import Record, draft, field_error
 from .errors import DegreeTooSmall, NotInTable, UnknownSurface
 from .hvector import min_genus, s_zero
 from .picard import DivisorClass, SurfaceModel
@@ -105,11 +110,15 @@ for _model in (
     _SURFACES[_model.name] = _model
 
 
-# Entries kept by each carrier constructor's cache.  Planning a large n
-# builds thousands of carriers that are never asked for again; the
-# acceptance sweeps over 1..10^4 reuse a few hundred.  The caches are
-# typed, so 3.0 or True reaches the type check instead of the entry for 3 or 1.
-_CARRIER_CACHE_SIZE = 1024
+# Carriers whose parameter (a or d) is below this are kept in ``_MEMO``
+# once built and never evicted: the acceptance sweeps and oracles over
+# 1..10^4 ask again and again for the same few hundred (cubic a <= 82,
+# quadric a <= 100, plane d <= 142).  A large plan asks for almost every
+# carrier above it once, so those are built fresh.  The memo holds at
+# most 7 * 255 carriers, and only ints reach it: the public constructors
+# refuse 3.0 and True before they could find the entry for 3 or 1.
+_MEMO_BELOW = 256
+_MEMO: dict = {}
 
 
 def _check_int(value, name: str) -> None:
@@ -144,14 +153,15 @@ class CurveFamily(Record):
     or the cubic surface).  A field of the wrong type raises ``TypeError``
     naming it.  When a divisor class and surface are given, the stored
     (d, g) is recomputed from the lattice on construction.  The
-    constructors built on :func:`_trusted` skip both checks.
+    certified constructors skip both checks: they build through
+    :func:`_trusted`, as this constructor does after its checks.
     """
 
     __slots__ = _fields = ("ambient", "d", "g", "linsys_dim", "divisor", "surface", "label")
 
-    def __init__(self, ambient: str, d: int, g: int, linsys_dim: int | None = None,
-                 divisor: DivisorClass | None = None, surface: str | None = None,
-                 label: str = ""):
+    def __new__(cls, ambient: str, d: int, g: int, linsys_dim: int | None = None,
+                divisor: DivisorClass | None = None, surface: str | None = None,
+                label: str = ""):
         if type(ambient) is not str:
             raise field_error("ambient", str, ambient)
         if type(d) is not int:
@@ -166,18 +176,13 @@ class CurveFamily(Record):
             raise field_error("surface", str, surface)
         if type(label) is not str:
             raise field_error("label", str, label)
-        _set_ambient(self, ambient)
-        _set_d(self, d)
-        _set_g(self, g)
-        _set_linsys_dim(self, linsys_dim)
-        _set_divisor(self, divisor)
-        _set_surface(self, surface)
-        _set_label(self, label)
-        self.__post_init__()
+        family = _trusted(ambient, d, g, linsys_dim, divisor, surface, label)
+        family.__post_init__()
+        return family
 
     def __post_init__(self):
-        """The lattice (d, g) cross-check, run by ``__init__``; a method
-        of its own so that a profiler can time it apart."""
+        """The lattice (d, g) cross-check, run by the constructor; a
+        method of its own so that a profiler can time it apart."""
         if self.divisor is not None and self.surface is not None:
             model = surface(self.surface)
             for what, stored, lattice in (("degree", self.d, model.degree_of),
@@ -196,36 +201,48 @@ class CurveFamily(Record):
         return f"({self.d},{self.g}){tag}"
 
 
-(_set_ambient, _set_d, _set_g, _set_linsys_dim, _set_divisor, _set_surface,
- _set_label) = slot_setters(CurveFamily)
-
-
 _new = object.__new__
-(_set_coeffs,) = slot_setters(DivisorClass)
+_ClassDraft = draft(DivisorClass)
+_FamilyDraft = draft(CurveFamily)
 
 
 def _class(coeffs: tuple[int, ...]) -> DivisorClass:
-    """``DivisorClass(coeffs)`` without its per-coefficient ``index``
-    conversion, for a tuple the caller built from ints."""
-    divisor = _new(DivisorClass)
-    _set_coeffs(divisor, coeffs)
+    """``DivisorClass(coeffs)`` without its per-coefficient check, for a
+    tuple the caller built from ints."""
+    divisor = _new(_ClassDraft)
+    divisor.coeffs = coeffs
+    divisor.__class__ = DivisorClass
     return divisor
 
 
-def _trusted(ambient: str, d: int, g: int, linsys_dim: int, divisor: DivisorClass | None,
-             surface: str | None, label: str) -> CurveFamily:
+def _trusted(ambient: str, d: int, g: int, linsys_dim: int | None,
+             divisor: DivisorClass | None, surface: str | None, label: str) -> CurveFamily:
     """The carrier ``CurveFamily(...)`` would build, without its checks:
     only for fields built from ints, with a (d, g) that :func:`_certify`
     has proved for every a or no class to check (plane curves)."""
-    family = _new(CurveFamily)
-    _set_ambient(family, ambient)
-    _set_d(family, d)
-    _set_g(family, g)
-    _set_linsys_dim(family, linsys_dim)
-    _set_divisor(family, divisor)
-    _set_surface(family, surface)
-    _set_label(family, label)
+    family = _new(_FamilyDraft)
+    family.ambient = ambient
+    family.d = d
+    family.g = g
+    family.linsys_dim = linsys_dim
+    family.divisor = divisor
+    family.surface = surface
+    family.label = label
+    family.__class__ = CurveFamily
     return family
+
+
+def _memo(build, param: int, variant: str) -> CurveFamily:
+    """``build(param, variant)``, kept in ``_MEMO`` when param is below
+    ``_MEMO_BELOW``.  The planner calls it with the ints it computed; the
+    public constructors check their arguments before they call it."""
+    if param >= _MEMO_BELOW:
+        return build(param, variant)
+    key = (build, param, variant)
+    carrier = _MEMO.get(key)
+    if carrier is None:
+        carrier = _MEMO[key] = build(param, variant)
+    return carrier
 
 
 def _cubic_kind(kind: str, base: str, drop: int, g1: int, g0: int):
@@ -251,8 +268,8 @@ _CUBIC_BASES = (
 _CUBIC_KINDS = {spec[0]: _cubic_kind(*spec) for spec in _CUBIC_BASES}
 
 
-def _cubic_carrier(row, a: int) -> CurveFamily:
-    head, low, pick_tail, drop, g1, g0, label = row
+def _cubic_carrier(a: int, kind: str) -> CurveFamily:
+    head, low, pick_tail, drop, g1, g0, label = _CUBIC_KINDS[kind]
     d, g = 3 * a - drop, (3 * a * a - g1 * a + g0) // 2
     k = a - 1
     c = low + k
@@ -260,7 +277,6 @@ def _cubic_carrier(row, a: int) -> CurveFamily:
     return _trusted("p3-cubic", d, g, d + g - 1, divisor, "cubic", label)
 
 
-@lru_cache(maxsize=_CARRIER_CACHE_SIZE, typed=True)
 def cubic_surface_type(kind: str, a: int) -> CurveFamily:
     """The four families of smooth ACM curves on a nonsingular cubic
     surface, indexed by kind i..iv and a parameter a >= 1:
@@ -274,13 +290,14 @@ def cubic_surface_type(kind: str, a: int) -> CurveFamily:
     Kind k at parameter a is kind k at a-1 raised by one height-1
     biliaison on the surface.
     """
-    row = _CUBIC_KINDS.get(kind) or _CUBIC_KINDS.get(_lower(kind, "kind"))
-    if row is None:
-        raise ValueError(f"kind must be one of i, ii, iii, iv; got {kind.lower()!r}")
+    if kind not in _CUBIC_KINDS:
+        kind = _lower(kind, "kind")
+        if kind not in _CUBIC_KINDS:
+            raise ValueError(f"kind must be one of i, ii, iii, iv; got {kind!r}")
     _check_int(a, "a")
     if a < 1:
         raise DegreeTooSmall(f"need a >= 1, got {a}")
-    return _cubic_carrier(row, a)
+    return _memo(_cubic_carrier, a, kind)
 
 
 def _quadric_carrier(a: int, case: str) -> CurveFamily:
@@ -290,7 +307,6 @@ def _quadric_carrier(a: int, case: str) -> CurveFamily:
                     _class((a, b)), "quadric", f"bidegree ({a}, {b})")
 
 
-@lru_cache(maxsize=_CARRIER_CACHE_SIZE, typed=True)
 def quadric_family(a: int, case: str) -> CurveFamily:
     """ACM curves on the nonsingular quadric: case i is the complete
     intersection of bidegree (a, a) with degree 2a, genus (a-1)^2, moving
@@ -302,7 +318,7 @@ def quadric_family(a: int, case: str) -> CurveFamily:
     _check_int(a, "a")
     if a < 1:
         raise DegreeTooSmall(f"need a >= 1, got {a}")
-    return _quadric_carrier(a, case)
+    return _memo(_quadric_carrier, a, case)
 
 
 def quadric_ruling_line() -> CurveFamily:
@@ -327,7 +343,7 @@ def _certify() -> None:
     for kind, row in _CUBIC_KINDS.items():
         what = f"cubic type {kind}"
         *_, g1, g0, _ = row
-        carriers += [(what, a, _cubic_carrier(row, a), 3 * a * a - g1 * a + g0)
+        carriers += [(what, a, _cubic_carrier(a, kind), 3 * a * a - g1 * a + g0)
                      for a in (1, 2, 3)]
     for case in ("i", "ii"):
         what = f"quadric case {case}"
@@ -347,15 +363,18 @@ def _certify() -> None:
 _certify()
 
 
-@lru_cache(maxsize=_CARRIER_CACHE_SIZE, typed=True)
+def _plane_carrier(d: int, ambient: str) -> CurveFamily:
+    return _trusted(ambient, d, (d - 1) * (d - 2) // 2, d * (d + 3) // 2,
+                    None, None, f"plane curve of degree {d}")
+
+
 def plane_curve_family(d: int) -> CurveFamily:
     """Plane curves of degree d: genus (d-1)(d-2)/2, moving in the
     complete linear system of dimension d(d+3)/2."""
     _check_int(d, "d")
     if d < 1:
         raise DegreeTooSmall(f"need d >= 1, got {d}")
-    return _trusted("p2", d, (d - 1) * (d - 2) // 2, d * (d + 3) // 2,
-                    None, None, f"plane curve of degree {d}")
+    return _memo(_plane_carrier, d, "p2")
 
 
 class PerrinEntry(Record):

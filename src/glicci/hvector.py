@@ -15,9 +15,8 @@ curve in 4-space (codim 3) or a curve in 3-space / points in the plane
 from __future__ import annotations
 
 from math import comb
-from operator import index
 
-from ._record import Record
+from ._record import Record, int_entries
 from .errors import DegreeTooLarge, DegreeTooSmall, InvalidHVector
 
 _ENUMERATION_CAP = 200
@@ -32,12 +31,12 @@ def entry_bound(i: int, codim: int) -> int:
 
 class HVector(Record):
     """Validated h-vector with its codimension.  An entry that is not an
-    integer raises ``TypeError``."""
+    integer, or is a bool, raises ``TypeError`` naming its position."""
 
     __slots__ = _fields = ("entries", "codim")
 
     def __init__(self, entries: tuple[int, ...], codim: int):
-        entries = tuple(map(index, entries))
+        entries = int_entries(entries, "entry")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "codim", codim)
         if codim not in (2, 3):

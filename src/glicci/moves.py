@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 
-from ._record import Record, field_error, slot_setters
+from ._record import Record, draft, field_error
 from .catalog import CurveFamily, perrin_m
 from .errors import InvalidMove, NotInTable
 
@@ -64,8 +64,8 @@ class LinkMove(Record):
 
     __slots__ = _fields = ("kind", "n_from", "n_to", "carrier", "m", "h", "note")
 
-    def __init__(self, kind: str, n_from: int, n_to: int, carrier: CurveFamily,
-                 m: int | None = None, h: int | None = None, note: str = ""):
+    def __new__(cls, kind: str, n_from: int, n_to: int, carrier: CurveFamily,
+                m: int | None = None, h: int | None = None, note: str = ""):
         if type(kind) is not str:
             raise field_error("kind", str, kind)
         if type(n_from) is not int:
@@ -88,13 +88,16 @@ class LinkMove(Record):
                 raise InvalidMove("biliaison move needs its height h")
         else:
             raise InvalidMove(f"unknown move kind {kind!r}")
-        _set_kind(self, kind)
-        _set_n_from(self, n_from)
-        _set_n_to(self, n_to)
-        _set_carrier(self, carrier)
-        _set_m(self, m)
-        _set_h(self, h)
-        _set_note(self, note)
+        move = _new(_MoveDraft)
+        move.kind = kind
+        move.n_from = n_from
+        move.n_to = n_to
+        move.carrier = carrier
+        move.m = m
+        move.h = h
+        move.note = note
+        move.__class__ = cls
+        return move
 
     @property
     def ascending(self) -> bool:
@@ -111,8 +114,8 @@ class LinkMove(Record):
         return f"[bil h={self.h} on ({d},{g})]"
 
 
-(_set_kind, _set_n_from, _set_n_to, _set_carrier, _set_m, _set_h,
- _set_note) = slot_setters(LinkMove)
+_new = object.__new__
+_MoveDraft = draft(LinkMove)
 
 
 class Chain(Record):
@@ -299,6 +302,15 @@ def _total(n: int, n_to: int, carrier: CurveFamily, m: int) -> None:
         raise InvalidMove(f"{n} + {n_to} != deg({m}H-K on ({carrier.d},{carrier.g})) = {total}")
 
 
+def _plane_biliaison_holds(n: int, n_to: int, carrier: CurveFamily, h: int, note: str) -> bool:
+    """Every relation :func:`_plane_biliaison` checks, in one expression:
+    True exactly when the rule raises nothing."""
+    dim = carrier.linsys_dim
+    return (h >= 0 and n_to == n - h * carrier.d
+            and (n_to >= carrier.g if h else note != "")
+            and dim is not None and (n <= dim or "repositioned" in note))
+
+
 def _plane_biliaison(space: str, n: int, n_to: int, carrier: CurveFamily, h: int, note: str):
     if h < 0:
         raise InvalidMove(f"{space} chains use biliaisons of height >= 0, got {h}")
@@ -316,6 +328,13 @@ def _plane_biliaison(space: str, n: int, n_to: int, carrier: CurveFamily, h: int
     if n > carrier.linsys_dim and "repositioned" not in note:
         raise InvalidMove(f"{n} general points do not lie on {carrier}"
                           f" (system dimension {carrier.linsys_dim})")
+
+
+def _cubic_liaison_holds(n: int, n_to: int, carrier: CurveFamily, m: int, note: str) -> bool:
+    """Every relation :func:`_cubic_liaison` checks, in one expression:
+    True exactly when the rule raises nothing."""
+    d, g = carrier.d, carrier.g
+    return n + n_to == m * d - 2 * g + 2 and g <= n < d + g and g <= n_to < d + g
 
 
 def _cubic_liaison(space: str, n: int, n_to: int, carrier: CurveFamily, m: int, note: str):
@@ -356,10 +375,19 @@ _PLANE = {BILIAISON: _plane_biliaison}
 _RULES = {"p2": _PLANE, "quadric": _PLANE, "cubic-surface": {LIAISON: _cubic_liaison},
           "p3": {BILIAISON: _p3_biliaison, LIAISON: _p3_liaison}}
 
+# The one-expression verdict of the rules that deep chains use:
+# holds(n, n_to, carrier, param, note) is True exactly when the rule
+# raises nothing.  A move it admits needs no rule call; otherwise the
+# rule runs, to raise the relation that fails.
+_HOLDS = {_plane_biliaison: _plane_biliaison_holds, _cubic_liaison: _cubic_liaison_holds}
+
+
 def validate_chain(chain: Chain) -> None:
     """Replay a chain step by step; raises InvalidMove on the first
     inconsistency (a start below one, an unknown space, a step that is
-    not a LinkMove, broken linkage or an inadmissible move)."""
+    not a LinkMove, broken linkage or an inadmissible move).  A step
+    whose rule has a one-expression verdict (``_HOLDS``) that admits it
+    costs one call; otherwise the rule itself runs."""
     if chain.start < 1:
         raise InvalidMove(f"chains start at a positive count, got {chain.start}")
     space = chain.space
@@ -375,6 +403,8 @@ def validate_chain(chain: Chain) -> None:
         rule = rules.get(step.kind)
         if rule is None:
             raise InvalidMove(f"{space} chains use no {step.kind} moves")
-        rule(space, cur, step.n_to, step.carrier,
-             step.m if step.kind == LIAISON else step.h, step.note)
+        param = step.m if step.kind == LIAISON else step.h
+        holds = _HOLDS.get(rule)
+        if holds is None or not holds(cur, step.n_to, step.carrier, param, step.note):
+            rule(space, cur, step.n_to, step.carrier, param, step.note)
         cur = step.n_to

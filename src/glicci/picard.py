@@ -27,7 +27,7 @@ import re
 from functools import cached_property
 from operator import add, index, mul, sub
 
-from ._record import Record
+from ._record import Record, int_entries
 from .errors import AbstractSurface, NonIntegralGenus, RankMismatch
 
 # One ASCII grammar for every coefficient: int() alone would also take
@@ -41,13 +41,14 @@ class DivisorClass(Record):
 
     Addition, subtraction and integer scaling are componentwise and
     total; no normalization ever happens behind the caller's back, and
-    a coefficient that is not an integer raises ``TypeError``.
+    a coefficient that is not an integer, or is a bool, raises
+    ``TypeError`` naming its position.
     """
 
     __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
-        coeffs = tuple(map(index, coeffs))
+        coeffs = int_entries(coeffs, "coefficient")
         if not coeffs:
             raise ValueError("a divisor class needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)

@@ -33,12 +33,17 @@ chains.
 
 from __future__ import annotations
 
+import gc
 from itertools import count
 from math import isqrt
 
 from ._record import Record
 from .catalog import (
     _check_int,
+    _cubic_carrier,
+    _memo,
+    _plane_carrier,
+    _quadric_carrier,
     cubic_surface_type,
     p3_acm_family,
     perrin_table,
@@ -48,6 +53,7 @@ from .catalog import (
 )
 from .errors import DegreeTooSmall, InvalidMove, OutOfGuaranteedRange, SearchBudgetExceeded
 from .moves import (
+    _HOLDS,
     _RULES,
     BILIAISON,
     LIAISON,
@@ -76,22 +82,36 @@ def _walk(space: str, n: int, next_moves) -> Chain:
     reach a power of two, the mark moves to the current count and the
     power doubles.  A repeated count is caught within fewer than
     3 * (tail + cycle length) hops, and only a count that really comes
-    back raises."""
+    back raises.
+
+    The cyclic garbage collector is paused while the walk runs, and
+    turned back on afterwards if it was on, however the walk ends.  A
+    chain holds no reference cycles, so a pass finds nothing to free;
+    yet a walk allocates several container objects per step, and at
+    10^7..10^8 points the passes they set off took 7-10% of the walk.
+    The first pass after the walk still visits the chain's objects."""
     _check_n(n)
-    steps: list[LinkMove] = []
-    cur = mark = n
-    power = hops = 1
-    while cur > 1:
-        moves = next_moves(cur)
-        steps.extend(moves)
-        cur = moves[-1].n_to
-        if cur == mark:
-            raise InvalidMove(f"{space} walk from {n} returns to {cur}")
-        if hops == power:
-            mark, power, hops = cur, 2 * power, 0
-        hops += 1
-    chain = Chain(space, n, tuple(steps))
-    validate_chain(chain)
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        steps: list[LinkMove] = []
+        cur = mark = n
+        power = hops = 1
+        while cur > 1:
+            moves = next_moves(cur)
+            steps.extend(moves)
+            cur = moves[-1].n_to
+            if cur == mark:
+                raise InvalidMove(f"{space} walk from {n} returns to {cur}")
+            if hops == power:
+                mark, power, hops = cur, 2 * power, 0
+            hops += 1
+        chain = Chain(space, n, tuple(steps))
+        validate_chain(chain)
+    finally:
+        if enabled:
+            gc.enable()
     return chain
 
 
@@ -121,7 +141,7 @@ def _p2_next(n: int) -> tuple[LinkMove]:
     else:
         d = _plane_degree(n)
         h = 1 if n == (d - 1) * (d + 2) // 2 + 1 else 2
-    return (LinkMove(BILIAISON, n, n - h * d, plane_curve_family(d), None, h),)
+    return (LinkMove(BILIAISON, n, n - h * d, _memo(_plane_carrier, d, "p2"), None, h),)
 
 
 def plan_p2(n: int) -> Chain:
@@ -143,13 +163,13 @@ def _quadric_level(n: int) -> int:
 def _quadric_next(n: int) -> tuple[LinkMove, ...]:
     if n == 2:
         return (
-            LinkMove(BILIAISON, 2, 2, quadric_family(1, "ii"), h=0,
+            LinkMove(BILIAISON, 2, 2, _memo(_quadric_carrier, 1, "ii"), h=0,
                      note="slide along the twisted cubic onto a ruling line"),
             LinkMove(BILIAISON, 2, 1, quadric_ruling_line(), h=1,
                      note="points repositioned onto the line"),
         )
     a = _quadric_level(n)
-    carrier = quadric_family(a, "i" if n <= a * a + 2 * a else "ii")
+    carrier = _memo(_quadric_carrier, a, "i" if n <= a * a + 2 * a else "ii")
     return (LinkMove(BILIAISON, n, n - carrier.d, carrier, None, 1),)
 
 
@@ -214,9 +234,35 @@ def _cubic_cap(n_max: int) -> int:
     return 3 * a * (a + 1) // 2 - 1
 
 
-def _cubic_next(n: int) -> tuple[LinkMove]:
-    nxt, m, kind, a = _CUBIC_EXCEPTIONS.get(n) or _cubic_range_move(n)
-    return (LinkMove(LIAISON, n, nxt, cubic_surface_type(kind, a), m),)
+def _cubic_next(n: int) -> tuple[LinkMove, ...]:
+    """The moves from n: one move, except that a move from ranges D and E
+    of a level back into them starts a run, the moves that stay in D and
+    E up to and including the one that leaves them.  Every move of a run
+    is the one ``_cubic_range_move`` gives its count, and the run's moves
+    share its two carriers, of type iv and type ii at the level, each
+    built once.  The run spirals out from its start, so it visits a
+    count at most once; it is still cut at |D u E| = a - 1 moves."""
+    exception = _CUBIC_EXCEPTIONS.get(n)
+    if exception is not None:
+        nxt, m, kind, a = exception
+        return (LinkMove(LIAISON, n, nxt, _memo(_cubic_carrier, a, kind), m),)
+    nxt, m, kind, a = _cubic_range_move(n)
+    move = LinkMove(LIAISON, n, nxt, _memo(_cubic_carrier, a, kind), m)
+    lo = 3 * a * (a - 1) // 2 + a + 2  # the bottom of range D
+    hi = lo + a - 2  # the top of range E
+    if not (lo <= n <= hi and lo <= nxt <= hi):
+        return (move,)
+    carriers = {kind: move.carrier}
+    run = [move]
+    for _ in range(a - 2):
+        n = nxt
+        nxt, m, kind, _ = _cubic_range_move(n)
+        if kind not in carriers:
+            carriers[kind] = _memo(_cubic_carrier, a, kind)
+        run.append(LinkMove(LIAISON, n, nxt, carriers[kind], m))
+        if not lo <= nxt <= hi:
+            break
+    return tuple(run)
 
 
 def plan_cubic(n: int) -> Chain:
@@ -312,9 +358,14 @@ def _candidates(space: str, carrier, n: int, lo: int, hi: int):
 
 
 def _admits(space: str, kind: str, n: int, n_to: int, carrier, param: int) -> bool:
-    """True when the space's rule for the kind admits the move n -> n_to."""
+    """True when the space's rule for the kind admits the move n -> n_to:
+    by its one-expression verdict when it has one, as in validate_chain."""
+    rule = _RULES[space][kind]
+    holds = _HOLDS.get(rule)
+    if holds is not None and holds(n, n_to, carrier, param, ""):
+        return True
     try:
-        _RULES[space][kind](space, n, n_to, carrier, param, "")
+        rule(space, n, n_to, carrier, param, "")
         return True
     except InvalidMove:
         return False

@@ -297,10 +297,10 @@ class TestCertificate:
         # g0 + 1 leaves every (3a^2 - g1*a + g0 + 1) // 2 unchanged, so
         # only the comparison of the undivided 2g finds it.
         kind, base, drop, g1, g0 = catalog._CUBIC_BASES[2]
-        row = catalog._cubic_kind(kind, base, drop, g1, g0 + 1)
-        for a in (1, 2, 3):
-            assert catalog._cubic_carrier(row, a) == cubic_surface_type(kind, a)
-        monkeypatch.setitem(catalog._CUBIC_KINDS, kind, row)
+        recorded = [catalog._cubic_carrier(a, kind) for a in (1, 2, 3)]
+        monkeypatch.setitem(catalog._CUBIC_KINDS, kind,
+                            catalog._cubic_kind(kind, base, drop, g1, g0 + 1))
+        assert [catalog._cubic_carrier(a, kind) for a in (1, 2, 3)] == recorded
         with pytest.raises(ValueError, match="^cubic type iii at a = 1: formula d = 3, g = 0, 2g = 1;"):
             catalog._certify()
 
@@ -368,10 +368,9 @@ class TestCurveFamilyValidation:
             check(self)
 
         monkeypatch.setattr(CurveFamily, "__post_init__", counted)
-        for constructor in (cubic_surface_type, quadric_family):
-            constructor.cache_clear()
-        plan("cubic-surface", 10**6)
-        assert cubic_surface_type.cache_info().misses > 100
+        catalog._MEMO.clear()
+        chain = plan("cubic-surface", 10**6)
+        assert len({id(step.carrier) for step in chain.steps}) > 100
         assert checks == []
         built = [cubic_surface_type(kind, a) for kind in ("i", "ii", "iii", "iv")
                  for a in [*range(1, 51), 10**6, 10**12]]
@@ -390,11 +389,19 @@ class TestCurveFamilyValidation:
         assert len(checks) == len(built)
 
     def test_carrier_caches_are_bounded(self):
-        for fn in (cubic_surface_type, quadric_family, plane_curve_family):
-            assert fn.cache_info().maxsize == 1024
+        # The memo keeps the carriers of parameter below 256 and no other.
+        catalog._MEMO.clear()
         for a in range(1, 1200):
             cubic_surface_type("iii", a)
-        assert cubic_surface_type.cache_info().currsize == 1024
+            quadric_family(a, "ii")
+            plane_curve_family(a)
+        assert len(catalog._MEMO) == 3 * 255
+        assert {a for _, a, *_ in catalog._MEMO} == set(range(1, catalog._MEMO_BELOW))
+        for make in (lambda a: cubic_surface_type("iii", a), lambda a: quadric_family(a, "ii"),
+                     plane_curve_family):
+            assert make(255) is make(255)
+            assert make(256) is not make(256) and make(256) == make(256)
+        assert len(catalog._MEMO) == 3 * 255
         assert cubic_surface_type("iii", 1).dg == (3, 0)
 
     @pytest.mark.parametrize("make, value", [

@@ -41,6 +41,16 @@ class TestHVectorValidation:
         with pytest.raises(TypeError):
             HVector(entries, 3)
 
+    @pytest.mark.parametrize("entries, message", [
+        ((True, 2, 1), "entry 0 must be int, got bool"),
+        ((1, 2, True), "entry 2 must be int, got bool"),
+        ((1, 3.0), "entry 1 must be int, got float"),
+        (("1", "2"), "entry 0 must be int, got str"),
+    ])
+    def test_a_bad_entry_is_named_by_position(self, entries, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            HVector(entries, 2)
+
     def test_codim_guard(self):
         with pytest.raises(InvalidHVector):
             HVector((1, 1), 4)

@@ -9,7 +9,8 @@ import tracemalloc
 
 import pytest
 
-from glicci.catalog import cubic_surface_type, plane_curve_family, quadric_family
+from glicci import catalog
+from glicci.catalog import cubic_surface_type, plane_curve_family
 from glicci.errors import InvalidMove
 from glicci.moves import BILIAISON, LinkMove
 from glicci.planner import _walk, plan
@@ -17,22 +18,33 @@ from glicci.planner import _walk, plan
 # Traced bytes per step of plan("cubic-surface", 10**7): 622 when the
 # walk kept a set of every count it left and each carrier built seven
 # coefficient integers, about 465 with the constant-memory guard and
-# shared coefficients (443-465 on Python 3.10-3.13).
+# shared coefficients (443-465 on Python 3.10-3.13), and about 442 (421
+# on Python 3.10) since no LRU keeps the last 1024 carriers.  At
+# 99999989 the walk starts with a run of 6,466 moves in the spiral of
+# ranges D and E; with the run's two carriers shared it holds about 455
+# bytes per step, and about 569 when the spiral builds a carrier per move.
 CUBIC_BYTES_PER_STEP = 520
 
 
-def test_deep_cubic_plan_peak_bytes_per_step():
-    for constructor in (cubic_surface_type, quadric_family, plane_curve_family):
-        constructor.cache_clear()
+def _traced_bytes_per_step(space, n, steps):
+    catalog._MEMO.clear()
     gc.collect()
     tracemalloc.start()
     try:
-        chain = plan("cubic-surface", 10**7)
+        chain = plan(space, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(chain.steps) == 7572
-    assert peak / len(chain.steps) <= CUBIC_BYTES_PER_STEP
+    assert len(chain.steps) == steps
+    return peak / steps
+
+
+def test_deep_cubic_plan_peak_bytes_per_step():
+    assert _traced_bytes_per_step("cubic-surface", 10**7, 7572) <= CUBIC_BYTES_PER_STEP
+
+
+def test_spiral_runs_share_their_carriers_in_memory():
+    assert _traced_bytes_per_step("cubic-surface", 99999989, 22794) <= CUBIC_BYTES_PER_STEP
 
 
 @pytest.mark.parametrize("kind", ["i", "ii", "iii", "iv"])

@@ -14,13 +14,22 @@ admissible move.
 """
 
 import hashlib
+from itertools import product
 
 import pytest
 from oracles import _accepts, _carriers, move_graph_edges
 
+from glicci.catalog import _trusted
 from glicci.errors import InvalidMove
-from glicci.moves import _RULES, BILIAISON, LIAISON, Chain, LinkMove
-from glicci.planner import SPACES, build_oracle, p3_descending_moves, plan
+from glicci.moves import _HOLDS, _RULES, BILIAISON, LIAISON, Chain, LinkMove
+from glicci.planner import (
+    _BY_SPACE,
+    SPACES,
+    _candidates,
+    build_oracle,
+    p3_descending_moves,
+    plan,
+)
 
 # (space, n_max, cap, edge count, reachable runs, SHA-256 of the edges
 # "u v" with u < v, one per line in sorted order).
@@ -210,15 +219,19 @@ def test_descending_moves_digest():
 
 def test_candidates_are_tested_without_building_records(monkeypatch):
     built = []
+    new_move, init_chain = LinkMove.__new__, Chain.__init__
 
-    def counting(init):
-        def __init__(self, *args, **kwargs):
-            built.append(type(self).__name__)
-            init(self, *args, **kwargs)
-        return __init__
+    def counted_move(cls, *args, **kwargs):
+        built.append("LinkMove")
+        return new_move(cls, *args, **kwargs)
 
-    for cls in (LinkMove, Chain):
-        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    def counted_chain(self, *args, **kwargs):
+        built.append("Chain")
+        init_chain(self, *args, **kwargs)
+
+    # LinkMove is built in __new__, Chain in __init__.
+    monkeypatch.setattr(LinkMove, "__new__", counted_move)
+    monkeypatch.setattr(Chain, "__init__", counted_chain)
     build_oracle("p2", 60)
     p3_descending_moves(12)
     assert built == []
@@ -268,3 +281,49 @@ def test_kinds_outside_the_table_are_never_admitted(space, kind):
                         n_to = n - param * carrier.d
                         move = LinkMove(BILIAISON, n, n_to, carrier, None, param, note)
                     assert not _accepts(space, n, move), move
+
+
+def _raises_nothing(rule, space, *move):
+    try:
+        rule(space, *move)
+    except InvalidMove:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("space, n_max", [
+    (space, n_max) for space, n_max, _ in ACCEPTANCE_DIGESTS if space != "p3"
+])
+def test_one_expression_verdict_is_the_full_check(space, n_max):
+    # Every candidate move of the oracle at the acceptance caps, and its
+    # neighbours: either end and the parameter one off (both ends one
+    # off keeps a drop or a total and moves only the window), the
+    # heights 0 and -1, the carrier without its linear-system dimension,
+    # each with and without a repositioning note.  validate_chain calls
+    # the full check only where the one-expression verdict is False.
+    _, cap_of, carriers, _ = _BY_SPACE[space]
+    cap = cap_of(n_max)
+    verdicts = {True: 0, False: 0}
+    for carrier, holds in carriers():
+        if carrier.g > cap:
+            break
+        bare = _trusted(carrier.ambient, carrier.d, carrier.g, None, carrier.divisor,
+                        carrier.surface, carrier.label)
+        lo, hi = max(carrier.g, 1), min(holds, cap)
+        for n in range(lo, hi + 1):
+            for kind, param, n_to in _candidates(space, carrier, n, lo, hi):
+                rule = _RULES[space][kind]
+                verdict_of = _HOLDS[rule]
+                params = {param - 1, param, param + 1}
+                if kind == BILIAISON:
+                    params |= {0, -1}
+                for on in (carrier, bare):
+                    for frm, to in product((n - 1, n, n + 1), (n_to - 1, n_to, n_to + 1)):
+                        for p in params:
+                            for note in ("", "repositioned"):
+                                move = (frm, to, on, p, note)
+                                verdict = verdict_of(*move)
+                                assert type(verdict) is bool
+                                assert verdict == _raises_nothing(rule, space, *move), move
+                                verdicts[verdict] += 1
+    assert min(verdicts.values()) > 1000, verdicts

@@ -64,6 +64,17 @@ class TestDivisorClass:
         with pytest.raises(TypeError):
             DivisorClass(coeffs)
 
+    @pytest.mark.parametrize("coeffs, message", [
+        ((True, 2), "coefficient 0 must be int, got bool"),
+        ((3, False), "coefficient 1 must be int, got bool"),
+        ((1, 2.0), "coefficient 1 must be int, got float"),
+        (("3", 4), "coefficient 0 must be int, got str"),
+        ((1, 2, None), "coefficient 2 must be int, got NoneType"),
+    ])
+    def test_a_bad_coefficient_is_named_by_position(self, coeffs, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            DivisorClass(coeffs)
+
     def test_parse_with_matching_rank(self):
         assert DivisorClass.parse("6;2^3,1^7", rank=11) == DivisorClass.parse("6;2^3,1^7")
         assert DivisorClass.parse("7", rank=1).coeffs == (7,)

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from glicci.moves import BILIAISON, LIAISON, Chain, LinkMove, validate_chain
 from glicci.planner import (
     P3_GUARANTEED_MAX,
     _cubic_level,
+    _cubic_next,
     _cubic_range_move,
     _plane_degree,
     _quadric_level,
@@ -167,6 +170,40 @@ class TestPlanCubic:
         got = {n: _cubic_range_move(n) for n in range(n0 + a + 2, n0 + 2 * a + 1)}
         assert got == {n: (*move, a) for n, move in expected.items()}
 
+    @pytest.mark.parametrize("a", [*range(4, 61), 1000, 1001, 4097, 8165, 8166])
+    def test_spiral_run_is_the_one_step_moves_on_two_carriers(self, a):
+        # From a count in ranges D and E, _cubic_next gives the moves that
+        # one-step classification gives until the count leaves D and E.
+        n0 = 3 * a * (a - 1) // 2
+        lo, hi = n0 + a + 2, n0 + 2 * a
+        one_step = {n: _cubic_range_move(n) for n in range(lo, hi + 1)}
+        carriers = {kind: cubic_surface_type(kind, a) for kind in ("ii", "iv")}
+        starts = range(lo, hi + 1)
+        if a > 1001:
+            # A run from the middle holds about a moves; from every count
+            # the runs hold about a^2 / 4, so sample these three levels:
+            # both ends, where runs are short, and every 256th count.
+            starts = sorted({*range(lo, lo + 32), *range(lo, hi + 1, 256), *range(hi - 31, hi + 1)})
+        for start in starts:
+            run = _cubic_next(start)
+            expected, n = [], start
+            while lo <= n <= hi:
+                nxt, m, kind, level = one_step[n]
+                expected.append((n, nxt, m, kind, level))
+                n = nxt
+            assert [(s.n_from, s.n_to, s.m, s.carrier.label[5:], a) for s in run] == expected
+            assert all(s.kind == LIAISON and s.carrier == carriers[s.carrier.label[5:]]
+                       for s in run)
+            assert len({id(s.carrier) for s in run}) == min(len(run), 2)
+
+    def test_spiral_run_walks_the_whole_spiral(self):
+        # At 99999989 the walk starts in range D of level 8165 and spirals
+        # out in one run of 6466 moves on two carrier objects.
+        run = _cubic_next(99999989)
+        assert len(run) == 6466
+        assert len({id(s.carrier) for s in run}) == 2
+        assert plan_cubic(99999989).steps[:6466] == run
+
     @pytest.mark.parametrize("a", [*range(4, 41), 997])
     def test_ranges_tile_each_level(self, a):
         for n in range(3 * a * (a - 1) // 2, 3 * a * (a + 1) // 2):
@@ -282,6 +319,37 @@ class TestWalk:
         with pytest.raises(InvalidMove, match=f"p2 walk from {n} returns to {repeat}"):
             _walk("p2", n, next_moves)
         assert len(calls) == hops
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, enabled):
+        # The walk pauses the cyclic collector and restores the caller's
+        # state on success and on each error, also when it was off.
+        line = plane_curve_family(1)
+        seen = []
+
+        def cycling(cur):
+            seen.append(gc.isenabled())
+            return (LinkMove(BILIAISON, cur, cur, line, h=0, note="stay"),)
+
+        calls = [
+            (lambda: plan("cubic-surface", 99999989), None),
+            (lambda: plan("p3", 20), OutOfGuaranteedRange),
+            (lambda: plan("p2", 0), DegreeTooSmall),
+            (lambda: _walk("p2", 10, cycling), InvalidMove),
+        ]
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for call, error in calls:
+                if error is None:
+                    call()
+                else:
+                    with pytest.raises(error):
+                        call()
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
 
 
 class TestOracle:
