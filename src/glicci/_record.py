@@ -46,8 +46,8 @@ def draft(cls: type[Record]) -> type[Record]:
     """A class with the slots of ``cls``, a direct subclass of
     :class:`Record`, whose instances take plain assignment.
 
-    A hot constructor takes ``object.__new__`` of the draft, assigns
-    every field and then sets ``__class__`` to ``cls``.  Both classes lay
+    A hot constructor calls the draft (cheaper than ``object.__new__``),
+    assigns every field and then sets ``__class__`` to ``cls``.  Both classes lay
     out the same slots on the same base, so Python allows the switch, and
     the object is a ``cls`` record, immutable, from then on.  A plain
     slot store costs about half a call to the slot descriptor's

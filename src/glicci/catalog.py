@@ -16,9 +16,9 @@ the two genus coefficients in g = (3a^2 - g1*a + g0)/2 and its label.
 The carrier at parameter a has class B + k*H with k = a - 1.  Since
 H = (3; 1^6), that class is (b_0 + 3k; b_1 + k, ..., b_6 + k).  The tail
 coefficients b_i of each B lie within three consecutive integers from
-low = min b_i, so the tail is picked from low + k, low + k + 1 and
-low + k + 2: a carrier holds one integer object per distinct coefficient
-rather than seven.
+low = min b_i, so one ``itemgetter`` per kind picks the whole class out
+of (b_0 + 3k, low + k, low + k + 1, low + k + 2): a carrier holds one
+integer object per distinct coefficient rather than seven.
 
 The (d, g) formulas of ``cubic_surface_type``, ``quadric_family`` and
 ``quadric_ruling_line`` are certified once, at import, by ``_certify``:
@@ -31,7 +31,7 @@ other ``CurveFamily(...)`` runs.  ``cubic_surface_type``,
 then build through one bounded memo, ``_memo``, which keeps every
 carrier of parameter below ``_MEMO_BELOW`` and builds larger ones
 fresh; the planner, whose arguments are ints it computed, calls
-``_memo`` directly.
+``_memo`` below ``_MEMO_BELOW`` and the unchecked builders above.
 
 The registry is built once at import time and never mutated.  The memo
 only grows, up to its bound, and a carrier it returns equals the one
@@ -201,7 +201,6 @@ class CurveFamily(Record):
         return f"({self.d},{self.g}){tag}"
 
 
-_new = object.__new__
 _ClassDraft = draft(DivisorClass)
 _FamilyDraft = draft(CurveFamily)
 
@@ -209,7 +208,7 @@ _FamilyDraft = draft(CurveFamily)
 def _class(coeffs: tuple[int, ...]) -> DivisorClass:
     """``DivisorClass(coeffs)`` without its per-coefficient check, for a
     tuple the caller built from ints."""
-    divisor = _new(_ClassDraft)
+    divisor = _ClassDraft()
     divisor.coeffs = coeffs
     divisor.__class__ = DivisorClass
     return divisor
@@ -220,7 +219,7 @@ def _trusted(ambient: str, d: int, g: int, linsys_dim: int | None,
     """The carrier ``CurveFamily(...)`` would build, without its checks:
     only for fields built from ints, with a (d, g) that :func:`_certify`
     has proved for every a or no class to check (plane curves)."""
-    family = _new(_FamilyDraft)
+    family = _FamilyDraft()
     family.ambient = ambient
     family.d = d
     family.g = g
@@ -250,15 +249,17 @@ def _cubic_kind(kind: str, base: str, drop: int, g1: int, g0: int):
     low = min(tail)
     if max(tail) > low + 2:
         raise ValueError(f"type {kind}: the tail of {base} spans more than three integers")
-    return head, low, itemgetter(*(b - low for b in tail)), drop, g1, g0, f"type {kind}"
+    pick = itemgetter(0, *(b - low + 1 for b in tail))
+    return head - 3, low - 1, pick, drop, g1, g0, f"type {kind}"
 
 
 # The four ACM families on the cubic surface, generated at a = 1 by a
 # line, a conic, a twisted cubic and a plane cubic (the hyperplane
 # class) B = (b_0; b_1, ..., b_6), as (kind, B, 3a - d, g1, g0) with
 # g = (3a^2 - g1*a + g0) / 2.  ``_CUBIC_KINDS`` maps each kind to
-# (b_0, low = min b_i, the picker of each b_i + k from the three integers
-# low + k, low + k + 1, low + k + 2, 3a - d, g1, g0, label).
+# (head0, low0, the picker of the class from (head0 + 3a, low0 + a,
+# low0 + a + 1, low0 + a + 2), 3a - d, g1, g0, label), where head0 = b_0 - 3
+# and low0 = min b_i - 1 are those of B + (a - 1)H at a = 0.
 _CUBIC_BASES = (
     ("i", "0;0^5,-1", 2, 7, 4),
     ("ii", "1;1,0^5", 1, 5, 2),
@@ -269,11 +270,12 @@ _CUBIC_KINDS = {spec[0]: _cubic_kind(*spec) for spec in _CUBIC_BASES}
 
 
 def _cubic_carrier(a: int, kind: str) -> CurveFamily:
-    head, low, pick_tail, drop, g1, g0, label = _CUBIC_KINDS[kind]
-    d, g = 3 * a - drop, (3 * a * a - g1 * a + g0) // 2
-    k = a - 1
-    c = low + k
-    divisor = _class((head + 3 * k,) + pick_tail((c, c + 1, c + 2)))
+    """The kind's carrier at a, unchecked; its class is picked from four ints."""
+    head0, low0, pick, drop, g1, g0, label = _CUBIC_KINDS[kind]
+    three_a = 3 * a
+    d, g = three_a - drop, (a * (three_a - g1) + g0) // 2
+    c = low0 + a
+    divisor = _class(pick((head0 + three_a, c, c + 1, c + 2)))
     return _trusted("p3-cubic", d, g, d + g - 1, divisor, "cubic", label)
 
 
@@ -301,7 +303,7 @@ def cubic_surface_type(kind: str, a: int) -> CurveFamily:
 
 
 def _quadric_carrier(a: int, case: str) -> CurveFamily:
-    # Bidegree (a, b): degree a + b, genus (a-1)(b-1), dimension ab + a + b.
+    """Bidegree (a, b), unchecked: degree a + b, genus (a-1)(b-1), dimension ab + a + b."""
     b = a if case == "i" else a + 1
     return _trusted("p3-quadric", a + b, (a - 1) * (b - 1), a * b + a + b,
                     _class((a, b)), "quadric", f"bidegree ({a}, {b})")
@@ -364,6 +366,7 @@ _certify()
 
 
 def _plane_carrier(d: int, ambient: str) -> CurveFamily:
+    """Plane curves of degree d in ``ambient``, unchecked (they carry no class)."""
     return _trusted(ambient, d, (d - 1) * (d - 2) // 2, d * (d + 3) // 2,
                     None, None, f"plane curve of degree {d}")
 

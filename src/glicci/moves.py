@@ -88,16 +88,7 @@ class LinkMove(Record):
                 raise InvalidMove("biliaison move needs its height h")
         else:
             raise InvalidMove(f"unknown move kind {kind!r}")
-        move = _new(_MoveDraft)
-        move.kind = kind
-        move.n_from = n_from
-        move.n_to = n_to
-        move.carrier = carrier
-        move.m = m
-        move.h = h
-        move.note = note
-        move.__class__ = cls
-        return move
+        return _move(kind, n_from, n_to, carrier, m, h, note)
 
     @property
     def ascending(self) -> bool:
@@ -114,8 +105,23 @@ class LinkMove(Record):
         return f"[bil h={self.h} on ({d},{g})]"
 
 
-_new = object.__new__
 _MoveDraft = draft(LinkMove)
+
+
+def _move(kind: str, n_from: int, n_to: int, carrier: CurveFamily, m: int | None,
+          h: int | None, note: str) -> LinkMove:
+    """``LinkMove(...)`` without its checks, for the planner's moves from
+    ints it computed: the counterpart of ``catalog._trusted``."""
+    move = _MoveDraft()
+    move.kind = kind
+    move.n_from = n_from
+    move.n_to = n_to
+    move.carrier = carrier
+    move.m = m
+    move.h = h
+    move.note = note
+    move.__class__ = LinkMove
+    return move
 
 
 class Chain(Record):
@@ -385,26 +391,28 @@ _HOLDS = {_plane_biliaison: _plane_biliaison_holds, _cubic_liaison: _cubic_liais
 def validate_chain(chain: Chain) -> None:
     """Replay a chain step by step; raises InvalidMove on the first
     inconsistency (a start below one, an unknown space, a step that is
-    not a LinkMove, broken linkage or an inadmissible move).  A step
-    whose rule has a one-expression verdict (``_HOLDS``) that admits it
-    costs one call; otherwise the rule itself runs."""
+    not a LinkMove, broken linkage or an inadmissible move).  Each kind's
+    rule and one-expression verdict (``_HOLDS``) are looked up once; a
+    step the verdict admits costs one call, otherwise the rule runs."""
     if chain.start < 1:
         raise InvalidMove(f"chains start at a positive count, got {chain.start}")
     space = chain.space
     rules = _RULES.get(space)
     if rules is None:
         raise InvalidMove(f"unknown space {space!r}")
+    checks = {kind: (rule, _HOLDS.get(rule)) for kind, rule in rules.items()}
     cur = chain.start
     for index, step in enumerate(chain.steps):
         if type(step) is not LinkMove:
             raise InvalidMove(f"step {index}: expected a LinkMove, got {type(step).__name__}")
         if step.n_from != cur:
             raise InvalidMove(f"step starts at {step.n_from} but the chain sits at {cur}")
-        rule = rules.get(step.kind)
-        if rule is None:
-            raise InvalidMove(f"{space} chains use no {step.kind} moves")
-        param = step.m if step.kind == LIAISON else step.h
-        holds = _HOLDS.get(rule)
+        kind = step.kind
+        check = checks.get(kind)
+        if check is None:
+            raise InvalidMove(f"{space} chains use no {kind} moves")
+        rule, holds = check
+        param = step.m if kind == LIAISON else step.h
         if holds is None or not holds(cur, step.n_to, step.carrier, param, step.note):
             rule(space, cur, step.n_to, step.carrier, param, step.note)
         cur = step.n_to

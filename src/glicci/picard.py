@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from operator import add, index, mul, sub
+from operator import add, mul, sub
 
 from ._record import Record, int_entries
 from .errors import AbstractSurface, NonIntegralGenus, RankMismatch
@@ -147,7 +147,8 @@ class SurfaceModel(Record):
 
     ``degree`` and ``sectional_genus`` are declared by the caller and
     cross-checked on construction: degree must equal H.H and the
-    sectional genus must satisfy adjunction, 2*pi - 2 = H.H + H.K.
+    sectional genus must satisfy adjunction, 2*pi - 2 = H.H + H.K.  A
+    Gram entry that is not an int raises ``TypeError`` naming it.
     """
 
     _fields = ("name", "gram", "H", "K", "ambient_dim", "degree", "sectional_genus",
@@ -158,7 +159,7 @@ class SurfaceModel(Record):
     def __init__(self, name: str, gram: tuple[tuple[int, ...], ...], H: DivisorClass,
                  K: DivisorClass, ambient_dim: int, degree: int, sectional_genus: int,
                  euler_char: int | None = None):
-        gram = tuple(tuple(map(index, row)) for row in gram)
+        gram = tuple(int_entries(row, f"gram row {i} entry") for i, row in enumerate(gram))
         for field, value in zip(self._fields, (name, gram, H, K, ambient_dim, degree,
                                                sectional_genus, euler_char)):
             object.__setattr__(self, field, value)

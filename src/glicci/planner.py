@@ -1,9 +1,10 @@
 """Reduction planners: validated chains from n general points down to one.
 
-Every planner is the same walk.  Each ambient supplies only a next-hop
-function ``next_moves(n)``, the tuple of moves that leaves n points, and
-``_walk`` follows it from n down to one point and validates the whole
-chain move by move:
+Every planner is the same walk.  Each ambient supplies only a generator
+of next hops, ``hops(n)``, which yields one move at a time from n points
+until the count reaches one, building each move with the unchecked
+``moves._move`` from ints it computed; ``_walk`` runs the one loop over
+it, guards it against cycles and validates the whole chain once:
 
   * p2: one ascending biliaison on plane curves of the least degree
     that holds the points, except that 2 and 4 points drop by height 1
@@ -14,7 +15,8 @@ chain move by move:
   * cubic surface: one strict liaison by m*H - K on the four ACM
     families, in closed form on the six ranges of each level, with
     literal moves at n in {2, 3, 5, 6} where the recorded chain leaves
-    the formula;
+    the formula; the carriers of the current level are built once per
+    kind and shared until the walk leaves the level;
   * p3: a height-1 biliaison on the least-degree row of the
     general-points table that holds the points, except for the liaisons
     by 5H - K at n = 17 and 19; total for n <= 19 and a typed open-case
@@ -24,7 +26,7 @@ Every next hop is a formula in n; the levels and the cubic spiral are
 closed forms.  The reachability oracle lists the candidate moves on
 every carrier of a space, keeps exactly those the space's step rules
 admit and runs the one breadth-first search, ``_bfs``; it never calls
-the next-hop functions, so it checks the planners independently.
+the next-hop generators, so it checks the planners independently.
 ``p3_descending_moves`` is the same listing from one n.
 
 Planners are pure functions of n; identical inputs give identical
@@ -39,6 +41,7 @@ from math import isqrt
 
 from ._record import Record
 from .catalog import (
+    _MEMO_BELOW,
     _check_int,
     _cubic_carrier,
     _memo,
@@ -59,6 +62,7 @@ from .moves import (
     LIAISON,
     Chain,
     LinkMove,
+    _move,
     validate_chain,
 )
 
@@ -71,18 +75,19 @@ def _check_n(n: int) -> None:
         raise DegreeTooSmall(f"need at least one point, got {n}")
 
 
-def _walk(space: str, n: int, next_moves) -> Chain:
-    """Follow ``next_moves`` from n points down to one and validate the
-    chain.  A walk that comes back to a count it has left raises
-    :class:`InvalidMove` instead of looping.
+def _walk(space: str, n: int, hops) -> Chain:
+    """Follow the moves that ``hops(n)`` yields from n points down to one
+    and validate the chain.  A walk that comes back to a count it has
+    left raises :class:`InvalidMove` instead of looping.
 
     The guard is Brent's cycle check and holds one remembered count,
     ``mark``, whatever the length of the walk.  Each new count is
-    compared with the mark; whenever the hops since the mark last moved
+    compared with the mark; whenever the moves since the mark last moved
     reach a power of two, the mark moves to the current count and the
     power doubles.  A repeated count is caught within fewer than
-    3 * (tail + cycle length) hops, and only a count that really comes
-    back raises.
+    3 * (tail + cycle length) moves, and only a count that really comes
+    back raises.  A move may keep the count once, as the quadric's slide
+    2 -> 2 does before its 2 -> 1; a second such move in a row raises.
 
     The cyclic garbage collector is paused while the walk runs, and
     turned back on afterwards if it was on, however the walk ends.  A
@@ -97,16 +102,17 @@ def _walk(space: str, n: int, next_moves) -> Chain:
     try:
         steps: list[LinkMove] = []
         cur = mark = n
-        power = hops = 1
-        while cur > 1:
-            moves = next_moves(cur)
-            steps.extend(moves)
-            cur = moves[-1].n_to
-            if cur == mark:
+        power = hop = 1
+        stayed = False
+        for move in hops(n):
+            steps.append(move)
+            last, cur = cur, move.n_to
+            if cur == mark and (stayed or cur != last):
                 raise InvalidMove(f"{space} walk from {n} returns to {cur}")
-            if hops == power:
-                mark, power, hops = cur, 2 * power, 0
-            hops += 1
+            stayed = cur == last
+            if hop == power:
+                mark, power, hop = cur, 2 * power, 0
+            hop += 1
         chain = Chain(space, n, tuple(steps))
         validate_chain(chain)
     finally:
@@ -134,14 +140,18 @@ def _plane_degree(n: int) -> int:
     return (isqrt(8 * n + 5) - 1) // 2
 
 
-def _p2_next(n: int) -> tuple[LinkMove]:
-    if n in (2, 4):
-        # The formula's height 2 would drop to 0 points: one line, one conic.
-        d, h = n // 2, 1
-    else:
-        d = _plane_degree(n)
-        h = 1 if n == (d - 1) * (d + 2) // 2 + 1 else 2
-    return (LinkMove(BILIAISON, n, n - h * d, _memo(_plane_carrier, d, "p2"), None, h),)
+def _p2_hops(n: int):
+    while n > 1:
+        if n in (2, 4):
+            # The formula's height 2 would drop to 0 points: one line, one conic.
+            d, h = n // 2, 1
+        else:
+            d = _plane_degree(n)
+            h = 1 if n == (d - 1) * (d + 2) // 2 + 1 else 2
+        carrier = _plane_carrier(d, "p2") if d >= _MEMO_BELOW else _memo(_plane_carrier, d, "p2")
+        nxt = n - h * d
+        yield _move(BILIAISON, n, nxt, carrier, None, h, "")
+        n = nxt
 
 
 def plan_p2(n: int) -> Chain:
@@ -149,7 +159,7 @@ def plan_p2(n: int) -> Chain:
     biliaisons on plane curves.  For n >= 6 the carrier has the least
     degree d whose curves can hold the points, and the height is 1
     exactly when n sits just above the previous range."""
-    return _walk("p2", n, _p2_next)
+    return _walk("p2", n, _p2_hops)
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +170,20 @@ def _quadric_level(n: int) -> int:
     return (isqrt(4 * n + 1) - 1) // 2
 
 
-def _quadric_next(n: int) -> tuple[LinkMove, ...]:
+def _quadric_hops(n: int):
+    while n > 2:
+        a = _quadric_level(n)
+        case = "i" if n <= a * (a + 2) else "ii"
+        carrier = (_quadric_carrier(a, case) if a >= _MEMO_BELOW
+                   else _memo(_quadric_carrier, a, case))
+        nxt = n - carrier.d
+        yield _move(BILIAISON, n, nxt, carrier, None, 1, "")
+        n = nxt
     if n == 2:
-        return (
-            LinkMove(BILIAISON, 2, 2, _memo(_quadric_carrier, 1, "ii"), h=0,
-                     note="slide along the twisted cubic onto a ruling line"),
-            LinkMove(BILIAISON, 2, 1, quadric_ruling_line(), h=1,
-                     note="points repositioned onto the line"),
-        )
-    a = _quadric_level(n)
-    carrier = _memo(_quadric_carrier, a, "i" if n <= a * a + 2 * a else "ii")
-    return (LinkMove(BILIAISON, n, n - carrier.d, carrier, None, 1),)
+        yield _move(BILIAISON, 2, 2, _memo(_quadric_carrier, 1, "ii"), None, 0,
+                    "slide along the twisted cubic onto a ruling line")
+        yield _move(BILIAISON, 2, 1, quadric_ruling_line(), None, 1,
+                    "points repositioned onto the line")
 
 
 def plan_quadric(n: int) -> Chain:
@@ -178,7 +191,7 @@ def plan_quadric(n: int) -> Chain:
     point by ascending biliaisons on its two ACM families.  The n = 2
     base case slides the points along a twisted cubic (a height-0
     biliaison) onto a ruling line first."""
-    return _walk("quadric", n, _quadric_next)
+    return _walk("quadric", n, _quadric_hops)
 
 
 # ---------------------------------------------------------------------------
@@ -202,30 +215,29 @@ def _cubic_level(n: int) -> int:
     return (isqrt(24 * n + 9) + 3) // 6
 
 
-def _cubic_range_move(n: int) -> tuple[int, int, str, int]:
-    """The single outgoing move (target, m, kind, a) for n = 4 and
-    n >= 7.
+def _cubic_range_move(n: int, a: int, n0: int) -> tuple[int, int, str]:
+    """The single outgoing move (target, m, kind) for n = 4 and n >= 7,
+    from level a = _cubic_level(n), whose counts start at
+    n0 = 3a(a-1)/2.
 
-    With n = n0 + t at level a (n0 = 3a(a-1)/2), the offsets t fall in
-    six ranges.  In ranges D and E (a+2 <= t <= 2a) the two liaisons of
-    twist 2a-1 with totals T = 2n0+3a (type iv) and T+1 (type ii)
-    spiral out from the middle of D: values above T/2 take type iv and
-    the rest type ii, so the walk leaves D through E."""
-    a = _cubic_level(n)
-    n0 = 3 * a * (a - 1) // 2
+    The offsets t = n - n0 fall in six ranges.  In ranges D and E
+    (a+2 <= t <= 2a) the two liaisons of twist 2a-1 with totals
+    T = 2n0+3a (type iv) and T+1 (type ii) spiral out from the middle of
+    D: values above T/2 take type iv and the rest type ii, so the walk
+    leaves D through E."""
     t = n - n0
     total = 2 * n0 + 3 * a
     if t in (1, 2):
-        return total - n, 2 * a - 1, "iv", a
+        return total - n, 2 * a - 1, "iv"
     if t < a:
-        return 2 * n0 + 2 - n, 2 * a - 2, "i", a
+        return 2 * n0 + 2 - n, 2 * a - 2, "i"
     if t <= a + 1:
-        return 2 * n0 + 2 - n, 2 * a - 2, "ii", a
+        return 2 * n0 + 2 - n, 2 * a - 2, "ii"
     if t <= 2 * a:
         if 2 * n > total:
-            return total - n, 2 * a - 1, "iv", a
-        return total + 1 - n, 2 * a - 1, "ii", a
-    return total + 2 - n, 2 * a - 1, "iii", a
+            return total - n, 2 * a - 1, "iv"
+        return total + 1 - n, 2 * a - 1, "ii"
+    return total + 2 - n, 2 * a - 1, "iii"
 
 
 def _cubic_cap(n_max: int) -> int:
@@ -234,35 +246,27 @@ def _cubic_cap(n_max: int) -> int:
     return 3 * a * (a + 1) // 2 - 1
 
 
-def _cubic_next(n: int) -> tuple[LinkMove, ...]:
-    """The moves from n: one move, except that a move from ranges D and E
-    of a level back into them starts a run, the moves that stay in D and
-    E up to and including the one that leaves them.  Every move of a run
-    is the one ``_cubic_range_move`` gives its count, and the run's moves
-    share its two carriers, of type iv and type ii at the level, each
-    built once.  The run spirals out from its start, so it visits a
-    count at most once; it is still cut at |D u E| = a - 1 moves."""
-    exception = _CUBIC_EXCEPTIONS.get(n)
-    if exception is not None:
-        nxt, m, kind, a = exception
-        return (LinkMove(LIAISON, n, nxt, _memo(_cubic_carrier, a, kind), m),)
-    nxt, m, kind, a = _cubic_range_move(n)
-    move = LinkMove(LIAISON, n, nxt, _memo(_cubic_carrier, a, kind), m)
-    lo = 3 * a * (a - 1) // 2 + a + 2  # the bottom of range D
-    hi = lo + a - 2  # the top of range E
-    if not (lo <= n <= hi and lo <= nxt <= hi):
-        return (move,)
-    carriers = {kind: move.carrier}
-    run = [move]
-    for _ in range(a - 2):
+def _cubic_hops(n: int):
+    """The moves from n down to one point.  The level's bounds and its
+    carriers by kind are kept until the count leaves the level, so all
+    moves from a level (its spiral through D and E too) share carriers."""
+    bottom = top = 0
+    while n > 1:
+        exception = _CUBIC_EXCEPTIONS.get(n)
+        if exception is not None:
+            nxt, m, kind, level = exception
+            carrier = _memo(_cubic_carrier, level, kind)
+        else:
+            if not bottom <= n < top:
+                a = _cubic_level(n)
+                bottom, top, carriers = 3 * a * (a - 1) // 2, 3 * a * (a + 1) // 2, {}
+            nxt, m, kind = _cubic_range_move(n, a, bottom)
+            carrier = carriers.get(kind)
+            if carrier is None:
+                carrier = carriers[kind] = (_cubic_carrier(a, kind) if a >= _MEMO_BELOW
+                                            else _memo(_cubic_carrier, a, kind))
+        yield _move(LIAISON, n, nxt, carrier, m, None, "")
         n = nxt
-        nxt, m, kind, _ = _cubic_range_move(n)
-        if kind not in carriers:
-            carriers[kind] = _memo(_cubic_carrier, a, kind)
-        run.append(LinkMove(LIAISON, n, nxt, carriers[kind], m))
-        if not lo <= nxt <= hi:
-            break
-    return tuple(run)
 
 
 def plan_cubic(n: int) -> Chain:
@@ -271,7 +275,7 @@ def plan_cubic(n: int) -> Chain:
     The six-range schedule of each level gives every link, recursing
     once a link drops below the current block, except the four literal
     links at n in {2, 3, 5, 6}."""
-    return _walk("cubic-surface", n, _cubic_next)
+    return _walk("cubic-surface", n, _cubic_hops)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +289,7 @@ P3_GUARANTEED_MAX = 19
 _P3_EXCEPTIONS = {17: (12, 5, 9, 9), 19: (11, 5, 10, 11)}
 
 
-def _p3_next(n: int) -> tuple[LinkMove]:
-    # Only a walk's start can be out of range: every move here descends.
+def _p3_hops(n: int):
     if n > P3_GUARANTEED_MAX:
         raise OutOfGuaranteedRange(
             f"{n} > {P3_GUARANTEED_MAX} general points in 3-space: no descending "
@@ -294,11 +297,15 @@ def _p3_next(n: int) -> tuple[LinkMove]:
             "only carrier is the (10,11) curve, whose moves leave a residual of "
             "degree 10 < genus 11), and the reduction question is open"
         )
-    if n in _P3_EXCEPTIONS:
-        nxt, m, d, g = _P3_EXCEPTIONS[n]
-        return (LinkMove(LIAISON, n, nxt, p3_acm_family(d, g), m),)
-    row = next(row for row in perrin_table() if n <= row.m)
-    return (LinkMove(BILIAISON, n, n - row.d, p3_acm_family(row.d, row.g), None, 1),)
+    while n > 1:
+        if n in _P3_EXCEPTIONS:
+            nxt, m, d, g = _P3_EXCEPTIONS[n]
+            yield _move(LIAISON, n, nxt, p3_acm_family(d, g), m, None, "")
+        else:
+            row = next(row for row in perrin_table() if n <= row.m)
+            nxt = n - row.d
+            yield _move(BILIAISON, n, nxt, p3_acm_family(row.d, row.g), None, 1, "")
+        n = nxt
 
 
 def plan_p3(n: int) -> Chain:
@@ -310,7 +317,7 @@ def plan_p3(n: int) -> Chain:
     move applies (the (10,11) carrier would need a residual of
     degree 10, below its genus), and whether such a set reduces at all
     is open, so the planner raises OutOfGuaranteedRange."""
-    return _walk("p3", n, _p3_next)
+    return _walk("p3", n, _p3_hops)
 
 
 # ---------------------------------------------------------------------------

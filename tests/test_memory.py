@@ -6,6 +6,8 @@ tests pin what each step costs and that nothing else grows with it.
 
 import gc
 import tracemalloc
+from itertools import cycle as cycle_of
+from itertools import islice, repeat
 
 import pytest
 
@@ -21,7 +23,7 @@ from glicci.planner import _walk, plan
 # shared coefficients (443-465 on Python 3.10-3.13), and about 442 (421
 # on Python 3.10) since no LRU keeps the last 1024 carriers.  At
 # 99999989 the walk starts with a run of 6,466 moves in the spiral of
-# ranges D and E; with the run's two carriers shared it holds about 455
+# ranges D and E; with the level's two carriers shared it holds about 455
 # bytes per step, and about 569 when the spiral builds a carrier per move.
 CUBIC_BYTES_PER_STEP = 520
 
@@ -56,23 +58,57 @@ def test_cubic_carrier_holds_one_object_per_distinct_coefficient(kind):
         assert len({id(c) for c in coeffs}) == len(set(coeffs)), (kind, a, coeffs)
 
 
+def _hops_along(pairs, yielded, limit):
+    """A hops function for _walk that yields a move on a line for each
+    (from, to) in ``pairs`` and records it, and raises RuntimeError
+    rather than hang after ``limit`` moves."""
+    line = plane_curve_family(1)
+
+    def hops(n):
+        for n_from, n_to in pairs:
+            yielded.append(n_from)
+            if len(yielded) > limit:
+                raise RuntimeError("the walk did not stop in the cycle")
+            yield LinkMove(BILIAISON, n_from, n_to, line, h=0 if n_from == n_to else 1,
+                           note="stay" if n_from == n_to else "")
+
+    return hops
+
+
 def test_walk_guard_catches_a_tail_into_a_cycle_in_time():
     # Seven counts 100..94 lead into the 5-cycle 50 -> 51 -> ... -> 54 -> 50.
-    line = plane_curve_family(1)
     hop = {100 - i: 99 - i for i in range(6)}
     hop[94] = 50
     hop.update({50 + i: 51 + i for i in range(4)})
     hop[54] = 50
     tail, cycle = 7, 5
-    calls = []
-
-    def next_moves(cur):
-        calls.append(cur)
-        if len(calls) > 10 * (tail + cycle):  # fail rather than hang
-            raise RuntimeError("the walk did not stop in the cycle")
-        return (LinkMove(BILIAISON, cur, hop[cur], line, h=1),)
-
+    pairs = [(100 - i, hop[100 - i]) for i in range(tail)]
+    pairs += islice(cycle_of([(50 + i, hop[50 + i]) for i in range(cycle)]), 1000)
+    yielded = []
     with pytest.raises(InvalidMove, match=r"^p2 walk from 100 returns to 5[0-4]$"):
-        _walk("p2", 100, next_moves)
-    assert len(calls) < 3 * (tail + cycle)
-    assert set(calls[tail:]) == {50, 51, 52, 53, 54}
+        _walk("p2", 100, _hops_along(pairs, yielded, 10 * (tail + cycle)))
+    assert len(yielded) < 3 * (tail + cycle)
+    assert set(yielded[tail:]) == {50, 51, 52, 53, 54}
+
+
+def test_walk_guard_catches_a_cycle_through_a_kept_count():
+    # Two counts lead into the cycle 50 -> 51 -> 51 -> 52 -> 50, whose
+    # second move keeps the count: a walk may keep a count once, which
+    # must not hide the cycle.
+    tail, cycle = 2, [(50, 51), (51, 51), (51, 52), (52, 50)]
+    pairs = [(100, 99), (99, 50), *islice(cycle_of(cycle), 1000)]
+    yielded = []
+    with pytest.raises(InvalidMove, match=r"^p2 walk from 100 returns to 5[0-2]$"):
+        _walk("p2", 100, _hops_along(pairs, yielded, 10 * (tail + len(cycle))))
+    assert len(yielded) < 3 * (tail + len(cycle))
+
+
+def test_walk_guard_stops_a_walk_that_keeps_its_count():
+    # The quadric's 2 -> 2 slide before its 2 -> 1 keeps the count once;
+    # a walk that keeps it again raises instead of hanging.
+    yielded = []
+    with pytest.raises(InvalidMove, match=r"^p2 walk from 7 returns to 7$"):
+        _walk("p2", 7, _hops_along(repeat((7, 7), 1000), yielded, 100))
+    assert len(yielded) == 2
+    assert plan("quadric", 2).point_sequence() == [2, 2, 1]
+    assert plan("quadric", 5).point_sequence() == [5, 2, 2, 1]

@@ -19,6 +19,7 @@ from itertools import product
 import pytest
 from oracles import _accepts, _carriers, move_graph_edges
 
+from glicci import planner
 from glicci.catalog import _trusted
 from glicci.errors import InvalidMove
 from glicci.moves import _HOLDS, _RULES, BILIAISON, LIAISON, Chain, LinkMove
@@ -219,24 +220,30 @@ def test_descending_moves_digest():
 
 def test_candidates_are_tested_without_building_records(monkeypatch):
     built = []
-    new_move, init_chain = LinkMove.__new__, Chain.__init__
+    new_move, init_chain, move = LinkMove.__new__, Chain.__init__, planner._move
 
-    def counted_move(cls, *args, **kwargs):
+    def counted_new_move(cls, *args, **kwargs):
         built.append("LinkMove")
         return new_move(cls, *args, **kwargs)
+
+    def counted_move(*args):
+        built.append("_move")
+        return move(*args)
 
     def counted_chain(self, *args, **kwargs):
         built.append("Chain")
         init_chain(self, *args, **kwargs)
 
-    # LinkMove is built in __new__, Chain in __init__.
-    monkeypatch.setattr(LinkMove, "__new__", counted_move)
+    # LinkMove is built in __new__, or by the planner through the
+    # unchecked _move; Chain in __init__.
+    monkeypatch.setattr(LinkMove, "__new__", counted_new_move)
+    monkeypatch.setattr(planner, "_move", counted_move)
     monkeypatch.setattr(Chain, "__init__", counted_chain)
     build_oracle("p2", 60)
     p3_descending_moves(12)
     assert built == []
     plan("p2", 5)
-    assert built == ["LinkMove", "Chain"]
+    assert built == ["_move", "Chain"]
 
 
 def _planner_step(space, kind):

@@ -374,6 +374,16 @@ class TestSurfaceModelValidation:
                 sectional_genus=0,
             )
 
+    @pytest.mark.parametrize("gram, message", [
+        (((True, 0), (0, -1)), "gram row 0 entry 0 must be int, got bool"),
+        (((1, 0), (0, 1.0)), "gram row 1 entry 1 must be int, got float"),
+        (((1, 0), (None, -1)), "gram row 1 entry 0 must be int, got NoneType"),
+    ])
+    def test_a_bad_gram_entry_is_named_by_position(self, gram, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            SurfaceModel(name="bad", gram=gram, H=DivisorClass((1, 0)),
+                         K=DivisorClass((-3, -1)), ambient_dim=3, degree=1, sectional_genus=0)
+
     def test_registered_surfaces_satisfy_adjunction(self):
         for name in surface_names():
             model = surface(name)

@@ -1,11 +1,20 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import cubic_spiral_walk
 
-from glicci.catalog import cubic_surface_type, plane_curve_family
+from glicci import catalog
+from glicci.catalog import (
+    CurveFamily,
+    cubic_surface_type,
+    p3_acm_family,
+    plane_curve_family,
+    quadric_family,
+    quadric_ruling_line,
+)
 from glicci.errors import (
     DegreeTooSmall,
     InvalidMove,
@@ -13,10 +22,11 @@ from glicci.errors import (
     SearchBudgetExceeded,
 )
 from glicci.moves import BILIAISON, LIAISON, Chain, LinkMove, validate_chain
+from glicci.picard import DivisorClass
 from glicci.planner import (
     P3_GUARANTEED_MAX,
+    _cubic_hops,
     _cubic_level,
-    _cubic_next,
     _cubic_range_move,
     _plane_degree,
     _quadric_level,
@@ -30,6 +40,16 @@ from glicci.planner import (
     plan_p3,
     plan_quadric,
 )
+
+
+def _spiral_run(start, lo, hi):
+    """The moves _cubic_hops yields from start while the count stays in
+    [lo, hi], up to and including the one that leaves it."""
+    run = []
+    for move in _cubic_hops(start):
+        run.append(move)
+        if not lo <= move.n_to <= hi:
+            return run
 
 
 class TestPlanP2:
@@ -167,16 +187,17 @@ class TestPlanCubic:
         expected = dict(visited)
         for n in (n0 + 2 * a - 1, n0 + 2 * a):  # range E links back by type iv
             expected[n] = (2 * n0 + 3 * a - n, 2 * a - 1, "iv")
-        got = {n: _cubic_range_move(n) for n in range(n0 + a + 2, n0 + 2 * a + 1)}
-        assert got == {n: (*move, a) for n, move in expected.items()}
+        got = {n: _cubic_range_move(n, a, n0) for n in range(n0 + a + 2, n0 + 2 * a + 1)}
+        assert got == expected
 
     @pytest.mark.parametrize("a", [*range(4, 61), 1000, 1001, 4097, 8165, 8166])
     def test_spiral_run_is_the_one_step_moves_on_two_carriers(self, a):
-        # From a count in ranges D and E, _cubic_next gives the moves that
-        # one-step classification gives until the count leaves D and E.
+        # From a count in ranges D and E, _cubic_hops yields the moves that
+        # one-step classification gives until the count leaves D and E,
+        # on the level's two carriers, each built once.
         n0 = 3 * a * (a - 1) // 2
         lo, hi = n0 + a + 2, n0 + 2 * a
-        one_step = {n: _cubic_range_move(n) for n in range(lo, hi + 1)}
+        one_step = {n: _cubic_range_move(n, a, n0) for n in range(lo, hi + 1)}
         carriers = {kind: cubic_surface_type(kind, a) for kind in ("ii", "iv")}
         starts = range(lo, hi + 1)
         if a > 1001:
@@ -185,13 +206,13 @@ class TestPlanCubic:
             # both ends, where runs are short, and every 256th count.
             starts = sorted({*range(lo, lo + 32), *range(lo, hi + 1, 256), *range(hi - 31, hi + 1)})
         for start in starts:
-            run = _cubic_next(start)
+            run = _spiral_run(start, lo, hi)
             expected, n = [], start
             while lo <= n <= hi:
-                nxt, m, kind, level = one_step[n]
-                expected.append((n, nxt, m, kind, level))
+                nxt, m, kind = one_step[n]
+                expected.append((n, nxt, m, kind))
                 n = nxt
-            assert [(s.n_from, s.n_to, s.m, s.carrier.label[5:], a) for s in run] == expected
+            assert [(s.n_from, s.n_to, s.m, s.carrier.label[5:]) for s in run] == expected
             assert all(s.kind == LIAISON and s.carrier == carriers[s.carrier.label[5:]]
                        for s in run)
             assert len({id(s.carrier) for s in run}) == min(len(run), 2)
@@ -199,16 +220,18 @@ class TestPlanCubic:
     def test_spiral_run_walks_the_whole_spiral(self):
         # At 99999989 the walk starts in range D of level 8165 and spirals
         # out in one run of 6466 moves on two carrier objects.
-        run = _cubic_next(99999989)
+        a = 8165
+        n0 = 3 * a * (a - 1) // 2
+        run = _spiral_run(99999989, n0 + a + 2, n0 + 2 * a)
         assert len(run) == 6466
         assert len({id(s.carrier) for s in run}) == 2
-        assert plan_cubic(99999989).steps[:6466] == run
+        assert plan_cubic(99999989).steps[:6466] == tuple(run)
 
     @pytest.mark.parametrize("a", [*range(4, 41), 997])
     def test_ranges_tile_each_level(self, a):
         for n in range(3 * a * (a - 1) // 2, 3 * a * (a + 1) // 2):
-            nxt, m, kind, level = _cubic_range_move(n)
-            assert level == a
+            assert _cubic_level(n) == a
+            nxt, m, kind = _cubic_range_move(n, a, 3 * a * (a - 1) // 2)
             step = LinkMove(LIAISON, n, nxt, cubic_surface_type(kind, a), m=m)
             validate_chain(Chain("cubic-surface", n, (step,)))
 
@@ -302,23 +325,80 @@ class TestDispatch:
                 planner(True)
 
 
+def _rebuilt_carrier(space, carrier):
+    """The carrier built again by its family's public constructor, and
+    then by ``CurveFamily(...)``, which checks every field's type and the
+    lattice (d, g)."""
+    if space == "p2":
+        family = plane_curve_family(carrier.d)
+    elif space == "quadric" and carrier.label == "ruling line":
+        family = quadric_ruling_line()
+    elif space == "quadric":
+        a, b = carrier.divisor.coeffs
+        family = quadric_family(a, "i" if a == b else "ii")
+    elif space == "cubic-surface":
+        family = cubic_surface_type(carrier.label.split()[1], (carrier.d + 2) // 3)
+    else:
+        family = p3_acm_family(carrier.d, carrier.g)
+    divisor = None if family.divisor is None else DivisorClass(family.divisor.coeffs)
+    checked = CurveFamily(family.ambient, family.d, family.g, family.linsys_dim, divisor,
+                          family.surface, family.label)
+    return family, checked
+
+
+def _seeded_counts(space):
+    if space == "p3":
+        return range(1, P3_GUARANTEED_MAX + 1)
+    rng = random.Random(f"checked builds {space}")
+    return [*rng.sample(range(1, 3001), 60), *(rng.randrange(10**7, 10**8) for _ in range(2))]
+
+
+class TestCheckedBuilds:
+    # The planner builds its moves with the unchecked _move and its
+    # carriers without the constructors' checks, sharing the carriers of
+    # a level; each must equal, hash and print as the checked build.
+    @pytest.mark.parametrize("space", ["p2", "quadric", "cubic-surface", "p3"])
+    def test_planned_records_equal_their_checked_builds(self, space):
+        for n in _seeded_counts(space):
+            steps = plan(space, n).steps
+            catalog._MEMO.clear()  # rebuild even the memo's carriers
+            rebuilt = {}
+            for step in steps:
+                carrier = step.carrier
+                if id(carrier) not in rebuilt:
+                    rebuilt[id(carrier)] = _rebuilt_carrier(space, carrier)
+                for family in rebuilt[id(carrier)]:
+                    assert family is not carrier
+                    assert (family, hash(family), repr(family)) == (carrier, hash(carrier),
+                                                                    repr(carrier))
+                move = LinkMove(step.kind, step.n_from, step.n_to, family, step.m, step.h,
+                                step.note)
+                assert type(step) is LinkMove
+                assert (move, hash(move), repr(move)) == (step, hash(step), repr(step))
+        with pytest.raises(AttributeError):
+            step.n_to = 0
+
+
 class TestWalk:
-    # 9 -> 5 -> 2 -> 5 comes back to 5; 10 -> 10 stays put.
-    @pytest.mark.parametrize("n, repeat, hops", [(9, 5, 3), (10, 10, 1)])
+    # 9 -> 5 -> 2 -> 5 comes back to 5; 10 -> 10 may keep its count once,
+    # and the second move that keeps it raises.
+    @pytest.mark.parametrize("n, repeat, hops", [(9, 5, 3), (10, 10, 2)])
     def test_cycle_raises_at_once(self, n, repeat, hops):
         line = plane_curve_family(1)
         cycle = {9: 5, 5: 2, 2: 5, 10: 10}
-        calls = []
+        yielded = []
 
-        def next_moves(cur):
-            calls.append(cur)
-            if len(calls) > 10:  # fail rather than hang if the guard is gone
-                raise RuntimeError("the walk did not stop at the repeated count")
-            return (LinkMove(BILIAISON, cur, cycle[cur], line, h=1),)
+        def looping(cur):
+            while True:
+                yielded.append(cur)
+                if len(yielded) > 10:  # fail rather than hang if the guard is gone
+                    raise RuntimeError("the walk did not stop at the repeated count")
+                yield LinkMove(BILIAISON, cur, cycle[cur], line, h=1)
+                cur = cycle[cur]
 
         with pytest.raises(InvalidMove, match=f"p2 walk from {n} returns to {repeat}"):
-            _walk("p2", n, next_moves)
-        assert len(calls) == hops
+            _walk("p2", n, looping)
+        assert len(yielded) == hops
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_is_restored(self, enabled):
@@ -328,8 +408,9 @@ class TestWalk:
         seen = []
 
         def cycling(cur):
-            seen.append(gc.isenabled())
-            return (LinkMove(BILIAISON, cur, cur, line, h=0, note="stay"),)
+            while True:
+                seen.append(gc.isenabled())
+                yield LinkMove(BILIAISON, cur, cur, line, h=0, note="stay")
 
         calls = [
             (lambda: plan("cubic-surface", 99999989), None),
@@ -349,7 +430,7 @@ class TestWalk:
                 assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
-        assert seen == [False]
+        assert seen == [False, False]
 
 
 class TestOracle:
