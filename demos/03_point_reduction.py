@@ -1,6 +1,6 @@
 """Reduction chains: n general points down to a single point.
 
-Each planner emits a chain of liaison or biliaison moves, every step
+Each plan is a chain of liaison or biliaison moves, every step
 checked against its containment and effectiveness bounds.  The oracle
 rebuilds the whole admissible-move graph independently and confirms by
 breadth-first search that each chain only uses real edges.
@@ -11,7 +11,6 @@ from glicci import (
     oracle_reachability,
     p3_descending_moves,
     plan,
-    plan_p3,
 )
 from glicci.errors import OutOfGuaranteedRange
 
@@ -39,7 +38,7 @@ print()
 # Twenty general points in 3-space are the open case: every carrier in
 # the general-points table fails a bound, so no descending move exists.
 try:
-    plan_p3(20)
+    plan("p3", 20)
 except OutOfGuaranteedRange as exc:
     print(f"n = 20 in 3-space: {exc}")
 print("admissible descending moves from 20:", p3_descending_moves(20))

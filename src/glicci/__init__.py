@@ -68,8 +68,6 @@ from .moves import (
     liaison_target,
     liaison_total,
     validate_chain,
-    validate_liaison_cubic,
-    validate_move_p3,
 )
 from .picard import DivisorClass, SurfaceModel
 from .planner import (
@@ -80,10 +78,6 @@ from .planner import (
     oracle_reachability,
     p3_descending_moves,
     plan,
-    plan_cubic,
-    plan_p2,
-    plan_p3,
-    plan_quadric,
 )
 
 # The public names above; the submodules stay importable but are not re-exported.

@@ -31,7 +31,7 @@ other ``CurveFamily(...)`` runs.  ``cubic_surface_type``,
 then build through one bounded memo, ``_memo``, which keeps every
 carrier of parameter below ``_MEMO_BELOW`` and builds larger ones
 fresh; the planner, whose arguments are ints it computed, calls
-``_memo`` below ``_MEMO_BELOW`` and the unchecked builders above.
+``_memo`` with the unchecked builders.
 
 The registry is built once at import time and never mutated.  The memo
 only grows, up to its bound, and a carrier it returns equals the one

@@ -14,8 +14,11 @@ height-h biliaison sends (d, g) to
 
 Admissibility is arithmetic only: the containment and effectiveness
 bounds the construction needs, never the scheme theory that realizes a
-link.  Moves are stored directed even though liaison is symmetric;
-"ascending" and "descending" are derived from the endpoints.
+link.  Each space's rule for each move kind, in ``_RULES``, states them
+once: it returns None for an admissible move n -> n_to and otherwise
+the text of the first relation the move breaks.  Moves are stored
+directed even though liaison is symmetric; "ascending" and "descending"
+are derived from the endpoints.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import json
 from collections.abc import Callable
 
 from ._record import Record, draft, field_error
-from .catalog import CurveFamily, perrin_m
-from .errors import InvalidMove, NotInTable
+from .catalog import _PERRIN_M, CurveFamily
+from .errors import InvalidMove
 
 LIAISON = "liaison"
 BILIAISON = "biliaison"
@@ -90,10 +93,6 @@ class LinkMove(Record):
             raise InvalidMove(f"unknown move kind {kind!r}")
         return _move(kind, n_from, n_to, carrier, m, h, note)
 
-    @property
-    def ascending(self) -> bool:
-        return self.n_to > self.n_from
-
     def descriptor(self) -> str:
         """Move tag in chain printouts, e.g. ``[6H-K on (10,12) type i]``
         for a liaison and ``[bil h=2 on (3,1)]`` for a biliaison."""
@@ -146,9 +145,6 @@ class Chain(Record):
 
     def point_sequence(self) -> list[int]:
         return [self.start] + [step.n_to for step in self.steps]
-
-    def validate(self) -> None:
-        validate_chain(self)
 
     def to_dict(self) -> dict:
         return {
@@ -219,7 +215,12 @@ class Chain(Record):
 
     @classmethod
     def from_json(cls, text: str) -> "Chain":
-        return cls.from_dict(json.loads(text))
+        """:meth:`from_dict` of the parsed text, which must be JSON."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise InvalidMove(f"chain: not JSON: {exc}") from None
+        return cls.from_dict(data)
 
     def __str__(self) -> str:
         return " -> ".join(str(n) for n in self.point_sequence())
@@ -228,28 +229,12 @@ class Chain(Record):
 def liaison_target(n: int, m: int, carrier: CurveFamily) -> int:
     """Residual point count of liaison by m*H - K on the carrier:
     m*d - (2g - 2) - n.  An involution in n for fixed (m, carrier)."""
-    return m * carrier.d - (2 * carrier.g - 2) - n
+    return liaison_total(m, carrier) - n
 
 
 def liaison_total(m: int, carrier: CurveFamily) -> int:
     """Degree of the divisor m*H - K on the carrier curve."""
     return m * carrier.d - (2 * carrier.g - 2)
-
-
-def validate_liaison_cubic(n: int, n_to: int, carrier: CurveFamily) -> bool:
-    """Admissibility window for liaison on an ACM curve of the cubic
-    surface: a curve of type (d, g) there carries general divisors of
-    degree n only for g <= n <= d + g - 1, and both ends must obey it."""
-    d, g = carrier.d, carrier.g
-    return g <= n <= d + g - 1 and g <= n_to <= d + g - 1
-
-
-def validate_move_p3(n: int, n_to: int, carrier: CurveFamily) -> bool:
-    """Directed admissibility for a move on an ACM curve in 3-space:
-    the n general points must lie on the carrier (n at most the table
-    bound) and the residual must be effective (n_to at least g)."""
-    bound = perrin_m(carrier.d, carrier.g)
-    return n <= bound and n_to >= carrier.g
 
 
 def biliaison_curve(dg: tuple[int, int], h: int, s: int,
@@ -294,113 +279,95 @@ def decompose_biliaison(d: int, g: int, source_min_genus: MinGenusFn,
     return out
 
 
-def _drop(n: int, n_to: int, carrier: CurveFamily, h: int) -> None:
+def _drop(n: int, n_to: int, carrier: CurveFamily, h: int) -> str | None:
     """A height-h biliaison on a degree-d carrier drops h*d points."""
     if n_to != n - h * carrier.d:
-        raise InvalidMove(f"height-{h} biliaison on ({carrier.d},{carrier.g})"
-                          f" must drop {h * carrier.d} points")
+        return f"height-{h} biliaison on ({carrier.d},{carrier.g}) must drop {h * carrier.d} points"
+    return None
 
 
-def _total(n: int, n_to: int, carrier: CurveFamily, m: int) -> None:
+def _total(n: int, n_to: int, carrier: CurveFamily, m: int) -> str | None:
     """The two ends of a liaison by m*H - K add up to its degree."""
     total = liaison_total(m, carrier)
     if n + n_to != total:
-        raise InvalidMove(f"{n} + {n_to} != deg({m}H-K on ({carrier.d},{carrier.g})) = {total}")
-
-
-def _plane_biliaison_holds(n: int, n_to: int, carrier: CurveFamily, h: int, note: str) -> bool:
-    """Every relation :func:`_plane_biliaison` checks, in one expression:
-    True exactly when the rule raises nothing."""
-    dim = carrier.linsys_dim
-    return (h >= 0 and n_to == n - h * carrier.d
-            and (n_to >= carrier.g if h else note != "")
-            and dim is not None and (n <= dim or "repositioned" in note))
+        return f"{n} + {n_to} != deg({m}H-K on ({carrier.d},{carrier.g})) = {total}"
+    return None
 
 
 def _plane_biliaison(space: str, n: int, n_to: int, carrier: CurveFamily, h: int, note: str):
     if h < 0:
-        raise InvalidMove(f"{space} chains use biliaisons of height >= 0, got {h}")
-    _drop(n, n_to, carrier, h)
+        return f"{space} chains use biliaisons of height >= 0, got {h}"
+    if (broken := _drop(n, n_to, carrier, h)) is not None:
+        return broken
     if h == 0:
         if not note:
-            raise InvalidMove("height-0 move needs an annotation")
+            return "height-0 move needs an annotation"
     elif n_to < carrier.g:
-        raise InvalidMove(f"residual {n_to} below genus {carrier.g}: divisor may not be effective")
+        return f"residual {n_to} below genus {carrier.g}: divisor may not be effective"
     if carrier.linsys_dim is None:
-        raise InvalidMove(f"carrier {carrier} lacks its linear-system dimension")
+        return f"carrier {carrier} lacks its linear-system dimension"
     # A note marks points placed on the carrier by a prior height-0
     # repositioning, where the general-position containment count
     # does not apply.
     if n > carrier.linsys_dim and "repositioned" not in note:
-        raise InvalidMove(f"{n} general points do not lie on {carrier}"
-                          f" (system dimension {carrier.linsys_dim})")
-
-
-def _cubic_liaison_holds(n: int, n_to: int, carrier: CurveFamily, m: int, note: str) -> bool:
-    """Every relation :func:`_cubic_liaison` checks, in one expression:
-    True exactly when the rule raises nothing."""
-    d, g = carrier.d, carrier.g
-    return n + n_to == m * d - 2 * g + 2 and g <= n < d + g and g <= n_to < d + g
+        return (f"{n} general points do not lie on {carrier}"
+                f" (system dimension {carrier.linsys_dim})")
+    return None
 
 
 def _cubic_liaison(space: str, n: int, n_to: int, carrier: CurveFamily, m: int, note: str):
-    _total(n, n_to, carrier, m)
-    if not validate_liaison_cubic(n, n_to, carrier):
-        d, g = carrier.d, carrier.g
-        raise InvalidMove(f"{n} <-> {n_to} breaks the window [{g}, {d + g - 1}] on ({d},{g})")
-
-
-def _p3_bounds(n: int, n_to: int, carrier: CurveFamily) -> None:
+    # A curve of type (d, g) on the cubic surface carries general divisors
+    # of degree n only for g <= n <= d + g - 1, and both ends must obey it.
+    if (broken := _total(n, n_to, carrier, m)) is not None:
+        return broken
     d, g = carrier.d, carrier.g
-    try:
-        ok = validate_move_p3(n, n_to, carrier)
-    except NotInTable:
-        raise InvalidMove(f"carrier ({d},{g}) missing from the table") from None
-    if not ok:
-        raise InvalidMove(f"{n} -> {n_to} on ({d},{g}) fails the containment"
-                          f"/effectiveness bounds")
+    if not (g <= n < d + g and g <= n_to < d + g):
+        return f"{n} <-> {n_to} breaks the window [{g}, {d + g - 1}] on ({d},{g})"
+    return None
+
+
+def _p3_bounds(n: int, n_to: int, carrier: CurveFamily) -> str | None:
+    """Containment (n at most the carrier's row's bound in the
+    general-points table) and effectiveness (n_to at least g)."""
+    d, g = carrier.d, carrier.g
+    bound = _PERRIN_M.get((d, g))
+    if bound is None:
+        return f"carrier ({d},{g}) missing from the table"
+    if n > bound or n_to < g:
+        return f"{n} -> {n_to} on ({d},{g}) fails the containment/effectiveness bounds"
+    return None
 
 
 def _p3_biliaison(space: str, n: int, n_to: int, carrier: CurveFamily, h: int, note: str):
     if h < 1:
-        raise InvalidMove("3-space chains use biliaisons of height >= 1")
-    _drop(n, n_to, carrier, h)
-    _p3_bounds(n, n_to, carrier)
+        return "3-space chains use biliaisons of height >= 1"
+    return _drop(n, n_to, carrier, h) or _p3_bounds(n, n_to, carrier)
 
 
 def _p3_liaison(space: str, n: int, n_to: int, carrier: CurveFamily, m: int, note: str):
-    _total(n, n_to, carrier, m)
-    _p3_bounds(n, n_to, carrier)
+    return _total(n, n_to, carrier, m) or _p3_bounds(n, n_to, carrier)
 
 
-# The step rules of each space by move kind.  rule(space, n, n_to,
-# carrier, param, note) raises InvalidMove unless the move n -> n_to is
-# admissible; param is the twist m of a liaison or the height h of a
+# The step rules rule(space, n, n_to, carrier, param, note) of each space
+# by move kind; param is the twist m of a liaison or the height h of a
 # biliaison.  A kind with no rule in its space is never admitted.
 _PLANE = {BILIAISON: _plane_biliaison}
 _RULES = {"p2": _PLANE, "quadric": _PLANE, "cubic-surface": {LIAISON: _cubic_liaison},
           "p3": {BILIAISON: _p3_biliaison, LIAISON: _p3_liaison}}
 
-# The one-expression verdict of the rules that deep chains use:
-# holds(n, n_to, carrier, param, note) is True exactly when the rule
-# raises nothing.  A move it admits needs no rule call; otherwise the
-# rule runs, to raise the relation that fails.
-_HOLDS = {_plane_biliaison: _plane_biliaison_holds, _cubic_liaison: _cubic_liaison_holds}
-
 
 def validate_chain(chain: Chain) -> None:
     """Replay a chain step by step; raises InvalidMove on the first
     inconsistency (a start below one, an unknown space, a step that is
-    not a LinkMove, broken linkage or an inadmissible move).  Each kind's
-    rule and one-expression verdict (``_HOLDS``) are looked up once; a
-    step the verdict admits costs one call, otherwise the rule runs."""
+    not a LinkMove, broken linkage or an inadmissible move).  An
+    inadmissible move raises with the text its space's rule returns,
+    which names the first relation the move breaks."""
     if chain.start < 1:
         raise InvalidMove(f"chains start at a positive count, got {chain.start}")
     space = chain.space
     rules = _RULES.get(space)
     if rules is None:
         raise InvalidMove(f"unknown space {space!r}")
-    checks = {kind: (rule, _HOLDS.get(rule)) for kind, rule in rules.items()}
     cur = chain.start
     for index, step in enumerate(chain.steps):
         if type(step) is not LinkMove:
@@ -408,11 +375,11 @@ def validate_chain(chain: Chain) -> None:
         if step.n_from != cur:
             raise InvalidMove(f"step starts at {step.n_from} but the chain sits at {cur}")
         kind = step.kind
-        check = checks.get(kind)
-        if check is None:
+        rule = rules.get(kind)
+        if rule is None:
             raise InvalidMove(f"{space} chains use no {kind} moves")
-        rule, holds = check
-        param = step.m if kind == LIAISON else step.h
-        if holds is None or not holds(cur, step.n_to, step.carrier, param, step.note):
-            rule(space, cur, step.n_to, step.carrier, param, step.note)
+        broken = rule(space, cur, step.n_to, step.carrier,
+                      step.m if kind == LIAISON else step.h, step.note)
+        if broken is not None:
+            raise InvalidMove(broken)
         cur = step.n_to

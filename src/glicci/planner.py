@@ -1,13 +1,15 @@
 """Reduction planners: validated chains from n general points down to one.
 
-Every planner is the same walk.  Each ambient supplies only a generator
-of next hops, ``hops(n)``, which yields one move at a time from n points
-until the count reaches one, building each move with the unchecked
-``moves._move`` from ints it computed; ``_walk`` runs the one loop over
-it, guards it against cycles and validates the whole chain once:
+``plan(space, n)`` walks every space the same way.  Each ambient supplies
+only a generator of next hops, ``hops(n)`` in ``_BY_SPACE``, which yields
+one move at a time from n points until the count reaches one, building
+each move with the unchecked ``moves._move`` and each carrier through
+``catalog._memo`` from ints it computed; ``_walk`` runs the one loop
+over it, guards it against cycles and validates the whole chain once:
 
   * p2: one ascending biliaison on plane curves of the least degree
-    that holds the points, except that 2 and 4 points drop by height 1
+    that holds the points, of height 1 just above the previous degree's
+    range and 2 elsewhere, except that 2 and 4 points drop by height 1
     onto a line and a conic;
   * quadric: one ascending biliaison on the two ACM families of the
     quadric, except that n = 2 first slides the points along a twisted
@@ -29,8 +31,8 @@ admit and runs the one breadth-first search, ``_bfs``; it never calls
 the next-hop generators, so it checks the planners independently.
 ``p3_descending_moves`` is the same listing from one n.
 
-Planners are pure functions of n; identical inputs give identical
-chains.
+A plan is a pure function of (space, n); identical inputs give
+identical chains.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from math import isqrt
 
 from ._record import Record
 from .catalog import (
-    _MEMO_BELOW,
     _check_int,
     _cubic_carrier,
     _memo,
@@ -56,7 +57,6 @@ from .catalog import (
 )
 from .errors import DegreeTooSmall, InvalidMove, OutOfGuaranteedRange, SearchBudgetExceeded
 from .moves import (
-    _HOLDS,
     _RULES,
     BILIAISON,
     LIAISON,
@@ -148,18 +148,10 @@ def _p2_hops(n: int):
         else:
             d = _plane_degree(n)
             h = 1 if n == (d - 1) * (d + 2) // 2 + 1 else 2
-        carrier = _plane_carrier(d, "p2") if d >= _MEMO_BELOW else _memo(_plane_carrier, d, "p2")
+        carrier = _memo(_plane_carrier, d, "p2")
         nxt = n - h * d
         yield _move(BILIAISON, n, nxt, carrier, None, h, "")
         n = nxt
-
-
-def plan_p2(n: int) -> Chain:
-    """Reduce n general points of the plane to one point by ascending
-    biliaisons on plane curves.  For n >= 6 the carrier has the least
-    degree d whose curves can hold the points, and the height is 1
-    exactly when n sits just above the previous range."""
-    return _walk("p2", n, _p2_hops)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +166,7 @@ def _quadric_hops(n: int):
     while n > 2:
         a = _quadric_level(n)
         case = "i" if n <= a * (a + 2) else "ii"
-        carrier = (_quadric_carrier(a, case) if a >= _MEMO_BELOW
-                   else _memo(_quadric_carrier, a, case))
+        carrier = _memo(_quadric_carrier, a, case)
         nxt = n - carrier.d
         yield _move(BILIAISON, n, nxt, carrier, None, 1, "")
         n = nxt
@@ -184,14 +175,6 @@ def _quadric_hops(n: int):
                     "slide along the twisted cubic onto a ruling line")
         yield _move(BILIAISON, 2, 1, quadric_ruling_line(), None, 1,
                     "points repositioned onto the line")
-
-
-def plan_quadric(n: int) -> Chain:
-    """Reduce n general points on a fixed nonsingular quadric to one
-    point by ascending biliaisons on its two ACM families.  The n = 2
-    base case slides the points along a twisted cubic (a height-0
-    biliaison) onto a ruling line first."""
-    return _walk("quadric", n, _quadric_hops)
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +246,9 @@ def _cubic_hops(n: int):
             nxt, m, kind = _cubic_range_move(n, a, bottom)
             carrier = carriers.get(kind)
             if carrier is None:
-                carrier = carriers[kind] = (_cubic_carrier(a, kind) if a >= _MEMO_BELOW
-                                            else _memo(_cubic_carrier, a, kind))
+                carrier = carriers[kind] = _memo(_cubic_carrier, a, kind)
         yield _move(LIAISON, n, nxt, carrier, m, None, "")
         n = nxt
-
-
-def plan_cubic(n: int) -> Chain:
-    """Reduce n general points on a fixed nonsingular cubic surface to a
-    single point by strict liaisons on its four ACM curve families.
-    The six-range schedule of each level gives every link, recursing
-    once a link drops below the current block, except the four literal
-    links at n in {2, 3, 5, 6}."""
-    return _walk("cubic-surface", n, _cubic_hops)
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +279,6 @@ def _p3_hops(n: int):
             nxt = n - row.d
             yield _move(BILIAISON, n, nxt, p3_acm_family(row.d, row.g), None, 1, "")
         n = nxt
-
-
-def plan_p3(n: int) -> Chain:
-    """Reduce n <= 19 general points of 3-space to one point.  Each step
-    is a height-1 biliaison on the least-degree row of the general-points
-    table that holds the points, except at n = 17 and 19, where that
-    biliaison's residual falls below the genus and the points link by
-    5H - K on (9,9) and on (10,11) instead.  For n >= 20 no descending
-    move applies (the (10,11) carrier would need a residual of
-    degree 10, below its genus), and whether such a set reduces at all
-    is open, so the planner raises OutOfGuaranteedRange."""
-    return _walk("p3", n, _p3_hops)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +326,8 @@ def _candidates(space: str, carrier, n: int, lo: int, hi: int):
 
 
 def _admits(space: str, kind: str, n: int, n_to: int, carrier, param: int) -> bool:
-    """True when the space's rule for the kind admits the move n -> n_to:
-    by its one-expression verdict when it has one, as in validate_chain."""
-    rule = _RULES[space][kind]
-    holds = _HOLDS.get(rule)
-    if holds is not None and holds(n, n_to, carrier, param, ""):
-        return True
-    try:
-        rule(space, n, n_to, carrier, param, "")
-        return True
-    except InvalidMove:
-        return False
+    """True when the rule validate_chain applies admits the move n -> n_to."""
+    return _RULES[space][kind](space, n, n_to, carrier, param, "") is None
 
 
 def _with_linsys(families):
@@ -387,22 +339,22 @@ def _p3_carriers():
     return ((p3_acm_family(row.d, row.g), row.m) for row in perrin_table())
 
 
-# Per space: the planner, the oracle's cap for n_max, the carriers in
-# order of genus with the most general points each holds, and the edges
-# no carrier gives: on the quadric, 2 -> 1 on a ruling line onto which a
-# height-0 slide has repositioned the points.
+# Per space: the next-hop generator, the oracle's cap for n_max, the
+# carriers in order of genus with the most general points each holds, and
+# the edges no carrier gives: on the quadric, 2 -> 1 on a ruling line onto
+# which a height-0 slide has repositioned the points.
 _BY_SPACE = {
-    "p2": (plan_p2, lambda n_max: n_max,
+    "p2": (_p2_hops, lambda n_max: n_max,
            lambda: _with_linsys(map(plane_curve_family, count(1))), ()),
-    "quadric": (plan_quadric, lambda n_max: n_max,
+    "quadric": (_quadric_hops, lambda n_max: n_max,
                 lambda: _with_linsys(quadric_family(a, case)
                                      for a in count(1) for case in ("i", "ii")),
                 (frozenset((2, 1)),)),
-    "cubic-surface": (plan_cubic, _cubic_cap,
+    "cubic-surface": (_cubic_hops, _cubic_cap,
                       lambda: _with_linsys(cubic_surface_type(kind, a)
                                            for a in count(1) for kind in ("i", "ii", "iii", "iv")),
                       ()),
-    "p3": (plan_p3, lambda n_max: max(n_max, max(row.m for row in perrin_table())),
+    "p3": (_p3_hops, lambda n_max: max(n_max, max(row.m for row in perrin_table())),
            _p3_carriers, ()),
 }
 SPACES = tuple(_BY_SPACE)
@@ -416,9 +368,13 @@ def _lookup(space: str):
 
 
 def plan(space: str, n: int) -> Chain:
-    """Dispatch to the planner for the given ambient space."""
-    planner, *_ = _lookup(space)
-    return planner(n)
+    """Reduce n general points of the space (one of ``SPACES``) to one
+    point by the moves the module docstring lists, and validate the chain.
+    In 3-space n >= 20 raises OutOfGuaranteedRange: no descending move
+    applies (on (10,11) the residual would have degree 10, below the
+    genus), and whether such points reduce at all is open."""
+    hops, *_ = _lookup(space)
+    return _walk(space, n, hops)
 
 
 def build_oracle(space: str, n_max: int) -> ReachabilityOracle:

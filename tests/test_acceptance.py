@@ -23,10 +23,7 @@ from glicci.picard import DivisorClass
 from glicci.planner import (
     build_oracle,
     p3_descending_moves,
-    plan_cubic,
-    plan_p2,
-    plan_p3,
-    plan_quadric,
+    plan,
 )
 from oracles import min_genus_search
 
@@ -40,7 +37,7 @@ def test_criterion_1_chain_reproduction():
         2: [2, 6, 7, 5, 3, 1],
     }
     for n, sequence in expectations.items():
-        chain = plan_cubic(n)
+        chain = plan("cubic-surface", n)
         assert chain.point_sequence() == sequence
         for step in chain.steps:
             # Carrier satisfies the degree equation at every step.
@@ -50,41 +47,41 @@ def test_criterion_1_chain_reproduction():
 
 def test_criterion_2a_plane_planner_total():
     for n in range(1, 10_001):
-        chain = plan_p2(n)
+        chain = plan("p2", n)
         assert chain.terminal == 1
         validate_chain(chain)
-    print("PASS criterion 2a: plan_p2 total and validated on 1..10^4")
+    print("PASS criterion 2a: plan('p2', n) total and validated on 1..10^4")
 
 
 def test_criterion_2b_quadric_planner_total():
     for n in range(1, 10_001):
-        chain = plan_quadric(n)
+        chain = plan("quadric", n)
         assert chain.terminal == 1
         validate_chain(chain)
-    print("PASS criterion 2b: plan_quadric total and validated on 1..10^4")
+    print("PASS criterion 2b: plan('quadric', n) total and validated on 1..10^4")
 
 
 def test_criterion_2c_cubic_planner_total():
     longest = 0
     for n in range(1, 10_001):
-        chain = plan_cubic(n)
+        chain = plan("cubic-surface", n)
         assert chain.terminal == 1
         validate_chain(chain)
         longest = max(longest, len(chain.steps))
     # Documented empirical bound over the range (longest observed: 239).
     assert longest <= 250
-    print("PASS criterion 2c: plan_cubic total and validated on 1..10^4 "
+    print("PASS criterion 2c: plan('cubic-surface', n) total and validated on 1..10^4 "
           f"(longest chain {longest} moves)")
 
 
 def test_criterion_2d_p3_planner_range():
     for n in range(1, 20):
-        chain = plan_p3(n)
+        chain = plan("p3", n)
         assert chain.terminal == 1
         validate_chain(chain)
     with pytest.raises(OutOfGuaranteedRange):
-        plan_p3(20)
-    print("PASS criterion 2d: plan_p3 covers 1..19 and reports the open case at 20")
+        plan("p3", 20)
+    print("PASS criterion 2d: plan('p3', n) covers 1..19 and reports the open case at 20")
 
 
 def test_criterion_3_minimal_genus():
@@ -149,7 +146,8 @@ def test_criterion_6_involution_and_round_trip():
         m = rng.randint(1, 12)
         assert liaison_target(liaison_target(n, m, carrier), m, carrier) == n
     for chain in (
-        plan_p2(137), plan_quadric(95), plan_cubic(54), plan_cubic(18), plan_p3(19),
+        plan("p2", 137), plan("quadric", 95), plan("cubic-surface", 54),
+        plan("cubic-surface", 18), plan("p3", 19),
     ):
         back = Chain.from_json(chain.to_json())
         validate_chain(back)
@@ -162,16 +160,16 @@ def test_criterion_7_oracle_equivalence():
     oracle = build_oracle("cubic-surface", 500)
     for n in range(1, 501):
         assert oracle.is_reachable(n)
-        assert oracle.confirms(plan_cubic(n))
-    for space, planner in (("p2", plan_p2), ("quadric", plan_quadric)):
+        assert oracle.confirms(plan("cubic-surface", n))
+    for space in ("p2", "quadric"):
         small = build_oracle(space, 300)
         for n in range(1, 301):
             assert small.is_reachable(n)
-            assert small.confirms(planner(n))
+            assert small.confirms(plan(space, n))
     p3 = build_oracle("p3", 19)
     for n in range(1, 20):
         assert p3.is_reachable(n)
-        assert p3.confirms(plan_p3(n))
+        assert p3.confirms(plan("p3", n))
     assert p3_descending_moves(20) == []
     print("PASS criterion 7: BFS oracle confirms every planner chain and the "
           "no-descending-move obstruction at n = 20")

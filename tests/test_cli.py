@@ -4,7 +4,7 @@ import json
 import pytest
 
 from glicci.cli import main
-from glicci.moves import Chain
+from glicci.moves import Chain, validate_chain
 
 
 def run(capsys, *argv):
@@ -36,7 +36,7 @@ class TestPlanCommand:
         assert envelope["command"] == "plan"
         assert envelope["inputs"] == {"space": "cubic-surface", "n": 54}
         chain = Chain.from_dict(envelope["result"])
-        chain.validate()
+        validate_chain(chain)
         assert chain.point_sequence()[:13] == [
             54, 55, 53, 56, 52, 40, 35, 27, 23, 15, 12, 8, 6,
         ]

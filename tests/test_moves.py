@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from glicci.catalog import (
 from glicci.errors import InvalidMove
 from glicci.hvector import min_genus
 from glicci.moves import (
+    _RULES,
     BILIAISON,
     LIAISON,
     Chain,
@@ -25,11 +27,9 @@ from glicci.moves import (
     liaison_target,
     liaison_total,
     validate_chain,
-    validate_liaison_cubic,
-    validate_move_p3,
 )
 from glicci.picard import DivisorClass
-from glicci.planner import build_oracle, plan, plan_cubic
+from glicci.planner import build_oracle, plan
 
 carriers = st.builds(
     cubic_surface_type,
@@ -69,32 +69,39 @@ class TestLiaisonTarget:
 
 
 class TestValidators:
+    # A step rule returns None for an admissible move and otherwise the
+    # text of the first relation the move breaks.
     def test_cubic_window(self):
-        assert validate_liaison_cubic(18, 20, cubic_surface_type("i", 4))
-        assert validate_liaison_cubic(4, 8, cubic_surface_type("iv", 2))
-        assert not validate_liaison_cubic(3, 11, cubic_surface_type("iv", 2))
+        rule = _RULES["cubic-surface"][LIAISON]
+        assert rule("cubic-surface", 18, 20, cubic_surface_type("i", 4), 6, "") is None
+        iv = cubic_surface_type("iv", 2)  # (6, 4), window [4, 9]
+        assert rule("cubic-surface", 4, 8, iv, 3, "") is None
+        assert rule("cubic-surface", 3, 9, iv, 3, "") == "3 <-> 9 breaks the window [4, 9] on (6,4)"
+        # 3 + 11 is no twist's total on (6,4), so the total breaks first.
+        assert rule("cubic-surface", 3, 11, iv, 3, "") == "3 + 11 != deg(3H-K on (6,4)) = 12"
 
     def test_p3_directional(self):
-        nine_nine = p3_acm_family(9, 9)
-        assert validate_move_p3(18, 9, nine_nine)
-        ten_eleven = p3_acm_family(10, 11)
-        assert not validate_move_p3(20, 10, ten_eleven)
+        rule = _RULES["p3"][BILIAISON]
+        assert rule("p3", 18, 9, p3_acm_family(9, 9), 1, "") is None
+        assert rule("p3", 20, 10, p3_acm_family(10, 11), 1, "") == (
+            "20 -> 10 on (10,11) fails the containment/effectiveness bounds")
 
     def test_p3_off_table_carrier(self):
-        from glicci.catalog import CurveFamily
-        from glicci.errors import NotInTable
-
         off = CurveFamily(ambient="p3", d=10, g=6)
-        with pytest.raises(NotInTable):
-            validate_move_p3(12, 2, off)
+        for kind, n_to, param in ((BILIAISON, 2, 1), (LIAISON, 8, 3)):
+            rule = _RULES["p3"][kind]
+            assert rule("p3", 12, n_to, off, param, "") == "carrier (10,6) missing from the table"
 
     def test_p3_undirected(self):
         oracle = build_oracle("p3", 40)
         assert oracle.has_edge(12, 17)
         # 19 -> 31 would be admissible one way only; the oracle needs a
         # liaison both ways, and 31 points cannot sit on the curve.
+        rule = _RULES["p3"][LIAISON]
         ten_eleven = p3_acm_family(10, 11)
-        assert validate_move_p3(19, 31, ten_eleven)
+        assert rule("p3", 19, 31, ten_eleven, 7, "") is None
+        assert rule("p3", 31, 19, ten_eleven, 7, "") == (
+            "31 -> 19 on (10,11) fails the containment/effectiveness bounds")
         assert not oracle.has_edge(19, 31)
 
 
@@ -200,7 +207,7 @@ class TestChains:
         chain = self._chain()
         assert chain.point_sequence() == [2, 6, 2]
         assert chain.terminal == 2
-        chain.validate()
+        validate_chain(chain)
 
     def test_broken_linkage_rejected(self):
         fam = cubic_surface_type("ii", 2)
@@ -210,35 +217,35 @@ class TestChains:
             (LinkMove(LIAISON, 2, 6, fam, m=2), LinkMove(LIAISON, 5, 3, fam, m=2)),
         )
         with pytest.raises(InvalidMove):
-            chain.validate()
+            validate_chain(chain)
 
     def test_bad_window_rejected(self):
         fam = cubic_surface_type("iv", 2)  # (6, 4), window [4, 9]
         chain = Chain("cubic-surface", 3, (LinkMove(LIAISON, 3, 11, fam, m=3),))
         with pytest.raises(InvalidMove):
-            chain.validate()
+            validate_chain(chain)
 
     def test_wrong_degree_equation_rejected(self):
         fam = cubic_surface_type("ii", 2)
         chain = Chain("cubic-surface", 5, (LinkMove(LIAISON, 5, 4, fam, m=2),))
         with pytest.raises(InvalidMove):
-            chain.validate()
+            validate_chain(chain)
 
     def test_biliaison_on_cubic_rejected(self):
         fam = cubic_surface_type("ii", 2)
         chain = Chain("cubic-surface", 7, (LinkMove(BILIAISON, 7, 2, fam, h=1),))
         with pytest.raises(InvalidMove):
-            chain.validate()
+            validate_chain(chain)
 
     def test_height_zero_needs_note(self):
         fam = quadric_family(1, "ii")
         bad = Chain("quadric", 2, (LinkMove(BILIAISON, 2, 2, fam, h=0),))
         with pytest.raises(InvalidMove):
-            bad.validate()
+            validate_chain(bad)
         good = Chain(
             "quadric", 2, (LinkMove(BILIAISON, 2, 2, fam, h=0, note="slide"),)
         )
-        good.validate()
+        validate_chain(good)
 
     @pytest.mark.parametrize("space, start, fam, h", [
         ("p2", 2, plane_curve_family(1), -48),  # 50 points "on" a line
@@ -269,7 +276,7 @@ class TestChains:
             Chain.from_dict({"space": space, "start": 3, "steps": [step]})
 
     def test_null_genus_from_json_rejected(self):
-        data = plan_cubic(18).to_dict()
+        data = plan("cubic-surface", 18).to_dict()
         data["steps"][1]["carrier"]["g"] = None
         with pytest.raises(InvalidMove,
                            match=r"^step 1 carrier: field 'g' must be int, got NoneType$"):
@@ -316,6 +323,48 @@ class TestChains:
         with pytest.raises(TypeError, match=rf"^field '{key}' must be {kind}, got {got}$"):
             cls(**fields)
 
+    # One minimal chain per relation validate_chain checks, as (space,
+    # start, step or None, the exact message).  A step is (kind, from,
+    # to, carrier, parameter, note).
+    @pytest.mark.parametrize("space, start, step, message", [
+        ("p2", 0, None, "chains start at a positive count, got 0"),
+        ("p2", 5, (BILIAISON, 4, 1, plane_curve_family(3), 1, ""),
+         "step starts at 4 but the chain sits at 5"),
+        ("p2", 3, (LIAISON, 3, 1, plane_curve_family(2), 1, ""),
+         "p2 chains use no liaison moves"),
+        ("p2", 2, (BILIAISON, 2, 3, plane_curve_family(1), -1, "repositioned"),
+         "p2 chains use biliaisons of height >= 0, got -1"),
+        ("p2", 9, (BILIAISON, 9, 7, plane_curve_family(3), 1, ""),
+         "height-1 biliaison on (3,1) must drop 3 points"),
+        ("quadric", 2, (BILIAISON, 2, 2, quadric_family(1, "ii"), 0, ""),
+         "height-0 move needs an annotation"),
+        ("p2", 3, (BILIAISON, 3, 0, plane_curve_family(3), 1, ""),
+         "residual 0 below genus 1: divisor may not be effective"),
+        ("p2", 5, (BILIAISON, 5, 2,
+                   CurveFamily("p2", 3, 1, label="plane curve of degree 3"), 1, ""),
+         "carrier (3,1) plane curve of degree 3 lacks its linear-system dimension"),
+        ("p2", 12, (BILIAISON, 12, 9, plane_curve_family(3), 1, ""),
+         "12 general points do not lie on (3,1) plane curve of degree 3 (system dimension 9)"),
+        ("cubic-surface", 18, (LIAISON, 18, 21, cubic_surface_type("i", 4), 1, ""),
+         "18 + 21 != deg(1H-K on (10,12)) = -12"),
+        ("cubic-surface", 1, (LIAISON, 1, 5, cubic_surface_type("iv", 2), 2, ""),
+         "1 <-> 5 breaks the window [4, 9] on (6,4)"),
+        ("p3", 12, (BILIAISON, 12, 2, CurveFamily("p3", 10, 6), 1, ""),
+         "carrier (10,6) missing from the table"),
+        ("p3", 7, (BILIAISON, 7, 7, p3_acm_family(3, 0), 0, "repositioned"),
+         "3-space chains use biliaisons of height >= 1"),
+        ("p3", 20, (BILIAISON, 20, 10, p3_acm_family(10, 11), 1, ""),
+         "20 -> 10 on (10,11) fails the containment/effectiveness bounds"),
+    ])
+    def test_every_rejection_message_is_pinned(self, space, start, step, message):
+        steps = ()
+        if step is not None:
+            kind, n_from, n_to, carrier, param, note = step
+            twist = {"m": param} if kind == LIAISON else {"h": param}
+            steps = (LinkMove(kind, n_from, n_to, carrier, note=note, **twist),)
+        with pytest.raises(InvalidMove, match=rf"^{re.escape(message)}$"):
+            validate_chain(Chain(space, start, steps))
+
     @pytest.mark.parametrize("with_steps", [False, True])
     def test_unknown_space_rejected_before_the_steps(self, with_steps):
         # The steps (from 2) do not even link to the start (3).
@@ -325,7 +374,7 @@ class TestChains:
 
     def test_non_integer_counts_rejected(self):
         fam = plane_curve_family(2)
-        Chain("p2", 3, (LinkMove(BILIAISON, 3, 1, fam, h=1),)).validate()
+        validate_chain(Chain("p2", 3, (LinkMove(BILIAISON, 3, 1, fam, h=1),)))
         for build, message in [
             (lambda: Chain("p2", 3.0, ()), r"^field 'start' must be int, got float$"),
             (lambda: Chain("p2", True, ()), r"^field 'start' must be int, got bool$"),
@@ -387,43 +436,43 @@ class TestChains:
         assert bil.descriptor() == "[bil h=2 on (3,0)]"
 
     def test_json_round_trip(self):
-        chain = plan_cubic(18)
+        chain = plan("cubic-surface", 18)
         text = chain.to_json()
         back = Chain.from_json(text)
-        back.validate()
+        validate_chain(back)
         assert back.to_dict() == chain.to_dict()
         assert back.point_sequence() == chain.point_sequence()
         # and the payload is honest JSON
         assert json.loads(text)["start"] == 18
 
     def test_tampered_json_rejected(self):
-        data = plan_cubic(18).to_dict()
+        data = plan("cubic-surface", 18).to_dict()
         data["terminal"] = 7
         with pytest.raises(InvalidMove):
             Chain.from_dict(data)
-        data = plan_cubic(18).to_dict()
+        data = plan("cubic-surface", 18).to_dict()
         data["steps"][0]["to"] = 21
         chain = Chain.from_dict(data)
         with pytest.raises(InvalidMove):
-            chain.validate()
+            validate_chain(chain)
 
     @pytest.mark.parametrize("value, kind", [(True, "bool"), (1.0, "float"), ("1", "str")])
     def test_from_dict_terminal_must_be_int(self, value, kind):
         # The chain ends at 1, which true and 1.0 compare equal to.
-        data = plan_cubic(18).to_dict()
+        data = plan("cubic-surface", 18).to_dict()
         assert data["terminal"] == 1
         data["terminal"] = value
         with pytest.raises(InvalidMove, match=f"^chain: field 'terminal' must be int, got {kind}$"):
             Chain.from_dict(data)
         del data["terminal"]
-        assert Chain.from_dict(data).to_dict() == plan_cubic(18).to_dict()
+        assert Chain.from_dict(data).to_dict() == plan("cubic-surface", 18).to_dict()
 
     def test_from_dict_names_missing_step_field(self):
-        data = plan_cubic(18).to_dict()
+        data = plan("cubic-surface", 18).to_dict()
         del data["steps"][2]["to"]
         with pytest.raises(InvalidMove, match=r"step 2: missing field 'to'"):
             Chain.from_dict(data)
-        data = plan_cubic(18).to_dict()
+        data = plan("cubic-surface", 18).to_dict()
         del data["steps"][0]["carrier"]["d"]
         with pytest.raises(InvalidMove, match=r"step 0 carrier: missing field 'd'"):
             Chain.from_dict(data)
@@ -459,13 +508,21 @@ class TestChains:
         ],
     )
     def test_from_dict_names_ill_typed_step_field(self, path, value, message):
-        data = plan_cubic(18).to_dict()
+        data = plan("cubic-surface", 18).to_dict()
         target = data["steps"][1]
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
         with pytest.raises(InvalidMove, match=message):
             Chain.from_dict(data)
+
+    @pytest.mark.parametrize("text", ["not json", '{"space": "p2",', "", b"\xff{}"])
+    def test_from_json_names_text_that_is_not_json(self, text):
+        with pytest.raises(ValueError) as decoded:
+            json.loads(text)
+        message = rf"^chain: not JSON: {re.escape(str(decoded.value))}$"
+        with pytest.raises(InvalidMove, match=message):
+            Chain.from_json(text)
 
     def test_from_dict_checks_the_envelope(self):
         assert issubclass(InvalidMove, ValueError)
@@ -481,14 +538,14 @@ class TestChains:
 
     def test_from_dict_keeps_optional_defaults(self):
         # The liaisons of a cubic chain carry no height.
-        data = plan_cubic(18).to_dict()
+        data = plan("cubic-surface", 18).to_dict()
         for step in data["steps"]:
             step.pop("h")
             step.pop("note")
             step["carrier"].pop("label")
             step["carrier"].pop("linsys_dim")
         chain = Chain.from_dict(data)
-        assert chain.point_sequence() == plan_cubic(18).point_sequence()
+        assert chain.point_sequence() == plan("cubic-surface", 18).point_sequence()
         assert all(s.note == "" and s.carrier.label == "" for s in chain.steps)
 
     @settings(max_examples=60, deadline=None)

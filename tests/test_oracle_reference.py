@@ -22,10 +22,11 @@ from oracles import _accepts, _carriers, move_graph_edges
 from glicci import planner
 from glicci.catalog import _trusted
 from glicci.errors import InvalidMove
-from glicci.moves import _HOLDS, _RULES, BILIAISON, LIAISON, Chain, LinkMove
+from glicci.moves import _RULES, BILIAISON, LIAISON, Chain, LinkMove, validate_chain
 from glicci.planner import (
     _BY_SPACE,
     SPACES,
+    _admits,
     _candidates,
     build_oracle,
     p3_descending_moves,
@@ -258,10 +259,10 @@ def test_every_rule_admits_a_planner_step_and_rejects_its_neighbours(space, kind
     step = _planner_step(space, kind)
     rule = _RULES[space][kind]
     param = step.m if kind == LIAISON else step.h
-    rule(space, step.n_from, step.n_to, step.carrier, param, step.note)
+    assert rule(space, step.n_from, step.n_to, step.carrier, param, step.note) is None
     for n_to in (step.n_to - 1, step.n_to + 1):
-        with pytest.raises(InvalidMove):
-            rule(space, step.n_from, n_to, step.carrier, param, step.note)
+        broken = rule(space, step.n_from, n_to, step.carrier, param, step.note)
+        assert type(broken) is str and broken
 
 
 def test_every_space_declares_its_move_kinds():
@@ -290,24 +291,24 @@ def test_kinds_outside_the_table_are_never_admitted(space, kind):
                     assert not _accepts(space, n, move), move
 
 
-def _raises_nothing(rule, space, *move):
+def _message(space, kind, frm, to, carrier, param, note):
+    """What validate_chain says of the one-step chain: None or its text."""
+    twist = {"m": param} if kind == LIAISON else {"h": param}
     try:
-        rule(space, *move)
-    except InvalidMove:
-        return False
-    return True
+        validate_chain(Chain(space, frm, (LinkMove(kind, frm, to, carrier, note=note, **twist),)))
+    except InvalidMove as exc:
+        return str(exc)
+    return None
 
 
-@pytest.mark.parametrize("space, n_max", [
-    (space, n_max) for space, n_max, _ in ACCEPTANCE_DIGESTS if space != "p3"
-])
-def test_one_expression_verdict_is_the_full_check(space, n_max):
+@pytest.mark.parametrize("space, n_max", [(space, n_max) for space, n_max, _ in ACCEPTANCE_DIGESTS])
+def test_rule_text_is_the_verdict_and_the_message(space, n_max):
     # Every candidate move of the oracle at the acceptance caps, and its
     # neighbours: either end and the parameter one off (both ends one
     # off keeps a drop or a total and moves only the window), the
     # heights 0 and -1, the carrier without its linear-system dimension,
-    # each with and without a repositioning note.  validate_chain calls
-    # the full check only where the one-expression verdict is False.
+    # each with and without a repositioning note.  A rule's None is the
+    # oracle's verdict, and its text is validate_chain's message.
     _, cap_of, carriers, _ = _BY_SPACE[space]
     cap = cap_of(n_max)
     verdicts = {True: 0, False: 0}
@@ -320,7 +321,6 @@ def test_one_expression_verdict_is_the_full_check(space, n_max):
         for n in range(lo, hi + 1):
             for kind, param, n_to in _candidates(space, carrier, n, lo, hi):
                 rule = _RULES[space][kind]
-                verdict_of = _HOLDS[rule]
                 params = {param - 1, param, param + 1}
                 if kind == BILIAISON:
                     params |= {0, -1}
@@ -328,9 +328,11 @@ def test_one_expression_verdict_is_the_full_check(space, n_max):
                     for frm, to in product((n - 1, n, n + 1), (n_to - 1, n_to, n_to + 1)):
                         for p in params:
                             for note in ("", "repositioned"):
-                                move = (frm, to, on, p, note)
-                                verdict = verdict_of(*move)
-                                assert type(verdict) is bool
-                                assert verdict == _raises_nothing(rule, space, *move), move
-                                verdicts[verdict] += 1
-    assert min(verdicts.values()) > 1000, verdicts
+                                broken = rule(space, frm, to, on, p, note)
+                                assert broken is None or (type(broken) is str and broken)
+                                if note == "":
+                                    assert _admits(space, kind, frm, to, on, p) == (broken is None)
+                                if frm >= 1:
+                                    assert _message(space, kind, frm, to, on, p, note) == broken
+                                verdicts[broken is None] += 1
+    assert min(verdicts.values()) > (10 if space == "p3" else 1000), verdicts

@@ -25,6 +25,7 @@ from glicci.moves import BILIAISON, LIAISON, Chain, LinkMove, validate_chain
 from glicci.picard import DivisorClass
 from glicci.planner import (
     P3_GUARANTEED_MAX,
+    SPACES,
     _cubic_hops,
     _cubic_level,
     _cubic_range_move,
@@ -35,10 +36,6 @@ from glicci.planner import (
     oracle_reachability,
     p3_descending_moves,
     plan,
-    plan_cubic,
-    plan_p2,
-    plan_p3,
-    plan_quadric,
 )
 
 
@@ -54,41 +51,41 @@ def _spiral_run(start, lo, hi):
 
 class TestPlanP2:
     def test_single_point_is_empty(self):
-        chain = plan_p2(1)
+        chain = plan("p2", 1)
         assert chain.steps == ()
         assert chain.terminal == 1
 
     def test_two_points_on_a_line(self):
-        chain = plan_p2(2)
+        chain = plan("p2", 2)
         assert len(chain.steps) == 1
         step = chain.steps[0]
         assert (step.h, step.carrier.d, step.carrier.g) == (1, 1, 0)
 
     def test_seven_points_via_plane_cubic(self):
-        chain = plan_p2(7)
+        chain = plan("p2", 7)
         assert chain.point_sequence() == [7, 1]
         step = chain.steps[0]
         assert (step.h, step.carrier.d, step.carrier.g) == (2, 3, 1)
 
     def test_strictly_descending_heights(self):
         for n in range(1, 400):
-            for step in plan_p2(n).steps:
+            for step in plan("p2", n).steps:
                 assert step.h >= 1
                 assert step.n_to < step.n_from
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DegreeTooSmall):
-            plan_p2(0)
+            plan("p2", 0)
 
 
 class TestPlanQuadric:
     def test_three_points_on_a_conic(self):
-        chain = plan_quadric(3)
+        chain = plan("quadric", 3)
         assert chain.point_sequence() == [3, 1]
         assert (chain.steps[0].carrier.d, chain.steps[0].carrier.g) == (2, 0)
 
     def test_five_points_via_twisted_cubic_then_two(self):
-        chain = plan_quadric(5)
+        chain = plan("quadric", 5)
         assert chain.point_sequence() == [5, 2, 2, 1]
         first = chain.steps[0]
         assert (first.carrier.d, first.carrier.g) == (3, 0)
@@ -98,13 +95,13 @@ class TestPlanQuadric:
         assert last.carrier.label == "ruling line"
 
     def test_seven_points_case_i(self):
-        chain = plan_quadric(7)
+        chain = plan("quadric", 7)
         assert chain.point_sequence() == [7, 3, 1]
         assert (chain.steps[0].carrier.d, chain.steps[0].carrier.g) == (4, 1)
 
     def test_heights_positive_outside_the_slide(self):
         for n in range(1, 400):
-            for step in plan_quadric(n).steps:
+            for step in plan("quadric", n).steps:
                 if step.h == 0:
                     assert step.n_to == step.n_from and step.note
                 else:
@@ -113,10 +110,10 @@ class TestPlanQuadric:
 
 class TestPlanCubic:
     def test_chain_for_two(self):
-        assert plan_cubic(2).point_sequence() == [2, 6, 7, 5, 3, 1]
+        assert plan("cubic-surface", 2).point_sequence() == [2, 6, 7, 5, 3, 1]
 
     def test_chain_for_eighteen_with_carriers(self):
-        chain = plan_cubic(18)
+        chain = plan("cubic-surface", 18)
         assert chain.point_sequence() == [18, 20, 28, 22, 16, 13, 7, 5, 3, 1]
         got = [
             (step.m, step.carrier.d, step.carrier.g, step.carrier.label)
@@ -135,7 +132,7 @@ class TestPlanCubic:
         ]
 
     def test_chain_for_fiftyfour_with_carriers(self):
-        chain = plan_cubic(54)
+        chain = plan("cubic-surface", 54)
         assert chain.point_sequence() == [
             54, 55, 53, 56, 52, 40, 35, 27, 23, 15, 12, 8, 6, 7, 5, 3, 1,
         ]
@@ -165,17 +162,17 @@ class TestPlanCubic:
     def test_chain_for_two_with_carriers(self):
         got = [
             (step.m, step.carrier.d, step.carrier.g)
-            for step in plan_cubic(2).steps
+            for step in plan("cubic-surface", 2).steps
         ]
         assert got == [(2, 5, 2), (3, 7, 5), (3, 6, 4), (2, 5, 2), (1, 4, 1)]
 
     def test_all_moves_are_liaisons(self):
         for n in (1, 5, 13, 29, 100, 321):
-            for step in plan_cubic(n).steps:
+            for step in plan("cubic-surface", n).steps:
                 assert step.kind == LIAISON
 
     def test_determinism(self):
-        assert plan_cubic(777).to_dict() == plan_cubic(777).to_dict()
+        assert plan("cubic-surface", 777).to_dict() == plan("cubic-surface", 777).to_dict()
 
     @pytest.mark.parametrize("a", [*range(4, 61), 1000, 1001, 4097, 8165, 8166])
     def test_closed_form_spiral_matches_the_walk(self, a):
@@ -225,7 +222,7 @@ class TestPlanCubic:
         run = _spiral_run(99999989, n0 + a + 2, n0 + 2 * a)
         assert len(run) == 6466
         assert len({id(s.carrier) for s in run}) == 2
-        assert plan_cubic(99999989).steps[:6466] == tuple(run)
+        assert plan("cubic-surface", 99999989).steps[:6466] == tuple(run)
 
     @pytest.mark.parametrize("a", [*range(4, 41), 997])
     def test_ranges_tile_each_level(self, a):
@@ -238,7 +235,7 @@ class TestPlanCubic:
     def test_chain_length_bound(self):
         # Empirical bound recorded over the full guaranteed range: the
         # longest chain for n <= 10^4 has 239 moves (at n = 9842).
-        assert len(plan_cubic(9842).steps) == 239
+        assert len(plan("cubic-surface", 9842).steps) == 239
 
 
 def _assert_levels(n):
@@ -264,7 +261,7 @@ class TestClosedFormLevels:
 
 class TestPlanP3:
     def test_chain_for_eighteen(self):
-        chain = plan_p3(18)
+        chain = plan("p3", 18)
         assert chain.point_sequence() == [18, 9, 4, 1]
         assert [(s.carrier.d, s.carrier.g) for s in chain.steps] == [
             (9, 9), (5, 2), (3, 0),
@@ -272,7 +269,7 @@ class TestPlanP3:
         assert all(step.kind == BILIAISON for step in chain.steps)
 
     def test_seventeen_needs_one_liaison(self):
-        chain = plan_p3(17)
+        chain = plan("p3", 17)
         assert chain.point_sequence() == [17, 12, 6, 3, 1]
         kinds = [step.kind for step in chain.steps]
         assert kinds.count(LIAISON) == 1
@@ -280,7 +277,7 @@ class TestPlanP3:
         assert (chain.steps[0].m, chain.steps[0].carrier.d, chain.steps[0].carrier.g) == (5, 9, 9)
 
     def test_nineteen_needs_one_liaison(self):
-        chain = plan_p3(19)
+        chain = plan("p3", 19)
         assert chain.point_sequence() == [19, 11, 5, 2, 1]
         assert chain.steps[0].kind == LIAISON
         assert chain.steps[0].carrier.d == 10
@@ -289,16 +286,16 @@ class TestPlanP3:
         for n in range(1, P3_GUARANTEED_MAX + 1):
             if n in (17, 19):
                 continue
-            assert all(step.kind == BILIAISON for step in plan_p3(n).steps)
+            assert all(step.kind == BILIAISON for step in plan("p3", n).steps)
 
     def test_open_case_raises(self):
         for n in (20, 21, 50):
             with pytest.raises(OutOfGuaranteedRange):
-                plan_p3(n)
+                plan("p3", n)
 
     def test_open_case_message_explains(self):
         with pytest.raises(OutOfGuaranteedRange) as info:
-            plan_p3(20)
+            plan("p3", 20)
         text = str(info.value)
         assert "open" in text
         assert "(10,11)" in text
@@ -320,9 +317,9 @@ class TestDispatch:
             plan(space, n)
 
     def test_planners_reject_bool(self):
-        for planner in (plan_p2, plan_quadric, plan_cubic, plan_p3):
+        for space in SPACES:
             with pytest.raises(TypeError):
-                planner(True)
+                plan(space, True)
 
 
 def _rebuilt_carrier(space, carrier):
@@ -438,21 +435,21 @@ class TestOracle:
         oracle = build_oracle("cubic-surface", 120)
         for n in range(1, 121):
             assert oracle.is_reachable(n)
-            assert oracle.confirms(plan_cubic(n))
+            assert oracle.confirms(plan("cubic-surface", n))
 
     def test_p2_and_quadric_reachability(self):
-        for space, planner in (("p2", plan_p2), ("quadric", plan_quadric)):
+        for space in ("p2", "quadric"):
             oracle = build_oracle(space, 120)
             for n in range(1, 121):
                 assert oracle.is_reachable(n)
-                assert oracle.confirms(planner(n))
+                assert oracle.confirms(plan(space, n))
 
     def test_p3_reachability(self):
         table = oracle_reachability("p3", P3_GUARANTEED_MAX)
         assert all(table.values())
         oracle = build_oracle("p3", P3_GUARANTEED_MAX)
         for n in range(1, P3_GUARANTEED_MAX + 1):
-            assert oracle.confirms(plan_p3(n))
+            assert oracle.confirms(plan("p3", n))
 
     def test_no_descending_move_from_twenty(self):
         assert p3_descending_moves(20) == []
@@ -473,7 +470,7 @@ class TestOracle:
     def test_descending_moves_match_plans(self):
         for n in range(2, 20):
             targets = {target for _, _, _, target in p3_descending_moves(n)}
-            assert plan_p3(n).steps[0].n_to in targets
+            assert plan("p3", n).steps[0].n_to in targets
 
     def test_budget_guard(self):
         with pytest.raises(SearchBudgetExceeded):

@@ -15,11 +15,11 @@ from glicci.catalog import (
 from glicci.claims import verify_catalog
 from glicci.hvector import min_genus
 from glicci.picard import DivisorClass
-from glicci.planner import build_oracle, plan_cubic
+from glicci.planner import build_oracle, plan
 
 
 def _one_of_each():
-    chain = plan_cubic(18)
+    chain = plan("cubic-surface", 18)
     return [
         DivisorClass((4, 1, 1)),
         surface("bordiga"),
@@ -43,7 +43,7 @@ def test_ten_distinct_record_classes():
 
 
 def test_reprs_match_the_dataclass_format():
-    assert repr(plan_cubic(18).steps[0]) == (
+    assert repr(plan("cubic-surface", 18).steps[0]) == (
         "LinkMove(kind='liaison', n_from=18, n_to=20, carrier=CurveFamily("
         "ambient='p3-cubic', d=10, g=12, linsys_dim=21, divisor=DivisorClass("
         "coeffs=(9, 3, 3, 3, 3, 3, 2)), surface='cubic', label='type i'), m=6, "
