@@ -5,8 +5,9 @@ g = sum (i-1) c_i.  Front-loading the entries minimizes the genus, and
 for nondegenerate curves in 4-space the minimum has a closed form.
 """
 
+from math import comb
+
 from glicci import (
-    determinantal_points_degree,
     dg_of,
     enumerate_hvectors,
     min_genus,
@@ -42,5 +43,4 @@ print()
 
 # Determinantal zero-schemes in 3-space from t x (t+2) matrices of
 # linear forms have degree binom(t+2, 3): 1, 4, 10, 20, ...
-print("determinantal point-set degrees:",
-      [determinantal_points_degree(t) for t in range(1, 7)])
+print("determinantal point-set degrees:", [comb(t + 2, 3) for t in range(1, 7)])

@@ -52,7 +52,6 @@ from .claims import (
 )
 from .hvector import (
     HVector,
-    determinantal_points_degree,
     dg_of,
     entry_bound,
     enumerate_hvectors,
@@ -75,7 +74,6 @@ from .planner import (
     SPACES,
     ReachabilityOracle,
     build_oracle,
-    oracle_reachability,
     p3_descending_moves,
     plan,
 )

@@ -1,13 +1,16 @@
 """Immutable records: the part of a frozen dataclass this package uses.
 
-A record class names its fields in ``_fields`` and sets each one in
-``__init__`` with ``object.__setattr__`` or, on the planner's hot path,
-on a draft (see :func:`draft`) in ``__new__``.  Equality (same class
-only), hashing and ``repr`` go field by field as a frozen dataclass's
-do, assignment and deletion raise ``AttributeError``, and ``copy`` and
-``pickle`` rebuild the record through its constructor, which validates
-it.  :func:`field_error` and :func:`int_entries` give the constructors
-their ``TypeError`` naming the field or entry.
+A record class names its fields in ``_fields``.  A plain record derives
+from :class:`Plain`, whose constructor only stores the fields given by
+position; a checked one sets them in its own ``__init__`` with
+``object.__setattr__`` or, on the planner's hot path, on a draft (see
+:func:`draft`) in ``__new__``, so that no Python-level ``__init__``
+runs there.  Equality (same class only), hashing and ``repr`` go field
+by field as a frozen dataclass's do, assignment and deletion raise
+``AttributeError``, and ``copy`` and ``pickle`` rebuild the record
+through its constructor, which validates it.  :func:`field_error` and
+:func:`int_entries` give the constructors their ``TypeError`` naming
+the field or entry.
 """
 
 from operator import index
@@ -40,6 +43,21 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+class Plain(Record):
+    """A record built from its fields by position, in ``_fields`` order,
+    and checked only for their number: a wrong count raises
+    ``TypeError`` naming the class."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields,"
+                            f" got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
 
 def draft(cls: type[Record]) -> type[Record]:

@@ -8,7 +8,9 @@ and on the cubic surface, the table (derived from h-vectors) of how
 many general points of 3-space lie on small ACM curves, the descent
 catalog for ACM curves of degree at most 9 (and the (10,6) case) in
 4-space, and the eight divisor classes of (10,6) curves on a Bordiga
-surface.
+surface.  The (d, g) pairs of those ACM curves are not a table: each
+degree takes every genus from the least one of its h-vectors up to
+Castelnuovo's bound for curves in 4-space.
 
 The cubic-surface families are one table, ``_CUBIC_KINDS``: each kind
 i..iv maps to its base class B (the curve at a = 1), the drop 3a - d,
@@ -43,7 +45,7 @@ from __future__ import annotations
 from math import comb
 from operator import itemgetter
 
-from ._record import Record, draft, field_error
+from ._record import Plain, Record, draft, field_error
 from .errors import DegreeTooSmall, NotInTable, UnknownSurface
 from .hvector import min_genus, s_zero
 from .picard import DivisorClass, SurfaceModel
@@ -137,11 +139,12 @@ def surface(name: str) -> SurfaceModel:
     try:
         return _SURFACES[name]
     except KeyError:
-        known = ", ".join(sorted(_SURFACES))
+        known = ", ".join(surface_names())
         raise UnknownSurface(f"no surface named {name!r}; known: {known}") from None
 
 
 def surface_names() -> tuple[str, ...]:
+    """The registered surface names, sorted."""
     return tuple(sorted(_SURFACES))
 
 
@@ -380,16 +383,11 @@ def plane_curve_family(d: int) -> CurveFamily:
     return _memo(_plane_carrier, d, "p2")
 
 
-class PerrinEntry(Record):
+class PerrinEntry(Plain):
     """Row of the general-points table: an ACM curve of type (d, g) in
     3-space passes through at most m general points."""
 
     __slots__ = _fields = ("d", "g", "m")
-
-    def __init__(self, d: int, g: int, m: int):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "m", m)
 
 
 def _perrin_row(d: int) -> PerrinEntry:
@@ -425,33 +423,13 @@ def p3_acm_family(d: int, g: int) -> CurveFamily:
     return CurveFamily(ambient="p3", d=d, g=g, label=f"ACM ({d},{g})")
 
 
-class DescentEntry(Record):
+class DescentEntry(Plain):
     """An ACM curve family in 4-space with its recorded biliaison descent:
     the class C sits on a named surface and C - height*H is a smaller
     well-understood curve."""
 
     __slots__ = _fields = ("family", "height", "descent", "descent_d", "descent_g",
                            "descent_label")
-
-    def __init__(self, family: CurveFamily, height: int, descent: DivisorClass,
-                 descent_d: int, descent_g: int, descent_label: str):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "descent", descent)
-        object.__setattr__(self, "descent_d", descent_d)
-        object.__setattr__(self, "descent_g", descent_g)
-        object.__setattr__(self, "descent_label", descent_label)
-
-
-def _p4_family(surface_name: str, class_text: str, d: int, g: int, label: str) -> CurveFamily:
-    return CurveFamily(
-        ambient=f"p4-{surface_name}",
-        d=d,
-        g=g,
-        divisor=DivisorClass.parse(class_text),
-        surface=surface_name,
-        label=label,
-    )
 
 
 def small_degree_descents() -> tuple[DescentEntry, ...]:
@@ -460,14 +438,10 @@ def small_degree_descents() -> tuple[DescentEntry, ...]:
     the degree-10 genus-6 entry handled by :func:`bordiga_ten_six`."""
     def entry(surface_name, class_text, d, g, label, height, descent_text,
               descent_d, descent_g, descent_label):
-        return DescentEntry(
-            family=_p4_family(surface_name, class_text, d, g, label),
-            height=height,
-            descent=DivisorClass.parse(descent_text),
-            descent_d=descent_d,
-            descent_g=descent_g,
-            descent_label=descent_label,
-        )
+        family = CurveFamily(f"p4-{surface_name}", d, g, None, DivisorClass.parse(class_text),
+                             surface_name, label)
+        return DescentEntry(family, height, DivisorClass.parse(descent_text), descent_d,
+                            descent_g, descent_label)
 
     return (
         entry("scroll", "2;0", 4, 0, "(4,0) rational normal curve",
@@ -496,10 +470,16 @@ def small_degree_descents() -> tuple[DescentEntry, ...]:
 
 
 def small_degree_acm_pairs() -> tuple[tuple[int, int], ...]:
-    """The nine admissible (d, g) pairs for integral nondegenerate ACM
-    curves of degree at most 9 in 4-space.  The lower bounds come from
-    the minimal-genus formula; the upper bounds are recorded data."""
-    return ((4, 0), (5, 1), (6, 2), (7, 3), (8, 4), (8, 5), (9, 5), (9, 6), (9, 7))
+    """The (d, g) pairs of integral nondegenerate ACM curves of degree
+    4 <= d <= 9 in 4-space, by degree and then genus: every genus from
+    the least, ``min_genus(d, 3)``, up to Castelnuovo's bound for curves
+    in 4-space, m(m-1)*3/2 + m*e where d - 1 = 3m + e and 0 <= e < 3.
+    These are the nine pairs of the descent catalog."""
+    pairs = []
+    for d in range(4, 10):
+        m, e = divmod(d - 1, 3)
+        pairs += [(d, g) for g in range(min_genus(d, 3)[0], 3 * m * (m - 1) // 2 + m * e + 1)]
+    return tuple(pairs)
 
 
 _BORDIGA_TEN_SIX = tuple(

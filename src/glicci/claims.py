@@ -17,7 +17,7 @@ order either way.
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Plain
 from .catalog import (
     bordiga_eleven_seven,
     bordiga_ten_six,
@@ -36,15 +36,8 @@ DEG10_SPECIAL_SURFACE_FAMILY_DIM = 59
 DETERMINANTAL_2026_FAMILY_BOUND = 69
 
 
-class ClaimRecord(Record):
+class ClaimRecord(Plain):
     __slots__ = _fields = ("id", "location", "computed", "expected", "status")
-
-    def __init__(self, id: str, location: str, computed: str, expected: str, status: str):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "location", location)
-        object.__setattr__(self, "computed", computed)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "status", status)
 
 
 def _claim(cid: str, location: str, computed, expected, flagged: bool = False) -> ClaimRecord:

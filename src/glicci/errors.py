@@ -1,8 +1,15 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Most also derive from the built-in type a caller would catch them as
+(``ValueError``, ``KeyError``).  Every one prints its message exactly as
+given, where ``KeyError`` alone would print it quoted, as a key.
+"""
 
 
 class GlicciError(Exception):
     """Base class for every error raised by this package."""
+
+    __str__ = Exception.__str__
 
 
 class RankMismatch(GlicciError, ValueError):

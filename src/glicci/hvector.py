@@ -151,11 +151,3 @@ def enumerate_hvectors(d: int, codim: int) -> list[HVector]:
 
     extend([1], 1, d - 1)
     return out
-
-
-def determinantal_points_degree(t: int) -> int:
-    """Degree of the zero-scheme of maximal minors of a t x (t+2) matrix
-    of linear forms in 3-space: binom(t+2, 3) = (t+2)(t+1)t / 6."""
-    if t < 1:
-        raise DegreeTooSmall(f"need t >= 1, got {t}")
-    return comb(t + 2, 3)

@@ -218,7 +218,9 @@ class Chain(Record):
         """:meth:`from_dict` of the parsed text, which must be JSON."""
         try:
             data = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        # JSONDecodeError, bytes that are not UTF-8, or nesting deeper than
+        # the decoder can recurse; only the decoder runs inside the try.
+        except (ValueError, RecursionError) as exc:
             raise InvalidMove(f"chain: not JSON: {exc}") from None
         return cls.from_dict(data)
 

@@ -103,9 +103,6 @@ class DivisorClass(Record):
     def __sub__(self, other):
         return self._binop(other, sub)
 
-    def __neg__(self):
-        return DivisorClass(tuple(-c for c in self.coeffs))
-
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
@@ -137,11 +134,6 @@ class DivisorClass(Record):
         return f"({head};{body})"
 
 
-def _symmetric(gram: tuple[tuple[int, ...], ...]) -> bool:
-    n = len(gram)
-    return all(gram[i][j] == gram[j][i] for i in range(n) for j in range(n))
-
-
 class SurfaceModel(Record):
     """A surface with its intersection lattice and distinguished classes.
 
@@ -166,7 +158,7 @@ class SurfaceModel(Record):
         rank = len(gram)
         if rank == 0 or any(len(row) != rank for row in gram):
             raise ValueError(f"{self.name}: Gram matrix must be square and nonempty")
-        if not _symmetric(gram):
+        if any(row[j] != gram[j][i] for i, row in enumerate(gram) for j in range(rank)):
             raise ValueError(f"{self.name}: intersection pairing must be symmetric")
         for cls in (self.H, self.K):
             if len(cls) != rank:
@@ -323,10 +315,6 @@ class SurfaceModel(Record):
             for i, v in zip(positions, values):
                 out[i] = v
         return DivisorClass(tuple(out))
-
-    def same_class(self, c: DivisorClass, d: DivisorClass) -> bool:
-        """Equality up to exceptional-index permutations fixing H."""
-        return self.canonical(c) == self.canonical(d)
 
     def __str__(self) -> str:
         return (

@@ -41,7 +41,7 @@ import gc
 from itertools import count
 from math import isqrt
 
-from ._record import Record
+from ._record import Plain
 from .catalog import (
     _check_int,
     _cubic_carrier,
@@ -63,6 +63,7 @@ from .moves import (
     Chain,
     LinkMove,
     _move,
+    liaison_target,
     validate_chain,
 )
 
@@ -284,18 +285,13 @@ def _p3_hops(n: int):
 # ---------------------------------------------------------------------------
 # Brute-force reachability oracle.
 
-class ReachabilityOracle(Record):
+class ReachabilityOracle(Plain):
     """Undirected admissible-move graph for one ambient, with the set of
     counts connected to 1.  Edges are the moves the step rules admit on
     the carriers of genus at most the cap, found without the planners'
     next-hop functions, so agreement between the two is a real check."""
 
     __slots__ = _fields = ("space", "n_max", "cap", "edges", "reachable")
-
-    def __init__(self, space: str, n_max: int, cap: int, edges: frozenset[frozenset[int]],
-                 reachable: frozenset[int]):
-        for field, value in zip(self._fields, (space, n_max, cap, edges, reachable)):
-            object.__setattr__(self, field, value)
 
     def has_edge(self, u: int, v: int) -> bool:
         return frozenset((u, v)) in self.edges
@@ -322,7 +318,7 @@ def _candidates(space: str, carrier, n: int, lo: int, hi: int):
             yield BILIAISON, h, n - h * d
     if LIAISON in rules:
         for m in range(max(1, -((n + lo + shift) // -d)), (n + hi + shift) // d + 1):
-            yield LIAISON, m, m * d - shift - n
+            yield LIAISON, m, liaison_target(n, m, carrier)
 
 
 def _admits(space: str, kind: str, n: int, n_to: int, carrier, param: int) -> bool:
@@ -405,13 +401,6 @@ def build_oracle(space: str, n_max: int) -> ReachabilityOracle:
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
     return ReachabilityOracle(space, n_max, cap, frozenset(edges), frozenset(_bfs(adjacency)))
-
-
-def oracle_reachability(space: str, n_max: int) -> dict[int, bool]:
-    """Reachability-to-1 of every 1 <= n <= n_max in the admissible-move
-    graph of the space."""
-    oracle = build_oracle(space, n_max)
-    return {n: oracle.is_reachable(n) for n in range(1, n_max + 1)}
 
 
 def p3_descending_moves(n: int) -> list[tuple[str, int, tuple[int, int], int]]:

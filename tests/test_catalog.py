@@ -29,6 +29,10 @@ from oracles import dense_genus, dense_pair
 # a conic, a twisted cubic and a plane cubic (the hyperplane class).
 CUBIC_BASE_TEXT = {"i": "0;0^5,-1", "ii": "1;1,0^5", "iii": "1;0^6", "iv": "3;1^6"}
 
+# The (d, g) of integral nondegenerate ACM curves of degree 4..9 in
+# 4-space, as recorded with the descent catalog.
+ACM_PAIRS = ((4, 0), (5, 1), (6, 2), (7, 3), (8, 4), (8, 5), (9, 5), (9, 6), (9, 7))
+
 
 class TestSurfaceRegistry:
     def test_names(self):
@@ -217,7 +221,7 @@ class TestDescentCatalog:
 
     def test_pairs_list(self):
         pairs = small_degree_acm_pairs()
-        assert len(pairs) == 9
+        assert pairs == ACM_PAIRS
         # Lower bound matches the minimal-genus formula at each degree.
         for d, g in pairs:
             assert g >= min_genus_formula(d)
@@ -335,9 +339,9 @@ class TestCurveFamilyValidation:
             )
 
     def test_unknown_surface_named_with_the_known_ones(self):
-        with pytest.raises(UnknownSurface, match=r"^\"no surface named 'nope'; known: "
+        with pytest.raises(UnknownSurface, match=r"^no surface named 'nope'; known: "
                                                  r"bordiga, castelnuovo, cubic, delpezzo, "
-                                                 r"det10, quadric, scroll\"$"):
+                                                 r"det10, quadric, scroll$"):
             CurveFamily("p4-x", 3, 0, divisor=DivisorClass((1, 2)), surface="nope")
 
     @pytest.mark.parametrize(

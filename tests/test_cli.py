@@ -86,6 +86,12 @@ class TestDivisorCommand:
         assert code == 1
         assert "input error" in err
 
+    def test_unknown_surface_message_is_not_quoted(self, capsys):
+        code, out, err = run(capsys, "divisor", "nope", "1;1")
+        assert (code, out) == (1, "")
+        assert err == ("input error: no surface named 'nope'; known: bordiga, castelnuovo,"
+                       " cubic, delpezzo, det10, quadric, scroll\n")
+
     def test_rank_mismatch(self, capsys):
         code, _, err = run(capsys, "divisor", "scroll", "1;0,0,0")
         assert code == 1

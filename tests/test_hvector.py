@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from glicci.errors import DegreeTooLarge, DegreeTooSmall, InvalidHVector
 from glicci.hvector import (
     HVector,
-    determinantal_points_degree,
     dg_of,
     entry_bound,
     enumerate_hvectors,
@@ -200,12 +199,3 @@ class TestEnumeration:
     @given(st.integers(1, 12), st.sampled_from([2, 3]))
     def test_all_enumerated_have_right_degree(self, d, codim):
         assert all(dg_of(h)[0] == d for h in enumerate_hvectors(d, codim))
-
-
-class TestDeterminantalPoints:
-    def test_values(self):
-        assert [determinantal_points_degree(t) for t in (1, 2, 3, 4)] == [1, 4, 10, 20]
-
-    def test_guard(self):
-        with pytest.raises(DegreeTooSmall):
-            determinantal_points_degree(0)

@@ -524,6 +524,22 @@ class TestChains:
         with pytest.raises(InvalidMove, match=message):
             Chain.from_json(text)
 
+    @pytest.mark.parametrize("text, what", [("[" * 100000, "array"),
+                                            ('{"a":' * 100000, "object")])
+    def test_from_json_names_nesting_too_deep_to_decode(self, text, what):
+        message = (rf"^chain: not JSON: maximum recursion depth exceeded while decoding"
+                   rf" a JSON {what} from a unicode string$")
+        with pytest.raises(InvalidMove, match=message):
+            Chain.from_json(text)
+
+    def test_from_json_leaves_recursion_after_decoding_alone(self, monkeypatch):
+        def recurse(data):
+            raise RecursionError("in the program")
+
+        monkeypatch.setattr(Chain, "from_dict", recurse)
+        with pytest.raises(RecursionError, match="in the program"):
+            Chain.from_json(plan("p2", 5).to_json())
+
     def test_from_dict_checks_the_envelope(self):
         assert issubclass(InvalidMove, ValueError)
         for data, message in [

@@ -33,7 +33,6 @@ from glicci.planner import (
     _quadric_level,
     _walk,
     build_oracle,
-    oracle_reachability,
     p3_descending_moves,
     plan,
 )
@@ -445,10 +444,9 @@ class TestOracle:
                 assert oracle.confirms(plan(space, n))
 
     def test_p3_reachability(self):
-        table = oracle_reachability("p3", P3_GUARANTEED_MAX)
-        assert all(table.values())
         oracle = build_oracle("p3", P3_GUARANTEED_MAX)
         for n in range(1, P3_GUARANTEED_MAX + 1):
+            assert oracle.is_reachable(n)
             assert oracle.confirms(plan("p3", n))
 
     def test_no_descending_move_from_twenty(self):

@@ -6,7 +6,10 @@ import pickle
 
 import pytest
 
+from glicci import catalog, moves
+from glicci._record import Plain, Record
 from glicci.catalog import (
+    CurveFamily,
     cubic_surface_type,
     perrin_table,
     small_degree_descents,
@@ -14,6 +17,7 @@ from glicci.catalog import (
 )
 from glicci.claims import verify_catalog
 from glicci.hvector import min_genus
+from glicci.moves import LinkMove
 from glicci.picard import DivisorClass
 from glicci.planner import build_oracle, plan
 
@@ -90,3 +94,35 @@ def test_copy_and_pickle_round_trip(rec):
     for clone in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
         assert type(clone) is type(rec)
         assert clone == rec
+
+
+def test_hot_records_run_no_python_init():
+    # The planner builds carriers and moves through drafts; an __init__
+    # on any of these would add a call to every one of them.
+    for cls in (Record, CurveFamily, LinkMove, catalog._ClassDraft, catalog._FamilyDraft,
+                moves._MoveDraft):
+        assert cls.__init__ is object.__init__, cls
+
+
+PLAIN = [rec for rec in RECORDS if isinstance(rec, Plain)]
+
+
+def test_four_plain_records_have_no_init_of_their_own():
+    assert sorted(type(rec).__name__ for rec in PLAIN) == [
+        "ClaimRecord", "DescentEntry", "PerrinEntry", "ReachabilityOracle",
+    ]
+    for rec in PLAIN:
+        assert "__init__" not in vars(type(rec))
+
+
+@pytest.mark.parametrize("rec", PLAIN, ids=[type(rec).__name__ for rec in PLAIN])
+def test_plain_record_is_built_from_its_fields_by_position(rec):
+    cls, values = type(rec), rec._values()
+    for clone in (cls(*values), copy.copy(rec), copy.deepcopy(rec),
+                  pickle.loads(pickle.dumps(rec))):
+        assert type(clone) is cls
+        assert clone == rec
+    for wrong in (values[:-1], values + (None,)):
+        message = rf"^{cls.__name__} takes {len(values)} fields, got {len(wrong)}$"
+        with pytest.raises(TypeError, match=message):
+            cls(*wrong)
