@@ -8,9 +8,9 @@ position; a checked one sets them in its own ``__init__`` with
 runs there.  Equality (same class only), hashing and ``repr`` go field
 by field as a frozen dataclass's do, assignment and deletion raise
 ``AttributeError``, and ``copy`` and ``pickle`` rebuild the record
-through its constructor, which validates it.  :func:`field_error` and
-:func:`int_entries` give the constructors their ``TypeError`` naming
-the field or entry.
+through its constructor, which validates it.  :func:`type_error` and
+:func:`int_entries` give the constructors and the argument checks one
+wording of the ``TypeError`` naming the field, argument or entry.
 """
 
 from operator import index
@@ -77,9 +77,11 @@ def draft(cls: type[Record]) -> type[Record]:
     })
 
 
-def field_error(name: str, kind: type, value) -> TypeError:
-    """The ``TypeError`` for a field ``name`` whose value is not a ``kind``."""
-    return TypeError(f"field {name!r} must be {kind.__name__}, got {type(value).__name__}")
+def type_error(what: str, kind: type, value) -> TypeError:
+    """The ``TypeError`` for ``what`` whose value is not a ``kind``, as in
+    ``field 'd' must be int, got float`` or ``point count must be int,
+    got bool``."""
+    return TypeError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
 
 
 def int_entries(values, what: str) -> tuple[int, ...]:
@@ -90,7 +92,7 @@ def int_entries(values, what: str) -> tuple[int, ...]:
     for position, value in enumerate(values):
         if type(value) is not int:
             if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise TypeError(f"{what} {position} must be int, got {type(value).__name__}")
+                raise type_error(f"{what} {position}", int, value)
             value = index(value)
         entries.append(value)
     return tuple(entries)

@@ -45,7 +45,7 @@ from __future__ import annotations
 from math import comb
 from operator import itemgetter
 
-from ._record import Plain, Record, draft, field_error
+from ._record import Plain, Record, draft, type_error
 from .errors import DegreeTooSmall, NotInTable, UnknownSurface
 from .hvector import min_genus, s_zero
 from .picard import DivisorClass, SurfaceModel
@@ -117,20 +117,22 @@ for _model in (
 # 1..10^4 ask again and again for the same few hundred (cubic a <= 82,
 # quadric a <= 100, plane d <= 142).  A large plan asks for almost every
 # carrier above it once, so those are built fresh.  The memo holds at
-# most 7 * 255 carriers, and only ints reach it: the public constructors
-# refuse 3.0 and True before they could find the entry for 3 or 1.
+# most 7 * 255 carriers, all keyed by exact ints: the public constructors
+# refuse 3.0, True and int subclasses, as the records do.
 _MEMO_BELOW = 256
 _MEMO: dict = {}
 
 
-def _check_int(value, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {value!r}")
+def _check_positive(value, name: str, need: str) -> None:
+    if type(value) is not int:
+        raise type_error(name, int, value)
+    if value < 1:
+        raise DegreeTooSmall(f"need {need}, got {value}")
 
 
 def _lower(value, name: str) -> str:
     if not isinstance(value, str):
-        raise TypeError(f"{name} must be a str, got {value!r}")
+        raise type_error(name, str, value)
     return value.lower()
 
 
@@ -166,19 +168,19 @@ class CurveFamily(Record):
                 divisor: DivisorClass | None = None, surface: str | None = None,
                 label: str = ""):
         if type(ambient) is not str:
-            raise field_error("ambient", str, ambient)
+            raise type_error("field 'ambient'", str, ambient)
         if type(d) is not int:
-            raise field_error("d", int, d)
+            raise type_error("field 'd'", int, d)
         if type(g) is not int:
-            raise field_error("g", int, g)
+            raise type_error("field 'g'", int, g)
         if linsys_dim is not None and type(linsys_dim) is not int:
-            raise field_error("linsys_dim", int, linsys_dim)
+            raise type_error("field 'linsys_dim'", int, linsys_dim)
         if divisor is not None and type(divisor) is not DivisorClass:
-            raise field_error("divisor", DivisorClass, divisor)
+            raise type_error("field 'divisor'", DivisorClass, divisor)
         if surface is not None and type(surface) is not str:
-            raise field_error("surface", str, surface)
+            raise type_error("field 'surface'", str, surface)
         if type(label) is not str:
-            raise field_error("label", str, label)
+            raise type_error("field 'label'", str, label)
         family = _trusted(ambient, d, g, linsys_dim, divisor, surface, label)
         family.__post_init__()
         return family
@@ -299,9 +301,7 @@ def cubic_surface_type(kind: str, a: int) -> CurveFamily:
         kind = _lower(kind, "kind")
         if kind not in _CUBIC_KINDS:
             raise ValueError(f"kind must be one of i, ii, iii, iv; got {kind!r}")
-    _check_int(a, "a")
-    if a < 1:
-        raise DegreeTooSmall(f"need a >= 1, got {a}")
+    _check_positive(a, "a", "a >= 1")
     return _memo(_cubic_carrier, a, kind)
 
 
@@ -320,9 +320,7 @@ def quadric_family(a: int, case: str) -> CurveFamily:
     case = _lower(case, "case")
     if case not in ("i", "ii"):
         raise ValueError(f"case must be i or ii, got {case!r}")
-    _check_int(a, "a")
-    if a < 1:
-        raise DegreeTooSmall(f"need a >= 1, got {a}")
+    _check_positive(a, "a", "a >= 1")
     return _memo(_quadric_carrier, a, case)
 
 
@@ -377,9 +375,7 @@ def _plane_carrier(d: int, ambient: str) -> CurveFamily:
 def plane_curve_family(d: int) -> CurveFamily:
     """Plane curves of degree d: genus (d-1)(d-2)/2, moving in the
     complete linear system of dimension d(d+3)/2."""
-    _check_int(d, "d")
-    if d < 1:
-        raise DegreeTooSmall(f"need d >= 1, got {d}")
+    _check_positive(d, "d", "d >= 1")
     return _memo(_plane_carrier, d, "p2")
 
 

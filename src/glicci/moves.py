@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 
-from ._record import Record, draft, field_error
+from ._record import Record, draft, type_error
 from .catalog import _PERRIN_M, CurveFamily
 from .errors import InvalidMove
 
@@ -44,9 +44,7 @@ def _field(raw, key: str, where: str, kind: type | None = None):
         raise InvalidMove(f"{where}: missing field {key!r}")
     value = raw[key]
     if kind is not None and type(value) is not kind:
-        raise InvalidMove(
-            f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"
-        )
+        raise InvalidMove(f"{where}: {type_error(f'field {key!r}', kind, value)}")
     return value
 
 
@@ -70,19 +68,19 @@ class LinkMove(Record):
     def __new__(cls, kind: str, n_from: int, n_to: int, carrier: CurveFamily,
                 m: int | None = None, h: int | None = None, note: str = ""):
         if type(kind) is not str:
-            raise field_error("kind", str, kind)
+            raise type_error("field 'kind'", str, kind)
         if type(n_from) is not int:
-            raise field_error("from", int, n_from)
+            raise type_error("field 'from'", int, n_from)
         if type(n_to) is not int:
-            raise field_error("to", int, n_to)
+            raise type_error("field 'to'", int, n_to)
         if type(carrier) is not CurveFamily:
-            raise field_error("carrier", CurveFamily, carrier)
+            raise type_error("field 'carrier'", CurveFamily, carrier)
         if m is not None and type(m) is not int:
-            raise field_error("m", int, m)
+            raise type_error("field 'm'", int, m)
         if h is not None and type(h) is not int:
-            raise field_error("h", int, h)
+            raise type_error("field 'h'", int, h)
         if type(note) is not str:
-            raise field_error("note", str, note)
+            raise type_error("field 'note'", str, note)
         if kind == LIAISON:
             if m is None:
                 raise InvalidMove("liaison move needs its twist m")
@@ -130,11 +128,11 @@ class Chain(Record):
 
     def __init__(self, space: str, start: int, steps: tuple[LinkMove, ...]):
         if type(space) is not str:
-            raise field_error("space", str, space)
+            raise type_error("field 'space'", str, space)
         if type(start) is not int:
-            raise field_error("start", int, start)
+            raise type_error("field 'start'", int, start)
         if type(steps) is not tuple:
-            raise field_error("steps", tuple, steps)
+            raise type_error("field 'steps'", tuple, steps)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "steps", steps)
@@ -318,10 +316,11 @@ def _plane_biliaison(space: str, n: int, n_to: int, carrier: CurveFamily, h: int
 
 
 def _cubic_liaison(space: str, n: int, n_to: int, carrier: CurveFamily, m: int, note: str):
-    # A curve of type (d, g) on the cubic surface carries general divisors
-    # of degree n only for g <= n <= d + g - 1, and both ends must obey it.
-    if (broken := _total(n, n_to, carrier, m)) is not None:
-        return broken
+    """Both ends add up to the liaison total, read once (``_total`` words
+    a failure), and lie in the window g <= n <= d + g - 1, where alone a
+    (d, g) curve on the cubic surface carries general divisors."""
+    if n + n_to != liaison_total(m, carrier):
+        return _total(n, n_to, carrier, m)
     d, g = carrier.d, carrier.g
     if not (g <= n < d + g and g <= n_to < d + g):
         return f"{n} <-> {n_to} breaks the window [{g}, {d + g - 1}] on ({d},{g})"
@@ -363,25 +362,28 @@ def validate_chain(chain: Chain) -> None:
     inconsistency (a start below one, an unknown space, a step that is
     not a LinkMove, broken linkage or an inadmissible move).  An
     inadmissible move raises with the text its space's rule returns,
-    which names the first relation the move breaks."""
+    which names the first relation the move breaks.  The rule and the
+    field of its parameter (``m`` or ``h``) are chosen once per run of
+    one move kind; a kind the space lacks raises where its run starts."""
     if chain.start < 1:
         raise InvalidMove(f"chains start at a positive count, got {chain.start}")
     space = chain.space
     rules = _RULES.get(space)
     if rules is None:
         raise InvalidMove(f"unknown space {space!r}")
-    cur = chain.start
+    cur, kind = chain.start, None
     for index, step in enumerate(chain.steps):
         if type(step) is not LinkMove:
             raise InvalidMove(f"step {index}: expected a LinkMove, got {type(step).__name__}")
         if step.n_from != cur:
             raise InvalidMove(f"step starts at {step.n_from} but the chain sits at {cur}")
-        kind = step.kind
-        rule = rules.get(kind)
-        if rule is None:
-            raise InvalidMove(f"{space} chains use no {kind} moves")
-        broken = rule(space, cur, step.n_to, step.carrier,
-                      step.m if kind == LIAISON else step.h, step.note)
+        if step.kind != kind:
+            kind = step.kind
+            rule = rules.get(kind)
+            if rule is None:
+                raise InvalidMove(f"{space} chains use no {kind} moves")
+            liaison = kind == LIAISON
+        n, cur = cur, step.n_to
+        broken = rule(space, n, cur, step.carrier, step.m if liaison else step.h, step.note)
         if broken is not None:
             raise InvalidMove(broken)
-        cur = step.n_to

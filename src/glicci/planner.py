@@ -17,8 +17,8 @@ over it, guards it against cycles and validates the whole chain once:
   * cubic surface: one strict liaison by m*H - K on the four ACM
     families, in closed form on the six ranges of each level, with
     literal moves at n in {2, 3, 5, 6} where the recorded chain leaves
-    the formula; the carriers of the current level are built once per
-    kind and shared until the walk leaves the level;
+    the formula; a level's ranges and carriers (one per kind) are set
+    up once, on entering it, and kept until the walk leaves it;
   * p3: a height-1 biliaison on the least-degree row of the
     general-points table that holds the points, except for the liaisons
     by 5H - K at n = 17 and 19; total for n <= 19 and a typed open-case
@@ -43,7 +43,7 @@ from math import isqrt
 
 from ._record import Plain
 from .catalog import (
-    _check_int,
+    _check_positive,
     _cubic_carrier,
     _memo,
     _plane_carrier,
@@ -55,7 +55,7 @@ from .catalog import (
     quadric_family,
     quadric_ruling_line,
 )
-from .errors import DegreeTooSmall, InvalidMove, OutOfGuaranteedRange, SearchBudgetExceeded
+from .errors import InvalidMove, OutOfGuaranteedRange, SearchBudgetExceeded
 from .moves import (
     _RULES,
     BILIAISON,
@@ -71,9 +71,7 @@ _SEARCH_CAP = 10_000
 
 
 def _check_n(n: int) -> None:
-    _check_int(n, "point count")
-    if n < 1:
-        raise DegreeTooSmall(f"need at least one point, got {n}")
+    _check_positive(n, "point count", "at least one point")
 
 
 def _walk(space: str, n: int, hops) -> Chain:
@@ -192,36 +190,12 @@ _CUBIC_EXCEPTIONS = {
     5: (3, 2, "ii", 2),  # 2H-K on (5,2)
     6: (7, 3, "i", 3),  # 3H-K on (7,5)
 }
+_CUBIC_EXCEPTIONS_TOP = max(_CUBIC_EXCEPTIONS)
 
 
 def _cubic_level(n: int) -> int:
     # The a with 3a(a-1)/2 <= n < 3a(a+1)/2.
     return (isqrt(24 * n + 9) + 3) // 6
-
-
-def _cubic_range_move(n: int, a: int, n0: int) -> tuple[int, int, str]:
-    """The single outgoing move (target, m, kind) for n = 4 and n >= 7,
-    from level a = _cubic_level(n), whose counts start at
-    n0 = 3a(a-1)/2.
-
-    The offsets t = n - n0 fall in six ranges.  In ranges D and E
-    (a+2 <= t <= 2a) the two liaisons of twist 2a-1 with totals
-    T = 2n0+3a (type iv) and T+1 (type ii) spiral out from the middle of
-    D: values above T/2 take type iv and the rest type ii, so the walk
-    leaves D through E."""
-    t = n - n0
-    total = 2 * n0 + 3 * a
-    if t in (1, 2):
-        return total - n, 2 * a - 1, "iv"
-    if t < a:
-        return 2 * n0 + 2 - n, 2 * a - 2, "i"
-    if t <= a + 1:
-        return 2 * n0 + 2 - n, 2 * a - 2, "ii"
-    if t <= 2 * a:
-        if 2 * n > total:
-            return total - n, 2 * a - 1, "iv"
-        return total + 1 - n, 2 * a - 1, "ii"
-    return total + 2 - n, 2 * a - 1, "iii"
 
 
 def _cubic_cap(n_max: int) -> int:
@@ -231,23 +205,49 @@ def _cubic_cap(n_max: int) -> int:
 
 
 def _cubic_hops(n: int):
-    """The moves from n down to one point.  The level's bounds and its
-    carriers by kind are kept until the count leaves the level, so all
-    moves from a level (its spiral through D and E too) share carriers."""
-    bottom = top = 0
+    """The moves from n down to one point: literal ones at the counts in
+    ``_CUBIC_EXCEPTIONS``, elsewhere one liaison read off the six ranges
+    of n's level a by the offset t = n - n0, n0 = 3a(a-1)/2.  With
+    T = 2n0 + 3a: A (t = 0 or 3 <= t < a) and C (t = a, a+1) link to
+    2n0+2 - n by twist 2a-2, on types i and ii; by twist 2a-1, B (t = 1,
+    2) links to T - n on type iv, F (t > 2a) to T+2 - n on type iii, and
+    D and E (a+2 <= t <= 2a) spiral out through E: to T - n on type iv
+    above T/2, to T+1 - n on type ii below.  A level's ends, totals and
+    carriers (one per kind) are kept until the walk leaves the level."""
+    n0 = top = 0
     while n > 1:
-        exception = _CUBIC_EXCEPTIONS.get(n)
-        if exception is not None:
-            nxt, m, kind, level = exception
+        if n <= _CUBIC_EXCEPTIONS_TOP and n in _CUBIC_EXCEPTIONS:
+            nxt, m, kind, level = _CUBIC_EXCEPTIONS[n]
             carrier = _memo(_cubic_carrier, level, kind)
         else:
-            if not bottom <= n < top:
+            if not n0 <= n < top:
                 a = _cubic_level(n)
-                bottom, top, carriers = 3 * a * (a - 1) // 2, 3 * a * (a + 1) // 2, {}
-            nxt, m, kind = _cubic_range_move(n, a, bottom)
-            carrier = carriers.get(kind)
-            if carrier is None:
-                carrier = carriers[kind] = _memo(_cubic_carrier, a, kind)
+                n0 = 3 * a * (a - 1) // 2
+                c_lo = n0 + a
+                c_hi, e_hi, low, twist = c_lo + 1, c_lo + a, n0 + n0 + 2, a + a - 1
+                top = e_hi + a
+                total = n0 + top  # T
+                half = total // 2
+                i = ii = iii = iv = None
+            # A carrier is a record, never false: ``x or build`` builds once.
+            if n > e_hi:  # F
+                nxt, m = total + 2 - n, twist
+                carrier = iii = iii or _memo(_cubic_carrier, a, "iii")
+            elif n > half:  # D and E, above T/2
+                nxt, m = total - n, twist
+                carrier = iv = iv or _memo(_cubic_carrier, a, "iv")
+            elif n > c_hi:  # D, below
+                nxt, m = total + 1 - n, twist
+                carrier = ii = ii or _memo(_cubic_carrier, a, "ii")
+            elif n >= c_lo:  # C; at a = 2 also t = 2, but n = 5 is literal
+                nxt, m = low - n, twist - 1
+                carrier = ii = ii or _memo(_cubic_carrier, a, "ii")
+            elif n0 < n <= n0 + 2:  # B
+                nxt, m = total - n, twist
+                carrier = iv = iv or _memo(_cubic_carrier, a, "iv")
+            else:  # A
+                nxt, m = low - n, twist - 1
+                carrier = i = i or _memo(_cubic_carrier, a, "i")
         yield _move(LIAISON, n, nxt, carrier, m, None, "")
         n = nxt
 

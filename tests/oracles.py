@@ -4,8 +4,10 @@ Nothing here shares a code path with the package: the minimizer below
 is a dynamic program over all valid h-vectors (no greedy assumption,
 no closed formula), the counter recounts enumerations through a
 different recursion, the lattice reference evaluates the full Gram
-matrix densely on plain integer tuples, and the cubic-surface spiral is
-walked step by step instead of read off in closed form.  The one
+matrix densely on plain integer tuples, the cubic-surface spiral is
+walked step by step instead of read off in closed form, and the
+cubic-surface schedule is stated range by range on the offset in the
+level, one count at a time, instead of once per level.  The one
 exception is the move-graph reference, which shares nothing with
 ``glicci.planner`` but asks ``validate_chain``, the rule it checks the
 oracle against, about every pair of counts.  Tests pit the package
@@ -13,7 +15,7 @@ against these.
 """
 
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 from glicci.catalog import (
     cubic_surface_type,
@@ -86,6 +88,42 @@ def dense_genus(gram, c, K):
     """Adjunction genus (c.c + c.K)/2 + 1, or None when c.c + c.K is odd."""
     twice = dense_pair(gram, c, c) + dense_pair(gram, c, K)
     return None if twice % 2 else twice // 2 + 1
+
+
+def cubic_level(n: int) -> int:
+    """The a with 3a(a-1)/2 <= n < 3a(a+1)/2, found from an estimate by
+    stepping until both inequalities hold."""
+    a = isqrt(2 * n // 3) + 1
+    while 3 * a * (a - 1) // 2 > n:
+        a -= 1
+    while 3 * a * (a + 1) // 2 <= n:
+        a += 1
+    return a
+
+
+def cubic_range_move(n: int) -> tuple[int, int, str]:
+    """The one cubic-surface move (target, m, kind) from n = 4 or n >= 7,
+    read off the offset t = n - n0 above the first count n0 = 3a(a-1)/2
+    of n's level a.  The offsets fall in six ranges: A (t = 0 or
+    3 <= t < a), B (t = 1, 2), C (t = a, a+1), D and E (a+2 <= t <= 2a)
+    and F (t > 2a).  In D and E the two liaisons of twist 2a-1 with
+    totals T = 2n0+3a (type iv) and T+1 (type ii) spiral out from the
+    middle of D: values above T/2 take type iv and the rest type ii."""
+    a = cubic_level(n)
+    n0 = 3 * a * (a - 1) // 2
+    t = n - n0
+    total = 2 * n0 + 3 * a
+    if t in (1, 2):
+        return total - n, 2 * a - 1, "iv"
+    if t < a:
+        return 2 * n0 + 2 - n, 2 * a - 2, "i"
+    if t <= a + 1:
+        return 2 * n0 + 2 - n, 2 * a - 2, "ii"
+    if t <= 2 * a:
+        if 2 * n > total:
+            return total - n, 2 * a - 1, "iv"
+        return total + 1 - n, 2 * a - 1, "ii"
+    return total + 2 - n, 2 * a - 1, "iii"
 
 
 def cubic_spiral_walk(a: int):

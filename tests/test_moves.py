@@ -398,6 +398,21 @@ class TestChains:
         with pytest.raises(InvalidMove, match=r"^step 1: expected a LinkMove, got dict$"):
             validate_chain(Chain("p2", 3, (good, {"from": 1, "to": 1})))
 
+    def test_later_steps_are_checked_within_a_run_of_one_kind(self):
+        # The rule is looked up once per run of one kind; every step of
+        # the run is still checked, and a failure names its step.
+        first, second = plan("cubic-surface", 2).steps[:2]  # 2 -> 6 -> 7
+        with pytest.raises(InvalidMove, match=r"^step 2: expected a LinkMove, got NoneType$"):
+            validate_chain(Chain("cubic-surface", 2, (first, second, None)))
+        linked_wrong = LinkMove(LIAISON, 6, 7, second.carrier, m=second.m + 1)
+        with pytest.raises(InvalidMove, match=r"^6 \+ 7 != deg\(4H-K on \(7,5\)\) = 20$"):
+            validate_chain(Chain("cubic-surface", 2, (first, linked_wrong)))
+        # A kind the space lacks is refused where its run starts.
+        bil = plan("p2", 9).steps[0]
+        stray = LinkMove(LIAISON, bil.n_to, bil.n_to, bil.carrier, m=1)
+        with pytest.raises(InvalidMove, match=r"^p2 chains use no liaison moves$"):
+            validate_chain(Chain("p2", 9, (bil, stray)))
+
     def test_steps_that_are_not_a_tuple_rejected(self):
         with pytest.raises(TypeError, match=r"^field 'steps' must be tuple, got int$"):
             Chain("p2", 3, 5)
