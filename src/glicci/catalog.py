@@ -32,8 +32,13 @@ other ``CurveFamily(...)`` runs.  ``cubic_surface_type``,
 ``quadric_family`` and ``plane_curve_family`` check their arguments and
 then build through one bounded memo, ``_memo``, which keeps every
 carrier of parameter below ``_MEMO_BELOW`` and builds larger ones
-fresh; the planner, whose arguments are ints it computed, calls
-``_memo`` with the unchecked builders.
+fresh.
+
+A planned chain names each carrier by one int, its key; ``_KEYS`` says
+per space how a key reads: its (d, g, linsys_dim) by the closed forms
+the builders use (``_plane_dims``, ``_quadric_dims``, ``_cubic_dims``,
+``_p3_dims``), its label, and its carrier, built through the memo from
+ints the planner computed.
 
 The registry is built once at import time and never mutated.  The memo
 only grows, up to its bound, and a carrier it returns equals the one
@@ -272,16 +277,26 @@ _CUBIC_BASES = (
     ("iv", "3;1^6", 0, 3, 2),
 )
 _CUBIC_KINDS = {spec[0]: _cubic_kind(*spec) for spec in _CUBIC_BASES}
+_CUBIC_NAMES = tuple(_CUBIC_KINDS)
+
+
+def _cubic_dims(key: int) -> tuple[int, int, int]:
+    """(d, g, linsys_dim) of the cubic carrier with key 4a + kind (i..iv = 0..3)."""
+    row = _CUBIC_KINDS[_CUBIC_NAMES[key & 3]]
+    a = key >> 2
+    three_a = 3 * a
+    d = three_a - row[3]
+    g = (a * (three_a - row[4]) + row[5]) // 2
+    return d, g, d + g - 1
 
 
 def _cubic_carrier(a: int, kind: str) -> CurveFamily:
     """The kind's carrier at a, unchecked; its class is picked from four ints."""
-    head0, low0, pick, drop, g1, g0, label = _CUBIC_KINDS[kind]
-    three_a = 3 * a
-    d, g = three_a - drop, (a * (three_a - g1) + g0) // 2
+    head0, low0, pick, *_, label = _CUBIC_KINDS[kind]
+    d, g, held = _cubic_dims(4 * a + _CUBIC_NAMES.index(kind))
     c = low0 + a
-    divisor = _class(pick((head0 + three_a, c, c + 1, c + 2)))
-    return _trusted("p3-cubic", d, g, d + g - 1, divisor, "cubic", label)
+    divisor = _class(pick((head0 + 3 * a, c, c + 1, c + 2)))
+    return _trusted("p3-cubic", d, g, held, divisor, "cubic", label)
 
 
 def cubic_surface_type(kind: str, a: int) -> CurveFamily:
@@ -305,11 +320,25 @@ def cubic_surface_type(kind: str, a: int) -> CurveFamily:
     return _memo(_cubic_carrier, a, kind)
 
 
+def _quadric_dims(d: int) -> tuple[int, int, int]:
+    """(d, g, linsys_dim) of bidegree (a, b) with a = d // 2 and b = d - a:
+    genus (a-1)(b-1), dimension ab + a + b.  At d = 1 that is (0, 1), whose
+    numbers are the ruling line's."""
+    a = d >> 1
+    b = d - a
+    return d, (a - 1) * (b - 1), a * b + d
+
+
+def _quadric_label(d: int) -> str:
+    a = d >> 1
+    return "ruling line" if d == 1 else f"bidegree ({a}, {d - a})"
+
+
 def _quadric_carrier(a: int, case: str) -> CurveFamily:
-    """Bidegree (a, b), unchecked: degree a + b, genus (a-1)(b-1), dimension ab + a + b."""
+    """Bidegree (a, a) for case i and (a, a+1) for case ii, unchecked."""
     b = a if case == "i" else a + 1
-    return _trusted("p3-quadric", a + b, (a - 1) * (b - 1), a * b + a + b,
-                    _class((a, b)), "quadric", f"bidegree ({a}, {b})")
+    return _trusted("p3-quadric", *_quadric_dims(a + b), _class((a, b)), "quadric",
+                    _quadric_label(a + b))
 
 
 def quadric_family(a: int, case: str) -> CurveFamily:
@@ -326,7 +355,7 @@ def quadric_family(a: int, case: str) -> CurveFamily:
 
 def quadric_ruling_line() -> CurveFamily:
     """A line of one ruling of the quadric; it moves in a pencil."""
-    return _trusted("p3-quadric", 1, 0, 1, _class((1, 0)), "quadric", "ruling line")
+    return _trusted("p3-quadric", *_quadric_dims(1), _class((1, 0)), "quadric", "ruling line")
 
 
 def _certify() -> None:
@@ -366,10 +395,18 @@ def _certify() -> None:
 _certify()
 
 
+def _plane_dims(d: int) -> tuple[int, int, int]:
+    """(d, g, linsys_dim) of plane curves of degree d."""
+    return d, (d - 1) * (d - 2) // 2, d * (d + 3) // 2
+
+
 def _plane_carrier(d: int, ambient: str) -> CurveFamily:
     """Plane curves of degree d in ``ambient``, unchecked (they carry no class)."""
-    return _trusted(ambient, d, (d - 1) * (d - 2) // 2, d * (d + 3) // 2,
-                    None, None, f"plane curve of degree {d}")
+    return _trusted(ambient, *_plane_dims(d), None, None, _plane_label(d))
+
+
+def _plane_label(d: int) -> str:
+    return f"plane curve of degree {d}"
 
 
 def plane_curve_family(d: int) -> CurveFamily:
@@ -416,7 +453,51 @@ def perrin_m(d: int, g: int) -> int:
 def p3_acm_family(d: int, g: int) -> CurveFamily:
     """Table row as a curve family (raises NotInTable off the table)."""
     perrin_m(d, g)
-    return CurveFamily(ambient="p3", d=d, g=g, label=f"ACM ({d},{g})")
+    return CurveFamily(ambient="p3", d=d, g=g, label=_acm_label(d, g))
+
+
+def _acm_label(d: int, g: int) -> str:
+    return f"ACM ({d},{g})"
+
+
+def _p3_dims(d: int) -> tuple[int, int, None]:
+    """(d, g, linsys_dim) of the table row of degree d; a row carries no
+    linear-system dimension, its bound is the row's m."""
+    return d, _PERRIN_ROWS[d - 1].g, None
+
+
+def _p3_row_carrier(d: int) -> CurveFamily:
+    return p3_acm_family(d, _PERRIN_ROWS[d - 1].g)
+
+
+def _quadric_key_carrier(d: int) -> CurveFamily:
+    if d == 1:
+        return quadric_ruling_line()
+    return _memo(_quadric_carrier, d >> 1, "ii" if d & 1 else "i")
+
+
+class _KeyLayout(Plain):
+    """How one space's planner names a carrier by one int, its key (see
+    ``moves.Chain``): the plane degree d in p2; the degree d on the
+    quadric, bidegree (d // 2, d - d // 2), with 1 the ruling line; 4a plus
+    the kind (i..iv = 0..3) on the cubic surface; the degree of a table
+    row in 3-space.  ``dims`` gives a key's (d, g, linsys_dim) by the
+    closed forms the carrier builders use, ``label`` its label, and
+    ``carrier`` the carrier itself, through the memo; ``key >>
+    level_shift`` is the carrier's level (a or d)."""
+
+    __slots__ = _fields = ("ambient", "dims", "label", "carrier", "level_shift")
+
+
+_KEYS = {
+    "p2": _KeyLayout("p2", _plane_dims, _plane_label, lambda d: _memo(_plane_carrier, d, "p2"),
+                     0),
+    "quadric": _KeyLayout("p3-quadric", _quadric_dims, _quadric_label, _quadric_key_carrier, 1),
+    "cubic-surface": _KeyLayout(
+        "p3-cubic", _cubic_dims, lambda key: _CUBIC_KINDS[_CUBIC_NAMES[key & 3]][-1],
+        lambda key: _memo(_cubic_carrier, key >> 2, _CUBIC_NAMES[key & 3]), 2),
+    "p3": _KeyLayout("p3", _p3_dims, lambda d: _acm_label(*_p3_dims(d)[:2]), _p3_row_carrier, 0),
+}
 
 
 class DescentEntry(Plain):

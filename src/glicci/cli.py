@@ -57,8 +57,8 @@ def _cmd_plan(args) -> int:
     if args.json:
         print(_envelope("plan", {"space": args.space, "n": args.n}, chain.to_dict()))
         return 0
-    for step in chain.steps:
-        print(f"{step.n_from} -> {step.n_to} {step.descriptor()}")
+    for line in chain._lines():
+        print(line)
     if not args.quiet:
         if chain.steps:
             print(f"terminal: {chain.terminal} after {len(chain.steps)} moves")

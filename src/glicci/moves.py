@@ -15,23 +15,43 @@ height-h biliaison sends (d, g) to
 Admissibility is arithmetic only: the containment and effectiveness
 bounds the construction needs, never the scheme theory that realizes a
 link.  Each space's rule for each move kind, in ``_RULES``, states them
-once: it returns None for an admissible move n -> n_to and otherwise
-the text of the first relation the move breaks.  Moves are stored
-directed even though liaison is symmetric; "ascending" and "descending"
-are derived from the endpoints.
+once, over ints: the counts, the carrier's degree, genus and
+linear-system dimension, the parameter and the note.  It returns None
+for an admissible move n -> n_to and otherwise the text of the first
+relation the move breaks.  Moves are stored directed even though
+liaison is symmetric; "ascending" and "descending" are derived from the
+endpoints.
+
+A chain built in code or read from JSON holds a tuple of ``LinkMove``s.
+A planned chain holds its steps packed, as four ``array('q')`` columns
+(see :class:`_Steps`): ``steps`` is an immutable sequence that builds
+each move, and its carrier, when it is read.  Its counts, its text and
+JSON and its validation read the columns and build no record; equality,
+hashing, ``repr``, pickling and serialization are those of the tuple
+chain with the same moves.
 """
 
 from __future__ import annotations
 
+import gc
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from ._record import Record, draft, type_error
-from .catalog import _PERRIN_M, CurveFamily
+from .catalog import _KEYS, _PERRIN_M, CurveFamily
 from .errors import InvalidMove
 
 LIAISON = "liaison"
 BILIAISON = "biliaison"
+
+# The (kind, note) of each code in a planned chain's note column.
+_MOVE_CODES = (
+    (BILIAISON, ""),
+    (LIAISON, ""),
+    (BILIAISON, "slide along the twisted cubic onto a ruling line"),
+    (BILIAISON, "points repositioned onto the line"),
+)
+_BILIAISON_CODE, _LIAISON_CODE, _SLIDE_CODE, _REPOSITIONED_CODE = range(len(_MOVE_CODES))
 
 
 def _field(raw, key: str, where: str, kind: type | None = None):
@@ -94,12 +114,18 @@ class LinkMove(Record):
     def descriptor(self) -> str:
         """Move tag in chain printouts, e.g. ``[6H-K on (10,12) type i]``
         for a liaison and ``[bil h=2 on (3,1)]`` for a biliaison."""
-        d, g = self.carrier.d, self.carrier.g
+        carrier = self.carrier
         if self.kind == LIAISON:
-            twist = "H-K" if self.m == 1 else f"{self.m}H-K"
-            tag = f" {self.carrier.label}" if self.carrier.label else ""
-            return f"[{twist} on ({d},{g}){tag}]"
-        return f"[bil h={self.h} on ({d},{g})]"
+            return _descriptor(LIAISON, self.m, carrier.d, carrier.g, carrier.label)
+        return _descriptor(self.kind, self.h, carrier.d, carrier.g, "")
+
+
+def _descriptor(kind: str, param: int, d: int, g: int, label: str) -> str:
+    if kind == LIAISON:
+        twist = "H-K" if param == 1 else f"{param}H-K"
+        tag = f" {label}" if label else ""
+        return f"[{twist} on ({d},{g}){tag}]"
+    return f"[bil h={param} on ({d},{g})]"
 
 
 _MoveDraft = draft(LinkMove)
@@ -121,8 +147,85 @@ def _move(kind: str, n_from: int, n_to: int, carrier: CurveFamily, m: int | None
     return move
 
 
+class _Steps(Sequence):
+    """The steps of a planned chain, held as four ``array('q')`` columns,
+    one entry per step: the target count, the parameter (m or h), the
+    carrier's key (see ``catalog._KEYS``) and a code into ``_MOVE_CODES``
+    for the kind and note.  A step's count before the move is the
+    previous target, or the start.
+
+    Reading a step builds its ``LinkMove``, and the carrier through the
+    memo; a slice is a tuple.  Equality, hash, ``repr`` and pickling are
+    those of the tuple of moves, which ``tuple(steps)`` builds.  The
+    moves of one pass share a carrier within one level of keys, as the
+    walk that planned them did."""
+
+    __slots__ = ("_space", "_start", "_to", "_param", "_key", "_code")
+
+    def __init__(self, space: str, start: int, to, param, key, code):
+        for name, value in zip(self.__slots__, (space, start, to, param, key, code)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __len__(self) -> int:
+        return len(self._to)
+
+    def __getitem__(self, index):
+        positions = range(len(self._to))[index]
+        if isinstance(index, slice):
+            return tuple(self._moves(positions))
+        return next(self._moves((positions,)))
+
+    def __iter__(self):
+        return self._moves(range(len(self._to)))
+
+    def _moves(self, positions):
+        layout = _KEYS[self._space]
+        carrier_of, shift = layout.carrier, layout.level_shift
+        to, params, keys, codes = self._to, self._param, self._key, self._code
+        level, shared = None, {}
+        for i in positions:
+            key = keys[i]
+            if key >> shift != level:
+                level, shared = key >> shift, {}
+            carrier = shared.get(key)
+            if carrier is None:
+                carrier = shared[key] = carrier_of(key)
+            kind, note = _MOVE_CODES[codes[i]]
+            param = params[i]
+            liaison = kind == LIAISON
+            yield _move(kind, to[i - 1] if i else self._start, to[i], carrier,
+                        param if liaison else None, None if liaison else param, note)
+
+    def _columns(self) -> tuple:
+        return self._space, self._start, self._to, self._param, self._key, self._code
+
+    def __eq__(self, other):
+        if type(other) is _Steps:
+            return self._columns() == other._columns()
+        if type(other) is tuple:
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 class Chain(Record):
-    """A walk of point counts, one move per step; see :func:`validate_chain`."""
+    """A walk of point counts, one move per step; see :func:`validate_chain`.
+
+    ``steps`` is a tuple of ``LinkMove``s for a chain built in code or by
+    :meth:`from_dict`, and an immutable :class:`_Steps` sequence for a
+    planned chain, whose moves are built when read.  The two compare,
+    hash, print, pickle and serialize alike."""
 
     __slots__ = _fields = ("space", "start", "steps")
 
@@ -137,19 +240,62 @@ class Chain(Record):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "steps", steps)
 
+    @classmethod
+    def _packed(cls, space: str, start: int, to, param, key, code) -> "Chain":
+        """The chain of a walk from ``start``, its steps held in the four
+        columns of :class:`_Steps`, for the planner's ints."""
+        chain = object.__new__(cls)
+        object.__setattr__(chain, "space", space)
+        object.__setattr__(chain, "start", start)
+        object.__setattr__(chain, "steps", _Steps(space, start, to, param, key, code))
+        return chain
+
     @property
     def terminal(self) -> int:
-        return self.steps[-1].n_to if self.steps else self.start
+        steps = self.steps
+        if not steps:
+            return self.start
+        return steps._to[-1] if type(steps) is _Steps else steps[-1].n_to
 
     def point_sequence(self) -> list[int]:
-        return [self.start] + [step.n_to for step in self.steps]
+        steps = self.steps
+        if type(steps) is _Steps:
+            return [self.start] + steps._to.tolist()
+        return [self.start] + [step.n_to for step in steps]
+
+    def _counts(self):
+        """(n_from, n_to) of each step; a planned chain's come from its
+        target column."""
+        if type(self.steps) is _Steps:
+            points = self.point_sequence()
+            return zip(points, points[1:])
+        return ((step.n_from, step.n_to) for step in self.steps)
+
+    def _lines(self):
+        """The text line of each step, ``n_from -> n_to [descriptor]``."""
+        steps = self.steps
+        if type(steps) is not _Steps:
+            for step in steps:
+                yield f"{step.n_from} -> {step.n_to} {step.descriptor()}"
+            return
+        layout = _KEYS[self.space]
+        dims, label_of, n, code_now = layout.dims, layout.label, self.start, None
+        for n_to, param, key, code in zip(steps._to, steps._param, steps._key, steps._code):
+            if code != code_now:
+                code_now = code
+                kind = _MOVE_CODES[code][0]
+                liaison = kind == LIAISON
+            d, g, _ = dims(key)
+            label = label_of(key) if liaison else ""
+            yield f"{n} -> {n_to} {_descriptor(kind, param, d, g, label)}"
+            n = n_to
 
     def to_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "start": self.start,
-            "terminal": self.terminal,
-            "steps": [
+        steps = self.steps
+        if type(steps) is _Steps:
+            rendered = self._packed_dicts()
+        else:
+            rendered = [
                 {
                     "kind": step.kind,
                     "from": step.n_from,
@@ -165,9 +311,46 @@ class Chain(Record):
                     },
                     "note": step.note,
                 }
-                for step in self.steps
-            ],
-        }
+                for step in steps
+            ]
+        return {"space": self.space, "start": self.start, "terminal": self.terminal,
+                "steps": rendered}
+
+    def _packed_dicts(self) -> list[dict]:
+        """:meth:`to_dict`'s steps, straight from the columns: each step's
+        dicts are copies of two templates with the step's values set.  The
+        cyclic collector is paused meanwhile: the new dicts hold no cycle,
+        and the passes they would set off took about a tenth of the time."""
+        steps = self.steps
+        layout = _KEYS[self.space]
+        dims, label_of = layout.dims, layout.label
+        carrier_template = {"ambient": layout.ambient, "d": 0, "g": 0, "linsys_dim": 0,
+                            "label": ""}
+        rendered, n, code_now = [], self.start, None
+        append = rendered.append
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for n_to, param, key, code in zip(steps._to, steps._param, steps._key, steps._code):
+                if code != code_now:
+                    code_now = code
+                    kind, note = _MOVE_CODES[code]
+                    template = {"kind": kind, "from": 0, "to": 0, "m": None, "h": None,
+                                "carrier": None, "note": note}
+                    which = "m" if kind == LIAISON else "h"
+                step = template.copy()
+                step["from"] = n
+                step["to"] = n_to
+                step[which] = param
+                step["carrier"] = carrier = carrier_template.copy()
+                carrier["d"], carrier["g"], carrier["linsys_dim"] = dims(key)
+                carrier["label"] = label_of(key)
+                append(step)
+                n = n_to
+        finally:
+            if enabled:
+                gc.enable()
+        return rendered
 
     @classmethod
     def from_dict(cls, data: dict) -> "Chain":
@@ -225,6 +408,9 @@ class Chain(Record):
     def __str__(self) -> str:
         return " -> ".join(str(n) for n in self.point_sequence())
 
+    def __reduce__(self):
+        return Chain, (self.space, self.start, tuple(self.steps))
+
 
 def liaison_target(n: int, m: int, carrier: CurveFamily) -> int:
     """Residual point count of liaison by m*H - K on the carrier:
@@ -234,7 +420,11 @@ def liaison_target(n: int, m: int, carrier: CurveFamily) -> int:
 
 def liaison_total(m: int, carrier: CurveFamily) -> int:
     """Degree of the divisor m*H - K on the carrier curve."""
-    return m * carrier.d - (2 * carrier.g - 2)
+    return _liaison_degree(m, carrier.d, carrier.g)
+
+
+def _liaison_degree(m: int, d: int, g: int) -> int:
+    return m * d - (2 * g - 2)
 
 
 def biliaison_curve(dg: tuple[int, int], h: int, s: int,
@@ -279,58 +469,57 @@ def decompose_biliaison(d: int, g: int, source_min_genus: MinGenusFn,
     return out
 
 
-def _drop(n: int, n_to: int, carrier: CurveFamily, h: int) -> str | None:
+def _drop(n: int, n_to: int, d: int, g: int, h: int) -> str | None:
     """A height-h biliaison on a degree-d carrier drops h*d points."""
-    if n_to != n - h * carrier.d:
-        return f"height-{h} biliaison on ({carrier.d},{carrier.g}) must drop {h * carrier.d} points"
+    if n_to != n - h * d:
+        return f"height-{h} biliaison on ({d},{g}) must drop {h * d} points"
     return None
 
 
-def _total(n: int, n_to: int, carrier: CurveFamily, m: int) -> str | None:
+def _total(n: int, n_to: int, d: int, g: int, m: int) -> str | None:
     """The two ends of a liaison by m*H - K add up to its degree."""
-    total = liaison_total(m, carrier)
+    total = _liaison_degree(m, d, g)
     if n + n_to != total:
-        return f"{n} + {n_to} != deg({m}H-K on ({carrier.d},{carrier.g})) = {total}"
+        return f"{n} + {n_to} != deg({m}H-K on ({d},{g})) = {total}"
     return None
 
 
-def _plane_biliaison(space: str, n: int, n_to: int, carrier: CurveFamily, h: int, note: str):
+def _plane_biliaison(space: str, n: int, n_to: int, d: int, g: int, held: int | None, h: int,
+                     note: str, carrier):
     if h < 0:
         return f"{space} chains use biliaisons of height >= 0, got {h}"
-    if (broken := _drop(n, n_to, carrier, h)) is not None:
+    if (broken := _drop(n, n_to, d, g, h)) is not None:
         return broken
     if h == 0:
         if not note:
             return "height-0 move needs an annotation"
-    elif n_to < carrier.g:
-        return f"residual {n_to} below genus {carrier.g}: divisor may not be effective"
-    if carrier.linsys_dim is None:
+    elif n_to < g:
+        return f"residual {n_to} below genus {g}: divisor may not be effective"
+    if held is None:
         return f"carrier {carrier} lacks its linear-system dimension"
     # A note marks points placed on the carrier by a prior height-0
     # repositioning, where the general-position containment count
     # does not apply.
-    if n > carrier.linsys_dim and "repositioned" not in note:
-        return (f"{n} general points do not lie on {carrier}"
-                f" (system dimension {carrier.linsys_dim})")
+    if n > held and "repositioned" not in note:
+        return f"{n} general points do not lie on {carrier} (system dimension {held})"
     return None
 
 
-def _cubic_liaison(space: str, n: int, n_to: int, carrier: CurveFamily, m: int, note: str):
-    """Both ends add up to the liaison total, read once (``_total`` words
-    a failure), and lie in the window g <= n <= d + g - 1, where alone a
-    (d, g) curve on the cubic surface carries general divisors."""
-    if n + n_to != liaison_total(m, carrier):
-        return _total(n, n_to, carrier, m)
-    d, g = carrier.d, carrier.g
+def _cubic_liaison(space: str, n: int, n_to: int, d: int, g: int, held: int | None, m: int,
+                   note: str, carrier):
+    """Both ends add up to the liaison total (``_total`` words a failure)
+    and lie in the window g <= n <= d + g - 1, where alone a (d, g) curve
+    on the cubic surface carries general divisors."""
+    if n + n_to != _liaison_degree(m, d, g):
+        return _total(n, n_to, d, g, m)
     if not (g <= n < d + g and g <= n_to < d + g):
         return f"{n} <-> {n_to} breaks the window [{g}, {d + g - 1}] on ({d},{g})"
     return None
 
 
-def _p3_bounds(n: int, n_to: int, carrier: CurveFamily) -> str | None:
+def _p3_bounds(n: int, n_to: int, d: int, g: int) -> str | None:
     """Containment (n at most the carrier's row's bound in the
     general-points table) and effectiveness (n_to at least g)."""
-    d, g = carrier.d, carrier.g
     bound = _PERRIN_M.get((d, g))
     if bound is None:
         return f"carrier ({d},{g}) missing from the table"
@@ -339,19 +528,24 @@ def _p3_bounds(n: int, n_to: int, carrier: CurveFamily) -> str | None:
     return None
 
 
-def _p3_biliaison(space: str, n: int, n_to: int, carrier: CurveFamily, h: int, note: str):
+def _p3_biliaison(space: str, n: int, n_to: int, d: int, g: int, held: int | None, h: int,
+                  note: str, carrier):
     if h < 1:
         return "3-space chains use biliaisons of height >= 1"
-    return _drop(n, n_to, carrier, h) or _p3_bounds(n, n_to, carrier)
+    return _drop(n, n_to, d, g, h) or _p3_bounds(n, n_to, d, g)
 
 
-def _p3_liaison(space: str, n: int, n_to: int, carrier: CurveFamily, m: int, note: str):
-    return _total(n, n_to, carrier, m) or _p3_bounds(n, n_to, carrier)
+def _p3_liaison(space: str, n: int, n_to: int, d: int, g: int, held: int | None, m: int,
+                note: str, carrier):
+    return _total(n, n_to, d, g, m) or _p3_bounds(n, n_to, d, g)
 
 
-# The step rules rule(space, n, n_to, carrier, param, note) of each space
-# by move kind; param is the twist m of a liaison or the height h of a
-# biliaison.  A kind with no rule in its space is never admitted.
+# The step rules rule(space, n, n_to, d, g, held, param, note, carrier)
+# of each space by move kind, over the carrier's degree, genus and
+# linear-system dimension; param is the twist m of a liaison or the
+# height h of a biliaison.  ``carrier`` is used only in the text of a
+# failure, and may be None where that text is not read.  A kind with
+# no rule in its space is never admitted.
 _PLANE = {BILIAISON: _plane_biliaison}
 _RULES = {"p2": _PLANE, "quadric": _PLANE, "cubic-surface": {LIAISON: _cubic_liaison},
           "p3": {BILIAISON: _p3_biliaison, LIAISON: _p3_liaison}}
@@ -364,15 +558,24 @@ def validate_chain(chain: Chain) -> None:
     inadmissible move raises with the text its space's rule returns,
     which names the first relation the move breaks.  The rule and the
     field of its parameter (``m`` or ``h``) are chosen once per run of
-    one move kind; a kind the space lacks raises where its run starts."""
+    one move kind; a kind the space lacks raises where its run starts.
+
+    A planned chain is checked on its columns by the same rules: each
+    key's (d, g, linsys_dim) comes from the closed forms in
+    ``catalog._KEYS``, no record is built, and the carrier is built only
+    to word a failure.  Its steps are linked by construction."""
     if chain.start < 1:
         raise InvalidMove(f"chains start at a positive count, got {chain.start}")
     space = chain.space
     rules = _RULES.get(space)
     if rules is None:
         raise InvalidMove(f"unknown space {space!r}")
+    steps = chain.steps
+    if type(steps) is _Steps:
+        _validate_columns(space, rules, chain.start, steps)
+        return
     cur, kind = chain.start, None
-    for index, step in enumerate(chain.steps):
+    for index, step in enumerate(steps):
         if type(step) is not LinkMove:
             raise InvalidMove(f"step {index}: expected a LinkMove, got {type(step).__name__}")
         if step.n_from != cur:
@@ -383,7 +586,24 @@ def validate_chain(chain: Chain) -> None:
             if rule is None:
                 raise InvalidMove(f"{space} chains use no {kind} moves")
             liaison = kind == LIAISON
-        n, cur = cur, step.n_to
-        broken = rule(space, n, cur, step.carrier, step.m if liaison else step.h, step.note)
+        n, cur, carrier = cur, step.n_to, step.carrier
+        broken = rule(space, n, cur, carrier.d, carrier.g, carrier.linsys_dim,
+                      step.m if liaison else step.h, step.note, carrier)
         if broken is not None:
             raise InvalidMove(broken)
+
+
+def _validate_columns(space: str, rules: dict, n: int, steps: _Steps) -> None:
+    layout = _KEYS[space]
+    dims, code_now = layout.dims, None
+    for n_to, param, key, code in zip(steps._to, steps._param, steps._key, steps._code):
+        if code != code_now:
+            code_now = code
+            kind, note = _MOVE_CODES[code]
+            rule = rules.get(kind)
+            if rule is None:
+                raise InvalidMove(f"{space} chains use no {kind} moves")
+        d, g, held = dims(key)
+        if rule(space, n, n_to, d, g, held, param, note, None) is not None:
+            raise InvalidMove(rule(space, n, n_to, d, g, held, param, note, layout.carrier(key)))
+        n = n_to

@@ -2,10 +2,12 @@
 
 ``plan(space, n)`` walks every space the same way.  Each ambient supplies
 only a generator of next hops, ``hops(n)`` in ``_BY_SPACE``, which yields
-one move at a time from n points until the count reaches one, building
-each move with the unchecked ``moves._move`` and each carrier through
-``catalog._memo`` from ints it computed; ``_walk`` runs the one loop
-over it, guards it against cycles and validates the whole chain once:
+one move at a time from n points until the count reaches one, as four
+ints: the target, the parameter (m or h), the carrier's key (see
+``catalog._KEYS``) and a note code (see ``moves._MOVE_CODES``).
+``_walk`` runs the one loop over it, guards it against cycles, appends
+the ints to the chain's columns and validates the whole chain once on
+them; no move or carrier is built until a caller reads a step:
 
   * p2: one ascending biliaison on plane curves of the least degree
     that holds the points, of height 1 just above the previous degree's
@@ -17,8 +19,8 @@ over it, guards it against cycles and validates the whole chain once:
   * cubic surface: one strict liaison by m*H - K on the four ACM
     families, in closed form on the six ranges of each level, with
     literal moves at n in {2, 3, 5, 6} where the recorded chain leaves
-    the formula; a level's ranges and carriers (one per kind) are set
-    up once, on entering it, and kept until the walk leaves it;
+    the formula; a level's ranges are set up once, on entering it, and
+    kept until the walk leaves it;
   * p3: a height-1 biliaison on the least-degree row of the
     general-points table that holds the points, except for the liaisons
     by 5H - K at n = 17 and 19; total for n <= 19 and a typed open-case
@@ -37,32 +39,30 @@ identical chains.
 
 from __future__ import annotations
 
-import gc
+from array import array
 from itertools import count
 from math import isqrt
 
 from ._record import Plain
 from .catalog import (
+    _CUBIC_NAMES,
     _check_positive,
-    _cubic_carrier,
-    _memo,
-    _plane_carrier,
-    _quadric_carrier,
     cubic_surface_type,
     p3_acm_family,
     perrin_table,
     plane_curve_family,
     quadric_family,
-    quadric_ruling_line,
 )
 from .errors import InvalidMove, OutOfGuaranteedRange, SearchBudgetExceeded
 from .moves import (
+    _BILIAISON_CODE,
+    _LIAISON_CODE,
+    _REPOSITIONED_CODE,
     _RULES,
+    _SLIDE_CODE,
     BILIAISON,
     LIAISON,
     Chain,
-    LinkMove,
-    _move,
     liaison_target,
     validate_chain,
 )
@@ -76,8 +76,10 @@ def _check_n(n: int) -> None:
 
 def _walk(space: str, n: int, hops) -> Chain:
     """Follow the moves that ``hops(n)`` yields from n points down to one
-    and validate the chain.  A walk that comes back to a count it has
-    left raises :class:`InvalidMove` instead of looping.
+    and validate the chain.  A move is four ints, (target, parameter,
+    carrier key, note code), appended to the chain's four ``array('q')``
+    columns; no record is built.  A walk that comes back to a count it
+    has left raises :class:`InvalidMove` instead of looping.
 
     The guard is Brent's cycle check and holds one remembered count,
     ``mark``, whatever the length of the walk.  Each new count is
@@ -88,35 +90,28 @@ def _walk(space: str, n: int, hops) -> Chain:
     back raises.  A move may keep the count once, as the quadric's slide
     2 -> 2 does before its 2 -> 1; a second such move in a row raises.
 
-    The cyclic garbage collector is paused while the walk runs, and
-    turned back on afterwards if it was on, however the walk ends.  A
-    chain holds no reference cycles, so a pass finds nothing to free;
-    yet a walk allocates several container objects per step, and at
-    10^7..10^8 points the passes they set off took 7-10% of the walk.
-    The first pass after the walk still visits the chain's objects."""
+    A step leaves behind no object that the cyclic garbage collector
+    tracks, so the walk sets off none of its passes."""
     _check_n(n)
-    enabled = gc.isenabled()
-    if enabled:
-        gc.disable()
-    try:
-        steps: list[LinkMove] = []
-        cur = mark = n
-        power = hop = 1
-        stayed = False
-        for move in hops(n):
-            steps.append(move)
-            last, cur = cur, move.n_to
-            if cur == mark and (stayed or cur != last):
-                raise InvalidMove(f"{space} walk from {n} returns to {cur}")
-            stayed = cur == last
-            if hop == power:
-                mark, power, hop = cur, 2 * power, 0
-            hop += 1
-        chain = Chain(space, n, tuple(steps))
-        validate_chain(chain)
-    finally:
-        if enabled:
-            gc.enable()
+    columns = to, param, key, code = array("q"), array("q"), array("q"), array("q")
+    add_to, add_param, add_key, add_code = to.append, param.append, key.append, code.append
+    cur = mark = n
+    power = hop = 1
+    stayed = False
+    for nxt, p, k, c in hops(n):
+        add_to(nxt)
+        add_param(p)
+        add_key(k)
+        add_code(c)
+        last, cur = cur, nxt
+        if cur == mark and (stayed or cur != last):
+            raise InvalidMove(f"{space} walk from {n} returns to {cur}")
+        stayed = cur == last
+        if hop == power:
+            mark, power, hop = cur, 2 * power, 0
+        hop += 1
+    chain = Chain._packed(space, n, *columns)
+    validate_chain(chain)
     return chain
 
 
@@ -147,9 +142,8 @@ def _p2_hops(n: int):
         else:
             d = _plane_degree(n)
             h = 1 if n == (d - 1) * (d + 2) // 2 + 1 else 2
-        carrier = _memo(_plane_carrier, d, "p2")
         nxt = n - h * d
-        yield _move(BILIAISON, n, nxt, carrier, None, h, "")
+        yield nxt, h, d, _BILIAISON_CODE
         n = nxt
 
 
@@ -162,33 +156,36 @@ def _quadric_level(n: int) -> int:
 
 
 def _quadric_hops(n: int):
+    # A carrier's key is its degree: bidegree (a, a) of case i, (a, a+1)
+    # of case ii, and 1 the ruling line.
     while n > 2:
         a = _quadric_level(n)
-        case = "i" if n <= a * (a + 2) else "ii"
-        carrier = _memo(_quadric_carrier, a, case)
-        nxt = n - carrier.d
-        yield _move(BILIAISON, n, nxt, carrier, None, 1, "")
+        d = 2 * a if n <= a * (a + 2) else 2 * a + 1
+        nxt = n - d
+        yield nxt, 1, d, _BILIAISON_CODE
         n = nxt
     if n == 2:
-        yield _move(BILIAISON, 2, 2, _memo(_quadric_carrier, 1, "ii"), None, 0,
-                    "slide along the twisted cubic onto a ruling line")
-        yield _move(BILIAISON, 2, 1, quadric_ruling_line(), None, 1,
-                    "points repositioned onto the line")
+        yield 2, 0, 3, _SLIDE_CODE  # on the twisted cubic, bidegree (1, 2)
+        yield 1, 1, 1, _REPOSITIONED_CODE
 
 
 # ---------------------------------------------------------------------------
 # Points on the nonsingular cubic surface.
 
+# A cubic carrier's key is 4a plus its kind's code, the kind's place in
+# ``catalog._CUBIC_NAMES``.
+_I, _II, _III, _IV = map(_CUBIC_NAMES.index, ("i", "ii", "iii", "iv"))
+
 # The counts where the recorded chain leaves the closed form, as
-# (target, m, kind, a).  At 3 the formula's move would break the window
+# (target, m, key).  At 3 the formula's move would break the window
 # (5 > 4 on (4,1)); at 5 and 6 it would cycle (5 -> 7 -> 5, 6 -> 2 -> 6);
 # 2 keeps the recorded chain 2 -> 6 -> 7 -> 5 -> 3 -> 1, where the formula
 # would link 2 -> 1 on the plane cubic.
 _CUBIC_EXCEPTIONS = {
-    2: (6, 2, "ii", 2),  # 2H-K on (5,2)
-    3: (1, 1, "i", 2),  # H-K on (4,1)
-    5: (3, 2, "ii", 2),  # 2H-K on (5,2)
-    6: (7, 3, "i", 3),  # 3H-K on (7,5)
+    2: (6, 2, 4 * 2 + _II),  # 2H-K on (5,2)
+    3: (1, 1, 4 * 2 + _I),  # H-K on (4,1)
+    5: (3, 2, 4 * 2 + _II),  # 2H-K on (5,2)
+    6: (7, 3, 4 * 3 + _I),  # 3H-K on (7,5)
 }
 _CUBIC_EXCEPTIONS_TOP = max(_CUBIC_EXCEPTIONS)
 
@@ -212,43 +209,42 @@ def _cubic_hops(n: int):
     2n0+2 - n by twist 2a-2, on types i and ii; by twist 2a-1, B (t = 1,
     2) links to T - n on type iv, F (t > 2a) to T+2 - n on type iii, and
     D and E (a+2 <= t <= 2a) spiral out through E: to T - n on type iv
-    above T/2, to T+1 - n on type ii below.  A level's ends, totals and
-    carriers (one per kind) are kept until the walk leaves the level."""
-    n0 = top = 0
+    above T/2, to T+1 - n on type ii below.  A level's ends and totals
+    are kept until the walk leaves the level.  Below the spiral the walk
+    leaves a level every two moves, nearly always for the level just
+    below, [3(a-1)(a-2)/2, n0), which it then enters without a square
+    root."""
+    a = n0 = top = 0
     while n > 1:
         if n <= _CUBIC_EXCEPTIONS_TOP and n in _CUBIC_EXCEPTIONS:
-            nxt, m, kind, level = _CUBIC_EXCEPTIONS[n]
-            carrier = _memo(_cubic_carrier, level, kind)
+            nxt, m, key = _CUBIC_EXCEPTIONS[n]
         else:
             if not n0 <= n < top:
-                a = _cubic_level(n)
-                n0 = 3 * a * (a - 1) // 2
+                below = n0 - 3 * a + 3
+                if below <= n < n0:
+                    a, n0 = a - 1, below
+                else:
+                    a = _cubic_level(n)
+                    n0 = 3 * a * (a - 1) // 2
                 c_lo = n0 + a
                 c_hi, e_hi, low, twist = c_lo + 1, c_lo + a, n0 + n0 + 2, a + a - 1
                 top = e_hi + a
                 total = n0 + top  # T
                 half = total // 2
-                i = ii = iii = iv = None
-            # A carrier is a record, never false: ``x or build`` builds once.
+                i = 4 * a  # the key of type i; ii, iii and iv follow
             if n > e_hi:  # F
-                nxt, m = total + 2 - n, twist
-                carrier = iii = iii or _memo(_cubic_carrier, a, "iii")
+                nxt, m, key = total + 2 - n, twist, i + _III
             elif n > half:  # D and E, above T/2
-                nxt, m = total - n, twist
-                carrier = iv = iv or _memo(_cubic_carrier, a, "iv")
+                nxt, m, key = total - n, twist, i + _IV
             elif n > c_hi:  # D, below
-                nxt, m = total + 1 - n, twist
-                carrier = ii = ii or _memo(_cubic_carrier, a, "ii")
+                nxt, m, key = total + 1 - n, twist, i + _II
             elif n >= c_lo:  # C; at a = 2 also t = 2, but n = 5 is literal
-                nxt, m = low - n, twist - 1
-                carrier = ii = ii or _memo(_cubic_carrier, a, "ii")
+                nxt, m, key = low - n, twist - 1, i + _II
             elif n0 < n <= n0 + 2:  # B
-                nxt, m = total - n, twist
-                carrier = iv = iv or _memo(_cubic_carrier, a, "iv")
+                nxt, m, key = total - n, twist, i + _IV
             else:  # A
-                nxt, m = low - n, twist - 1
-                carrier = i = i or _memo(_cubic_carrier, a, "i")
-        yield _move(LIAISON, n, nxt, carrier, m, None, "")
+                nxt, m, key = low - n, twist - 1, i
+        yield nxt, m, key, _LIAISON_CODE
         n = nxt
 
 
@@ -259,8 +255,8 @@ P3_GUARANTEED_MAX = 19
 
 # The two counts whose least-degree biliaison leaves a residual below
 # the genus (8 < 9 on (9,9), 9 < 11 on (10,11)) link by 5H-K instead:
-# n -> (target, m, d, g).
-_P3_EXCEPTIONS = {17: (12, 5, 9, 9), 19: (11, 5, 10, 11)}
+# n -> (target, m, d); a carrier's key is its row's degree.
+_P3_EXCEPTIONS = {17: (12, 5, 9), 19: (11, 5, 10)}
 
 
 def _p3_hops(n: int):
@@ -273,12 +269,12 @@ def _p3_hops(n: int):
         )
     while n > 1:
         if n in _P3_EXCEPTIONS:
-            nxt, m, d, g = _P3_EXCEPTIONS[n]
-            yield _move(LIAISON, n, nxt, p3_acm_family(d, g), m, None, "")
+            nxt, m, d = _P3_EXCEPTIONS[n]
+            yield nxt, m, d, _LIAISON_CODE
         else:
             row = next(row for row in perrin_table() if n <= row.m)
             nxt = n - row.d
-            yield _move(BILIAISON, n, nxt, p3_acm_family(row.d, row.g), None, 1, "")
+            yield nxt, 1, row.d, _BILIAISON_CODE
         n = nxt
 
 
@@ -302,7 +298,7 @@ class ReachabilityOracle(Plain):
     def confirms(self, chain: Chain) -> bool:
         """True when every step of the chain is an edge of this graph.
         Height-0 repositioning steps change no count and are skipped."""
-        return all(self.has_edge(s.n_from, s.n_to) for s in chain.steps if s.n_from != s.n_to)
+        return all(self.has_edge(n, n_to) for n, n_to in chain._counts() if n != n_to)
 
 
 def _candidates(space: str, carrier, n: int, lo: int, hi: int):
@@ -323,7 +319,8 @@ def _candidates(space: str, carrier, n: int, lo: int, hi: int):
 
 def _admits(space: str, kind: str, n: int, n_to: int, carrier, param: int) -> bool:
     """True when the rule validate_chain applies admits the move n -> n_to."""
-    return _RULES[space][kind](space, n, n_to, carrier, param, "") is None
+    return _RULES[space][kind](space, n, n_to, carrier.d, carrier.g, carrier.linsys_dim, param,
+                               "", carrier) is None
 
 
 def _with_linsys(families):

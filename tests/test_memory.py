@@ -5,16 +5,19 @@ tests pin what each step costs and that nothing else grows with it.
 """
 
 import gc
+import subprocess
+import sys
 import tracemalloc
 from itertools import cycle as cycle_of
 from itertools import islice, repeat
+from pathlib import Path
 
 import pytest
 
 from glicci import catalog
-from glicci.catalog import cubic_surface_type, plane_curve_family
+from glicci.catalog import cubic_surface_type
 from glicci.errors import InvalidMove
-from glicci.moves import BILIAISON, LinkMove
+from glicci.moves import _BILIAISON_CODE, _SLIDE_CODE
 from glicci.planner import _walk, plan
 
 # Traced bytes per step of plan("cubic-surface", 10**7): 622 when the
@@ -23,9 +26,14 @@ from glicci.planner import _walk, plan
 # shared coefficients (443-465 on Python 3.10-3.13), and about 442 (421
 # on Python 3.10) since no LRU keeps the last 1024 carriers.  At
 # 99999989 the walk starts with a run of 6,466 moves in the spiral of
-# ranges D and E; with the level's two carriers shared it holds about 455
-# bytes per step, and about 569 when the spiral builds a carrier per move.
+# ranges D and E; with the level's two carriers shared it held about 455
+# bytes per step, and about 569 when the spiral built a carrier per move.
 CUBIC_BYTES_PER_STEP = 520
+
+# A planned chain keeps four array('q') columns, 32 bytes a step, and
+# builds its records only when they are read: about 34 traced bytes per
+# step with the arrays' spare room, in every space.
+PACKED_BYTES_PER_STEP = 64
 
 
 def _traced_bytes_per_step(space, n, steps):
@@ -47,6 +55,34 @@ def test_deep_cubic_plan_peak_bytes_per_step():
 
 def test_spiral_runs_share_their_carriers_in_memory():
     assert _traced_bytes_per_step("cubic-surface", 99999989, 22794) <= CUBIC_BYTES_PER_STEP
+    # The spiral's 6,466 moves name the level's two carriers by two keys.
+    assert len(set(plan("cubic-surface", 99999989).steps._key[:6466])) == 2
+
+
+@pytest.mark.parametrize("space, n, steps", [("cubic-surface", 99999989, 22794),
+                                             ("p2", 10**8, 8988), ("quadric", 10**8, 9999)])
+def test_packed_plan_peak_bytes_per_step(space, n, steps):
+    assert _traced_bytes_per_step(space, n, steps) <= PACKED_BYTES_PER_STEP
+
+
+def test_cubic_plan_at_ten_to_the_ten_peaks_below_40_mb():
+    # A fresh interpreter, so that the peak resident set (VmHWM) is the
+    # plan's own: 163,300 steps.  It needs /proc/self/status (Linux).
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    probe = (
+        "import glicci; chain = glicci.plan('cubic-surface', 10**10); "
+        "line = next(x for x in open('/proc/self/status') if x.startswith('VmHWM:')); "
+        "print(len(chain.steps), int(line.split()[1]))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            timeout=120, env={"PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    steps, peak_kb = map(int, result.stdout.split())
+    assert steps == 163300
+    assert peak_kb <= 40 * 1024, f"VmHWM {peak_kb} kB"
 
 
 @pytest.mark.parametrize("kind", ["i", "ii", "iii", "iv"])
@@ -61,16 +97,15 @@ def test_cubic_carrier_holds_one_object_per_distinct_coefficient(kind):
 def _hops_along(pairs, yielded, limit):
     """A hops function for _walk that yields a move on a line for each
     (from, to) in ``pairs`` and records it, and raises RuntimeError
-    rather than hang after ``limit`` moves."""
-    line = plane_curve_family(1)
+    rather than hang after ``limit`` moves.  A move that keeps its count
+    is a height-0 slide, any other a height-1 biliaison."""
 
     def hops(n):
         for n_from, n_to in pairs:
             yielded.append(n_from)
             if len(yielded) > limit:
                 raise RuntimeError("the walk did not stop in the cycle")
-            yield LinkMove(BILIAISON, n_from, n_to, line, h=0 if n_from == n_to else 1,
-                           note="stay" if n_from == n_to else "")
+            yield (n_to, 0, 1, _SLIDE_CODE) if n_from == n_to else (n_to, 1, 1, _BILIAISON_CODE)
 
     return hops
 

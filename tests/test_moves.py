@@ -68,29 +68,39 @@ class TestLiaisonTarget:
         assert liaison_total(m, carrier) == lattice_deg
 
 
+def _dims(carrier):
+    """A carrier's (d, g, linsys_dim), the ints a step rule reads."""
+    return carrier.d, carrier.g, carrier.linsys_dim
+
+
 class TestValidators:
     # A step rule returns None for an admissible move and otherwise the
     # text of the first relation the move breaks.
     def test_cubic_window(self):
         rule = _RULES["cubic-surface"][LIAISON]
-        assert rule("cubic-surface", 18, 20, cubic_surface_type("i", 4), 6, "") is None
+        i = cubic_surface_type("i", 4)
+        assert rule("cubic-surface", 18, 20, *_dims(i), 6, "", i) is None
         iv = cubic_surface_type("iv", 2)  # (6, 4), window [4, 9]
-        assert rule("cubic-surface", 4, 8, iv, 3, "") is None
-        assert rule("cubic-surface", 3, 9, iv, 3, "") == "3 <-> 9 breaks the window [4, 9] on (6,4)"
+        assert rule("cubic-surface", 4, 8, *_dims(iv), 3, "", iv) is None
+        assert rule("cubic-surface", 3, 9, *_dims(iv), 3, "", iv) == (
+            "3 <-> 9 breaks the window [4, 9] on (6,4)")
         # 3 + 11 is no twist's total on (6,4), so the total breaks first.
-        assert rule("cubic-surface", 3, 11, iv, 3, "") == "3 + 11 != deg(3H-K on (6,4)) = 12"
+        assert rule("cubic-surface", 3, 11, *_dims(iv), 3, "", iv) == (
+            "3 + 11 != deg(3H-K on (6,4)) = 12")
 
     def test_p3_directional(self):
         rule = _RULES["p3"][BILIAISON]
-        assert rule("p3", 18, 9, p3_acm_family(9, 9), 1, "") is None
-        assert rule("p3", 20, 10, p3_acm_family(10, 11), 1, "") == (
+        nine, ten = p3_acm_family(9, 9), p3_acm_family(10, 11)
+        assert rule("p3", 18, 9, *_dims(nine), 1, "", nine) is None
+        assert rule("p3", 20, 10, *_dims(ten), 1, "", ten) == (
             "20 -> 10 on (10,11) fails the containment/effectiveness bounds")
 
     def test_p3_off_table_carrier(self):
         off = CurveFamily(ambient="p3", d=10, g=6)
         for kind, n_to, param in ((BILIAISON, 2, 1), (LIAISON, 8, 3)):
             rule = _RULES["p3"][kind]
-            assert rule("p3", 12, n_to, off, param, "") == "carrier (10,6) missing from the table"
+            assert rule("p3", 12, n_to, *_dims(off), param, "", off) == (
+                "carrier (10,6) missing from the table")
 
     def test_p3_undirected(self):
         oracle = build_oracle("p3", 40)
@@ -99,8 +109,8 @@ class TestValidators:
         # liaison both ways, and 31 points cannot sit on the curve.
         rule = _RULES["p3"][LIAISON]
         ten_eleven = p3_acm_family(10, 11)
-        assert rule("p3", 19, 31, ten_eleven, 7, "") is None
-        assert rule("p3", 31, 19, ten_eleven, 7, "") == (
+        assert rule("p3", 19, 31, *_dims(ten_eleven), 7, "", ten_eleven) is None
+        assert rule("p3", 31, 19, *_dims(ten_eleven), 7, "", ten_eleven) == (
             "31 -> 19 on (10,11) fails the containment/effectiveness bounds")
         assert not oracle.has_edge(19, 31)
 

@@ -19,7 +19,7 @@ from itertools import product
 import pytest
 from oracles import _accepts, _carriers, move_graph_edges
 
-from glicci import planner
+from glicci import catalog, moves
 from glicci.catalog import _trusted
 from glicci.errors import InvalidMove
 from glicci.moves import _RULES, BILIAISON, LIAISON, Chain, LinkMove, validate_chain
@@ -219,32 +219,55 @@ def test_descending_moves_digest():
         "a7732218e1e299f1d6f24b9f41e4909396b79a52a13c88a1c30ff9fb69d847bc")
 
 
-def test_candidates_are_tested_without_building_records(monkeypatch):
+def _count_builds(monkeypatch, carriers=False):
+    """Record each record built from now on: ``LinkMove`` (in ``__new__``,
+    or unchecked through ``moves._move``), ``Chain`` (in ``__init__``)
+    and, with ``carriers``, every carrier the catalog builds or hands out
+    (all go through ``_trusted``, the memo's through ``_memo``)."""
     built = []
-    new_move, init_chain, move = LinkMove.__new__, Chain.__init__, planner._move
 
-    def counted_new_move(cls, *args, **kwargs):
-        built.append("LinkMove")
-        return new_move(cls, *args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counted_move(*args):
-        built.append("_move")
-        return move(*args)
+    monkeypatch.setattr(LinkMove, "__new__", counted("LinkMove", LinkMove.__new__))
+    monkeypatch.setattr(moves, "_move", counted("_move", moves._move))
+    monkeypatch.setattr(Chain, "__init__", counted("Chain", Chain.__init__))
+    if carriers:
+        monkeypatch.setattr(catalog, "_trusted", counted("_trusted", catalog._trusted))
+        monkeypatch.setattr(catalog, "_memo", counted("_memo", catalog._memo))
+    return built
 
-    def counted_chain(self, *args, **kwargs):
-        built.append("Chain")
-        init_chain(self, *args, **kwargs)
 
-    # LinkMove is built in __new__, or by the planner through the
-    # unchecked _move; Chain in __init__.
-    monkeypatch.setattr(LinkMove, "__new__", counted_new_move)
-    monkeypatch.setattr(planner, "_move", counted_move)
-    monkeypatch.setattr(Chain, "__init__", counted_chain)
+def test_candidates_are_tested_without_building_records(monkeypatch):
+    built = _count_builds(monkeypatch)
     build_oracle("p2", 60)
     p3_descending_moves(12)
     assert built == []
-    plan("p2", 5)
-    assert built == ["_move", "Chain"]
+    # A plan keeps its steps as ints and builds a move when one is read.
+    chain = plan("p2", 5)
+    assert built == []
+    chain.steps[0]
+    assert built == ["_move"]
+
+
+@pytest.mark.parametrize("space, n", [("p2", 300), ("quadric", 300), ("cubic-surface", 500),
+                                      ("p3", 19)])
+def test_counts_are_read_without_building_records(monkeypatch, space, n):
+    # A planned chain's counts, and its text and JSON, come from its
+    # columns: no LinkMove and no carrier is built, not even from the memo.
+    oracle = build_oracle(space, n)
+    chain = plan(space, n)
+    built = _count_builds(monkeypatch, carriers=True)
+    assert chain.terminal == 1
+    assert chain.point_sequence()[0] == n
+    assert oracle.confirms(chain)
+    str(chain), chain.to_json(), list(chain._lines())
+    assert built == []
+    chain.steps[-1]
+    assert "_move" in built and {"_trusted", "_memo"} & set(built)
 
 
 def _planner_step(space, kind):
@@ -259,9 +282,10 @@ def test_every_rule_admits_a_planner_step_and_rejects_its_neighbours(space, kind
     step = _planner_step(space, kind)
     rule = _RULES[space][kind]
     param = step.m if kind == LIAISON else step.h
-    assert rule(space, step.n_from, step.n_to, step.carrier, param, step.note) is None
+    c = step.carrier
+    assert rule(space, step.n_from, step.n_to, c.d, c.g, c.linsys_dim, param, step.note, c) is None
     for n_to in (step.n_to - 1, step.n_to + 1):
-        broken = rule(space, step.n_from, n_to, step.carrier, param, step.note)
+        broken = rule(space, step.n_from, n_to, c.d, c.g, c.linsys_dim, param, step.note, c)
         assert type(broken) is str and broken
 
 
@@ -328,7 +352,8 @@ def test_rule_text_is_the_verdict_and_the_message(space, n_max):
                     for frm, to in product((n - 1, n, n + 1), (n_to - 1, n_to, n_to + 1)):
                         for p in params:
                             for note in ("", "repositioned"):
-                                broken = rule(space, frm, to, on, p, note)
+                                broken = rule(space, frm, to, on.d, on.g, on.linsys_dim, p,
+                                              note, on)
                                 assert broken is None or (type(broken) is str and broken)
                                 if note == "":
                                     assert _admits(space, kind, frm, to, on, p) == (broken is None)

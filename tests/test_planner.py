@@ -1,12 +1,12 @@
-import gc
 import random
+from array import array
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import cubic_range_move, cubic_spiral_walk
 
-from glicci import catalog
+from glicci import catalog, planner
 from glicci.catalog import (
     CurveFamily,
     cubic_surface_type,
@@ -21,11 +21,19 @@ from glicci.errors import (
     OutOfGuaranteedRange,
     SearchBudgetExceeded,
 )
-from glicci.moves import BILIAISON, LIAISON, Chain, LinkMove, validate_chain
+from glicci.moves import (
+    _BILIAISON_CODE,
+    BILIAISON,
+    LIAISON,
+    Chain,
+    LinkMove,
+    validate_chain,
+)
 from glicci.picard import DivisorClass
 from glicci.planner import (
     P3_GUARANTEED_MAX,
     SPACES,
+    _CUBIC_EXCEPTIONS,
     _cubic_hops,
     _cubic_level,
     _plane_degree,
@@ -37,14 +45,24 @@ from glicci.planner import (
 )
 
 
+def _packed(space, start, hops):
+    """The chain of the (target, parameter, key, code) moves ``hops``, as
+    the walk packs them, unvalidated."""
+    columns = [array("q") for _ in range(4)]
+    for move in hops:
+        for column, value in zip(columns, move):
+            column.append(value)
+    return Chain._packed(space, start, *columns)
+
+
 def _spiral_run(start, lo, hi):
-    """The moves _cubic_hops yields from start while the count stays in
-    [lo, hi], up to and including the one that leaves it."""
+    """The steps of the moves _cubic_hops yields from start while the
+    count stays in [lo, hi], up to and including the one that leaves it."""
     run = []
     for move in _cubic_hops(start):
         run.append(move)
-        if not lo <= move.n_to <= hi:
-            return run
+        if not lo <= move[0] <= hi:
+            return _packed("cubic-surface", start, run).steps
 
 
 class TestPlanP2:
@@ -189,7 +207,7 @@ class TestPlanCubic:
     def test_spiral_run_is_the_one_step_moves_on_two_carriers(self, a):
         # From a count in ranges D and E, _cubic_hops yields the moves that
         # one-step classification gives until the count leaves D and E,
-        # on the level's two carriers, each built once.
+        # on the level's two carriers, named by two keys.
         n0 = 3 * a * (a - 1) // 2
         lo, hi = n0 + a + 2, n0 + 2 * a
         one_step = {n: cubic_range_move(n) for n in range(lo, hi + 1)}
@@ -210,17 +228,18 @@ class TestPlanCubic:
             assert [(s.n_from, s.n_to, s.m, s.carrier.label[5:]) for s in run] == expected
             assert all(s.kind == LIAISON and s.carrier == carriers[s.carrier.label[5:]]
                        for s in run)
-            assert len({id(s.carrier) for s in run}) == min(len(run), 2)
+            assert len(set(run._key)) == min(len(run), 2)
 
     def test_spiral_run_walks_the_whole_spiral(self):
         # At 99999989 the walk starts in range D of level 8165 and spirals
-        # out in one run of 6466 moves on two carrier objects.
+        # out in one run of 6466 moves on two carrier keys.
         a = 8165
         n0 = 3 * a * (a - 1) // 2
         run = _spiral_run(99999989, n0 + a + 2, n0 + 2 * a)
         assert len(run) == 6466
-        assert len({id(s.carrier) for s in run}) == 2
-        assert plan("cubic-surface", 99999989).steps[:6466] == tuple(run)
+        steps = plan("cubic-surface", 99999989).steps
+        assert len(set(steps._key[:6466])) == 2
+        assert steps[:6466] == tuple(run)
 
     @pytest.mark.parametrize("a", [*range(4, 41), 997])
     def test_ranges_tile_each_level(self, a):
@@ -241,22 +260,45 @@ class TestPlanCubic:
             counts = sorted({*range(n0, n0 + 32), *range(n0, top, 256), *range(top - 32, top)})
         for n in counts:
             nxt, m, kind = cubic_range_move(n)
-            move = next(_cubic_hops(n))
+            move = _packed("cubic-surface", n, [next(_cubic_hops(n))]).steps[0]
             assert (move.kind, move.n_from, move.n_to, move.m, move.h, move.note) == (
                 LIAISON, n, nxt, m, None, "")
             assert move.carrier == cubic_surface_type(kind, a)
 
     def test_levels_share_their_carriers(self):
-        # The walk holds a level's carriers one per kind until it leaves
-        # the level: 5,737 carrier objects serve the 6,476 steps.
+        # A level's steps of one kind name one carrier: 5,737 carrier keys
+        # serve the 6,476 steps.
         steps = plan("cubic-surface", 12345678).steps
         assert len(steps) == 6476
-        assert len({id(s.carrier) for s in steps}) == 5737
+        assert len(set(steps._key)) == 5737
 
     def test_chain_length_bound(self):
         # Empirical bound recorded over the full guaranteed range: the
         # longest chain for n <= 10^4 has 239 moves (at n = 9842).
         assert len(plan("cubic-surface", 9842).steps) == 239
+
+    @pytest.mark.parametrize("ns", [
+        range(1, 3001),
+        [int(10 ** random.Random(f"levels {i}").uniform(3.5, 10)) for i in range(30)],
+    ], ids=["all-to-3000", "seeded-to-1e10"])
+    def test_every_level_entered_is_the_closed_form_level(self, ns):
+        # The walk enters a level by one step down when the count lands
+        # just below it, and by the square root otherwise; either way the
+        # level of every move off the exceptions (its key // 4) is n's.
+        for n in ns:
+            for nxt, _, key, _ in _cubic_hops(n):
+                if n not in _CUBIC_EXCEPTIONS:
+                    assert key >> 2 == _cubic_level(n), (n, key)
+                n = nxt
+
+    def test_levels_below_the_spiral_are_entered_without_a_square_root(self, monkeypatch):
+        # At 99999989 the 6,466-move spiral is followed by 8,163 level
+        # entries, each one level down from the last: only the first
+        # level is found by its square root.
+        roots = []
+        monkeypatch.setattr(planner, "_cubic_level", lambda n: roots.append(n) or _cubic_level(n))
+        assert len(plan("cubic-surface", 99999989).steps) == 22794
+        assert roots == [99999989]
 
 
 def _assert_levels(n):
@@ -378,7 +420,7 @@ class TestCheckedBuilds:
     @pytest.mark.parametrize("space", ["p2", "quadric", "cubic-surface", "p3"])
     def test_planned_records_equal_their_checked_builds(self, space):
         for n in _seeded_counts(space):
-            steps = plan(space, n).steps
+            steps = tuple(plan(space, n).steps)
             catalog._MEMO.clear()  # rebuild even the memo's carriers
             rebuilt = {}
             for step in steps:
@@ -402,7 +444,6 @@ class TestWalk:
     # and the second move that keeps it raises.
     @pytest.mark.parametrize("n, repeat, hops", [(9, 5, 3), (10, 10, 2)])
     def test_cycle_raises_at_once(self, n, repeat, hops):
-        line = plane_curve_family(1)
         cycle = {9: 5, 5: 2, 2: 5, 10: 10}
         yielded = []
 
@@ -411,44 +452,12 @@ class TestWalk:
                 yielded.append(cur)
                 if len(yielded) > 10:  # fail rather than hang if the guard is gone
                     raise RuntimeError("the walk did not stop at the repeated count")
-                yield LinkMove(BILIAISON, cur, cycle[cur], line, h=1)
+                yield cycle[cur], 1, 1, _BILIAISON_CODE  # height 1 on a line
                 cur = cycle[cur]
 
         with pytest.raises(InvalidMove, match=f"p2 walk from {n} returns to {repeat}"):
             _walk("p2", n, looping)
         assert len(yielded) == hops
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_state_is_restored(self, enabled):
-        # The walk pauses the cyclic collector and restores the caller's
-        # state on success and on each error, also when it was off.
-        line = plane_curve_family(1)
-        seen = []
-
-        def cycling(cur):
-            while True:
-                seen.append(gc.isenabled())
-                yield LinkMove(BILIAISON, cur, cur, line, h=0, note="stay")
-
-        calls = [
-            (lambda: plan("cubic-surface", 99999989), None),
-            (lambda: plan("p3", 20), OutOfGuaranteedRange),
-            (lambda: plan("p2", 0), DegreeTooSmall),
-            (lambda: _walk("p2", 10, cycling), InvalidMove),
-        ]
-        was = gc.isenabled()
-        try:
-            (gc.enable if enabled else gc.disable)()
-            for call, error in calls:
-                if error is None:
-                    call()
-                else:
-                    with pytest.raises(error):
-                        call()
-                assert gc.isenabled() is enabled
-        finally:
-            (gc.enable if was else gc.disable)()
-        assert seen == [False, False]
 
 
 class TestOracle:
