@@ -3,14 +3,16 @@
 A record class names its fields in ``_fields``.  A plain record derives
 from :class:`Plain`, whose constructor only stores the fields given by
 position; a checked one sets them in its own ``__init__`` with
-``object.__setattr__`` or, on the planner's hot path, on a draft (see
-:func:`draft`) in ``__new__``, so that no Python-level ``__init__``
-runs there.  Equality (same class only), hashing and ``repr`` go field
-by field as a frozen dataclass's do, assignment and deletion raise
-``AttributeError``, and ``copy`` and ``pickle`` rebuild the record
-through its constructor, which validates it.  :func:`type_error` and
-:func:`int_entries` give the constructors and the argument checks one
-wording of the ``TypeError`` naming the field, argument or entry.
+``object.__setattr__`` or on a draft (see :func:`draft`) in ``__new__``.
+The unchecked builds that read a planned chain's steps, a move and its
+carrier per step, fill a draft too, so that no Python-level
+``__init__`` runs there.  Equality (same class only), hashing and
+``repr`` go field by field as a frozen dataclass's do, assignment and
+deletion raise ``AttributeError``, and ``copy`` and ``pickle`` rebuild
+the record through its constructor, which validates it.
+:func:`type_error` and :func:`int_entries` give the constructors and the
+argument checks one wording of the ``TypeError`` naming the field,
+argument or entry.
 """
 
 from operator import index

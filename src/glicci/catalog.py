@@ -22,23 +22,21 @@ low = min b_i, so one ``itemgetter`` per kind picks the whole class out
 of (b_0 + 3k, low + k, low + k + 1, low + k + 2): a carrier holds one
 integer object per distinct coefficient rather than seven.
 
-The (d, g) formulas of ``cubic_surface_type``, ``quadric_family`` and
-``quadric_ruling_line`` are certified once, at import, by ``_certify``:
-both the formula and the lattice's degree and twice its genus are
-integer polynomials of degree at most 2 in a, so agreeing at a = 1, 2, 3
-they agree for every a.  These and ``plane_curve_family`` (no class to
-check) build their carriers without the per-carrier checks that every
-other ``CurveFamily(...)`` runs.  ``cubic_surface_type``,
-``quadric_family`` and ``plane_curve_family`` check their arguments and
-then build through one bounded memo, ``_memo``, which keeps every
-carrier of parameter below ``_MEMO_BELOW`` and builds larger ones
-fresh.
-
-A planned chain names each carrier by one int, its key; ``_KEYS`` says
-per space how a key reads: its (d, g, linsys_dim) by the closed forms
-the builders use (``_plane_dims``, ``_quadric_dims``, ``_cubic_dims``,
-``_p3_dims``), its label, and its carrier, built through the memo from
-ints the planner computed.
+A carrier of a space is named by one int, its key, and ``_KEYS`` says
+per space how a key reads: its (d, g, linsys_dim) by closed forms, its
+label and its divisor class.  ``_carrier(space, key)`` is the one
+builder: it skips the per-carrier checks that every other
+``CurveFamily(...)`` runs, and keeps every carrier of level (a or d)
+below ``_MEMO_BELOW`` in one memo, ``_MEMO``, keyed by (space, key),
+building larger ones afresh.  ``cubic_surface_type``,
+``quadric_family``, ``quadric_ruling_line``, ``plane_curve_family`` and
+``p3_acm_family`` check their arguments, compute the key and return
+its carrier; a planned chain stores the keys and builds a carrier only
+when a step is read.  The (d, g) formulas on the quadric and the cubic
+surface are certified once, at import, by ``_certify``: both the
+formula and the lattice's degree and twice its genus are integer
+polynomials of degree at most 2 in a, so agreeing at a = 1, 2, 3 they
+agree for every a.  Plane curves and table rows carry no class to check.
 
 The registry is built once at import time and never mutated.  The memo
 only grows, up to its bound, and a carrier it returns equals the one
@@ -117,13 +115,14 @@ for _model in (
     _SURFACES[_model.name] = _model
 
 
-# Carriers whose parameter (a or d) is below this are kept in ``_MEMO``
+# Carriers whose level (a or d) is below this are kept in ``_MEMO``
 # once built and never evicted: the acceptance sweeps and oracles over
 # 1..10^4 ask again and again for the same few hundred (cubic a <= 82,
 # quadric a <= 100, plane d <= 142).  A large plan asks for almost every
 # carrier above it once, so those are built fresh.  The memo holds at
-# most 7 * 255 carriers, all keyed by exact ints: the public constructors
-# refuse 3.0, True and int subclasses, as the records do.
+# most 4 * 255 cubic, 511 quadric, 255 plane and 10 table carriers, all
+# keyed by (space, exact int): the public constructors refuse 3.0, True
+# and int subclasses, as the records do.
 _MEMO_BELOW = 256
 _MEMO: dict = {}
 
@@ -228,7 +227,8 @@ def _trusted(ambient: str, d: int, g: int, linsys_dim: int | None,
              divisor: DivisorClass | None, surface: str | None, label: str) -> CurveFamily:
     """The carrier ``CurveFamily(...)`` would build, without its checks:
     only for fields built from ints, with a (d, g) that :func:`_certify`
-    has proved for every a or no class to check (plane curves)."""
+    has proved for every a or no class to check (plane curves and table
+    rows)."""
     family = _FamilyDraft()
     family.ambient = ambient
     family.d = d
@@ -239,19 +239,6 @@ def _trusted(ambient: str, d: int, g: int, linsys_dim: int | None,
     family.label = label
     family.__class__ = CurveFamily
     return family
-
-
-def _memo(build, param: int, variant: str) -> CurveFamily:
-    """``build(param, variant)``, kept in ``_MEMO`` when param is below
-    ``_MEMO_BELOW``.  The planner calls it with the ints it computed; the
-    public constructors check their arguments before they call it."""
-    if param >= _MEMO_BELOW:
-        return build(param, variant)
-    key = (build, param, variant)
-    carrier = _MEMO.get(key)
-    if carrier is None:
-        carrier = _MEMO[key] = build(param, variant)
-    return carrier
 
 
 def _cubic_kind(kind: str, base: str, drop: int, g1: int, g0: int):
@@ -290,13 +277,17 @@ def _cubic_dims(key: int) -> tuple[int, int, int]:
     return d, g, d + g - 1
 
 
-def _cubic_carrier(a: int, kind: str) -> CurveFamily:
-    """The kind's carrier at a, unchecked; its class is picked from four ints."""
-    head0, low0, pick, *_, label = _CUBIC_KINDS[kind]
-    d, g, held = _cubic_dims(4 * a + _CUBIC_NAMES.index(kind))
-    c = low0 + a
-    divisor = _class(pick((head0 + 3 * a, c, c + 1, c + 2)))
-    return _trusted("p3-cubic", d, g, held, divisor, "cubic", label)
+def _cubic_class(key: int) -> DivisorClass:
+    """The class B + (a-1)H of the cubic carrier with key 4a + kind,
+    picked from four ints."""
+    row = _CUBIC_KINDS[_CUBIC_NAMES[key & 3]]
+    a = key >> 2
+    c = row[1] + a
+    return _class(row[2]((row[0] + 3 * a, c, c + 1, c + 2)))
+
+
+def _cubic_label(key: int) -> str:
+    return _CUBIC_KINDS[_CUBIC_NAMES[key & 3]][-1]
 
 
 def cubic_surface_type(kind: str, a: int) -> CurveFamily:
@@ -317,7 +308,7 @@ def cubic_surface_type(kind: str, a: int) -> CurveFamily:
         if kind not in _CUBIC_KINDS:
             raise ValueError(f"kind must be one of i, ii, iii, iv; got {kind!r}")
     _check_positive(a, "a", "a >= 1")
-    return _memo(_cubic_carrier, a, kind)
+    return _carrier("cubic-surface", 4 * a + _CUBIC_NAMES.index(kind))
 
 
 def _quadric_dims(d: int) -> tuple[int, int, int]:
@@ -329,16 +320,15 @@ def _quadric_dims(d: int) -> tuple[int, int, int]:
     return d, (a - 1) * (b - 1), a * b + d
 
 
+def _quadric_class(d: int) -> DivisorClass:
+    """Bidegree (d // 2, d - d // 2); the ruling line, d = 1, is (1, 0)."""
+    a = d >> 1
+    return _class((1, 0) if d == 1 else (a, d - a))
+
+
 def _quadric_label(d: int) -> str:
     a = d >> 1
     return "ruling line" if d == 1 else f"bidegree ({a}, {d - a})"
-
-
-def _quadric_carrier(a: int, case: str) -> CurveFamily:
-    """Bidegree (a, a) for case i and (a, a+1) for case ii, unchecked."""
-    b = a if case == "i" else a + 1
-    return _trusted("p3-quadric", *_quadric_dims(a + b), _class((a, b)), "quadric",
-                    _quadric_label(a + b))
 
 
 def quadric_family(a: int, case: str) -> CurveFamily:
@@ -350,59 +340,17 @@ def quadric_family(a: int, case: str) -> CurveFamily:
     if case not in ("i", "ii"):
         raise ValueError(f"case must be i or ii, got {case!r}")
     _check_positive(a, "a", "a >= 1")
-    return _memo(_quadric_carrier, a, case)
+    return _carrier("quadric", 2 * a if case == "i" else 2 * a + 1)
 
 
 def quadric_ruling_line() -> CurveFamily:
     """A line of one ruling of the quadric; it moves in a pencil."""
-    return _trusted("p3-quadric", *_quadric_dims(1), _class((1, 0)), "quadric", "ruling line")
-
-
-def _certify() -> None:
-    """Prove the certified constructors' (d, g) equal to the lattice's.
-
-    For a cubic kind the class is B + (a-1)H, so its lattice degree is
-    linear in a and twice its lattice genus, c.c + c.K + 2, is quadratic
-    in a; the formulas d = 3a - drop and 2g = 3a^2 - g1*a + g0 are too,
-    and so are the quadric's, whose class is (a, a) or (a, a+1).  Two
-    integer polynomials of degree at most 2 that agree at a = 1, 2, 3 are
-    equal, so the checks below hold for every a.  2g is compared before
-    the division by 2, which could hide an odd numerator.  Raises
-    ``ValueError`` naming the family whose formula disagrees.
-    """
-    line = quadric_ruling_line()
-    carriers = [("quadric ruling line", 1, line, 2 * line.g)]
-    for kind, row in _CUBIC_KINDS.items():
-        what = f"cubic type {kind}"
-        *_, g1, g0, _ = row
-        carriers += [(what, a, _cubic_carrier(a, kind), 3 * a * a - g1 * a + g0)
-                     for a in (1, 2, 3)]
-    for case in ("i", "ii"):
-        what = f"quadric case {case}"
-        for a in (1, 2, 3):
-            family = _quadric_carrier(a, case)
-            carriers.append((what, a, family, 2 * family.g))
-    for what, a, family, twice_g in carriers:
-        model = _SURFACES[family.surface]
-        d, g = model.degree_of(family.divisor), model.genus_of(family.divisor)
-        if (family.d, family.g, twice_g) != (d, g, 2 * g):
-            raise ValueError(
-                f"{what} at a = {a}: formula d = {family.d}, g = {family.g}, 2g = {twice_g}; "
-                f"lattice class {family.divisor} has d = {d}, g = {g}"
-            )
-
-
-_certify()
+    return _carrier("quadric", 1)
 
 
 def _plane_dims(d: int) -> tuple[int, int, int]:
     """(d, g, linsys_dim) of plane curves of degree d."""
     return d, (d - 1) * (d - 2) // 2, d * (d + 3) // 2
-
-
-def _plane_carrier(d: int, ambient: str) -> CurveFamily:
-    """Plane curves of degree d in ``ambient``, unchecked (they carry no class)."""
-    return _trusted(ambient, *_plane_dims(d), None, None, _plane_label(d))
 
 
 def _plane_label(d: int) -> str:
@@ -413,7 +361,7 @@ def plane_curve_family(d: int) -> CurveFamily:
     """Plane curves of degree d: genus (d-1)(d-2)/2, moving in the
     complete linear system of dimension d(d+3)/2."""
     _check_positive(d, "d", "d >= 1")
-    return _memo(_plane_carrier, d, "p2")
+    return _carrier("p2", d)
 
 
 class PerrinEntry(Plain):
@@ -444,6 +392,9 @@ def perrin_m(d: int, g: int) -> int:
     surface of the least degree s through the curve (``s_zero`` of the
     witness h-vector), which holds binom(s+3, 3) - 1 of them.  The smaller
     bound is 2d except for the conic (3) and the (5, 2) curve (9)."""
+    for name, value in (("d", d), ("g", g)):
+        if type(value) is not int:
+            raise type_error(name, int, value)
     try:
         return _PERRIN_M[(d, g)]
     except KeyError:
@@ -453,11 +404,7 @@ def perrin_m(d: int, g: int) -> int:
 def p3_acm_family(d: int, g: int) -> CurveFamily:
     """Table row as a curve family (raises NotInTable off the table)."""
     perrin_m(d, g)
-    return CurveFamily(ambient="p3", d=d, g=g, label=_acm_label(d, g))
-
-
-def _acm_label(d: int, g: int) -> str:
-    return f"ACM ({d},{g})"
+    return _carrier("p3", d)
 
 
 def _p3_dims(d: int) -> tuple[int, int, None]:
@@ -466,38 +413,91 @@ def _p3_dims(d: int) -> tuple[int, int, None]:
     return d, _PERRIN_ROWS[d - 1].g, None
 
 
-def _p3_row_carrier(d: int) -> CurveFamily:
-    return p3_acm_family(d, _PERRIN_ROWS[d - 1].g)
+def _p3_label(d: int) -> str:
+    return f"ACM ({d},{_PERRIN_ROWS[d - 1].g})"
 
 
-def _quadric_key_carrier(d: int) -> CurveFamily:
-    if d == 1:
-        return quadric_ruling_line()
-    return _memo(_quadric_carrier, d >> 1, "ii" if d & 1 else "i")
+def _no_class(key: int) -> None:
+    return None
 
 
 class _KeyLayout(Plain):
-    """How one space's planner names a carrier by one int, its key (see
-    ``moves.Chain``): the plane degree d in p2; the degree d on the
-    quadric, bidegree (d // 2, d - d // 2), with 1 the ruling line; 4a plus
-    the kind (i..iv = 0..3) on the cubic surface; the degree of a table
-    row in 3-space.  ``dims`` gives a key's (d, g, linsys_dim) by the
-    closed forms the carrier builders use, ``label`` its label, and
-    ``carrier`` the carrier itself, through the memo; ``key >>
-    level_shift`` is the carrier's level (a or d)."""
+    """How one space names a carrier by one int, its key: the plane
+    degree d in p2; the degree d on the quadric, bidegree (d // 2,
+    d - d // 2), with 1 the ruling line; 4a plus the kind (i..iv = 0..3)
+    on the cubic surface; the degree of a table row in 3-space.  Its
+    ambient and surface are the space's; ``dims`` gives a key's (d, g,
+    linsys_dim) by the closed forms, ``label`` its label and ``divisor``
+    its class (None off a surface); ``key >> level_shift`` is its level
+    (a or d)."""
 
-    __slots__ = _fields = ("ambient", "dims", "label", "carrier", "level_shift")
+    __slots__ = _fields = ("ambient", "surface", "dims", "label", "divisor", "level_shift")
 
 
 _KEYS = {
-    "p2": _KeyLayout("p2", _plane_dims, _plane_label, lambda d: _memo(_plane_carrier, d, "p2"),
-                     0),
-    "quadric": _KeyLayout("p3-quadric", _quadric_dims, _quadric_label, _quadric_key_carrier, 1),
-    "cubic-surface": _KeyLayout(
-        "p3-cubic", _cubic_dims, lambda key: _CUBIC_KINDS[_CUBIC_NAMES[key & 3]][-1],
-        lambda key: _memo(_cubic_carrier, key >> 2, _CUBIC_NAMES[key & 3]), 2),
-    "p3": _KeyLayout("p3", _p3_dims, lambda d: _acm_label(*_p3_dims(d)[:2]), _p3_row_carrier, 0),
+    "p2": _KeyLayout("p2", None, _plane_dims, _plane_label, _no_class, 0),
+    "quadric": _KeyLayout("p3-quadric", "quadric", _quadric_dims, _quadric_label,
+                          _quadric_class, 1),
+    "cubic-surface": _KeyLayout("p3-cubic", "cubic", _cubic_dims, _cubic_label, _cubic_class,
+                                2),
+    "p3": _KeyLayout("p3", None, _p3_dims, _p3_label, _no_class, 0),
 }
+
+
+def _build(layout: _KeyLayout, key: int) -> CurveFamily:
+    """The carrier that ``key`` names in the space of ``layout``, built
+    afresh without the checks of ``CurveFamily(...)``."""
+    return _trusted(layout.ambient, *layout.dims(key), layout.divisor(key), layout.surface,
+                    layout.label(key))
+
+
+def _carrier(space: str, key: int) -> CurveFamily:
+    """The carrier that ``key`` names in ``space``, kept in ``_MEMO`` when
+    its level is below ``_MEMO_BELOW``: the one way the package builds a
+    carrier of a space, for a key of exact int type that a public
+    constructor computed or a planned chain stores."""
+    layout = _KEYS[space]
+    if key >> layout.level_shift >= _MEMO_BELOW:
+        return _build(layout, key)
+    carrier = _MEMO.get((space, key))
+    if carrier is None:
+        carrier = _MEMO[space, key] = _build(layout, key)
+    return carrier
+
+
+def _certify() -> None:
+    """Prove the layouts' (d, g) on the quadric and the cubic surface
+    equal to the lattice's.
+
+    For a cubic kind the class is B + (a-1)H, so its lattice degree is
+    linear in a and twice its lattice genus, c.c + c.K + 2, is quadratic
+    in a; the formulas d = 3a - drop and 2g = 3a^2 - g1*a + g0 are too,
+    and so are the quadric's, whose class is (a, a) or (a, a+1).  Two
+    integer polynomials of degree at most 2 that agree at a = 1, 2, 3 are
+    equal, so the checks below hold for every a.  2g is compared before
+    the division by 2, which could hide an odd numerator.  Raises
+    ``ValueError`` naming the family whose formula disagrees.
+    """
+    quadric, cubic = _KEYS["quadric"], _KEYS["cubic-surface"]
+    checks = [("quadric ruling line", 1, _build(quadric, 1), None)]
+    checks += [(f"quadric case {case}", a, _build(quadric, 2 * a + odd), None)
+               for odd, case in enumerate(("i", "ii")) for a in (1, 2, 3)]
+    for code, (kind, (*_, g1, g0, _)) in enumerate(_CUBIC_KINDS.items()):
+        checks += [(f"cubic type {kind}", a, _build(cubic, 4 * a + code),
+                    3 * a * a - g1 * a + g0) for a in (1, 2, 3)]
+    for what, a, family, twice_g in checks:
+        if twice_g is None:  # the quadric's genus (a-1)(b-1) is not halved
+            twice_g = 2 * family.g
+        model = _SURFACES[family.surface]
+        d, g = model.degree_of(family.divisor), model.genus_of(family.divisor)
+        if (family.d, family.g, twice_g) != (d, g, 2 * g):
+            raise ValueError(
+                f"{what} at a = {a}: formula d = {family.d}, g = {family.g}, 2g = {twice_g}; "
+                f"lattice class {family.divisor} has d = {d}, g = {g}"
+            )
+
+
+_certify()
 
 
 class DescentEntry(Plain):

@@ -38,7 +38,7 @@ import json
 from collections.abc import Callable, Sequence
 
 from ._record import Record, draft, type_error
-from .catalog import _KEYS, _PERRIN_M, CurveFamily
+from .catalog import _KEYS, _PERRIN_M, CurveFamily, _carrier
 from .errors import InvalidMove
 
 LIAISON = "liaison"
@@ -133,8 +133,9 @@ _MoveDraft = draft(LinkMove)
 
 def _move(kind: str, n_from: int, n_to: int, carrier: CurveFamily, m: int | None,
           h: int | None, note: str) -> LinkMove:
-    """``LinkMove(...)`` without its checks, for the planner's moves from
-    ints it computed: the counterpart of ``catalog._trusted``."""
+    """``LinkMove(...)`` without its checks, for a planned chain's moves,
+    built from its columns when a step is read: the counterpart of
+    ``catalog._trusted``."""
     move = _MoveDraft()
     move.kind = kind
     move.n_from = n_from
@@ -154,11 +155,11 @@ class _Steps(Sequence):
     for the kind and note.  A step's count before the move is the
     previous target, or the start.
 
-    Reading a step builds its ``LinkMove``, and the carrier through the
-    memo; a slice is a tuple.  Equality, hash, ``repr`` and pickling are
-    those of the tuple of moves, which ``tuple(steps)`` builds.  The
-    moves of one pass share a carrier within one level of keys, as the
-    walk that planned them did."""
+    Reading a step builds its ``LinkMove``, and the carrier through
+    ``catalog._carrier``; a slice is a tuple.  Equality, hash, ``repr``
+    and pickling are those of the tuple of moves, which ``tuple(steps)``
+    builds.  The moves of one pass share a carrier within one level of
+    keys, as the walk that planned them did."""
 
     __slots__ = ("_space", "_start", "_to", "_param", "_key", "_code")
 
@@ -182,8 +183,8 @@ class _Steps(Sequence):
         return self._moves(range(len(self._to)))
 
     def _moves(self, positions):
-        layout = _KEYS[self._space]
-        carrier_of, shift = layout.carrier, layout.level_shift
+        space = self._space
+        shift = _KEYS[space].level_shift
         to, params, keys, codes = self._to, self._param, self._key, self._code
         level, shared = None, {}
         for i in positions:
@@ -192,7 +193,7 @@ class _Steps(Sequence):
                 level, shared = key >> shift, {}
             carrier = shared.get(key)
             if carrier is None:
-                carrier = shared[key] = carrier_of(key)
+                carrier = shared[key] = _carrier(space, key)
             kind, note = _MOVE_CODES[codes[i]]
             param = params[i]
             liaison = kind == LIAISON
@@ -594,8 +595,7 @@ def validate_chain(chain: Chain) -> None:
 
 
 def _validate_columns(space: str, rules: dict, n: int, steps: _Steps) -> None:
-    layout = _KEYS[space]
-    dims, code_now = layout.dims, None
+    dims, code_now = _KEYS[space].dims, None
     for n_to, param, key, code in zip(steps._to, steps._param, steps._key, steps._code):
         if code != code_now:
             code_now = code
@@ -605,5 +605,5 @@ def _validate_columns(space: str, rules: dict, n: int, steps: _Steps) -> None:
                 raise InvalidMove(f"{space} chains use no {kind} moves")
         d, g, held = dims(key)
         if rule(space, n, n_to, d, g, held, param, note, None) is not None:
-            raise InvalidMove(rule(space, n, n_to, d, g, held, param, note, layout.carrier(key)))
+            raise InvalidMove(rule(space, n, n_to, d, g, held, param, note, _carrier(space, key)))
         n = n_to

@@ -28,10 +28,11 @@ them; no move or carrier is built until a caller reads a step:
 
 Every next hop is a formula in n; the levels and the cubic spiral are
 closed forms.  The reachability oracle lists the candidate moves on
-every carrier of a space, keeps exactly those the space's step rules
-admit and runs the one breadth-first search, ``_bfs``; it never calls
-the next-hop generators, so it checks the planners independently.
-``p3_descending_moves`` is the same listing from one n.
+every carrier key of a space, keeps exactly those the space's step rules
+admit and runs the one breadth-first search, ``_bfs``; it builds no
+record and never calls the next-hop generators, so it checks the
+planners independently.  ``p3_descending_moves`` is the same listing
+from one n.
 
 A plan is a pure function of (space, n); identical inputs give
 identical chains.
@@ -44,15 +45,7 @@ from itertools import count
 from math import isqrt
 
 from ._record import Plain
-from .catalog import (
-    _CUBIC_NAMES,
-    _check_positive,
-    cubic_surface_type,
-    p3_acm_family,
-    perrin_table,
-    plane_curve_family,
-    quadric_family,
-)
+from .catalog import _CUBIC_NAMES, _KEYS, _check_positive, perrin_table
 from .errors import InvalidMove, OutOfGuaranteedRange, SearchBudgetExceeded
 from .moves import (
     _BILIAISON_CODE,
@@ -63,7 +56,7 @@ from .moves import (
     BILIAISON,
     LIAISON,
     Chain,
-    liaison_target,
+    _liaison_degree,
     validate_chain,
 )
 
@@ -301,56 +294,57 @@ class ReachabilityOracle(Plain):
         return all(self.has_edge(n, n_to) for n, n_to in chain._counts() if n != n_to)
 
 
-def _candidates(space: str, carrier, n: int, lo: int, hi: int):
+def _candidates(space: str, d: int, g: int, n: int, lo: int, hi: int):
     """(kind, parameter, residual) of every move from n on a (d, g)
     carrier, of the kinds the space has rules for: the biliaisons
     n -> n - h*d (h >= 1) whose residual is at least lo, by h, then the
     liaisons n -> m*d - (2g - 2) - n (m >= 1) whose residual lies in
     [lo, hi], by m."""
     rules = _RULES[space]
-    d, shift = carrier.d, 2 * carrier.g - 2
+    shift = 2 * g - 2
     if BILIAISON in rules:
         for h in range(1, (n - lo) // d + 1):
             yield BILIAISON, h, n - h * d
     if LIAISON in rules:
         for m in range(max(1, -((n + lo + shift) // -d)), (n + hi + shift) // d + 1):
-            yield LIAISON, m, liaison_target(n, m, carrier)
+            yield LIAISON, m, _liaison_degree(m, d, g) - n
 
 
-def _admits(space: str, kind: str, n: int, n_to: int, carrier, param: int) -> bool:
-    """True when the rule validate_chain applies admits the move n -> n_to."""
-    return _RULES[space][kind](space, n, n_to, carrier.d, carrier.g, carrier.linsys_dim, param,
-                               "", carrier) is None
+def _admits(space: str, kind: str, n: int, n_to: int, d: int, g: int, held: int | None,
+            param: int) -> bool:
+    """True when the rule validate_chain applies admits the move n -> n_to
+    on a carrier of degree d, genus g and linear-system dimension held."""
+    return _RULES[space][kind](space, n, n_to, d, g, held, param, "", None) is None
 
 
-def _with_linsys(families):
-    """Each carrier with the most general points it holds, its linsys_dim."""
-    return ((family, family.linsys_dim) for family in families)
+# The bound m of each row of the general-points table by its key, the
+# row's degree: the rows are the carriers of 3-space, and have no
+# linear-system dimension.
+_P3_HOLDS = {row.d: row.m for row in perrin_table()}
 
-
-def _p3_carriers():
-    return ((p3_acm_family(row.d, row.g), row.m) for row in perrin_table())
-
-
-# Per space: the next-hop generator, the oracle's cap for n_max, the
-# carriers in order of genus with the most general points each holds, and
-# the edges no carrier gives: on the quadric, 2 -> 1 on a ruling line onto
-# which a height-0 slide has repositioned the points.
+# Per space: the next-hop generator, the oracle's cap for n_max, the key
+# of the carrier of least genus, the carriers' bounds by key where they
+# are not the linear-system dimension, and the edges no carrier gives:
+# on the quadric, 2 -> 1 on a ruling line (key 1) onto which a height-0
+# slide has repositioned the points.
 _BY_SPACE = {
-    "p2": (_p2_hops, lambda n_max: n_max,
-           lambda: _with_linsys(map(plane_curve_family, count(1))), ()),
-    "quadric": (_quadric_hops, lambda n_max: n_max,
-                lambda: _with_linsys(quadric_family(a, case)
-                                     for a in count(1) for case in ("i", "ii")),
-                (frozenset((2, 1)),)),
-    "cubic-surface": (_cubic_hops, _cubic_cap,
-                      lambda: _with_linsys(cubic_surface_type(kind, a)
-                                           for a in count(1) for kind in ("i", "ii", "iii", "iv")),
-                      ()),
-    "p3": (_p3_hops, lambda n_max: max(n_max, max(row.m for row in perrin_table())),
-           _p3_carriers, ()),
+    "p2": (_p2_hops, lambda n_max: n_max, 1, None, ()),
+    "quadric": (_quadric_hops, lambda n_max: n_max, 2, None, (frozenset((2, 1)),)),
+    "cubic-surface": (_cubic_hops, _cubic_cap, 4, None, ()),
+    "p3": (_p3_hops, lambda n_max: max(n_max, *_P3_HOLDS.values()), 1, _P3_HOLDS, ()),
 }
 SPACES = tuple(_BY_SPACE)
+
+
+def _carriers(space: str):
+    """(d, g, linsys_dim, the most general points it holds) of each
+    carrier of the space by key, which is the order of genus: every key
+    from the first, or the table's rows in 3-space."""
+    _, _, first, holds, _ = _BY_SPACE[space]
+    dims = _KEYS[space].dims
+    for key in count(first) if holds is None else holds:
+        d, g, held = dims(key)
+        yield d, g, held, held if holds is None else holds[key]
 
 
 def _lookup(space: str):
@@ -376,22 +370,22 @@ def build_oracle(space: str, n_max: int) -> ReachabilityOracle:
     gives its candidate moves between counts in [max(g, 1), min(held,
     cap)]; an edge is a biliaison the space's rule admits, or a liaison it
     admits both ways (taken from its lower end)."""
-    _, cap_of, carriers, extra = _lookup(space)
+    _, cap_of, *_, extra = _lookup(space)
     _check_n(n_max)
     if n_max > _SEARCH_CAP:
         raise SearchBudgetExceeded(f"oracle capped at n_max <= {_SEARCH_CAP}")
     cap = cap_of(n_max)
     edges = set(extra)
-    for carrier, holds in carriers():
-        if carrier.g > cap:
+    for d, g, held, holds in _carriers(space):
+        if g > cap:
             break
-        lo, hi = max(carrier.g, 1), min(holds, cap)
+        lo, hi = max(g, 1), min(holds, cap)
         for n in range(lo, hi + 1):
-            for kind, param, n_to in _candidates(space, carrier, n, lo, hi):
+            for kind, param, n_to in _candidates(space, d, g, n, lo, hi):
                 if kind == LIAISON and (
-                        n_to <= n or not _admits(space, kind, n_to, n, carrier, param)):
+                        n_to <= n or not _admits(space, kind, n_to, n, d, g, held, param)):
                     continue
-                if _admits(space, kind, n, n_to, carrier, param):
+                if _admits(space, kind, n, n_to, d, g, held, param):
                     edges.add(frozenset((n, n_to)))
     adjacency: dict[int, set[int]] = {}
     for u, v in map(tuple, edges):
@@ -407,8 +401,8 @@ def p3_descending_moves(n: int) -> list[tuple[str, int, tuple[int, int], int]]:
     arithmetic behind the open case."""
     _check_n(n)
     return [
-        (kind, param, carrier.dg, n_to)
-        for carrier, holds in _p3_carriers() if n <= holds
-        for kind, param, n_to in _candidates("p3", carrier, n, max(carrier.g, 1), n - 1)
-        if _admits("p3", kind, n, n_to, carrier, param)
+        (kind, param, (d, g), n_to)
+        for d, g, held, holds in _carriers("p3") if n <= holds
+        for kind, param, n_to in _candidates("p3", d, g, n, max(g, 1), n - 1)
+        if _admits("p3", kind, n, n_to, d, g, held, param)
     ]

@@ -197,6 +197,17 @@ class TestPerrinTable:
         with pytest.raises(NotInTable):
             p3_acm_family(11, 12)
 
+    @pytest.mark.parametrize("lookup", [perrin_m, p3_acm_family])
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    @pytest.mark.parametrize("field", ["d", "g"])
+    def test_arguments_must_be_int(self, lookup, value, field):
+        # True == 1 and 2.0 == 2 hash as the table's ints, so only the
+        # type check keeps them from finding a row, and from the memo.
+        args = {"d": 2, "g": 0, field: value}
+        message = rf"^{field} must be int, got {type(value).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            lookup(**args)
+
     def test_rows_have_minimal_genus_for_their_degree(self):
         # Each table row is the ACM curve of minimal genus in 3-space.
         for row in perrin_table():
@@ -301,26 +312,28 @@ class TestCertificate:
 
     def test_odd_numerator_is_caught_before_halving(self, monkeypatch):
         # g0 + 1 leaves every (3a^2 - g1*a + g0 + 1) // 2 unchanged, so
-        # only the comparison of the undivided 2g finds it.
+        # the layout builds the same carriers and only the comparison of
+        # the undivided 2g finds it.
         kind, base, drop, g1, g0 = catalog._CUBIC_BASES[2]
-        recorded = [catalog._cubic_carrier(a, kind) for a in (1, 2, 3)]
+        keys = [4 * a + catalog._CUBIC_NAMES.index(kind) for a in (1, 2, 3)]
+        recorded = [catalog._build(catalog._KEYS["cubic-surface"], key) for key in keys]
         monkeypatch.setitem(catalog._CUBIC_KINDS, kind,
                             catalog._cubic_kind(kind, base, drop, g1, g0 + 1))
-        assert [catalog._cubic_carrier(a, kind) for a in (1, 2, 3)] == recorded
+        assert [catalog._build(catalog._KEYS["cubic-surface"], key) for key in keys] == recorded
         with pytest.raises(ValueError, match="^cubic type iii at a = 1: formula d = 3, g = 0, 2g = 1;"):
             catalog._certify()
 
     def test_quadric_formula_mutant_fails(self, monkeypatch):
-        carrier = catalog._quadric_carrier
+        layout = catalog._KEYS["quadric"]
 
-        def slipped(a, case):
-            family = carrier(a, case)
-            if case == "ii":  # genus a(a+1) instead of a(a-1)
-                return catalog._trusted(family.ambient, family.d, a * (a + 1), family.linsys_dim,
-                                        family.divisor, family.surface, family.label)
-            return family
+        def slipped(key):
+            d, g, held = layout.dims(key)
+            a = key >> 1
+            return (d, a * (a + 1), held) if key & 1 else (d, g, held)  # case ii: a(a+1)
 
-        monkeypatch.setattr(catalog, "_quadric_carrier", slipped)
+        monkeypatch.setitem(catalog._KEYS, "quadric", catalog._KeyLayout(
+            layout.ambient, layout.surface, slipped, layout.label, layout.divisor,
+            layout.level_shift))
         with pytest.raises(ValueError, match="^quadric case ii at a = 1: "):
             catalog._certify()
 
@@ -395,14 +408,17 @@ class TestCurveFamilyValidation:
         assert len(checks) == len(built)
 
     def test_carrier_caches_are_bounded(self):
-        # The memo keeps the carriers of parameter below 256 and no other.
+        # The memo keeps the carriers of level below 256 and no other.
         catalog._MEMO.clear()
         for a in range(1, 1200):
             cubic_surface_type("iii", a)
             quadric_family(a, "ii")
             plane_curve_family(a)
         assert len(catalog._MEMO) == 3 * 255
-        assert {a for _, a, *_ in catalog._MEMO} == set(range(1, catalog._MEMO_BELOW))
+        for space in ("cubic-surface", "quadric", "p2"):
+            shift = catalog._KEYS[space].level_shift
+            levels = {key >> shift for where, key in catalog._MEMO if where == space}
+            assert levels == set(range(1, catalog._MEMO_BELOW)), space
         for make in (lambda a: cubic_surface_type("iii", a), lambda a: quadric_family(a, "ii"),
                      plane_curve_family):
             assert make(255) is make(255)
@@ -468,6 +484,43 @@ class TestCurveFamilyValidation:
         plane_curve_family(3)
         quadric_family(3, "I")
         cubic_surface_type("III", 3)
+        p3_acm_family(2, 0)
         assert catalog._MEMO
-        for build, param, variant in catalog._MEMO:
-            assert type(param) is int and type(variant) is str
+        for key in catalog._MEMO:
+            assert type(key) is tuple and len(key) == 2
+            space, code = key
+            assert type(space) is str and space in catalog._KEYS and type(code) is int
+
+    @pytest.mark.parametrize("space", ["p2", "quadric", "cubic-surface", "p3"])
+    def test_one_carrier_per_key(self, space):
+        # The public constructor's carrier is the one catalog._carrier
+        # builds for the key: the memo's own object below the bound, and
+        # a fresh equal one at and above it.
+        shift = catalog._KEYS[space].level_shift
+        if space == "p3":
+            made = [(row.d, p3_acm_family(row.d, row.g)) for row in perrin_table()]
+        else:
+            made = []
+            for level in range(1, 301):
+                if space == "p2":
+                    made.append((level, plane_curve_family(level)))
+                elif space == "quadric":
+                    made += [(2 * level, quadric_family(level, "i")),
+                             (2 * level + 1, quadric_family(level, "ii"))]
+                else:
+                    made += [(4 * level + code, cubic_surface_type(kind, level))
+                             for code, kind in enumerate(("i", "ii", "iii", "iv"))]
+        assert len(made) == {"p2": 300, "quadric": 600, "cubic-surface": 1200, "p3": 10}[space]
+        for key, family in made:
+            carrier = catalog._carrier(space, key)
+            assert carrier == family and repr(carrier) == repr(family)
+            if key >> shift < catalog._MEMO_BELOW:
+                assert carrier is family
+                assert catalog._MEMO[space, key] is family
+            else:
+                assert carrier is not family
+                assert (space, key) not in catalog._MEMO
+        if space == "quadric":
+            line = quadric_ruling_line()
+            assert line is quadric_ruling_line() is catalog._carrier("quadric", 1)
+            assert line.divisor == DivisorClass((1, 0)) and line.label == "ruling line"

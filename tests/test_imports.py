@@ -1,6 +1,8 @@
 """Importing the CLI stays light: none of the heavy standard-library
-modules that would dominate a short command's start-up is loaded."""
+modules that would dominate a short command's start-up is loaded, and
+every private name the package defines is used by the package."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +46,43 @@ def test_public_names_are_pinned():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert len(PUBLIC_NAMES) == 46
     assert glicci.__all__ == PUBLIC_NAMES
+
+
+def _private_definitions(tree):
+    """The private names a module defines at its top level: functions,
+    classes and assigned constants whose name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [leaf.id for target in targets for leaf in ast.walk(target)
+                     if isinstance(leaf, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _uses(tree):
+    """Every name the code reads: loaded names, attribute names and the
+    names a ``from ... import`` brings in (docstrings and comments are no use)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_name_is_used_in_the_package():
+    # A private helper that no code in src/ reads is dead, or kept only
+    # for the tests; either way it does not belong in the package.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted((SRC / "glicci").glob("*.py"))}
+    used = {name for tree in trees.values() for name in _uses(tree)}
+    defined = [(module, name) for module, tree in trees.items()
+               for name in _private_definitions(tree)]
+    assert len(defined) > 50
+    assert [f"{module}: {name}" for module, name in defined if name not in used] == []

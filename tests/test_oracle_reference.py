@@ -20,7 +20,7 @@ import pytest
 from oracles import _accepts, _carriers, move_graph_edges
 
 from glicci import catalog, moves
-from glicci.catalog import _trusted
+from glicci.catalog import _trusted, perrin_m
 from glicci.errors import InvalidMove
 from glicci.moves import _RULES, BILIAISON, LIAISON, Chain, LinkMove, validate_chain
 from glicci.planner import (
@@ -223,7 +223,8 @@ def _count_builds(monkeypatch, carriers=False):
     """Record each record built from now on: ``LinkMove`` (in ``__new__``,
     or unchecked through ``moves._move``), ``Chain`` (in ``__init__``)
     and, with ``carriers``, every carrier the catalog builds or hands out
-    (all go through ``_trusted``, the memo's through ``_memo``)."""
+    (all go through ``_trusted``, a space's through ``_carrier``, which
+    ``moves`` calls by its own name)."""
     built = []
 
     def counted(name, fn):
@@ -237,20 +238,26 @@ def _count_builds(monkeypatch, carriers=False):
     monkeypatch.setattr(Chain, "__init__", counted("Chain", Chain.__init__))
     if carriers:
         monkeypatch.setattr(catalog, "_trusted", counted("_trusted", catalog._trusted))
-        monkeypatch.setattr(catalog, "_memo", counted("_memo", catalog._memo))
+        carrier = counted("_carrier", catalog._carrier)
+        monkeypatch.setattr(catalog, "_carrier", carrier)
+        monkeypatch.setattr(moves, "_carrier", carrier)
     return built
 
 
 def test_candidates_are_tested_without_building_records(monkeypatch):
-    built = _count_builds(monkeypatch)
-    build_oracle("p2", 60)
+    # The oracle reads each carrier's numbers from its key: it builds no
+    # move, no chain and no carrier, not even one the memo holds.
+    built = _count_builds(monkeypatch, carriers=True)
+    for space in SPACES:
+        build_oracle(space, 60)
     p3_descending_moves(12)
     assert built == []
     # A plan keeps its steps as ints and builds a move when one is read.
     chain = plan("p2", 5)
     assert built == []
     chain.steps[0]
-    assert built == ["_move"]
+    assert built[0] == "_carrier" and built[-1] == "_move"
+    assert set(built) <= {"_carrier", "_trusted", "_move"}
 
 
 @pytest.mark.parametrize("space, n", [("p2", 300), ("quadric", 300), ("cubic-surface", 500),
@@ -267,7 +274,7 @@ def test_counts_are_read_without_building_records(monkeypatch, space, n):
     str(chain), chain.to_json(), list(chain._lines())
     assert built == []
     chain.steps[-1]
-    assert "_move" in built and {"_trusted", "_memo"} & set(built)
+    assert "_move" in built and "_carrier" in built
 
 
 def _planner_step(space, kind):
@@ -332,18 +339,21 @@ def test_rule_text_is_the_verdict_and_the_message(space, n_max):
     # off keeps a drop or a total and moves only the window), the
     # heights 0 and -1, the carrier without its linear-system dimension,
     # each with and without a repositioning note.  A rule's None is the
-    # oracle's verdict, and its text is validate_chain's message.
-    _, cap_of, carriers, _ = _BY_SPACE[space]
+    # oracle's verdict, and its text is validate_chain's message.  The
+    # carriers are the public constructors' (with the quadric's ruling
+    # line, which the oracle leaves to its declared edge).
+    _, cap_of, *_ = _BY_SPACE[space]
     cap = cap_of(n_max)
     verdicts = {True: 0, False: 0}
-    for carrier, holds in carriers():
+    for carrier in _carriers(space, cap):
         if carrier.g > cap:
-            break
+            continue
         bare = _trusted(carrier.ambient, carrier.d, carrier.g, None, carrier.divisor,
                         carrier.surface, carrier.label)
+        holds = perrin_m(*carrier.dg) if space == "p3" else carrier.linsys_dim
         lo, hi = max(carrier.g, 1), min(holds, cap)
         for n in range(lo, hi + 1):
-            for kind, param, n_to in _candidates(space, carrier, n, lo, hi):
+            for kind, param, n_to in _candidates(space, carrier.d, carrier.g, n, lo, hi):
                 rule = _RULES[space][kind]
                 params = {param - 1, param, param + 1}
                 if kind == BILIAISON:
@@ -356,7 +366,8 @@ def test_rule_text_is_the_verdict_and_the_message(space, n_max):
                                               note, on)
                                 assert broken is None or (type(broken) is str and broken)
                                 if note == "":
-                                    assert _admits(space, kind, frm, to, on, p) == (broken is None)
+                                    assert _admits(space, kind, frm, to, on.d, on.g,
+                                                   on.linsys_dim, p) == (broken is None)
                                 if frm >= 1:
                                     assert _message(space, kind, frm, to, on, p, note) == broken
                                 verdicts[broken is None] += 1

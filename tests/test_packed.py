@@ -155,8 +155,9 @@ def test_collector_state_is_restored(monkeypatch, enabled):
     seen = []
     layout = catalog._KEYS["p2"]
     monkeypatch.setitem(catalog._KEYS, "p2", catalog._KeyLayout(
-        layout.ambient, layout.dims, lambda d: seen.append(gc.isenabled()) or layout.label(d),
-        layout.carrier, layout.level_shift))
+        layout.ambient, layout.surface, layout.dims,
+        lambda d: seen.append(gc.isenabled()) or layout.label(d), layout.divisor,
+        layout.level_shift))
 
     def cycling(cur):
         while True:
