@@ -10,9 +10,9 @@ carrier per step, fill a draft too, so that no Python-level
 ``repr`` go field by field as a frozen dataclass's do, assignment and
 deletion raise ``AttributeError``, and ``copy`` and ``pickle`` rebuild
 the record through its constructor, which validates it.
-:func:`type_error` and :func:`int_entries` give the constructors and the
-argument checks one wording of the ``TypeError`` naming the field,
-argument or entry.
+:func:`type_error`, :func:`check_ints` and :func:`int_entries` give the
+constructors and the argument checks one wording of the ``TypeError``
+naming the field, argument or entry.
 """
 
 from operator import index
@@ -84,6 +84,14 @@ def type_error(what: str, kind: type, value) -> TypeError:
     ``field 'd' must be int, got float`` or ``point count must be int,
     got bool``."""
     return TypeError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+
+
+def check_ints(**values) -> None:
+    """Raise :func:`type_error` for the first of the named ``values``
+    that is not exactly an ``int``, as in ``d must be int, got bool``."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise type_error(name, int, value)
 
 
 def int_entries(values, what: str) -> tuple[int, ...]:

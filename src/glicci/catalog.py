@@ -48,7 +48,7 @@ from __future__ import annotations
 from math import comb
 from operator import itemgetter
 
-from ._record import Plain, Record, draft, type_error
+from ._record import Plain, Record, check_ints, draft, type_error
 from .errors import DegreeTooSmall, NotInTable, UnknownSurface
 from .hvector import min_genus, s_zero
 from .picard import DivisorClass, SurfaceModel
@@ -392,9 +392,7 @@ def perrin_m(d: int, g: int) -> int:
     surface of the least degree s through the curve (``s_zero`` of the
     witness h-vector), which holds binom(s+3, 3) - 1 of them.  The smaller
     bound is 2d except for the conic (3) and the (5, 2) curve (9)."""
-    for name, value in (("d", d), ("g", g)):
-        if type(value) is not int:
-            raise type_error(name, int, value)
+    check_ints(d=d, g=g)
     try:
         return _PERRIN_M[(d, g)]
     except KeyError:

@@ -9,11 +9,17 @@ to trim decoration; text and JSON always carry identical numbers.
 Exit codes are a stable contract: 0 success, 1 usage or input error,
 2 for a request whose answer is an open question (reducing 20 or more
 general points of 3-space).
+
+A process enters through :func:`run` (the ``glicci`` script and
+``python -m glicci.cli``), which calls :func:`main` and then freezes
+the heap, so that the interpreter's exit-time collections skip every
+object start-up made.  :func:`main` called in-process never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -209,5 +215,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry point: :func:`main` on ``sys.argv``, its exit
+    code returned for ``sys.exit``."""
+    try:
+        return main()
+    finally:
+        # Frozen objects sit in the permanent generation, which the
+        # collections at interpreter exit skip.
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

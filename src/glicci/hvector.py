@@ -16,14 +16,19 @@ from __future__ import annotations
 
 from math import comb
 
-from ._record import Record, int_entries
+from ._record import Record, check_ints, int_entries
 from .errors import DegreeTooLarge, DegreeTooSmall, InvalidHVector
 
 _ENUMERATION_CAP = 200
 
 
 def entry_bound(i: int, codim: int) -> int:
-    """Largest admissible value of c_i: binom(i + codim - 1, codim - 1)."""
+    """Largest admissible value of c_i: binom(i + codim - 1, codim - 1).
+    An ``i`` or ``codim`` that is not an int, or is a bool, raises
+    ``TypeError`` naming it."""
+    # Tested inline first: an h-vector asks for the bound of every entry.
+    if type(i) is not int or type(codim) is not int:
+        check_ints(i=i, codim=codim)
     if codim not in (2, 3):
         raise InvalidHVector(f"codim must be 2 or 3, got {codim}")
     return comb(i + codim - 1, codim - 1)
@@ -83,8 +88,10 @@ def min_genus(d: int, codim: int, nondegenerate: bool = True) -> tuple[int, HVec
     ambient space); without it c_1 may fall short, which covers plane
     curves and curves in a hyperplane.  The witness is greedy: every
     entry before the last sits at its bound, which is what minimizes
-    ``sum (i-1) c_i`` at fixed total.
+    ``sum (i-1) c_i`` at fixed total.  A ``d`` or ``codim`` that is not
+    an int, or is a bool, raises ``TypeError`` naming it.
     """
+    check_ints(d=d, codim=codim)
     if codim not in (2, 3):
         raise InvalidHVector(f"codim must be 2 or 3, got {codim}")
     if d < 1:

@@ -37,7 +37,7 @@ import gc
 import json
 from collections.abc import Callable, Sequence
 
-from ._record import Record, draft, type_error
+from ._record import Record, check_ints, draft, type_error
 from .catalog import _KEYS, _PERRIN_M, CurveFamily, _carrier
 from .errors import InvalidMove
 
@@ -416,11 +416,13 @@ class Chain(Record):
 def liaison_target(n: int, m: int, carrier: CurveFamily) -> int:
     """Residual point count of liaison by m*H - K on the carrier:
     m*d - (2g - 2) - n.  An involution in n for fixed (m, carrier)."""
+    check_ints(n=n)
     return liaison_total(m, carrier) - n
 
 
 def liaison_total(m: int, carrier: CurveFamily) -> int:
     """Degree of the divisor m*H - K on the carrier curve."""
+    check_ints(m=m)
     return _liaison_degree(m, carrier.d, carrier.g)
 
 
@@ -436,9 +438,10 @@ def biliaison_curve(dg: tuple[int, int], h: int, s: int,
         d' = d + h*s,   g' = g + h*d + h(h-1)s/2 + h*(pi - 1).
 
     Composing heights adds: h1 then h2 equals h1 + h2."""
+    d, g = dg
+    check_ints(d=d, g=g, h=h, s=s, sectional_genus=sectional_genus)
     if h < 0:
         raise InvalidMove(f"biliaison height must be nonnegative, got {h}")
-    d, g = dg
     return d + h * s, g + h * d + h * (h - 1) * s // 2 + h * (sectional_genus - 1)
 
 

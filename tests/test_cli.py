@@ -1,10 +1,17 @@
+import gc
 import hashlib
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from glicci.cli import main
 from glicci.moves import Chain, validate_chain
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -219,3 +226,39 @@ class TestTopLevel:
 
     def test_missing_command_is_usage_error(self, capsys):
         assert main([]) == 1
+
+
+class TestProcessExit:
+    """A process ends through ``run``, which freezes the heap after
+    ``main`` so that the collections at interpreter exit skip it; ``main``
+    called in-process freezes nothing."""
+
+    def test_module_run_freezes_after_main(self):
+        probe = (
+            "import gc, runpy, sys\n"
+            "sys.argv = ['glicci', 'hvector', '20', '3', '--quiet']\n"
+            "try:\n"
+            "    runpy.run_module('glicci.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(ROOT / "src")},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "26\n"
+        assert result.stderr == "0 True\n"
+
+    def test_main_in_process_does_not_freeze(self, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(["hvector", "20", "3", "--quiet"]) == 0
+        assert main(["plan", "p3", "20"]) == 2
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_script_target_is_the_module_entry(self):
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        target = re.search(r'^glicci = "glicci\.cli:(\w+)"$', pyproject, re.MULTILINE)
+        assert target is not None and target[1] != "main"
+        source = (ROOT / "src" / "glicci" / "cli.py").read_text()
+        assert source.endswith(f'\nif __name__ == "__main__":\n    sys.exit({target[1]}())\n')

@@ -53,6 +53,10 @@ class TestHVectorValidation:
     def test_codim_guard(self):
         with pytest.raises(InvalidHVector):
             HVector((1, 1), 4)
+        with pytest.raises(InvalidHVector, match=r"^codim must be 2 or 3, got 4$"):
+            min_genus(20, 4)
+        with pytest.raises(InvalidHVector, match=r"^codim must be 2 or 3, got 1$"):
+            entry_bound(2, 1)
 
     def test_bounds_table(self):
         assert [entry_bound(i, 3) for i in range(5)] == [1, 3, 6, 10, 15]
@@ -107,6 +111,22 @@ class TestMinGenus:
 
     def test_degree10(self):
         assert min_genus(10, 3, nondegenerate=True)[0] == 6
+
+    @pytest.mark.parametrize(
+        "function,args,message",
+        [
+            (min_genus, (20.0, 3), "d must be int, got float"),
+            (min_genus, (4.5, 3), "d must be int, got float"),
+            (min_genus, (20, True), "codim must be int, got bool"),
+            (min_genus, ("20", 3), "d must be int, got str"),
+            (entry_bound, (True, 3), "i must be int, got bool"),
+        ],
+        ids=["min_genus-20.0", "min_genus-4.5", "min_genus-codim-True", "min_genus-'20'",
+             "entry_bound-True"],
+    )
+    def test_arguments_must_be_ints(self, function, args, message):
+        with pytest.raises(TypeError, match=rf"^{message}$"):
+            function(*args)
 
     def test_codim2_degree7(self):
         genus, witness = min_genus(7, 2, nondegenerate=True)

@@ -162,6 +162,30 @@ class TestBiliaisonCurve:
         ) == (model.degree_of(raised), model.genus_of(raised))
 
 
+# Each int argument of the public count and (d, g) helpers, with a call
+# that puts a given value in its place.
+_INT_ARGUMENTS = [
+    pytest.param("d", lambda v: biliaison_curve((v, 6), 1, 10, 11), id="biliaison_curve-d"),
+    pytest.param("g", lambda v: biliaison_curve((10, v), 1, 10, 11), id="biliaison_curve-g"),
+    pytest.param("h", lambda v: biliaison_curve((10, 6), v, 10, 11), id="biliaison_curve-h"),
+    pytest.param("s", lambda v: biliaison_curve((10, 6), 1, v, 11), id="biliaison_curve-s"),
+    pytest.param("sectional_genus", lambda v: biliaison_curve((10, 6), 1, 10, v),
+                 id="biliaison_curve-sectional_genus"),
+    pytest.param("n", lambda v: liaison_target(v, 1, plane_curve_family(3)),
+                 id="liaison_target-n"),
+    pytest.param("m", lambda v: liaison_target(2, v, plane_curve_family(3)),
+                 id="liaison_target-m"),
+    pytest.param("m", lambda v: liaison_total(v, plane_curve_family(3)), id="liaison_total-m"),
+]
+
+
+@pytest.mark.parametrize("name,call", _INT_ARGUMENTS)
+@pytest.mark.parametrize("value", [True, 2.0, "2"])
+def test_count_helpers_take_only_ints(name, call, value):
+    with pytest.raises(TypeError, match=rf"^{name} must be int, got {type(value).__name__}$"):
+        call(value)
+
+
 class TestDecompose:
     def test_twenty_twentysix_unique_source(self):
         def p4_min(d):
