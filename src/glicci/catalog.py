@@ -15,12 +15,14 @@ Castelnuovo's bound for curves in 4-space.
 The cubic-surface families are one table, ``_CUBIC_KINDS``: each kind
 i..iv maps to its base class B (the curve at a = 1), the drop 3a - d,
 the two genus coefficients in g = (3a^2 - g1*a + g0)/2 and its label.
-The carrier at parameter a has class B + k*H with k = a - 1.  Since
-H = (3; 1^6), that class is (b_0 + 3k; b_1 + k, ..., b_6 + k).  The tail
-coefficients b_i of each B lie within three consecutive integers from
-low = min b_i, so one ``itemgetter`` per kind picks the whole class out
-of (b_0 + 3k, low + k, low + k + 1, low + k + 2): a carrier holds one
-integer object per distinct coefficient rather than seven.
+Only B is written down; the three numbers are read off the lattice at
+import.  The carrier at parameter a has class B + k*H with k = a - 1.
+Since H = (3; 1^6), that class is (b_0 + 3k; b_1 + k, ..., b_6 + k).
+The tail coefficients b_i of each B lie within three consecutive
+integers from low = min b_i, so one ``itemgetter`` per kind picks the
+whole class out of (b_0 + 3k, low + k, low + k + 1, low + k + 2): a
+carrier holds one integer object per distinct coefficient rather than
+seven.
 
 A carrier of a space is named by one int, its key, and ``_KEYS`` says
 per space how a key reads: its (d, g, linsys_dim) by closed forms, its
@@ -33,10 +35,11 @@ building larger ones afresh.  ``cubic_surface_type``,
 ``p3_acm_family`` check their arguments, compute the key and return
 its carrier; a planned chain stores the keys and builds a carrier only
 when a step is read.  The (d, g) formulas on the quadric and the cubic
-surface are certified once, at import, by ``_certify``: both the
-formula and the lattice's degree and twice its genus are integer
-polynomials of degree at most 2 in a, so agreeing at a = 1, 2, 3 they
-agree for every a.  Plane curves and table rows carry no class to check.
+surface are derived from the lattice at import: ``_cubic_kind`` reads
+the cubic ones off it and ``_certify`` proves the quadric's equal to it.
+The lattice's degree and twice its genus are integer polynomials of
+degree at most 2 in a, so their values at a few a fix them for every a.
+Plane curves and table rows carry no class to check.
 
 The registry is built once at import time and never mutated.  The memo
 only grows, up to its bound, and a carrier it returns equals the one
@@ -116,13 +119,13 @@ for _model in (
 
 
 # Carriers whose level (a or d) is below this are kept in ``_MEMO``
-# once built and never evicted: the acceptance sweeps and oracles over
-# 1..10^4 ask again and again for the same few hundred (cubic a <= 82,
-# quadric a <= 100, plane d <= 142).  A large plan asks for almost every
-# carrier above it once, so those are built fresh.  The memo holds at
-# most 4 * 255 cubic, 511 quadric, 255 plane and 10 table carriers, all
-# keyed by (space, exact int): the public constructors refuse 3.0, True
-# and int subclasses, as the records do.
+# once built and never evicted: reading the steps of small chains asks
+# again and again for the same few hundred (reading all chains of
+# n <= 1000 takes 2 to 2.6 times as long without it).  A large plan asks
+# for almost every carrier above it once, so those are built fresh.  The
+# memo holds at most 4 * 255 cubic, 511 quadric, 255 plane and 10 table
+# carriers, all keyed by (space, exact int): the public constructors
+# refuse 3.0, True and int subclasses, as the records do.
 _MEMO_BELOW = 256
 _MEMO: dict = {}
 
@@ -162,7 +165,7 @@ class CurveFamily(Record):
     or the cubic surface).  A field of the wrong type raises ``TypeError``
     naming it.  When a divisor class and surface are given, the stored
     (d, g) is recomputed from the lattice on construction.  The
-    certified constructors skip both checks: they build through
+    carrier constructors skip both checks: they build through
     :func:`_trusted`, as this constructor does after its checks.
     """
 
@@ -226,8 +229,8 @@ def _class(coeffs: tuple[int, ...]) -> DivisorClass:
 def _trusted(ambient: str, d: int, g: int, linsys_dim: int | None,
              divisor: DivisorClass | None, surface: str | None, label: str) -> CurveFamily:
     """The carrier ``CurveFamily(...)`` would build, without its checks:
-    only for fields built from ints, with a (d, g) that :func:`_certify`
-    has proved for every a or no class to check (plane curves and table
+    only for fields built from ints, with a (d, g) derived from the
+    lattice at import or no class to check (plane curves and table
     rows)."""
     family = _FamilyDraft()
     family.ambient = ambient
@@ -241,28 +244,31 @@ def _trusted(ambient: str, d: int, g: int, linsys_dim: int | None,
     return family
 
 
-def _cubic_kind(kind: str, base: str, drop: int, g1: int, g0: int):
-    head, *tail = DivisorClass.parse(base).coeffs
+def _cubic_kind(kind: str, base: str):
+    """The ``_CUBIC_KINDS`` row of the kind whose curve at a = 1 has class
+    ``base``.  Its class at a is B + (a - 1)H, and H.H = 3, so the
+    lattice gives d = 3a - drop and 2g = c.c + c.K + 2 = 3a^2 - g1*a + g0;
+    drop, g1 and g0 are read off d and 2g at a = 1 and 2."""
+    model = _SURFACES["cubic"]
+    one = DivisorClass.parse(base)
+    head, *tail = one.coeffs
     low = min(tail)
     if max(tail) > low + 2:
         raise ValueError(f"type {kind}: the tail of {base} spans more than three integers")
     pick = itemgetter(0, *(b - low + 1 for b in tail))
-    return head - 3, low - 1, pick, drop, g1, g0, f"type {kind}"
+    twice_g1, twice_g2 = (2 * model.genus_of(c) for c in (one, one + model.H))
+    g1 = 9 - twice_g2 + twice_g1
+    return (head - 3, low - 1, pick, 3 - model.degree_of(one), g1, twice_g1 - 3 + g1,
+            f"type {kind}")
 
 
 # The four ACM families on the cubic surface, generated at a = 1 by a
 # line, a conic, a twisted cubic and a plane cubic (the hyperplane
-# class) B = (b_0; b_1, ..., b_6), as (kind, B, 3a - d, g1, g0) with
-# g = (3a^2 - g1*a + g0) / 2.  ``_CUBIC_KINDS`` maps each kind to
+# class) B = (b_0; b_1, ..., b_6).  ``_CUBIC_KINDS`` maps each kind to
 # (head0, low0, the picker of the class from (head0 + 3a, low0 + a,
-# low0 + a + 1, low0 + a + 2), 3a - d, g1, g0, label), where head0 = b_0 - 3
+# low0 + a + 1, low0 + a + 2), drop, g1, g0, label), where head0 = b_0 - 3
 # and low0 = min b_i - 1 are those of B + (a - 1)H at a = 0.
-_CUBIC_BASES = (
-    ("i", "0;0^5,-1", 2, 7, 4),
-    ("ii", "1;1,0^5", 1, 5, 2),
-    ("iii", "1;0^6", 0, 3, 0),
-    ("iv", "3;1^6", 0, 3, 2),
-)
+_CUBIC_BASES = (("i", "0;0^5,-1"), ("ii", "1;1,0^5"), ("iii", "1;0^6"), ("iv", "3;1^6"))
 _CUBIC_KINDS = {spec[0]: _cubic_kind(*spec) for spec in _CUBIC_BASES}
 _CUBIC_NAMES = tuple(_CUBIC_KINDS)
 
@@ -464,33 +470,25 @@ def _carrier(space: str, key: int) -> CurveFamily:
 
 
 def _certify() -> None:
-    """Prove the layouts' (d, g) on the quadric and the cubic surface
-    equal to the lattice's.
+    """Prove the quadric layout's (d, g) equal to the lattice's.
 
-    For a cubic kind the class is B + (a-1)H, so its lattice degree is
-    linear in a and twice its lattice genus, c.c + c.K + 2, is quadratic
-    in a; the formulas d = 3a - drop and 2g = 3a^2 - g1*a + g0 are too,
-    and so are the quadric's, whose class is (a, a) or (a, a+1).  Two
-    integer polynomials of degree at most 2 that agree at a = 1, 2, 3 are
-    equal, so the checks below hold for every a.  2g is compared before
-    the division by 2, which could hide an odd numerator.  Raises
-    ``ValueError`` naming the family whose formula disagrees.
+    The class is (a, a) or (a, a + 1), so the lattice degree is linear in
+    a and twice the lattice genus, c.c + c.K + 2, is quadratic in a, as
+    are the formulas.  Two integer polynomials of degree at most 2 that
+    agree at a = 1, 2, 3 are equal, so the checks below hold for every a;
+    the ruling line is checked on its own.  Raises ``ValueError`` naming
+    the family whose formula disagrees.
     """
-    quadric, cubic = _KEYS["quadric"], _KEYS["cubic-surface"]
-    checks = [("quadric ruling line", 1, _build(quadric, 1), None)]
-    checks += [(f"quadric case {case}", a, _build(quadric, 2 * a + odd), None)
+    quadric, model = _KEYS["quadric"], _SURFACES["quadric"]
+    checks = [("quadric ruling line", 1, 1)]
+    checks += [(f"quadric case {case}", a, 2 * a + odd)
                for odd, case in enumerate(("i", "ii")) for a in (1, 2, 3)]
-    for code, (kind, (*_, g1, g0, _)) in enumerate(_CUBIC_KINDS.items()):
-        checks += [(f"cubic type {kind}", a, _build(cubic, 4 * a + code),
-                    3 * a * a - g1 * a + g0) for a in (1, 2, 3)]
-    for what, a, family, twice_g in checks:
-        if twice_g is None:  # the quadric's genus (a-1)(b-1) is not halved
-            twice_g = 2 * family.g
-        model = _SURFACES[family.surface]
+    for what, a, key in checks:
+        family = _build(quadric, key)
         d, g = model.degree_of(family.divisor), model.genus_of(family.divisor)
-        if (family.d, family.g, twice_g) != (d, g, 2 * g):
+        if (family.d, family.g) != (d, g):
             raise ValueError(
-                f"{what} at a = {a}: formula d = {family.d}, g = {family.g}, 2g = {twice_g}; "
+                f"{what} at a = {a}: formula d = {family.d}, g = {family.g}; "
                 f"lattice class {family.divisor} has d = {d}, g = {g}"
             )
 

@@ -26,9 +26,7 @@ def entry_bound(i: int, codim: int) -> int:
     """Largest admissible value of c_i: binom(i + codim - 1, codim - 1).
     An ``i`` or ``codim`` that is not an int, or is a bool, raises
     ``TypeError`` naming it."""
-    # Tested inline first: an h-vector asks for the bound of every entry.
-    if type(i) is not int or type(codim) is not int:
-        check_ints(i=i, codim=codim)
+    check_ints(i=i, codim=codim)
     if codim not in (2, 3):
         raise InvalidHVector(f"codim must be 2 or 3, got {codim}")
     return comb(i + codim - 1, codim - 1)

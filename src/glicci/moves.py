@@ -423,6 +423,8 @@ def liaison_target(n: int, m: int, carrier: CurveFamily) -> int:
 def liaison_total(m: int, carrier: CurveFamily) -> int:
     """Degree of the divisor m*H - K on the carrier curve."""
     check_ints(m=m)
+    if type(carrier) is not CurveFamily:
+        raise type_error("carrier", CurveFamily, carrier)
     return _liaison_degree(m, carrier.d, carrier.g)
 
 
@@ -438,6 +440,8 @@ def biliaison_curve(dg: tuple[int, int], h: int, s: int,
         d' = d + h*s,   g' = g + h*d + h(h-1)s/2 + h*(pi - 1).
 
     Composing heights adds: h1 then h2 equals h1 + h2."""
+    if type(dg) is not tuple or len(dg) != 2:
+        raise TypeError(f"dg must be a (d, g) tuple, got {dg!r}")
     d, g = dg
     check_ints(d=d, g=g, h=h, s=s, sectional_genus=sectional_genus)
     if h < 0:

@@ -11,11 +11,11 @@ with its two rulings, the degree-10 determinantal surface with basis
 {H, K}) declare their pairing directly and are called abstract here.
 
 Every model evaluates the pairing on one sparse path: it keeps the
-nonzero Gram entries (i, j, g_ij) once, so c.d is a sum over r + 1
-entries on a blow-up of r points, 2 on the quadric and 4 on the
-degree-10 surface.  The linear forms G*H and G*K are kept as well, so
-the degree c.H and the C.K term of the adjunction genus are each one
-dot product.  Both are computed on first use and cached on the model.
+nonzero Gram entries (i, j, g_ij) once, on construction, so c.d is a
+sum over r + 1 entries on a blow-up of r points, 2 on the quadric and 4
+on the degree-10 surface.  The degree is the pairing c.H and the
+adjunction genus comes from c.c + c.K, so every lattice number goes
+through :meth:`SurfaceModel.pair`.
 
 All values are immutable and all operations are pure integer
 arithmetic, so everything in this module is safe for concurrent use.
@@ -24,8 +24,7 @@ arithmetic, so everything in this module is safe for concurrent use.
 from __future__ import annotations
 
 import re
-from functools import cached_property
-from operator import add, mul, sub
+from operator import add, sub
 
 from ._record import Record, int_entries
 from .errors import AbstractSurface, NonIntegralGenus, RankMismatch
@@ -145,8 +144,10 @@ class SurfaceModel(Record):
 
     _fields = ("name", "gram", "H", "K", "ambient_dim", "degree", "sectional_genus",
                "euler_char")
-    # The cached properties below live in the instance __dict__.
-    __slots__ = _fields + ("__dict__",)
+    # Set on construction: the nonzero Gram entries (i, j, g_ij), row by
+    # row, and whether the model is a plane blow-up in its standard basis,
+    # pairing diag(1, -1, ..., -1) and K = (-3; -1, ..., -1).
+    __slots__ = _fields + ("_entries", "is_blowup")
 
     def __init__(self, name: str, gram: tuple[tuple[int, ...], ...], H: DivisorClass,
                  K: DivisorClass, ambient_dim: int, degree: int, sectional_genus: int,
@@ -160,9 +161,14 @@ class SurfaceModel(Record):
             raise ValueError(f"{self.name}: Gram matrix must be square and nonempty")
         if any(row[j] != gram[j][i] for i, row in enumerate(gram) for j in range(rank)):
             raise ValueError(f"{self.name}: intersection pairing must be symmetric")
+        entries = tuple((i, j, g) for i, row in enumerate(gram) for j, g in enumerate(row) if g)
+        object.__setattr__(self, "_entries", entries)
         for cls in (self.H, self.K):
             if len(cls) != rank:
                 raise RankMismatch(f"{self.name}: H and K must have length {rank}")
+        diagonal = tuple((i, i, 1 if i == 0 else -1) for i in range(rank))
+        object.__setattr__(self, "is_blowup", rank > 1 and entries == diagonal
+                           and K.coeffs == (-3,) + (-1,) * (rank - 1))
         if self.pair(self.H, self.H) != self.degree:
             raise ValueError(
                 f"{self.name}: declared degree {self.degree} != H.H = {self.pair(self.H, self.H)}"
@@ -176,38 +182,6 @@ class SurfaceModel(Record):
     @property
     def basis_rank(self) -> int:
         return len(self.gram)
-
-    @cached_property
-    def _entries(self) -> tuple[tuple[int, int, int], ...]:
-        """The nonzero Gram entries (i, j, g_ij), both triangles, row by row."""
-        return tuple(
-            (i, j, g) for i, row in enumerate(self.gram) for j, g in enumerate(row) if g
-        )
-
-    def _form(self, c: DivisorClass) -> tuple[int, ...]:
-        """The linear form G*c, so that d.c = sum_i d_i (G*c)_i."""
-        out = [0] * self.basis_rank
-        for i, j, g in self._entries:
-            out[i] += g * c.coeffs[j]
-        return tuple(out)
-
-    @cached_property
-    def _h_form(self) -> tuple[int, ...]:
-        return self._form(self.H)
-
-    @cached_property
-    def _k_form(self) -> tuple[int, ...]:
-        return self._form(self.K)
-
-    @cached_property
-    def is_blowup(self) -> bool:
-        """True when the model is a plane blow-up in its standard basis:
-        pairing diag(1, -1, ..., -1) and K = (-3; -1, ..., -1)."""
-        n = self.basis_rank
-        if n < 2:
-            return False
-        diagonal = tuple((i, i, 1 if i == 0 else -1) for i in range(n))
-        return self._entries == diagonal and self.K.coeffs == (-3,) + (-1,) * (n - 1)
 
     def _conform(self, c: DivisorClass) -> None:
         if len(c.coeffs) != len(self.gram):
@@ -229,17 +203,14 @@ class SurfaceModel(Record):
 
     def degree_of(self, c: DivisorClass) -> int:
         """Degree of the class in the ambient embedding, c.H."""
-        x = c.coeffs
-        if len(x) != len(self.gram):
-            self._conform(c)
-        return sum(map(mul, x, self._h_form))
+        return self.pair(c, self.H)
 
     def self_intersection(self, c: DivisorClass) -> int:
         return self.pair(c, c)
 
     def genus_of(self, c: DivisorClass) -> int:
         """Arithmetic genus from adjunction, 2g - 2 = c.c + c.K."""
-        twice = self.pair(c, c) + sum(map(mul, c.coeffs, self._k_form))
+        twice = self.pair(c, c) + self.pair(c, self.K)
         if twice % 2:
             raise NonIntegralGenus(
                 f"{c} on {self.name}: c.c + c.K = {twice} is odd, not a curve class"

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import random
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from glicci.catalog import surface
 from glicci.cli import main
 from glicci.moves import Chain, validate_chain
 
@@ -127,6 +129,38 @@ class TestDivisorCommand:
         result = json.loads(out)["result"]
         assert (result["degree"], result["genus"], result["C2"]) == (20, 26, 35)
         assert result["effective_general"].startswith("n/a")
+
+
+def _seeded_classes(name, rank, count=20):
+    """``count`` class strings of the given rank, seeded by the surface name;
+    a leading "-" would read as an option, so the head is at least 0."""
+    rng = random.Random(name)
+    return [";".join([str(rng.randint(0, 8)),
+                      ",".join(str(rng.randint(-2, 4)) for _ in range(rank - 1))])
+            for _ in range(count)]
+
+
+# SHA-256 of the concatenated `divisor NAME CLASS --json` stdout over
+# _seeded_classes(NAME, rank), one pin per surface.
+DIVISOR_JSON = {
+    "bordiga": "a73ef48f5460a4438d318f71072d5abfc76a3cc745a690cc0f9f4bb90bf93975",
+    "castelnuovo": "27b0ba973bae070510898e6867adcdf888b767a3c3da2eee6ddcc460a3b15548",
+    "cubic": "9256754722d9893ee98618aaf5b57105c509b8f63b0f02fa7d16feb7b9c74d4e",
+    "delpezzo": "3eb25bb8e69c83200d299300e7be0eb76327b9db422c89d3f804c80a36ef0ba2",
+    "det10": "1397bc526796d1248f9275a5aceb5e5fb29ca48b65f88cda2938379737d8857c",
+    "quadric": "78ff3ae1ab42cd340222ce8c09a6e7f6c3ffaf12df1b68e50fc67fe3868a210a",
+    "scroll": "2945547e39c934a4d21c76683de26816a2975e6b1ee3c29f2df6e7dfb19b7ba8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVISOR_JSON))
+def test_divisor_json_pinned(capsys, name):
+    outs = []
+    for text in _seeded_classes(name, surface(name).basis_rank):
+        code, out, err = run(capsys, "divisor", name, text, "--json")
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == DIVISOR_JSON[name]
 
 
 class TestHvectorCommand:

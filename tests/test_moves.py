@@ -186,6 +186,23 @@ def test_count_helpers_take_only_ints(name, call, value):
         call(value)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: biliaison_curve(5, 1, 3, 0), "dg must be a (d, g) tuple, got 5",
+                 id="biliaison_curve-int"),
+    pytest.param(lambda: biliaison_curve((1, 2, 3), 1, 3, 0),
+                 "dg must be a (d, g) tuple, got (1, 2, 3)", id="biliaison_curve-triple"),
+    pytest.param(lambda: biliaison_curve([10, 6], 1, 3, 0),
+                 "dg must be a (d, g) tuple, got [10, 6]", id="biliaison_curve-list"),
+    pytest.param(lambda: liaison_total(1, "x"), "carrier must be CurveFamily, got str",
+                 id="liaison_total-str"),
+    pytest.param(lambda: liaison_target(3, 1, None), "carrier must be CurveFamily, got NoneType",
+                 id="liaison_target-None"),
+])
+def test_pair_and_carrier_arguments_are_checked(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestDecompose:
     def test_twenty_twentysix_unique_source(self):
         def p4_min(d):

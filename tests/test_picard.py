@@ -1,3 +1,4 @@
+import pickle
 import re
 import tracemalloc
 
@@ -398,6 +399,18 @@ class TestSurfaceModelValidation:
             assert surface(name).is_blowup
         assert not surface("quadric").is_blowup
         assert not surface("det10").is_blowup
+
+    def test_derived_fields_are_slots_set_on_construction(self):
+        # A model has no instance __dict__, and a copy or an unpickled
+        # model recomputes its entries and blow-up flag.
+        for name in surface_names():
+            model = surface(name)
+            assert not hasattr(model, "__dict__")
+            back = pickle.loads(pickle.dumps(model))
+            assert back == model
+            assert (back._entries, back.is_blowup) == (model._entries, model.is_blowup)
+        with pytest.raises(AttributeError):
+            surface("cubic").is_blowup = False
 
 
 def _toy(name, gram, K):
