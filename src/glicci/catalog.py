@@ -28,9 +28,8 @@ A carrier of a space is named by one int, its key, and ``_KEYS`` says
 per space how a key reads: its (d, g, linsys_dim) by closed forms, its
 label and its divisor class.  ``_carrier(space, key)`` is the one
 builder: it skips the per-carrier checks that every other
-``CurveFamily(...)`` runs, and keeps every carrier of level (a or d)
-below ``_MEMO_BELOW`` in one memo, ``_MEMO``, keyed by (space, key),
-building larger ones afresh.  ``cubic_surface_type``,
+``CurveFamily(...)`` runs, and keeps the carriers it built last in one
+bounded ``lru_cache``.  ``cubic_surface_type``,
 ``quadric_family``, ``quadric_ruling_line``, ``plane_curve_family`` and
 ``p3_acm_family`` check their arguments, compute the key and return
 its carrier; a planned chain stores the keys and builds a carrier only
@@ -41,13 +40,12 @@ The lattice's degree and twice its genus are integer polynomials of
 degree at most 2 in a, so their values at a few a fix them for every a.
 Plane curves and table rows carry no class to check.
 
-The registry is built once at import time and never mutated.  The memo
-only grows, up to its bound, and a carrier it returns equals the one
-built fresh.
+The registry is built once at import time and never mutated.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from operator import itemgetter
 
@@ -116,18 +114,6 @@ for _model in (
     ),
 ):
     _SURFACES[_model.name] = _model
-
-
-# Carriers whose level (a or d) is below this are kept in ``_MEMO``
-# once built and never evicted: reading the steps of small chains asks
-# again and again for the same few hundred (reading all chains of
-# n <= 1000 takes 2 to 2.6 times as long without it).  A large plan asks
-# for almost every carrier above it once, so those are built fresh.  The
-# memo holds at most 4 * 255 cubic, 511 quadric, 255 plane and 10 table
-# carriers, all keyed by (space, exact int): the public constructors
-# refuse 3.0, True and int subclasses, as the records do.
-_MEMO_BELOW = 256
-_MEMO: dict = {}
 
 
 def _check_positive(value, name: str, need: str) -> None:
@@ -432,41 +418,33 @@ class _KeyLayout(Plain):
     on the cubic surface; the degree of a table row in 3-space.  Its
     ambient and surface are the space's; ``dims`` gives a key's (d, g,
     linsys_dim) by the closed forms, ``label`` its label and ``divisor``
-    its class (None off a surface); ``key >> level_shift`` is its level
-    (a or d)."""
+    its class (None off a surface)."""
 
-    __slots__ = _fields = ("ambient", "surface", "dims", "label", "divisor", "level_shift")
+    __slots__ = _fields = ("ambient", "surface", "dims", "label", "divisor")
 
 
 _KEYS = {
-    "p2": _KeyLayout("p2", None, _plane_dims, _plane_label, _no_class, 0),
+    "p2": _KeyLayout("p2", None, _plane_dims, _plane_label, _no_class),
     "quadric": _KeyLayout("p3-quadric", "quadric", _quadric_dims, _quadric_label,
-                          _quadric_class, 1),
-    "cubic-surface": _KeyLayout("p3-cubic", "cubic", _cubic_dims, _cubic_label, _cubic_class,
-                                2),
-    "p3": _KeyLayout("p3", None, _p3_dims, _p3_label, _no_class, 0),
+                          _quadric_class),
+    "cubic-surface": _KeyLayout("p3-cubic", "cubic", _cubic_dims, _cubic_label, _cubic_class),
+    "p3": _KeyLayout("p3", None, _p3_dims, _p3_label, _no_class),
 }
 
 
-def _build(layout: _KeyLayout, key: int) -> CurveFamily:
-    """The carrier that ``key`` names in the space of ``layout``, built
-    afresh without the checks of ``CurveFamily(...)``."""
+# The steps of all chains n <= 10^4 name 672 distinct carriers, so this
+# many keeps them all; a large plan names a level's keys within a few steps.
+_CARRIERS_KEPT = 1024
+
+
+@lru_cache(maxsize=_CARRIERS_KEPT)
+def _carrier(space: str, key: int) -> CurveFamily:
+    """The carrier that ``key`` names in ``space``, built without the checks of
+    ``CurveFamily(...)``, for an exact int key (the cache takes True for 1)
+    that a public constructor computed or a planned chain stores."""
+    layout = _KEYS[space]
     return _trusted(layout.ambient, *layout.dims(key), layout.divisor(key), layout.surface,
                     layout.label(key))
-
-
-def _carrier(space: str, key: int) -> CurveFamily:
-    """The carrier that ``key`` names in ``space``, kept in ``_MEMO`` when
-    its level is below ``_MEMO_BELOW``: the one way the package builds a
-    carrier of a space, for a key of exact int type that a public
-    constructor computed or a planned chain stores."""
-    layout = _KEYS[space]
-    if key >> layout.level_shift >= _MEMO_BELOW:
-        return _build(layout, key)
-    carrier = _MEMO.get((space, key))
-    if carrier is None:
-        carrier = _MEMO[space, key] = _build(layout, key)
-    return carrier
 
 
 def _certify() -> None:
@@ -484,12 +462,13 @@ def _certify() -> None:
     checks += [(f"quadric case {case}", a, 2 * a + odd)
                for odd, case in enumerate(("i", "ii")) for a in (1, 2, 3)]
     for what, a, key in checks:
-        family = _build(quadric, key)
-        d, g = model.degree_of(family.divisor), model.genus_of(family.divisor)
-        if (family.d, family.g) != (d, g):
+        fd, fg, _ = quadric.dims(key)
+        divisor = quadric.divisor(key)
+        d, g = model.degree_of(divisor), model.genus_of(divisor)
+        if (fd, fg) != (d, g):
             raise ValueError(
-                f"{what} at a = {a}: formula d = {family.d}, g = {family.g}; "
-                f"lattice class {family.divisor} has d = {d}, g = {g}"
+                f"{what} at a = {a}: formula d = {fd}, g = {fg}; "
+                f"lattice class {divisor} has d = {d}, g = {g}"
             )
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import re
 import sys
 
 from . import __version__
@@ -171,6 +172,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("divisor", help="evaluate a divisor class on a surface")
+    # argparse takes an argument led by "-" for an option unless this
+    # matches; widened from negative numbers to classes such as "-1;0".
+    p._negative_number_matcher = re.compile(r"(?s)-\.?\d.*")
     p.add_argument("surface", help="registered surface name, e.g. bordiga")
     p.add_argument(
         "cls",

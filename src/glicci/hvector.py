@@ -103,8 +103,6 @@ def min_genus(d: int, codim: int, nondegenerate: bool = True) -> tuple[int, HVec
     i = 1
     while remaining > 0:
         bound = codim if (i == 1 and nondegenerate) else entry_bound(i, codim)
-        if i == 1 and nondegenerate and remaining < codim:
-            raise DegreeTooSmall(f"degree {d} too small for c_1 = {codim}")
         c = min(bound, remaining)
         entries.append(c)
         remaining -= c
@@ -123,7 +121,8 @@ def min_genus_formula(d: int) -> int:
 
 def formula_s(d: int) -> int:
     """The s of :func:`min_genus_formula`, the least degree of a
-    hypersurface through a minimal-genus curve of degree d."""
+    hypersurface through a minimal-genus curve of int degree d."""
+    check_ints(d=d)
     if d < 4:
         raise DegreeTooSmall(f"closed form needs d >= 4, got {d}")
     s = 2
@@ -137,8 +136,8 @@ def enumerate_hvectors(d: int, codim: int) -> list[HVector]:
 
     Exhaustive and exponential in d; guarded at d <= 200 and only
     practical well below that.  Meant as a brute-force cross-check for
-    the greedy construction on small degrees.
-    """
+    the greedy construction on small degrees; a non-int d raises TypeError."""
+    check_ints(d=d)
     if d < 1:
         raise DegreeTooSmall(f"degree must be positive, got {d}")
     if d > _ENUMERATION_CAP:

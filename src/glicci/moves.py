@@ -155,11 +155,11 @@ class _Steps(Sequence):
     for the kind and note.  A step's count before the move is the
     previous target, or the start.
 
-    Reading a step builds its ``LinkMove``, and the carrier through
-    ``catalog._carrier``; a slice is a tuple.  Equality, hash, ``repr``
-    and pickling are those of the tuple of moves, which ``tuple(steps)``
-    builds.  The moves of one pass share a carrier within one level of
-    keys, as the walk that planned them did."""
+    Reading a step builds its ``LinkMove`` and takes its carrier from the
+    cache of ``catalog._carrier``, which keeps a level's few keys while a
+    pass reads them, so those moves share one carrier; a slice is a tuple.
+    Equality, hash, ``repr`` and pickling are those of the tuple of
+    moves, which ``tuple(steps)`` builds."""
 
     __slots__ = ("_space", "_start", "_to", "_param", "_key", "_code")
 
@@ -184,20 +184,12 @@ class _Steps(Sequence):
 
     def _moves(self, positions):
         space = self._space
-        shift = _KEYS[space].level_shift
         to, params, keys, codes = self._to, self._param, self._key, self._code
-        level, shared = None, {}
         for i in positions:
-            key = keys[i]
-            if key >> shift != level:
-                level, shared = key >> shift, {}
-            carrier = shared.get(key)
-            if carrier is None:
-                carrier = shared[key] = _carrier(space, key)
             kind, note = _MOVE_CODES[codes[i]]
             param = params[i]
             liaison = kind == LIAISON
-            yield _move(kind, to[i - 1] if i else self._start, to[i], carrier,
+            yield _move(kind, to[i - 1] if i else self._start, to[i], _carrier(space, keys[i]),
                         param if liaison else None, None if liaison else param, note)
 
     def _columns(self) -> tuple:

@@ -207,7 +207,7 @@ class TestPerrinTable:
     @pytest.mark.parametrize("field", ["d", "g"])
     def test_arguments_must_be_int(self, lookup, value, field):
         # True == 1 and 2.0 == 2 hash as the table's ints, so only the
-        # type check keeps them from finding a row, and from the memo.
+        # type check keeps them from finding a row, and from the carrier cache.
         args = {"d": 2, "g": 0, field: value}
         message = rf"^{field} must be int, got {type(value).__name__}$"
         with pytest.raises(TypeError, match=message):
@@ -329,8 +329,7 @@ class TestCertificate:
             return (d, a * (a + 1), held) if key & 1 else (d, g, held)  # case ii: a(a+1)
 
         monkeypatch.setitem(catalog._KEYS, "quadric", catalog._KeyLayout(
-            layout.ambient, layout.surface, slipped, layout.label, layout.divisor,
-            layout.level_shift))
+            layout.ambient, layout.surface, slipped, layout.label, layout.divisor))
         with pytest.raises(ValueError, match="^quadric case ii at a = 1: "):
             catalog._certify()
 
@@ -384,7 +383,7 @@ class TestCurveFamilyValidation:
             check(self)
 
         monkeypatch.setattr(CurveFamily, "__post_init__", counted)
-        catalog._MEMO.clear()
+        catalog._carrier.cache_clear()
         chain = plan("cubic-surface", 10**6)
         assert len({id(step.carrier) for step in chain.steps}) > 100
         assert checks == []
@@ -405,22 +404,22 @@ class TestCurveFamilyValidation:
         assert len(checks) == len(built)
 
     def test_carrier_caches_are_bounded(self):
-        # The memo keeps the carriers of level below 256 and no other.
-        catalog._MEMO.clear()
+        # The one carrier cache keeps at most its maxsize of the 3 * 1199
+        # carriers built: the last ones stay, the first are rebuilt equal.
+        catalog._carrier.cache_clear()
+        makers = (lambda a: cubic_surface_type("iii", a), lambda a: quadric_family(a, "ii"),
+                  plane_curve_family)
+        first = [make(1) for make in makers]
         for a in range(1, 1200):
-            cubic_surface_type("iii", a)
-            quadric_family(a, "ii")
-            plane_curve_family(a)
-        assert len(catalog._MEMO) == 3 * 255
-        for space in ("cubic-surface", "quadric", "p2"):
-            shift = catalog._KEYS[space].level_shift
-            levels = {key >> shift for where, key in catalog._MEMO if where == space}
-            assert levels == set(range(1, catalog._MEMO_BELOW)), space
-        for make in (lambda a: cubic_surface_type("iii", a), lambda a: quadric_family(a, "ii"),
-                     plane_curve_family):
-            assert make(255) is make(255)
-            assert make(256) is not make(256) and make(256) == make(256)
-        assert len(catalog._MEMO) == 3 * 255
+            for make in makers:
+                make(a)
+        info = catalog._carrier.cache_info()
+        assert info.maxsize == catalog._CARRIERS_KEPT < 3 * 1199
+        assert info.currsize <= info.maxsize and info.misses == 3 * 1199
+        for make, early in zip(makers, first):
+            assert make(1199) is make(1199)
+            assert make(1) is not early and make(1) == early
+        assert catalog._carrier.cache_info().currsize <= catalog._CARRIERS_KEPT
         assert cubic_surface_type("iii", 1).dg == (3, 0)
 
     @pytest.mark.parametrize("make, value", [
@@ -456,10 +455,18 @@ class TestCurveFamilyValidation:
         with pytest.raises(TypeError, match=r"^a must be int, got float$"):
             quadric_family(3.0, "i")
 
+    def test_cached_key_does_not_admit_a_bool(self):
+        # The cache hashes True as 1, so 4 * True + 0 would find type i
+        # at a = 1; the argument check runs before the cache is asked.
+        carrier = catalog._carrier("cubic-surface", 4)
+        assert cubic_surface_type("i", 1) is carrier
+        with pytest.raises(TypeError, match=r"^a must be int, got bool$"):
+            cubic_surface_type("i", True)
+
     def test_int_subclasses_are_refused_before_the_memo(self):
         # An int subclass is no int to the records, so the argument
-        # checks refuse it too, before it could be stored under key 7 or
-        # walked through a whole plan.
+        # checks refuse it too, before it could reach the carrier cache
+        # under key 7 or be walked through a whole plan.
         class Count(int):
             pass
 
@@ -474,49 +481,31 @@ class TestCurveFamilyValidation:
             with pytest.raises(TypeError, match=r"^a must be int, got Count$"):
                 make()
 
-    def test_memo_keys_are_plain_ints(self):
-        for n in (2, 50, 999):
-            for space in ("p2", "quadric", "cubic-surface"):
-                plan(space, n)
-        plane_curve_family(3)
-        quadric_family(3, "I")
-        cubic_surface_type("III", 3)
-        p3_acm_family(2, 0)
-        assert catalog._MEMO
-        for key in catalog._MEMO:
-            assert type(key) is tuple and len(key) == 2
-            space, code = key
-            assert type(space) is str and space in catalog._KEYS and type(code) is int
-
     @pytest.mark.parametrize("space", ["p2", "quadric", "cubic-surface", "p3"])
     def test_one_carrier_per_key(self, space):
         # The public constructor's carrier is the one catalog._carrier
-        # builds for the key: the memo's own object below the bound, and
-        # a fresh equal one at and above it.
-        shift = catalog._KEYS[space].level_shift
+        # builds for the key, while the key stays cached.
         if space == "p3":
-            made = [(row.d, p3_acm_family(row.d, row.g)) for row in perrin_table()]
+            made = [(row.d, lambda row=row: p3_acm_family(row.d, row.g))
+                    for row in perrin_table()]
         else:
             made = []
-            for level in range(1, 301):
+            for level in [*range(1, 301), 10**6, 10**12]:
                 if space == "p2":
-                    made.append((level, plane_curve_family(level)))
+                    made.append((level, lambda v=level: plane_curve_family(v)))
                 elif space == "quadric":
-                    made += [(2 * level, quadric_family(level, "i")),
-                             (2 * level + 1, quadric_family(level, "ii"))]
+                    made += [(2 * level, lambda v=level: quadric_family(v, "i")),
+                             (2 * level + 1, lambda v=level: quadric_family(v, "ii"))]
                 else:
-                    made += [(4 * level + code, cubic_surface_type(kind, level))
+                    made += [(4 * level + code, lambda v=level, k=kind: cubic_surface_type(k, v))
                              for code, kind in enumerate(("i", "ii", "iii", "iv"))]
-        assert len(made) == {"p2": 300, "quadric": 600, "cubic-surface": 1200, "p3": 10}[space]
-        for key, family in made:
+        assert len(made) == {"p2": 302, "quadric": 604, "cubic-surface": 1208, "p3": 10}[space]
+        for key, make in made:
             carrier = catalog._carrier(space, key)
-            assert carrier == family and repr(carrier) == repr(family)
-            if key >> shift < catalog._MEMO_BELOW:
-                assert carrier is family
-                assert catalog._MEMO[space, key] is family
-            else:
-                assert carrier is not family
-                assert (space, key) not in catalog._MEMO
+            family = make()
+            fresh = catalog._carrier.__wrapped__(space, key)
+            assert family is carrier and family is catalog._carrier(space, key)
+            assert family is not fresh and family == fresh and repr(family) == repr(fresh)
         if space == "quadric":
             line = quadric_ruling_line()
             assert line is quadric_ruling_line() is catalog._carrier("quadric", 1)

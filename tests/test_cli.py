@@ -85,6 +85,27 @@ class TestDivisorCommand:
         assert code == 0
         assert "d=1 g=0" in out
 
+    @pytest.mark.parametrize("argv", [("scroll", "-1;0", "--quiet"),
+                                      ("scroll", "--quiet", "--", "-1;0"),
+                                      ("--quiet", "--", "scroll", "-1;0")])
+    def test_negative_leading_coefficient_is_the_class(self, capsys, argv):
+        # A class led by "-" and a digit is the positional class, not an
+        # option; "--" still ends the options.
+        code, out, err = run(capsys, "divisor", *argv)
+        assert (code, err) == (0, "")
+        assert out == ("surface: scroll\n"
+                       "class:   (-1;0)\n"
+                       "d=-2 g=3 C^2=1 C.K=3\n"
+                       "C-H: -3;-1 = -3;0 + E1 (-5,9)\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("plan", "p2", "-5"), "input error: need at least one point, got -5\n"),
+        (("plan", "p2", "-.5"), "usage error: argument n: invalid int value: '-.5'\n"),
+        (("divisor", "scroll", "-x"), "usage error: the following arguments are required: class\n"),
+    ])
+    def test_other_leading_minus_arguments_keep_their_errors(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", message)
+
     def test_descent_split_display(self, capsys):
         code, out, _ = run(capsys, "divisor", "bordiga", "7;2^9,0")
         assert code == 0
@@ -132,8 +153,8 @@ class TestDivisorCommand:
 
 
 def _seeded_classes(name, rank, count=20):
-    """``count`` class strings of the given rank, seeded by the surface name;
-    a leading "-" would read as an option, so the head is at least 0."""
+    """``count`` class strings of the given rank, seeded by the surface name,
+    each with a head of at least 0, as the pins below were computed."""
     rng = random.Random(name)
     return [";".join([str(rng.randint(0, 8)),
                       ",".join(str(rng.randint(-2, 4)) for _ in range(rank - 1))])

@@ -120,9 +120,17 @@ class TestMinGenus:
             (min_genus, (20, True), "codim must be int, got bool"),
             (min_genus, ("20", 3), "d must be int, got str"),
             (entry_bound, (True, 3), "i must be int, got bool"),
+            (enumerate_hvectors, (True, 2), "d must be int, got bool"),
+            (enumerate_hvectors, (2.0, 2), "d must be int, got float"),
+            (enumerate_hvectors, (1, 2.0), "codim must be int, got float"),
+            (min_genus_formula, (20.0,), "d must be int, got float"),
+            (min_genus_formula, ("20",), "d must be int, got str"),
+            (formula_s, (True,), "d must be int, got bool"),
         ],
         ids=["min_genus-20.0", "min_genus-4.5", "min_genus-codim-True", "min_genus-'20'",
-             "entry_bound-True"],
+             "entry_bound-True", "enumerate_hvectors-True", "enumerate_hvectors-2.0",
+             "enumerate_hvectors-codim-2.0", "min_genus_formula-20.0",
+             "min_genus_formula-'20'", "formula_s-True"],
     )
     def test_arguments_must_be_ints(self, function, args, message):
         with pytest.raises(TypeError, match=rf"^{message}$"):

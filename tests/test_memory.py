@@ -27,7 +27,7 @@ PACKED_BYTES_PER_STEP = 64
 
 
 def _traced_bytes_per_step(space, n, steps):
-    catalog._MEMO.clear()
+    catalog._carrier.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:

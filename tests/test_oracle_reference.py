@@ -246,7 +246,7 @@ def _count_builds(monkeypatch, carriers=False):
 
 def test_candidates_are_tested_without_building_records(monkeypatch):
     # The oracle reads each carrier's numbers from its key: it builds no
-    # move, no chain and no carrier, not even one the memo holds.
+    # move, no chain and no carrier, not even one the cache holds.
     built = _count_builds(monkeypatch, carriers=True)
     for space in SPACES:
         build_oracle(space, 60)
@@ -264,7 +264,7 @@ def test_candidates_are_tested_without_building_records(monkeypatch):
                                       ("p3", 19)])
 def test_counts_are_read_without_building_records(monkeypatch, space, n):
     # A planned chain's counts, and its text and JSON, come from its
-    # columns: no LinkMove and no carrier is built, not even from the memo.
+    # columns: no LinkMove and no carrier is built, not even from the cache.
     oracle = build_oracle(space, n)
     chain = plan(space, n)
     built = _count_builds(monkeypatch, carriers=True)

@@ -156,8 +156,7 @@ def test_collector_state_is_restored(monkeypatch, enabled):
     layout = catalog._KEYS["p2"]
     monkeypatch.setitem(catalog._KEYS, "p2", catalog._KeyLayout(
         layout.ambient, layout.surface, layout.dims,
-        lambda d: seen.append(gc.isenabled()) or layout.label(d), layout.divisor,
-        layout.level_shift))
+        lambda d: seen.append(gc.isenabled()) or layout.label(d), layout.divisor))
 
     def cycling(cur):
         while True:

@@ -421,7 +421,7 @@ class TestCheckedBuilds:
     def test_planned_records_equal_their_checked_builds(self, space):
         for n in _seeded_counts(space):
             steps = tuple(plan(space, n).steps)
-            catalog._MEMO.clear()  # rebuild even the memo's carriers
+            catalog._carrier.cache_clear()  # rebuild even the cached carriers
             rebuilt = {}
             for step in steps:
                 carrier = step.carrier
