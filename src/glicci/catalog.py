@@ -26,19 +26,20 @@ seven.
 
 A carrier of a space is named by one int, its key, and ``_KEYS`` says
 per space how a key reads: its (d, g, linsys_dim) by closed forms, its
-label and its divisor class.  ``_carrier(space, key)`` is the one
-builder: it skips the per-carrier checks that every other
-``CurveFamily(...)`` runs, and keeps the carriers it built last in one
-bounded ``lru_cache``.  ``cubic_surface_type``,
-``quadric_family``, ``quadric_ruling_line``, ``plane_curve_family`` and
-``p3_acm_family`` check their arguments, compute the key and return
-its carrier; a planned chain stores the keys and builds a carrier only
-when a step is read.  The (d, g) formulas on the quadric and the cubic
-surface are derived from the lattice at import: ``_cubic_kind`` reads
-the cubic ones off it and ``_certify`` proves the quadric's equal to it.
-The lattice's degree and twice its genus are integer polynomials of
-degree at most 2 in a, so their values at a few a fix them for every a.
-Plane curves and table rows carry no class to check.
+label and its divisor class; ``key_of`` finds the key of a (d, g).
+``_carrier(space, key)`` is the one builder: it skips the per-carrier
+checks that every other ``CurveFamily(...)`` runs, and keeps the
+carriers it built last in one bounded ``lru_cache``.
+``cubic_surface_type``, ``quadric_family``, ``quadric_ruling_line``,
+``plane_curve_family`` and ``p3_acm_family`` check their arguments,
+compute the key and return its carrier; a chain stores the keys and
+builds a carrier only when a step is read.  The (d, g) formulas on the
+quadric and the cubic surface are derived from the lattice at import:
+``_cubic_kind`` reads the cubic ones off it and ``_certify`` proves the
+quadric's equal to it.  The lattice's degree and twice its genus are
+integer polynomials of degree at most 2 in a, so their values at a few a
+fix them for every a.  Plane curves and table rows carry no class to
+check.
 
 The registry is built once at import time and never mutated.
 """
@@ -50,7 +51,7 @@ from math import comb
 from operator import itemgetter
 
 from ._record import Plain, Record, check_ints, draft, type_error
-from .errors import DegreeTooSmall, NotInTable, UnknownSurface
+from .errors import DegreeTooSmall, InvalidMove, NotInTable, UnknownSurface
 from .hvector import min_genus, s_zero
 from .picard import DivisorClass, SurfaceModel
 
@@ -430,6 +431,24 @@ _KEYS = {
     "cubic-surface": _KeyLayout("p3-cubic", "cubic", _cubic_dims, _cubic_label, _cubic_class),
     "p3": _KeyLayout("p3", None, _p3_dims, _p3_label, _no_class),
 }
+
+
+def key_of(space: str, d: int, g: int) -> int:
+    """The key of the (d, g) carrier of ``space``, one of ``_KEYS``: the
+    inverse of its ``dims``.  It is d, except on the cubic surface: 4a +
+    kind, a = ceil(d / 3) as every drop 3a - d is 0, 1 or 2.  A (d, g)
+    that no carrier has raises :class:`InvalidMove`."""
+    check_ints(d=d, g=g)
+    if space == "p3":
+        if (d, g) in _PERRIN_M:
+            return d
+        raise InvalidMove(f"carrier ({d},{g}) missing from the table")
+    a = -(-d // 3)
+    keys = range(4 * a, 4 * a + 4) if space == "cubic-surface" else (d,)
+    for key in keys if d > 0 else ():
+        if _KEYS[space].dims(key)[:2] == (d, g):
+            return key
+    raise InvalidMove(f"carrier ({d},{g}) is not a {space} carrier")
 
 
 # The steps of all chains n <= 10^4 name 672 distinct carriers, so this

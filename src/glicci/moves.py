@@ -22,29 +22,34 @@ relation the move breaks.  Moves are stored directed even though
 liaison is symmetric; "ascending" and "descending" are derived from the
 endpoints.
 
-A chain built in code or read from JSON holds a tuple of ``LinkMove``s.
-A planned chain holds its steps packed, as four ``array('q')`` columns
-(see :class:`_Steps`): ``steps`` is an immutable sequence that builds
-each move, and its carrier, when it is read.  Its counts, its text and
-JSON and its validation read the columns and build no record; equality,
-hashing, ``repr``, pickling and serialization are those of the tuple
-chain with the same moves.
+A chain holds its steps one way, as four ``array('q')`` columns (see
+:class:`_Steps`).  The planner fills them; a chain built in code,
+unpickled or read from JSON is packed on entry by :func:`_pack`, which
+re-derives each carrier from its (d, g) and refuses one that is not the
+catalog's.  ``steps`` builds each move, and its carrier, when it is
+read; counts, text, JSON and validation read the columns and build no
+record.  Equality, hashing, ``repr``, pickling and serialization are
+those of the tuple of its moves.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+from array import array
 from collections.abc import Callable, Sequence
+from itertools import repeat
+from sys import intern
 
 from ._record import Record, check_ints, draft, type_error
-from .catalog import _KEYS, _PERRIN_M, CurveFamily, _carrier
-from .errors import InvalidMove
+from .catalog import _KEYS, _PERRIN_M, CurveFamily, _carrier, key_of
+from .errors import DegreeTooLarge, InvalidMove
 
 LIAISON = "liaison"
 BILIAISON = "biliaison"
 
-# The (kind, note) of each code in a planned chain's note column.
+# The (kind, note) of each code in a chain's note column; a chain keeps
+# the pairs its moves add after these (see :func:`_pack`).
 _MOVE_CODES = (
     (BILIAISON, ""),
     (LIAISON, ""),
@@ -71,6 +76,11 @@ def _field(raw, key: str, where: str, kind: type | None = None):
 def _optional(raw: dict, *keys: str) -> dict:
     """The ``keys`` present in ``raw``; a constructor's defaults fill in the rest."""
     return {key: raw[key] for key in keys if key in raw}
+
+
+def _too_large(where: str) -> DegreeTooLarge:
+    """The error for a count or parameter that overflows an ``array('q')``."""
+    return DegreeTooLarge(f"{where}: a chain's counts and parameters must fit in 64 bits")
 
 
 class LinkMove(Record):
@@ -133,8 +143,8 @@ _MoveDraft = draft(LinkMove)
 
 def _move(kind: str, n_from: int, n_to: int, carrier: CurveFamily, m: int | None,
           h: int | None, note: str) -> LinkMove:
-    """``LinkMove(...)`` without its checks, for a planned chain's moves,
-    built from its columns when a step is read: the counterpart of
+    """``LinkMove(...)`` without its checks, for a chain's moves, built
+    from its columns when a step is read: the counterpart of
     ``catalog._trusted``."""
     move = _MoveDraft()
     move.kind = kind
@@ -149,11 +159,11 @@ def _move(kind: str, n_from: int, n_to: int, carrier: CurveFamily, m: int | None
 
 
 class _Steps(Sequence):
-    """The steps of a planned chain, held as four ``array('q')`` columns,
-    one entry per step: the target count, the parameter (m or h), the
-    carrier's key (see ``catalog._KEYS``) and a code into ``_MOVE_CODES``
-    for the kind and note.  A step's count before the move is the
-    previous target, or the start.
+    """The steps of a chain, held as four ``array('q')`` columns, one
+    entry per step: the target count, the parameter (m or h), the
+    carrier's key (see ``catalog._KEYS``) and a code into ``codes`` for
+    the kind and note.  A step's count before the move is the previous
+    target, or the start.
 
     Reading a step builds its ``LinkMove`` and takes its carrier from the
     cache of ``catalog._carrier``, which keeps a level's few keys while a
@@ -161,10 +171,10 @@ class _Steps(Sequence):
     Equality, hash, ``repr`` and pickling are those of the tuple of
     moves, which ``tuple(steps)`` builds."""
 
-    __slots__ = ("_space", "_start", "_to", "_param", "_key", "_code")
+    __slots__ = ("_space", "_start", "_to", "_param", "_key", "_code", "_codes")
 
-    def __init__(self, space: str, start: int, to, param, key, code):
-        for name, value in zip(self.__slots__, (space, start, to, param, key, code)):
+    def __init__(self, space: str, start: int, to, param, key, code, codes=_MOVE_CODES):
+        for name, value in zip(self.__slots__, (space, start, to, param, key, code, codes)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -183,10 +193,10 @@ class _Steps(Sequence):
         return self._moves(range(len(self._to)))
 
     def _moves(self, positions):
-        space = self._space
+        space, pairs = self._space, self._codes
         to, params, keys, codes = self._to, self._param, self._key, self._code
         for i in positions:
-            kind, note = _MOVE_CODES[codes[i]]
+            kind, note = pairs[codes[i]]
             param = params[i]
             liaison = kind == LIAISON
             yield _move(kind, to[i - 1] if i else self._start, to[i], _carrier(space, keys[i]),
@@ -197,7 +207,7 @@ class _Steps(Sequence):
 
     def __eq__(self, other):
         if type(other) is _Steps:
-            return self._columns() == other._columns()
+            return self._columns() == other._columns() and self._codes == other._codes
         if type(other) is tuple:
             return len(other) == len(self) and tuple(self) == other
         return NotImplemented
@@ -212,71 +222,94 @@ class _Steps(Sequence):
         return tuple, (tuple(self),)
 
 
+def _pack(space: str, start: int, moves: tuple, carried) -> _Steps:
+    """The columns of ``moves`` from ``start``, after the chain's field
+    types: each must be a ``LinkMove`` starting where the chain sits, on
+    the carrier ``key_of`` finds for its (d, g) in each field ``carried``
+    names for it.  A (kind, note) outside ``_MOVE_CODES`` gets the next
+    code of the chain's own table."""
+    if type(space) is not str:
+        raise type_error("field 'space'", str, space)
+    if type(start) is not int:
+        raise type_error("field 'start'", int, start)
+    if type(moves) is not tuple:
+        raise type_error("field 'steps'", tuple, moves)
+    if space not in _KEYS:
+        raise InvalidMove(f"unknown space {space!r}")
+    # The interned name is the catalog's own string object, so a chain
+    # read from JSON pickles to the same bytes as the planned one.
+    space = intern(space)
+    to, params, keys, codes = columns = array("q"), array("q"), array("q"), array("q")
+    code_of = {pair: code for code, pair in enumerate(_MOVE_CODES)}
+    cur = start
+    for index, (move, names) in enumerate(zip(moves, carried)):
+        if type(move) is not LinkMove:
+            raise InvalidMove(f"step {index}: expected a LinkMove, got {type(move).__name__}")
+        if move.n_from != cur:
+            raise InvalidMove(f"step starts at {move.n_from} but the chain sits at {cur}")
+        carrier = move.carrier
+        key = key_of(space, carrier.d, carrier.g)
+        known = _carrier(space, key)
+        for name in () if carrier is known else names:
+            got, want = getattr(carrier, name), getattr(known, name)
+            if got != want:
+                if name == "linsys_dim" and got is None:
+                    raise InvalidMove(f"carrier {carrier} lacks its linear-system dimension")
+                raise InvalidMove(f"step {index}: carrier field {name!r} is {got!r},"
+                                  f" not the catalog's {want!r}")
+        try:
+            to.append(move.n_to)
+            params.append(move.m if move.kind == LIAISON else move.h)
+        except OverflowError:
+            raise _too_large(f"step {index}") from None
+        keys.append(key)
+        codes.append(code_of.setdefault((move.kind, move.note), len(code_of)))
+        cur = move.n_to
+    return _Steps(space, start, *columns, tuple(code_of))
+
+
 class Chain(Record):
     """A walk of point counts, one move per step; see :func:`validate_chain`.
 
-    ``steps`` is a tuple of ``LinkMove``s for a chain built in code or by
-    :meth:`from_dict`, and an immutable :class:`_Steps` sequence for a
-    planned chain, whose moves are built when read.  The two compare,
-    hash, print, pickle and serialize alike."""
+    ``steps`` is an immutable :class:`_Steps` sequence whose moves are
+    built when read.  ``Chain(space, start, moves)`` packs a tuple of
+    ``LinkMove``s through :func:`_pack`, which refuses a carrier that is
+    not the catalog's in every field."""
 
     __slots__ = _fields = ("space", "start", "steps")
 
     def __init__(self, space: str, start: int, steps: tuple[LinkMove, ...]):
-        if type(space) is not str:
-            raise type_error("field 'space'", str, space)
-        if type(start) is not int:
-            raise type_error("field 'start'", int, start)
-        if type(steps) is not tuple:
-            raise type_error("field 'steps'", tuple, steps)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "steps", steps)
+        self._hold(_pack(space, start, steps, repeat(CurveFamily._fields)))
+
+    def _hold(self, steps: _Steps) -> None:
+        for name, value in zip(self._fields, (steps._space, steps._start, steps)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _packed(cls, space: str, start: int, to, param, key, code) -> "Chain":
         """The chain of a walk from ``start``, its steps held in the four
         columns of :class:`_Steps`, for the planner's ints."""
         chain = object.__new__(cls)
-        object.__setattr__(chain, "space", space)
-        object.__setattr__(chain, "start", start)
-        object.__setattr__(chain, "steps", _Steps(space, start, to, param, key, code))
+        chain._hold(_Steps(space, start, to, param, key, code))
         return chain
 
     @property
     def terminal(self) -> int:
-        steps = self.steps
-        if not steps:
-            return self.start
-        return steps._to[-1] if type(steps) is _Steps else steps[-1].n_to
+        to = self.steps._to
+        return to[-1] if to else self.start
 
     def point_sequence(self) -> list[int]:
-        steps = self.steps
-        if type(steps) is _Steps:
-            return [self.start] + steps._to.tolist()
-        return [self.start] + [step.n_to for step in steps]
-
-    def _counts(self):
-        """(n_from, n_to) of each step; a planned chain's come from its
-        target column."""
-        if type(self.steps) is _Steps:
-            points = self.point_sequence()
-            return zip(points, points[1:])
-        return ((step.n_from, step.n_to) for step in self.steps)
+        return [self.start] + self.steps._to.tolist()
 
     def _lines(self):
         """The text line of each step, ``n_from -> n_to [descriptor]``."""
         steps = self.steps
-        if type(steps) is not _Steps:
-            for step in steps:
-                yield f"{step.n_from} -> {step.n_to} {step.descriptor()}"
-            return
         layout = _KEYS[self.space]
         dims, label_of, n, code_now = layout.dims, layout.label, self.start, None
         for n_to, param, key, code in zip(steps._to, steps._param, steps._key, steps._code):
             if code != code_now:
                 code_now = code
-                kind = _MOVE_CODES[code][0]
+                kind = steps._codes[code][0]
                 liaison = kind == LIAISON
             d, g, _ = dims(key)
             label = label_of(key) if liaison else ""
@@ -284,36 +317,11 @@ class Chain(Record):
             n = n_to
 
     def to_dict(self) -> dict:
-        steps = self.steps
-        if type(steps) is _Steps:
-            rendered = self._packed_dicts()
-        else:
-            rendered = [
-                {
-                    "kind": step.kind,
-                    "from": step.n_from,
-                    "to": step.n_to,
-                    "m": step.m,
-                    "h": step.h,
-                    "carrier": {
-                        "ambient": step.carrier.ambient,
-                        "d": step.carrier.d,
-                        "g": step.carrier.g,
-                        "linsys_dim": step.carrier.linsys_dim,
-                        "label": step.carrier.label,
-                    },
-                    "note": step.note,
-                }
-                for step in steps
-            ]
-        return {"space": self.space, "start": self.start, "terminal": self.terminal,
-                "steps": rendered}
-
-    def _packed_dicts(self) -> list[dict]:
-        """:meth:`to_dict`'s steps, straight from the columns: each step's
-        dicts are copies of two templates with the step's values set.  The
-        cyclic collector is paused meanwhile: the new dicts hold no cycle,
-        and the passes they would set off took about a tenth of the time."""
+        """The chain as JSON-ready dicts, straight from the columns: each
+        step's dicts are copies of two templates with the step's values
+        set.  The cyclic collector is paused meanwhile: the new dicts hold
+        no cycle, and the passes they would set off took about a tenth of
+        the time."""
         steps = self.steps
         layout = _KEYS[self.space]
         dims, label_of = layout.dims, layout.label
@@ -327,7 +335,7 @@ class Chain(Record):
             for n_to, param, key, code in zip(steps._to, steps._param, steps._key, steps._code):
                 if code != code_now:
                     code_now = code
-                    kind, note = _MOVE_CODES[code]
+                    kind, note = steps._codes[code]
                     template = {"kind": kind, "from": 0, "to": 0, "m": None, "h": None,
                                 "carrier": None, "note": note}
                     which = "m" if kind == LIAISON else "h"
@@ -343,16 +351,18 @@ class Chain(Record):
         finally:
             if enabled:
                 gc.enable()
-        return rendered
+        return {"space": self.space, "start": self.start, "terminal": self.terminal,
+                "steps": rendered}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Chain":
-        """Rebuild a chain from :meth:`to_dict` output.  A missing field, a
-        wrong JSON shape or whatever the records' constructors refuse
-        raises :class:`InvalidMove` naming the step index."""
+        """Rebuild and pack a chain from :meth:`to_dict` output, comparing
+        only the carrier fields given: JSON carries no class.  A missing
+        field, a wrong JSON shape or whatever the records' constructors
+        refuse raises :class:`InvalidMove` naming the step index."""
         space = _field(data, "space", "chain")
         start = _field(data, "start", "chain")
-        steps = []
+        steps, carried = [], []
         for index, raw in enumerate(_field(data, "steps", "chain", list)):
             where = f"step {index}"
             carrier = _field(raw, "carrier", where, dict)
@@ -363,21 +373,20 @@ class Chain(Record):
                 **_optional(raw, "m", "h", "note"),
             )
             on = f"{where} carrier"
+            given = dict(ambient=_field(carrier, "ambient", on), d=_field(carrier, "d", on),
+                         g=_field(carrier, "g", on), **_optional(carrier, "linsys_dim", "label"))
             try:
-                family = CurveFamily(
-                    ambient=_field(carrier, "ambient", on),
-                    d=_field(carrier, "d", on),
-                    g=_field(carrier, "g", on),
-                    **_optional(carrier, "linsys_dim", "label"),
-                )
+                family = CurveFamily(**given)
             except TypeError as exc:
                 raise InvalidMove(f"{on}: {exc}") from None
             try:
                 steps.append(LinkMove(carrier=family, **fields))
             except (TypeError, InvalidMove) as exc:
                 raise InvalidMove(f"{where}: {exc}") from None
+            carried.append(given)
+        chain = object.__new__(cls)
         try:
-            chain = cls(space, start, tuple(steps))
+            chain._hold(_pack(space, start, tuple(steps), carried))
         except TypeError as exc:
             raise InvalidMove(f"chain: {exc}") from None
         if "terminal" in data and chain.terminal != _field(data, "terminal", "chain", int):
@@ -484,7 +493,7 @@ def _total(n: int, n_to: int, d: int, g: int, m: int) -> str | None:
     return None
 
 
-def _plane_biliaison(space: str, n: int, n_to: int, d: int, g: int, held: int | None, h: int,
+def _plane_biliaison(space: str, n: int, n_to: int, d: int, g: int, held: int, h: int,
                      note: str, carrier):
     if h < 0:
         return f"{space} chains use biliaisons of height >= 0, got {h}"
@@ -495,8 +504,6 @@ def _plane_biliaison(space: str, n: int, n_to: int, d: int, g: int, held: int | 
             return "height-0 move needs an annotation"
     elif n_to < g:
         return f"residual {n_to} below genus {g}: divisor may not be effective"
-    if held is None:
-        return f"carrier {carrier} lacks its linear-system dimension"
     # A note marks points placed on the carrier by a prior height-0
     # repositioning, where the general-position containment count
     # does not apply.
@@ -520,10 +527,7 @@ def _cubic_liaison(space: str, n: int, n_to: int, d: int, g: int, held: int | No
 def _p3_bounds(n: int, n_to: int, d: int, g: int) -> str | None:
     """Containment (n at most the carrier's row's bound in the
     general-points table) and effectiveness (n_to at least g)."""
-    bound = _PERRIN_M.get((d, g))
-    if bound is None:
-        return f"carrier ({d},{g}) missing from the table"
-    if n > bound or n_to < g:
+    if n > _PERRIN_M[(d, g)] or n_to < g:
         return f"{n} -> {n_to} on ({d},{g}) fails the containment/effectiveness bounds"
     return None
 
@@ -552,53 +556,22 @@ _RULES = {"p2": _PLANE, "quadric": _PLANE, "cubic-surface": {LIAISON: _cubic_lia
 
 
 def validate_chain(chain: Chain) -> None:
-    """Replay a chain step by step; raises InvalidMove on the first
-    inconsistency (a start below one, an unknown space, a step that is
-    not a LinkMove, broken linkage or an inadmissible move).  An
-    inadmissible move raises with the text its space's rule returns,
-    which names the first relation the move breaks.  The rule and the
-    field of its parameter (``m`` or ``h``) are chosen once per run of
-    one move kind; a kind the space lacks raises where its run starts.
-
-    A planned chain is checked on its columns by the same rules: each
-    key's (d, g, linsys_dim) comes from the closed forms in
-    ``catalog._KEYS``, no record is built, and the carrier is built only
-    to word a failure.  Its steps are linked by construction."""
-    if chain.start < 1:
-        raise InvalidMove(f"chains start at a positive count, got {chain.start}")
-    space = chain.space
-    rules = _RULES.get(space)
-    if rules is None:
-        raise InvalidMove(f"unknown space {space!r}")
-    steps = chain.steps
-    if type(steps) is _Steps:
-        _validate_columns(space, rules, chain.start, steps)
-        return
-    cur, kind = chain.start, None
-    for index, step in enumerate(steps):
-        if type(step) is not LinkMove:
-            raise InvalidMove(f"step {index}: expected a LinkMove, got {type(step).__name__}")
-        if step.n_from != cur:
-            raise InvalidMove(f"step starts at {step.n_from} but the chain sits at {cur}")
-        if step.kind != kind:
-            kind = step.kind
-            rule = rules.get(kind)
-            if rule is None:
-                raise InvalidMove(f"{space} chains use no {kind} moves")
-            liaison = kind == LIAISON
-        n, cur, carrier = cur, step.n_to, step.carrier
-        broken = rule(space, n, cur, carrier.d, carrier.g, carrier.linsys_dim,
-                      step.m if liaison else step.h, step.note, carrier)
-        if broken is not None:
-            raise InvalidMove(broken)
-
-
-def _validate_columns(space: str, rules: dict, n: int, steps: _Steps) -> None:
-    dims, code_now = _KEYS[space].dims, None
+    """Replay a chain's columns; raises InvalidMove for a start below one
+    or for the first move its space's rule refuses, with the rule's text,
+    which names the first relation the move breaks.  The rule is chosen
+    once per run of one code; a kind the space lacks raises where its run
+    starts.  Each key's (d, g, linsys_dim) comes from the closed forms in
+    ``catalog._KEYS``, and the carrier is built only to word a failure.
+    The steps are linked, and their carriers the catalog's, by
+    construction (see :func:`_pack`)."""
+    n, space, steps = chain.start, chain.space, chain.steps
+    if n < 1:
+        raise InvalidMove(f"chains start at a positive count, got {n}")
+    rules, dims, code_now = _RULES[space], _KEYS[space].dims, None
     for n_to, param, key, code in zip(steps._to, steps._param, steps._key, steps._code):
         if code != code_now:
             code_now = code
-            kind, note = _MOVE_CODES[code]
+            kind, note = steps._codes[code]
             rule = rules.get(kind)
             if rule is None:
                 raise InvalidMove(f"{space} chains use no {kind} moves")

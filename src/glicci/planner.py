@@ -57,6 +57,7 @@ from .moves import (
     LIAISON,
     Chain,
     _liaison_degree,
+    _too_large,
     validate_chain,
 )
 
@@ -72,7 +73,8 @@ def _walk(space: str, n: int, hops) -> Chain:
     and validate the chain.  A move is four ints, (target, parameter,
     carrier key, note code), appended to the chain's four ``array('q')``
     columns; no record is built.  A walk that comes back to a count it
-    has left raises :class:`InvalidMove` instead of looping.
+    has left raises :class:`InvalidMove` instead of looping, and one
+    whose ints the columns cannot hold :class:`DegreeTooLarge`.
 
     The guard is Brent's cycle check and holds one remembered count,
     ``mark``, whatever the length of the walk.  Each new count is
@@ -91,18 +93,21 @@ def _walk(space: str, n: int, hops) -> Chain:
     cur = mark = n
     power = hop = 1
     stayed = False
-    for nxt, p, k, c in hops(n):
-        add_to(nxt)
-        add_param(p)
-        add_key(k)
-        add_code(c)
-        last, cur = cur, nxt
-        if cur == mark and (stayed or cur != last):
-            raise InvalidMove(f"{space} walk from {n} returns to {cur}")
-        stayed = cur == last
-        if hop == power:
-            mark, power, hop = cur, 2 * power, 0
-        hop += 1
+    try:
+        for nxt, p, k, c in hops(n):
+            add_to(nxt)
+            add_param(p)
+            add_key(k)
+            add_code(c)
+            last, cur = cur, nxt
+            if cur == mark and (stayed or cur != last):
+                raise InvalidMove(f"{space} walk from {n} returns to {cur}")
+            stayed = cur == last
+            if hop == power:
+                mark, power, hop = cur, 2 * power, 0
+            hop += 1
+    except OverflowError:
+        raise _too_large(f"{n} points") from None
     chain = Chain._packed(space, n, *columns)
     validate_chain(chain)
     return chain
@@ -291,7 +296,8 @@ class ReachabilityOracle(Plain):
     def confirms(self, chain: Chain) -> bool:
         """True when every step of the chain is an edge of this graph.
         Height-0 repositioning steps change no count and are skipped."""
-        return all(self.has_edge(n, n_to) for n, n_to in chain._counts() if n != n_to)
+        points = chain.point_sequence()
+        return all(self.has_edge(n, n_to) for n, n_to in zip(points, points[1:]) if n != n_to)
 
 
 def _candidates(space: str, d: int, g: int, n: int, lo: int, hi: int):

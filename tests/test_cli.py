@@ -106,6 +106,13 @@ class TestDivisorCommand:
     def test_other_leading_minus_arguments_keep_their_errors(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", message)
 
+    @pytest.mark.parametrize("space", ["p2", "quadric", "cubic-surface"])
+    def test_count_beyond_the_columns_is_a_typed_error(self, capsys, space):
+        # The first target of 10^20 points does not fit a 64-bit column.
+        n = 10**20
+        assert run(capsys, "plan", space, str(n)) == (
+            1, "", f"error: {n} points: a chain's counts and parameters must fit in 64 bits\n")
+
     def test_descent_split_display(self, capsys):
         code, out, _ = run(capsys, "divisor", "bordiga", "7;2^9,0")
         assert code == 0

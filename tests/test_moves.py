@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 
 import pytest
@@ -6,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glicci.catalog import (
+    _KEYS,
     CurveFamily,
     cubic_surface_type,
+    key_of,
     p3_acm_family,
     plane_curve_family,
     quadric_family,
     surface,
     surface_names,
 )
-from glicci.errors import InvalidMove
+from glicci.errors import DegreeTooLarge, InvalidMove
 from glicci.hvector import min_genus
 from glicci.moves import (
     _RULES,
@@ -29,7 +32,7 @@ from glicci.moves import (
     validate_chain,
 )
 from glicci.picard import DivisorClass
-from glicci.planner import build_oracle, plan
+from glicci.planner import SPACES, build_oracle, plan
 
 carriers = st.builds(
     cubic_surface_type,
@@ -96,11 +99,12 @@ class TestValidators:
             "20 -> 10 on (10,11) fails the containment/effectiveness bounds")
 
     def test_p3_off_table_carrier(self):
+        # The rules read the table's rows only: a carrier off the table
+        # is refused where the chain is built, by either kind of move.
         off = CurveFamily(ambient="p3", d=10, g=6)
-        for kind, n_to, param in ((BILIAISON, 2, 1), (LIAISON, 8, 3)):
-            rule = _RULES["p3"][kind]
-            assert rule("p3", 12, n_to, *_dims(off), param, "", off) == (
-                "carrier (10,6) missing from the table")
+        for kind, n_to, param in ((BILIAISON, 2, {"h": 1}), (LIAISON, 8, {"m": 3})):
+            with pytest.raises(InvalidMove, match=r"^carrier \(10,6\) missing from the table$"):
+                Chain("p3", 12, (LinkMove(kind, 12, n_to, off, **param),))
 
     def test_p3_undirected(self):
         oracle = build_oracle("p3", 40)
@@ -261,14 +265,12 @@ class TestChains:
         validate_chain(chain)
 
     def test_broken_linkage_rejected(self):
+        # The columns hold one count per step, so a chain is linked when
+        # it is built.
         fam = cubic_surface_type("ii", 2)
-        chain = Chain(
-            "cubic-surface",
-            2,
-            (LinkMove(LIAISON, 2, 6, fam, m=2), LinkMove(LIAISON, 5, 3, fam, m=2)),
-        )
-        with pytest.raises(InvalidMove):
-            validate_chain(chain)
+        moves = (LinkMove(LIAISON, 2, 6, fam, m=2), LinkMove(LIAISON, 5, 3, fam, m=2))
+        with pytest.raises(InvalidMove, match=r"^step starts at 5 but the chain sits at 6$"):
+            Chain("cubic-surface", 2, moves)
 
     def test_bad_window_rejected(self):
         fam = cubic_surface_type("iv", 2)  # (6, 4), window [4, 9]
@@ -416,10 +418,32 @@ class TestChains:
         with pytest.raises(InvalidMove, match=rf"^{re.escape(message)}$"):
             validate_chain(Chain(space, start, steps))
 
+    def test_counts_beyond_the_columns_are_a_typed_error(self):
+        # Counts and parameters live in 64-bit columns; one that does not
+        # fit is refused by name, whether the chain is built in code or
+        # read from JSON.
+        big = 10**20
+        line, conic = plane_curve_family(1), plane_curve_family(2)
+        too_large = "a chain's counts and parameters must fit in 64 bits"
+        for build, where in [
+            (lambda: Chain("p2", big, (LinkMove(BILIAISON, big, big - 1, line, h=1),)), "step 0"),
+            (lambda: Chain("p2", 3, (LinkMove(BILIAISON, 3, 1, conic, h=1),
+                                     LinkMove(BILIAISON, 1, 1 - 2 * big, conic, h=big))),
+             "step 1"),
+        ]:
+            with pytest.raises(DegreeTooLarge, match=rf"^{where}: {too_large}$"):
+                build()
+        data = plan("p2", 17).to_dict()
+        data["steps"][1]["to"] = -big
+        with pytest.raises(DegreeTooLarge, match=rf"^step 1: {too_large}$"):
+            Chain.from_dict(data)
+        with pytest.raises(DegreeTooLarge, match=rf"^{big} points: {too_large}$"):
+            plan("p2", big)
+
     @pytest.mark.parametrize("with_steps", [False, True])
     def test_unknown_space_rejected_before_the_steps(self, with_steps):
         # The steps (from 2) do not even link to the start (3).
-        steps = self._chain().steps if with_steps else ()
+        steps = tuple(self._chain().steps) if with_steps else ()
         with pytest.raises(InvalidMove, match=r"^unknown space 'p5'$"):
             validate_chain(Chain("p5", 3, steps))
 
@@ -516,8 +540,13 @@ class TestChains:
         data["terminal"] = 7
         with pytest.raises(InvalidMove):
             Chain.from_dict(data)
+        # A target that breaks the linkage is refused on entry; one that
+        # keeps it (the next step starts there) by validate_chain.
         data = plan("cubic-surface", 18).to_dict()
         data["steps"][0]["to"] = 21
+        with pytest.raises(InvalidMove, match=r"^step starts at 20 but the chain sits at 21$"):
+            Chain.from_dict(data)
+        data["steps"][1]["from"] = 21
         chain = Chain.from_dict(data)
         with pytest.raises(InvalidMove):
             validate_chain(chain)
@@ -619,7 +648,8 @@ class TestChains:
                 Chain.from_dict(data)
 
     def test_from_dict_keeps_optional_defaults(self):
-        # The liaisons of a cubic chain carry no height.
+        # The liaisons of a cubic chain carry no height, and the catalog
+        # fills in the carrier fields left out.
         data = plan("cubic-surface", 18).to_dict()
         for step in data["steps"]:
             step.pop("h")
@@ -627,15 +657,120 @@ class TestChains:
             step["carrier"].pop("label")
             step["carrier"].pop("linsys_dim")
         chain = Chain.from_dict(data)
-        assert chain.point_sequence() == plan("cubic-surface", 18).point_sequence()
-        assert all(s.note == "" and s.carrier.label == "" for s in chain.steps)
+        assert chain == plan("cubic-surface", 18)
+        assert all(s.note == "" and s.carrier.label.startswith("type ") for s in chain.steps)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(st.data())
     def test_every_planned_chain_round_trips(self, data):
-        space = data.draw(st.sampled_from(["p2", "quadric", "cubic-surface", "p3"]))
-        n = data.draw(st.integers(1, 19 if space == "p3" else 10**6))
-        chain = plan(space, n)
-        back = Chain.from_json(chain.to_json())
-        validate_chain(back)
-        assert back.to_dict() == chain.to_dict()
+        # In every space: the chain read back is the planned one, down to
+        # its pickle bytes.
+        for space in SPACES:
+            chain = plan(space, data.draw(st.integers(1, 19 if space == "p3" else 10**6)))
+            back = Chain.from_json(chain.to_json())
+            validate_chain(back)
+            assert back == chain and back.to_dict() == chain.to_dict()
+            assert pickle.dumps(back) == pickle.dumps(chain)
+
+# The keys below each cap: the plane degree, the quadric degree (1 the
+# ruling line), 4a + kind with a >= 1 on the cubic surface, a table row's
+# degree in 3-space.
+_KEY_RANGES = {"p2": range(1, 400), "quadric": range(1, 400),
+               "cubic-surface": range(4, 1600), "p3": range(1, 11)}
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_key_of_inverts_every_layout(space):
+    dims = _KEYS[space].dims
+    for key in _KEY_RANGES[space]:
+        assert key_of(space, *dims(key)[:2]) == key
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_key_of_refuses_the_neighbours_of_a_carrier(space):
+    # Every (d, g) one off a carrier's in degree or genus that is no
+    # carrier itself; the carriers of keys past the cap have larger d.
+    dims = _KEYS[space].dims
+    known = {dims(key)[:2] for key in range(_KEY_RANGES[space].start,
+                                            2 * _KEY_RANGES[space].stop)
+             if space != "p3" or key <= 10}
+    refused = 0
+    for key in _KEY_RANGES[space]:
+        d, g, _ = dims(key)
+        for near in ((d - 1, g), (d + 1, g), (d, g - 1), (d, g + 1)):
+            if near not in known:
+                with pytest.raises(InvalidMove, match=rf"^carrier \({near[0]},{near[1]}\) "):
+                    key_of(space, *near)
+                with pytest.raises(InvalidMove, match=rf"^carrier \({near[0]},{near[1]}\) "):
+                    Chain(space, 3, (LinkMove(BILIAISON, 3, 1, CurveFamily(
+                        _KEYS[space].ambient, *near), h=1),))
+                refused += 1
+    assert refused >= len(_KEY_RANGES[space])
+
+
+def _json_step(kind, n_from, n_to, param, carrier, note=""):
+    return {"kind": kind, "from": n_from, "to": n_to, "m": param if kind == LIAISON else None,
+            "h": None if kind == LIAISON else param, "carrier": carrier, "note": note}
+
+
+# Carriers no space registers, each in a chain that its space's rule
+# would admit if the carrier were believed, and the message refusing it.
+_FORGERIES = [
+    pytest.param("p2", 100, _json_step(BILIAISON, 100, 1, 99, {
+        "ambient": "p2", "d": 1, "g": 0, "linsys_dim": 10**6, "label": "plane curve of degree 1"}),
+        "^step 0: carrier field 'linsys_dim' is 1000000, not the catalog's 2$", id="p2-line"),
+    pytest.param("cubic-surface", 4, _json_step(LIAISON, 4, 1, 1, {
+        "ambient": "p3-cubic", "d": 5, "g": 1, "linsys_dim": 5, "label": "type ii"}),
+        r"^carrier \(5,1\) is not a cubic-surface carrier$", id="cubic-5-1"),
+    pytest.param("p2", 5, _json_step(BILIAISON, 5, 1, 2, {
+        "ambient": "p3", "d": 2, "g": 0, "linsys_dim": 5, "label": "plane curve of degree 2"}),
+        "^step 0: carrier field 'ambient' is 'p3', not the catalog's 'p2'$", id="p2-conic-in-p3"),
+]
+
+
+@pytest.mark.parametrize("space, start, step, message", _FORGERIES)
+def test_forged_carriers_are_refused_on_entry(space, start, step, message):
+    data = {"space": space, "start": start, "terminal": 1, "steps": [step]}
+    with pytest.raises(InvalidMove, match=message):
+        Chain.from_dict(data)
+    raw = step["carrier"]
+    carrier = CurveFamily(raw["ambient"], raw["d"], raw["g"], raw["linsys_dim"],
+                          label=raw["label"])
+    param = {"m": step["m"]} if step["kind"] == LIAISON else {"h": step["h"]}
+    move = LinkMove(step["kind"], step["from"], step["to"], carrier, **param)
+    with pytest.raises(InvalidMove):
+        Chain(space, start, (move,))
+
+
+@pytest.mark.parametrize("space, n", [("quadric", 12), ("cubic-surface", 18)])
+def test_carrier_fields_in_code_must_be_the_catalogs(space, n):
+    # A carrier built in code carries every field, its class and surface
+    # too; each must be the catalog's.  JSON carries no class, and the
+    # catalog supplies it.
+    move = plan(space, n).steps[0]
+    carrier = move.carrier
+    classless = CurveFamily(carrier.ambient, carrier.d, carrier.g, carrier.linsys_dim,
+                            label=carrier.label)
+    with pytest.raises(InvalidMove, match=r"^step 0: carrier field 'divisor' is None, "):
+        Chain(space, n, (LinkMove(move.kind, n, move.n_to, classless, move.m, move.h),))
+    relabelled = CurveFamily(carrier.ambient, carrier.d, carrier.g, carrier.linsys_dim,
+                             carrier.divisor, carrier.surface, "x")
+    with pytest.raises(InvalidMove, match=r"^step 0: carrier field 'label' is 'x', "):
+        Chain(space, n, (LinkMove(move.kind, n, move.n_to, relabelled, move.m, move.h),))
+    genuine = CurveFamily(*(getattr(carrier, name) for name in CurveFamily._fields))
+    assert Chain(space, n, (LinkMove(move.kind, n, move.n_to, genuine, move.m, move.h),)) == (
+        Chain(space, n, (move,)))
+
+
+def test_notes_outside_the_move_codes_round_trip():
+    # The chain keeps the (kind, note) pairs the planner has no code for.
+    twisted, conic = quadric_family(1, "ii"), quadric_family(1, "i")
+    slide = LinkMove(BILIAISON, 2, 2, twisted, h=0, note="slide")
+    chain = Chain("quadric", 2, (slide, LinkMove(BILIAISON, 2, 2, conic, h=0,
+                                                 note="repositioned")))
+    assert [(s.kind, s.note) for s in chain.steps] == [(BILIAISON, "slide"),
+                                                       (BILIAISON, "repositioned")]
+    assert Chain.from_json(chain.to_json()) == chain
+    assert pickle.loads(pickle.dumps(chain)) == chain
+    assert chain != Chain("quadric", 2, (slide, LinkMove(BILIAISON, 2, 2, conic, h=0,
+                                                         note="slide")))

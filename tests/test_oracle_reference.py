@@ -337,11 +337,12 @@ def test_rule_text_is_the_verdict_and_the_message(space, n_max):
     # Every candidate move of the oracle at the acceptance caps, and its
     # neighbours: either end and the parameter one off (both ends one
     # off keeps a drop or a total and moves only the window), the
-    # heights 0 and -1, the carrier without its linear-system dimension,
-    # each with and without a repositioning note.  A rule's None is the
-    # oracle's verdict, and its text is validate_chain's message.  The
-    # carriers are the public constructors' (with the quadric's ruling
-    # line, which the oracle leaves to its declared edge).
+    # heights 0 and -1, each with and without a repositioning note.  A
+    # rule's None is the oracle's verdict, and its text is validate_chain's
+    # message.  The same move on the carrier without its linear-system
+    # dimension reaches no rule: the chain refuses it when it is built.
+    # The carriers are the public constructors' (with the quadric's
+    # ruling line, which the oracle leaves to its declared edge).
     _, cap_of, *_ = _BY_SPACE[space]
     cap = cap_of(n_max)
     verdicts = {True: 0, False: 0}
@@ -350,6 +351,7 @@ def test_rule_text_is_the_verdict_and_the_message(space, n_max):
             continue
         bare = _trusted(carrier.ambient, carrier.d, carrier.g, None, carrier.divisor,
                         carrier.surface, carrier.label)
+        lacks = f"carrier {carrier} lacks its linear-system dimension"
         holds = perrin_m(*carrier.dg) if space == "p3" else carrier.linsys_dim
         lo, hi = max(carrier.g, 1), min(holds, cap)
         for n in range(lo, hi + 1):
@@ -358,17 +360,18 @@ def test_rule_text_is_the_verdict_and_the_message(space, n_max):
                 params = {param - 1, param, param + 1}
                 if kind == BILIAISON:
                     params |= {0, -1}
-                for on in (carrier, bare):
-                    for frm, to in product((n - 1, n, n + 1), (n_to - 1, n_to, n_to + 1)):
-                        for p in params:
-                            for note in ("", "repositioned"):
-                                broken = rule(space, frm, to, on.d, on.g, on.linsys_dim, p,
-                                              note, on)
-                                assert broken is None or (type(broken) is str and broken)
-                                if note == "":
-                                    assert _admits(space, kind, frm, to, on.d, on.g,
-                                                   on.linsys_dim, p) == (broken is None)
-                                if frm >= 1:
-                                    assert _message(space, kind, frm, to, on, p, note) == broken
-                                verdicts[broken is None] += 1
+                for frm, to in product((n - 1, n, n + 1), (n_to - 1, n_to, n_to + 1)):
+                    for p in params:
+                        for note in ("", "repositioned"):
+                            broken = rule(space, frm, to, carrier.d, carrier.g,
+                                          carrier.linsys_dim, p, note, carrier)
+                            assert broken is None or (type(broken) is str and broken)
+                            if note == "":
+                                assert _admits(space, kind, frm, to, carrier.d, carrier.g,
+                                               carrier.linsys_dim, p) == (broken is None)
+                            if frm >= 1:
+                                assert _message(space, kind, frm, to, carrier, p, note) == broken
+                                if bare != carrier:
+                                    assert _message(space, kind, frm, to, bare, p, note) == lacks
+                            verdicts[broken is None] += 1
     assert min(verdicts.values()) > (10 if space == "p3" else 1000), verdicts

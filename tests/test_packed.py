@@ -1,9 +1,11 @@
-"""A planned chain keeps its steps in columns and builds records on read.
+"""A chain keeps its steps in columns and builds records on read.
 
-Every observable of a planned chain must equal that of its materialized
-twin, ``Chain(space, start, tuple(chain.steps))``, which holds the same
-moves as a tuple; and ``validate_chain`` must give a corrupted packed
-chain the verdict, and the text, it gives the equally corrupted twin.
+The planner fills the columns itself; every other chain is packed on
+entry.  Its twin, ``Chain(space, start, tuple(chain.steps))``, reads a
+planned chain's moves and packs them again, so every observable of the
+two must agree: packing inverts reading.  ``validate_chain`` must give
+a corrupted planned chain the verdict, and the text, it gives the
+corrupted chain re-entered.
 """
 
 import copy
@@ -53,6 +55,7 @@ def test_packed_chain_equals_its_materialized_twin(data):
     steps = packed.steps
     twin = Chain(space, n, tuple(steps))
     assert type(steps) is not tuple and isinstance(steps, Sequence)
+    assert steps._columns() == twin.steps._columns()
 
     assert packed == twin and twin == packed and not packed != twin
     assert hash(packed) == hash(twin) and hash(steps) == hash(twin.steps)
@@ -95,7 +98,7 @@ def test_steps_are_immutable():
 
 def _corrupted(space, n, column, index, value):
     """``plan(space, n)`` with one entry of one column replaced, built
-    through the private constructor, and its materialized twin."""
+    through the private constructor, and its twin packed from its moves."""
     columns = [array("q", values) for values in plan(space, n).steps._columns()[2:]]
     columns[column][index] = value
     bad = Chain._packed(space, n, *columns)
