@@ -10,9 +10,9 @@ carrier per step, fill a draft too, so that no Python-level
 ``repr`` go field by field as a frozen dataclass's do, assignment and
 deletion raise ``AttributeError``, and ``copy`` and ``pickle`` rebuild
 the record through its constructor, which validates it.
-:func:`type_error`, :func:`check_ints` and :func:`int_entries` give the
-constructors and the argument checks one wording of the ``TypeError``
-naming the field, argument or entry.
+:func:`type_error`, :func:`check_types`, :func:`check_ints` and
+:func:`int_entries` give the constructors and the argument checks one
+wording of the ``TypeError`` naming the field, argument or entry.
 """
 
 from operator import index
@@ -86,12 +86,22 @@ def type_error(what: str, kind: type, value) -> TypeError:
     return TypeError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
 
 
+def check_types(names, kinds, values, label: str = "field {!r}") -> None:
+    """Raise :func:`type_error`, naming by ``label`` the first of ``values``
+    that is not exactly its kind, as in ``field 'd' must be int, got
+    float``.  An optional value's kind is ``(T, None)``: None passes too."""
+    for name, kind, value in zip(names, kinds, values):
+        if type(value) is not kind:
+            if type(kind) is tuple:
+                kind = kind[0]
+                if value is None or type(value) is kind:
+                    continue
+            raise type_error(label.format(name), kind, value)
+
+
 def check_ints(**values) -> None:
-    """Raise :func:`type_error` for the first of the named ``values``
-    that is not exactly an ``int``, as in ``d must be int, got bool``."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise type_error(name, int, value)
+    """:func:`check_types` of named ints, as in ``d must be int, got bool``."""
+    check_types(values, (int,) * len(values), values.values(), "{}")
 
 
 def int_entries(values, what: str) -> tuple[int, ...]:

@@ -33,13 +33,12 @@ carriers it built last in one bounded ``lru_cache``.
 ``cubic_surface_type``, ``quadric_family``, ``quadric_ruling_line``,
 ``plane_curve_family`` and ``p3_acm_family`` check their arguments,
 compute the key and return its carrier; a chain stores the keys and
-builds a carrier only when a step is read.  The (d, g) formulas on the
-quadric and the cubic surface are derived from the lattice at import:
-``_cubic_kind`` reads the cubic ones off it and ``_certify`` proves the
-quadric's equal to it.  The lattice's degree and twice its genus are
-integer polynomials of degree at most 2 in a, so their values at a few a
-fix them for every a.  Plane curves and table rows carry no class to
-check.
+builds a carrier only when a step is read.  The cubic surface's (d, g)
+formulas are read off the lattice at import by ``_cubic_kind``; the
+quadric's are closed forms, which ``_certify`` then proves equal to it.
+The lattice's degree and twice its genus are integer polynomials of
+degree at most 2 in a, so their values at a few a fix them for every a.
+Plane curves and table rows carry no class to check.
 
 The registry is built once at import time and never mutated.
 """
@@ -50,7 +49,7 @@ from functools import lru_cache
 from math import comb
 from operator import itemgetter
 
-from ._record import Plain, Record, check_ints, draft, type_error
+from ._record import Plain, Record, check_ints, check_types, draft, type_error
 from .errors import DegreeTooSmall, InvalidMove, NotInTable, UnknownSurface
 from .hvector import min_genus, s_zero
 from .picard import DivisorClass, SurfaceModel
@@ -157,25 +156,14 @@ class CurveFamily(Record):
     """
 
     __slots__ = _fields = ("ambient", "d", "g", "linsys_dim", "divisor", "surface", "label")
+    _kinds = (str, int, int, (int, None), (DivisorClass, None), (str, None), str)
 
     def __new__(cls, ambient: str, d: int, g: int, linsys_dim: int | None = None,
                 divisor: DivisorClass | None = None, surface: str | None = None,
                 label: str = ""):
-        if type(ambient) is not str:
-            raise type_error("field 'ambient'", str, ambient)
-        if type(d) is not int:
-            raise type_error("field 'd'", int, d)
-        if type(g) is not int:
-            raise type_error("field 'g'", int, g)
-        if linsys_dim is not None and type(linsys_dim) is not int:
-            raise type_error("field 'linsys_dim'", int, linsys_dim)
-        if divisor is not None and type(divisor) is not DivisorClass:
-            raise type_error("field 'divisor'", DivisorClass, divisor)
-        if surface is not None and type(surface) is not str:
-            raise type_error("field 'surface'", str, surface)
-        if type(label) is not str:
-            raise type_error("field 'label'", str, label)
-        family = _trusted(ambient, d, g, linsys_dim, divisor, surface, label)
+        fields = (ambient, d, g, linsys_dim, divisor, surface, label)
+        check_types(cls._fields, cls._kinds, fields)
+        family = _trusted(*fields)
         family.__post_init__()
         return family
 
@@ -400,7 +388,11 @@ def p3_acm_family(d: int, g: int) -> CurveFamily:
 
 def _p3_dims(d: int) -> tuple[int, int, None]:
     """(d, g, linsys_dim) of the table row of degree d; a row carries no
-    linear-system dimension, its bound is the row's m."""
+    linear-system dimension, its bound is the row's m.  A key off the
+    table's degrees 1..10, which only a corrupted key column can hold,
+    raises :class:`InvalidMove` naming it."""
+    if not 0 < d <= len(_PERRIN_ROWS):
+        raise InvalidMove(f"p3 key {d} names no row of the general-points table")
     return d, _PERRIN_ROWS[d - 1].g, None
 
 

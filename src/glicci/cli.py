@@ -167,8 +167,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("plan", help="reduce n general points to a single point")
     p.add_argument("space", choices=SPACES)
     p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("divisor", help="evaluate a divisor class on a surface")
@@ -181,22 +179,19 @@ def _build_parser() -> _Parser:
         metavar="class",
         help="class string 'a;b1,...,br'; runs may be abbreviated, e.g. '6;2^3,1^7'",
     )
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(handler=_cmd_divisor)
 
     p = sub.add_parser("hvector", help="minimal genus for a degree, with witness")
     p.add_argument("d", type=int)
     p.add_argument("codim", type=int, choices=(2, 3))
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(handler=_cmd_hvector)
 
     p = sub.add_parser("verify", help="run the numeric claim suites")
     p.add_argument("suite", choices=("catalog", "bordiga", "deg20", "rao", "all"))
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(handler=_cmd_verify)
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--quiet", action="store_true")
     return parser
 
 

@@ -72,11 +72,9 @@ def s_zero(h: HVector) -> int:
     """Least i with c_i strictly below its bound; entries past the end
     count as zero.  This is the least degree of a hypersurface containing
     the scheme."""
-    for i in range(len(h.entries) + 1):
-        c = h.entries[i] if i < len(h.entries) else 0
+    for i, c in enumerate(h.entries + (0,)):
         if c < entry_bound(i, h.codim):
             return i
-    raise AssertionError("unreachable: the entry after the last is 0")
 
 
 def min_genus(d: int, codim: int, nondegenerate: bool = True) -> tuple[int, HVector]:

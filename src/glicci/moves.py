@@ -41,7 +41,7 @@ from collections.abc import Callable, Sequence
 from itertools import repeat
 from sys import intern
 
-from ._record import Record, check_ints, draft, type_error
+from ._record import Record, check_ints, check_types, draft, type_error
 from .catalog import _KEYS, _PERRIN_M, CurveFamily, _carrier, key_of
 from .errors import DegreeTooLarge, InvalidMove
 
@@ -57,6 +57,9 @@ _MOVE_CODES = (
     (BILIAISON, "points repositioned onto the line"),
 )
 _BILIAISON_CODE, _LIAISON_CODE, _SLIDE_CODE, _REPOSITIONED_CODE = range(len(_MOVE_CODES))
+
+# The parameter each move kind takes, and the other kind's, which it refuses.
+_PARAMETERS = {LIAISON: ("twist m", "height h"), BILIAISON: ("height h", "twist m")}
 
 
 def _field(raw, key: str, where: str, kind: type | None = None):
@@ -87,38 +90,29 @@ class LinkMove(Record):
     """One directed move on point counts, with its carrier curve.
 
     ``m`` is the liaison twist (the move links through |m*H - K| on the
-    carrier); ``h`` is the biliaison height.  ``note`` carries narrative
-    annotations such as the height-0 repositioning step.  A field of the
-    wrong type raises ``TypeError`` naming it, the counts by their
-    serialized keys ``from`` and ``to``.
+    carrier); ``h`` is the biliaison height.  A liaison takes ``m`` and
+    no ``h``, a biliaison ``h`` and no ``m``: a missing or stray
+    parameter raises :class:`InvalidMove` naming it.  ``note`` carries
+    narrative annotations such as the height-0 repositioning step.  A
+    field of the wrong type raises ``TypeError`` naming it, the counts by
+    their serialized keys ``from`` and ``to``.
     """
 
     __slots__ = _fields = ("kind", "n_from", "n_to", "carrier", "m", "h", "note")
 
     def __new__(cls, kind: str, n_from: int, n_to: int, carrier: CurveFamily,
                 m: int | None = None, h: int | None = None, note: str = ""):
-        if type(kind) is not str:
-            raise type_error("field 'kind'", str, kind)
-        if type(n_from) is not int:
-            raise type_error("field 'from'", int, n_from)
-        if type(n_to) is not int:
-            raise type_error("field 'to'", int, n_to)
-        if type(carrier) is not CurveFamily:
-            raise type_error("field 'carrier'", CurveFamily, carrier)
-        if m is not None and type(m) is not int:
-            raise type_error("field 'm'", int, m)
-        if h is not None and type(h) is not int:
-            raise type_error("field 'h'", int, h)
-        if type(note) is not str:
-            raise type_error("field 'note'", str, note)
-        if kind == LIAISON:
-            if m is None:
-                raise InvalidMove("liaison move needs its twist m")
-        elif kind == BILIAISON:
-            if h is None:
-                raise InvalidMove("biliaison move needs its height h")
-        else:
+        check_types(("kind", "from", "to", "carrier", "m", "h", "note"),
+                    (str, int, int, CurveFamily, (int, None), (int, None), str),
+                    (kind, n_from, n_to, carrier, m, h, note))
+        if kind not in _PARAMETERS:
             raise InvalidMove(f"unknown move kind {kind!r}")
+        takes, refuses = _PARAMETERS[kind]
+        param, stray = (m, h) if kind == LIAISON else (h, m)
+        if param is None:
+            raise InvalidMove(f"{kind} move needs its {takes}")
+        if stray is not None:
+            raise InvalidMove(f"{kind} move takes no {refuses}")
         return _move(kind, n_from, n_to, carrier, m, h, note)
 
     def descriptor(self) -> str:
@@ -228,12 +222,7 @@ def _pack(space: str, start: int, moves: tuple, carried) -> _Steps:
     the carrier ``key_of`` finds for its (d, g) in each field ``carried``
     names for it.  A (kind, note) outside ``_MOVE_CODES`` gets the next
     code of the chain's own table."""
-    if type(space) is not str:
-        raise type_error("field 'space'", str, space)
-    if type(start) is not int:
-        raise type_error("field 'start'", int, start)
-    if type(moves) is not tuple:
-        raise type_error("field 'steps'", tuple, moves)
+    check_types(("space", "start", "steps"), (str, int, tuple), (space, start, moves))
     if space not in _KEYS:
         raise InvalidMove(f"unknown space {space!r}")
     # The interned name is the catalog's own string object, so a chain
@@ -423,9 +412,7 @@ def liaison_target(n: int, m: int, carrier: CurveFamily) -> int:
 
 def liaison_total(m: int, carrier: CurveFamily) -> int:
     """Degree of the divisor m*H - K on the carrier curve."""
-    check_ints(m=m)
-    if type(carrier) is not CurveFamily:
-        raise type_error("carrier", CurveFamily, carrier)
+    check_types(("m", "carrier"), (int, CurveFamily), (m, carrier), "{}")
     return _liaison_degree(m, carrier.d, carrier.g)
 
 

@@ -290,6 +290,81 @@ class TestTopLevel:
         assert main([]) == 1
 
 
+# The -h text of the program and of each subcommand at 80 columns, the
+# same on Python 3.10 to 3.13.
+_HELP = {
+    (): """usage: glicci [-h] [--version] {plan,divisor,hvector,verify} ...
+
+Exact arithmetic for divisor classes on rational surfaces and validated
+liaison/biliaison reduction chains.
+
+positional arguments:
+  {plan,divisor,hvector,verify}
+    plan                reduce n general points to a single point
+    divisor             evaluate a divisor class on a surface
+    hvector             minimal genus for a degree, with witness
+    verify              run the numeric claim suites
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    ("plan",): """usage: glicci plan [-h] [--json] [--quiet] {p2,quadric,cubic-surface,p3} n
+
+positional arguments:
+  {p2,quadric,cubic-surface,p3}
+  n
+
+options:
+  -h, --help            show this help message and exit
+  --json
+  --quiet
+""",
+    ("divisor",): """usage: glicci divisor [-h] [--json] [--quiet] surface class
+
+positional arguments:
+  surface     registered surface name, e.g. bordiga
+  class       class string 'a;b1,...,br'; runs may be abbreviated, e.g.
+              '6;2^3,1^7'
+
+options:
+  -h, --help  show this help message and exit
+  --json
+  --quiet
+""",
+    ("hvector",): """usage: glicci hvector [-h] [--json] [--quiet] d {2,3}
+
+positional arguments:
+  d
+  {2,3}
+
+options:
+  -h, --help  show this help message and exit
+  --json
+  --quiet
+""",
+    ("verify",): """usage: glicci verify [-h] [--json] [--quiet] {catalog,bordiga,deg20,rao,all}
+
+positional arguments:
+  {catalog,bordiga,deg20,rao,all}
+
+options:
+  -h, --help            show this help message and exit
+  --json
+  --quiet
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP), ids=lambda c: " ".join(c) or "glicci")
+def test_help_text_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([*command, "-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr() == (_HELP[command], "")
+
+
 class TestProcessExit:
     """A process ends through ``run``, which freezes the heap after
     ``main`` so that the collections at interpreter exit skip it; ``main``

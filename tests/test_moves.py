@@ -363,8 +363,18 @@ class TestChains:
         ("step", "note", None, "str", "NoneType"),
         ("step", "kind", 3, "str", "int"),
         ("chain", "space", None, "str", "NoneType"),
+        ("carrier", "d", 2.0, "int", "float"),
+        ("step", "n_from", 3.0, "int", "float"),
+        ("step", "n_to", "1", "int", "str"),
+        ("step", "carrier", "x", "CurveFamily", "str"),
+        ("step", "m", 1.0, "int", "float"),
+        ("step", "h", True, "int", "bool"),
+        ("chain", "start", 3.0, "int", "float"),
+        ("chain", "steps", [], "tuple", "list"),
     ])
     def test_ill_typed_field_named_on_construction(self, record, key, value, kind, got):
+        # Every field of the three checked records; a move names its
+        # counts by their serialized keys.
         cls, fields = {
             "carrier": (CurveFamily, dict(ambient="p2", d=2, g=0, linsys_dim=5, label="conic")),
             "step": (LinkMove, dict(kind=BILIAISON, n_from=3, n_to=1,
@@ -373,7 +383,8 @@ class TestChains:
         }[record]
         cls(**fields)
         fields[key] = value
-        with pytest.raises(TypeError, match=rf"^field '{key}' must be {kind}, got {got}$"):
+        name = {"n_from": "from", "n_to": "to"}.get(key, key)
+        with pytest.raises(TypeError, match=rf"^field '{name}' must be {kind}, got {got}$"):
             cls(**fields)
 
     # One minimal chain per relation validate_chain checks, as (space,
@@ -515,6 +526,11 @@ class TestChains:
             LinkMove(BILIAISON, 4, 0, fam)
         with pytest.raises(InvalidMove):
             LinkMove("twist", 1, 3, fam, m=1)
+        # Each kind refuses the other's parameter.
+        with pytest.raises(InvalidMove, match=r"^liaison move takes no height h$"):
+            LinkMove(LIAISON, 1, 3, fam, m=1, h=0)
+        with pytest.raises(InvalidMove, match=r"^biliaison move takes no twist m$"):
+            LinkMove(BILIAISON, 4, 0, fam, m=0, h=1)
 
     def test_descriptor_grammar(self):
         fam = cubic_surface_type("i", 4)
@@ -578,9 +594,11 @@ class TestChains:
         ("p2", 17, 1, "h", None, r"^step 1: biliaison move needs its height h$"),
         ("p2", 17, 1, "h", ..., r"^step 1: biliaison move needs its height h$"),
         ("p3", 17, 1, "kind", "link", r"^step 1: unknown move kind 'link'$"),
+        ("cubic-surface", 10, 0, "h", 3, r"^step 0: liaison move takes no height h$"),
+        ("p2", 17, 1, "m", 2, r"^step 1: biliaison move takes no twist m$"),
     ])
     def test_from_dict_names_the_step_of_a_bad_move(self, space, n, index, key, value, message):
-        # ``...`` deletes the field.
+        # ``...`` deletes the field.  The JSON text is refused alike.
         data = plan(space, n).to_dict()
         if value is ...:
             del data["steps"][index][key]
@@ -588,6 +606,8 @@ class TestChains:
             data["steps"][index][key] = value
         with pytest.raises(InvalidMove, match=message):
             Chain.from_dict(data)
+        with pytest.raises(InvalidMove, match=message):
+            Chain.from_json(json.dumps(data))
 
     @pytest.mark.parametrize(
         "path,value,message",

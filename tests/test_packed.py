@@ -96,12 +96,17 @@ def test_steps_are_immutable():
         steps[0] = steps[1]
 
 
-def _corrupted(space, n, column, index, value):
+def _replaced(space, n, column, index, value):
     """``plan(space, n)`` with one entry of one column replaced, built
-    through the private constructor, and its twin packed from its moves."""
+    through the private constructor."""
     columns = [array("q", values) for values in plan(space, n).steps._columns()[2:]]
     columns[column][index] = value
-    bad = Chain._packed(space, n, *columns)
+    return Chain._packed(space, n, *columns)
+
+
+def _corrupted(space, n, column, index, value):
+    """:func:`_replaced` and its twin packed from its moves."""
+    bad = _replaced(space, n, column, index, value)
     return bad, Chain(space, n, tuple(bad.steps))
 
 
@@ -127,6 +132,17 @@ def test_corrupted_column_is_rejected_as_its_twin(space, n, column, index, value
     with pytest.raises(InvalidMove) as twin_error:
         validate_chain(twin)
     assert str(packed_error.value) == str(twin_error.value) == message
+
+
+@pytest.mark.parametrize("key", [0, 11])
+def test_p3_key_off_the_table_is_refused(key):
+    # The table has rows of degree 1..10 only; 0 must not read row 10
+    # from the end, nor 11 run off it.
+    bad = _replaced("p3", 17, KEY, 0, key)
+    message = rf"^p3 key {key} names no row of the general-points table$"
+    for read in (validate_chain, Chain.to_dict, lambda chain: chain.steps[0]):
+        with pytest.raises(InvalidMove, match=message):
+            read(bad)
 
 
 @settings(max_examples=150, deadline=None)
