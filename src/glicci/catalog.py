@@ -246,11 +246,12 @@ def _cubic_kind(kind: str, base: str):
 _CUBIC_BASES = (("i", "0;0^5,-1"), ("ii", "1;1,0^5"), ("iii", "1;0^6"), ("iv", "3;1^6"))
 _CUBIC_KINDS = {spec[0]: _cubic_kind(*spec) for spec in _CUBIC_BASES}
 _CUBIC_NAMES = tuple(_CUBIC_KINDS)
+_CUBIC_ROWS = tuple(_CUBIC_KINDS.values())  # by kind code, key & 3
 
 
 def _cubic_dims(key: int) -> tuple[int, int, int]:
     """(d, g, linsys_dim) of the cubic carrier with key 4a + kind (i..iv = 0..3)."""
-    row = _CUBIC_KINDS[_CUBIC_NAMES[key & 3]]
+    row = _CUBIC_ROWS[key & 3]
     a = key >> 2
     three_a = 3 * a
     d = three_a - row[3]
@@ -261,14 +262,14 @@ def _cubic_dims(key: int) -> tuple[int, int, int]:
 def _cubic_class(key: int) -> DivisorClass:
     """The class B + (a-1)H of the cubic carrier with key 4a + kind,
     picked from four ints."""
-    row = _CUBIC_KINDS[_CUBIC_NAMES[key & 3]]
+    row = _CUBIC_ROWS[key & 3]
     a = key >> 2
     c = row[1] + a
     return _class(row[2]((row[0] + 3 * a, c, c + 1, c + 2)))
 
 
 def _cubic_label(key: int) -> str:
-    return _CUBIC_KINDS[_CUBIC_NAMES[key & 3]][-1]
+    return _CUBIC_ROWS[key & 3][-1]
 
 
 def cubic_surface_type(kind: str, a: int) -> CurveFamily:
@@ -392,7 +393,7 @@ def _p3_dims(d: int) -> tuple[int, int, None]:
     table's degrees 1..10, which only a corrupted key column can hold,
     raises :class:`InvalidMove` naming it."""
     if not 0 < d <= len(_PERRIN_ROWS):
-        raise InvalidMove(f"p3 key {d} names no row of the general-points table")
+        raise _unknown_key("p3", d)
     return d, _PERRIN_ROWS[d - 1].g, None
 
 
@@ -423,6 +424,20 @@ _KEYS = {
     "cubic-surface": _KeyLayout("p3-cubic", "cubic", _cubic_dims, _cubic_label, _cubic_class),
     "p3": _KeyLayout("p3", None, _p3_dims, _p3_label, _no_class),
 }
+
+
+# The least key that names a carrier: degree 1 in the plane, on the
+# quadric and in 3-space, and 4a + kind from a = 1 on the cubic surface.
+# Only 3-space has a greatest key, its table's last degree, which
+# ``_p3_dims`` checks.
+_FIRST_KEYS = {"p2": 1, "quadric": 1, "cubic-surface": 4, "p3": 1}
+
+
+def _unknown_key(space: str, key: int) -> InvalidMove:
+    """The refusal of a key that names no carrier, which only a corrupted
+    key column holds."""
+    named = "row of the general-points table" if space == "p3" else "carrier"
+    return InvalidMove(f"{space} key {key} names no {named}")
 
 
 def key_of(space: str, d: int, g: int) -> int:

@@ -42,7 +42,7 @@ from itertools import repeat
 from sys import intern
 
 from ._record import Record, check_ints, check_types, draft, type_error
-from .catalog import _KEYS, _PERRIN_M, CurveFamily, _carrier, key_of
+from .catalog import _FIRST_KEYS, _KEYS, _PERRIN_M, CurveFamily, _carrier, _unknown_key, key_of
 from .errors import DegreeTooLarge, InvalidMove
 
 LIAISON = "liaison"
@@ -543,7 +543,9 @@ _RULES = {"p2": _PLANE, "quadric": _PLANE, "cubic-surface": {LIAISON: _cubic_lia
 
 
 def validate_chain(chain: Chain) -> None:
-    """Replay a chain's columns; raises InvalidMove for a start below one
+    """Replay a chain's columns; raises InvalidMove for a start below one,
+    for a key below the space's first (one ``min`` over the column; the
+    key of a 3-space row past the table is refused where its row is read)
     or for the first move its space's rule refuses, with the rule's text,
     which names the first relation the move breaks.  The rule is chosen
     once per run of one code; a kind the space lacks raises where its run
@@ -554,6 +556,9 @@ def validate_chain(chain: Chain) -> None:
     n, space, steps = chain.start, chain.space, chain.steps
     if n < 1:
         raise InvalidMove(f"chains start at a positive count, got {n}")
+    keys = steps._key
+    if keys and min(keys) < _FIRST_KEYS[space]:
+        raise _unknown_key(space, min(keys))
     rules, dims, code_now = _RULES[space], _KEYS[space].dims, None
     for n_to, param, key, code in zip(steps._to, steps._param, steps._key, steps._code):
         if code != code_now:

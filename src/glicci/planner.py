@@ -1,38 +1,37 @@
 """Reduction planners: validated chains from n general points down to one.
 
 ``plan(space, n)`` walks every space the same way.  Each ambient supplies
-only a generator of next hops, ``hops(n)`` in ``_BY_SPACE``, which yields
-one move at a time from n points until the count reaches one, as four
-ints: the target, the parameter (m or h), the carrier's key (see
-``catalog._KEYS``) and a note code (see ``moves._MOVE_CODES``).
-``_walk`` runs the one loop over it, guards it against cycles, appends
-the ints to the chain's columns and validates the whole chain once on
-them; no move or carrier is built until a caller reads a step:
+only a generator of pieces, ``pieces(n)`` in ``_BY_SPACE``: runs of
+moves, each in closed form from the count where it starts, from n
+points down to one.  A move is four ints: the target, the parameter (m
+or h), the carrier's key (see ``catalog._KEYS``) and a note code (see
+``moves._MOVE_CODES``).  ``_walk`` writes the pieces into the chain's
+columns with C-level builders, guards the walk against cycles and
+validates every step of the chain once; no move or carrier is built
+until a caller reads a step:
 
-  * p2: one ascending biliaison on plane curves of the least degree
-    that holds the points, of height 1 just above the previous degree's
-    range and 2 elsewhere, except that 2 and 4 points drop by height 1
-    onto a line and a conic;
-  * quadric: one ascending biliaison on the two ACM families of the
-    quadric, except that n = 2 first slides the points along a twisted
-    cubic (a height-0 biliaison) onto a ruling line;
-  * cubic surface: one strict liaison by m*H - K on the four ACM
-    families, in closed form on the six ranges of each level, with
-    literal moves at n in {2, 3, 5, 6} where the recorded chain leaves
-    the formula; a level's ranges are set up once, on entering it, and
-    kept until the walk leaves it;
+  * p2: ascending biliaisons on plane curves of the least degree that
+    holds the points, a run of height 2 and then one of height 1,
+    except that 2 and 4 points drop by height 1 onto a line and a conic;
+  * quadric: ascending biliaisons on the two ACM families of the
+    quadric, one level down a move, except that n = 2 first slides the
+    points along a twisted cubic (a height-0 biliaison) onto a ruling
+    line;
+  * cubic surface: strict liaisons by m*H - K on the four ACM families,
+    read off the six ranges of each level, down to the recorded chain
+    of two points, whose moves at n in {2, 3, 5, 6} leave the formula;
   * p3: a height-1 biliaison on the least-degree row of the
     general-points table that holds the points, except for the liaisons
-    by 5H - K at n = 17 and 19; total for n <= 19 and a typed open-case
-    error beyond.
+    by 5H - K at n = 17 and 19, all in one piece; total for n <= 19 and
+    a typed open-case error beyond.
 
-Every next hop is a formula in n; the levels and the cubic spiral are
-closed forms.  The reachability oracle lists the candidate moves on
-every carrier key of a space, keeps exactly those the space's step rules
-admit and runs the one breadth-first search, ``_bfs``; it builds no
-record and never calls the next-hop generators, so it checks the
-planners independently.  ``p3_descending_moves`` is the same listing
-from one n.
+A piece finds its level by one square root; its length and columns are
+closed forms in the level and the offset of its first count.  The
+reachability oracle lists the candidate moves on every carrier key of a
+space, keeps exactly those the space's step rules admit and runs the one
+breadth-first search, ``_bfs``; it builds no record and never calls the
+planners, so it checks them independently.  ``p3_descending_moves`` is
+the same listing from one n.
 
 A plan is a pure function of (space, n); identical inputs give
 identical chains.
@@ -41,7 +40,8 @@ identical chains.
 from __future__ import annotations
 
 from array import array
-from itertools import count
+from functools import partial
+from itertools import accumulate, count
 from math import isqrt
 
 from ._record import Plain
@@ -68,22 +68,46 @@ def _check_n(n: int) -> None:
     _check_positive(n, "point count", "at least one point")
 
 
-def _walk(space: str, n: int, hops) -> Chain:
-    """Follow the moves that ``hops(n)`` yields from n points down to one
-    and validate the chain.  A move is four ints, (target, parameter,
-    carrier key, note code), appended to the chain's four ``array('q')``
-    columns; no record is built.  A walk that comes back to a count it
-    has left raises :class:`InvalidMove` instead of looping, and one
-    whose ints the columns cannot hold :class:`DegreeTooLarge`.
+def _spread(first: int, step: int, curve: int, count: int) -> array:
+    """The ``count`` values first, first + step, ... whose steps grow by
+    ``curve`` each time, built at C speed."""
+    if curve:
+        return array("q", accumulate(range(step, step + curve * (count - 1), curve),
+                                     initial=first))
+    if step:
+        return array("q", range(first, first + step * count, step))
+    return array("q", (first,)) * count
 
-    The guard is Brent's cycle check and holds one remembered count,
-    ``mark``, whatever the length of the walk.  Each new count is
-    compared with the mark; whenever the moves since the mark last moved
-    reach a power of two, the mark moves to the current count and the
-    power doubles.  A repeated count is caught within fewer than
-    3 * (tail + cycle length) moves, and only a count that really comes
-    back raises.  A move may keep the count once, as the quadric's slide
-    2 -> 2 does before its 2 -> 1; a second such move in a row raises.
+
+def _last(length: int, curve: int, first: tuple, after: tuple) -> int:
+    """The count a piece (see :func:`_walk`) ends on: its last target."""
+    j, r = divmod(length - 1, len(first))
+    to = first[r][0]
+    return to + j * (after[r][0] - to) + curve * (j * (j - 1) // 2) if j else to
+
+
+def _walk(space: str, n: int, pieces) -> Chain:
+    """Follow the pieces that ``pieces(n)`` yields from n points down to
+    one and validate the chain.  A piece is (length, curve, first,
+    after): ``length`` moves that repeat with period p, ``first`` the
+    first p and ``after`` the p that follow (none where the piece gives
+    all its moves in ``first``).  Each int steps by a constant from one
+    period to the next and a target's step grows by ``curve``, so a
+    longer piece than 2p moves is built column by column and, for p > 1,
+    one place in the period at a time, into a strided slice.  A walk
+    that comes back to a count it has left, or yields an empty piece,
+    raises :class:`InvalidMove` instead of looping, and one whose ints
+    the columns cannot hold :class:`DegreeTooLarge`.
+
+    The guard is Brent's cycle check over the counts the pieces end on
+    and holds one remembered count, ``mark``, whatever the length of the
+    walk.  Each new end is compared with the mark; whenever the pieces
+    since the mark last moved reach a power of two, the mark moves to
+    the current end and the power doubles.  A repeated end is caught
+    within fewer than 3 * (tail + cycle length) pieces, and only a count
+    that really comes back raises.  A piece may keep the count once, as
+    the quadric's slide 2 -> 2 does before its 2 -> 1; a second such
+    piece in a row raises.
 
     A step leaves behind no object that the cyclic garbage collector
     tracks, so the walk sets off none of its passes."""
@@ -94,12 +118,30 @@ def _walk(space: str, n: int, hops) -> Chain:
     power = hop = 1
     stayed = False
     try:
-        for nxt, p, k, c in hops(n):
-            add_to(nxt)
-            add_param(p)
-            add_key(k)
-            add_code(c)
-            last, cur = cur, nxt
+        for length, curve, first, after in pieces(n):
+            if length < 1:
+                raise InvalidMove(f"{space} walk from {n} yields an empty piece at {cur}")
+            period = len(first)
+            if length <= 2 * period:  # its moves are those given
+                for nxt, p, k, c in (first + after)[:length]:
+                    add_to(nxt)
+                    add_param(p)
+                    add_key(k)
+                    add_code(c)
+            else:
+                for column, bend, values, later in zip(columns, (curve, 0, 0, 0), zip(*first),
+                                                       zip(*after)):
+                    if period == 1:
+                        column.extend(_spread(values[0], later[0] - values[0], bend, length))
+                        continue
+                    rows = (_spread(value, nxt - value, bend, (length - 1 - r) // period + 1)
+                            for r, value, nxt in zip(range(period), values, later))
+                    row, start = next(rows), len(column)  # the first row fits in 64 bits
+                    column.frombytes(bytes(8 * length))
+                    column[start::period] = row
+                    for r, row in enumerate(rows, 1):
+                        column[start + r::period] = row
+            last, cur = cur, to[-1]
             if cur == mark and (stayed or cur != last):
                 raise InvalidMove(f"{space} walk from {n} returns to {cur}")
             stayed = cur == last
@@ -132,17 +174,34 @@ def _plane_degree(n: int) -> int:
     return (isqrt(8 * n + 5) - 1) // 2
 
 
-def _p2_hops(n: int):
+def _biliaisons(n: int, h: int, d: int, fall: int, length: int) -> tuple:
+    """The piece of ``length`` height-h biliaisons from n on the degrees
+    d, d - fall, ...; a target's step grows by h * fall."""
+    nxt = n - h * d
+    return (length, h * fall, ((nxt, h, d, _BILIAISON_CODE),),
+            ((nxt - h * (d - fall), h, d - fall, _BILIAISON_CODE),))
+
+
+def _p2_pieces(n: int):
+    """With t = n - (d-1)(d+2)/2 in 1..d+1 on n's degree d, height-2
+    moves lower d by 2 and t by 1 until t = 1, or until t = d + 1, from
+    where one more lands on t = 1 a degree lower; at t = 1 height-1
+    moves lower d by 1 down to one point."""
     while n > 1:
         if n in (2, 4):
             # The formula's height 2 would drop to 0 points: one line, one conic.
-            d, h = n // 2, 1
+            piece = _biliaisons(n, 1, n // 2, 0, 1)
         else:
             d = _plane_degree(n)
-            h = 1 if n == (d - 1) * (d + 2) // 2 + 1 else 2
-        nxt = n - h * d
-        yield nxt, h, d, _BILIAISON_CODE
-        n = nxt
+            t = n - (d - 1) * (d + 2) // 2
+            if t == 1:
+                piece = _biliaisons(n, 1, d, 1, d - 1)
+            elif d in (2 * t - 3, 2 * t - 2):  # stop on 2 or 4 points, at t = 2
+                piece = _biliaisons(n, 2, d, 2, t - 2)
+            else:
+                piece = _biliaisons(n, 2, d, 2, min(t - 1, d + 2 - t))
+        yield piece
+        n = _last(*piece)
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +212,27 @@ def _quadric_level(n: int) -> int:
     return (isqrt(4 * n + 1) - 1) // 2
 
 
-def _quadric_hops(n: int):
-    # A carrier's key is its degree: bidegree (a, a) of case i, (a, a+1)
-    # of case ii, and 1 the ruling line.
+def _quadric_pieces(n: int):
+    """A carrier's key is its degree: bidegree (a, a) of case i, (a, a+1)
+    of case ii, and 1 the ruling line.  With t = n - a^2 - a in 0..2a+1
+    on n's level a, case i (t <= a, degree 2a) keeps t down to level t
+    (or to 2 points at t = 0); case ii lowers t and a by 1 until
+    t = 2a + 1, then lands on t = 0, or reaches one point.  2 points
+    slide along a twisted cubic (a height-0 biliaison) onto a ruling
+    line."""
     while n > 2:
         a = _quadric_level(n)
-        d = 2 * a if n <= a * (a + 2) else 2 * a + 1
-        nxt = n - d
-        yield nxt, 1, d, _BILIAISON_CODE
-        n = nxt
+        t = n - a * (a + 1)
+        if t <= a:
+            piece = _biliaisons(n, 1, 2 * a, 2, a - t + 1 if t else a - 1)
+        else:
+            piece = _biliaisons(n, 1, 2 * a + 1, 2, min(2 * a + 2 - t, a))
+        yield piece
+        n = _last(*piece)
     if n == 2:
-        yield 2, 0, 3, _SLIDE_CODE  # on the twisted cubic, bidegree (1, 2)
-        yield 1, 1, 1, _REPOSITIONED_CODE
+        moves = ((2, 0, 3, _SLIDE_CODE),  # on the twisted cubic, bidegree (1, 2)
+                 (1, 1, 1, _REPOSITIONED_CODE))
+        yield 2, 0, moves, ()
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +242,20 @@ def _quadric_hops(n: int):
 # ``catalog._CUBIC_NAMES``.
 _I, _II, _III, _IV = map(_CUBIC_NAMES.index, ("i", "ii", "iii", "iv"))
 
-# The counts where the recorded chain leaves the closed form, as
-# (target, m, key).  At 3 the formula's move would break the window
-# (5 > 4 on (4,1)); at 5 and 6 it would cycle (5 -> 7 -> 5, 6 -> 2 -> 6);
-# 2 keeps the recorded chain 2 -> 6 -> 7 -> 5 -> 3 -> 1, where the formula
-# would link 2 -> 1 on the plane cubic.
-_CUBIC_EXCEPTIONS = {
+# Every chain ends on the recorded chain of two points, 2 -> 6 -> 7 ->
+# 5 -> 3 -> 1, given as the move (target, m, key) from each of its counts.
+# Its moves at 2, 3, 5 and 6 leave the closed form: at 3 the formula's
+# move would break the window (5 > 4 on (4,1)); at 5 and 6 it would cycle
+# (5 -> 7 -> 5, 6 -> 2 -> 6); 2 keeps the recorded chain, where the
+# formula would link 2 -> 1 on the plane cubic.  The move at 7 is the
+# formula's, E on level 2.
+_CUBIC_TAIL = {
     2: (6, 2, 4 * 2 + _II),  # 2H-K on (5,2)
-    3: (1, 1, 4 * 2 + _I),  # H-K on (4,1)
-    5: (3, 2, 4 * 2 + _II),  # 2H-K on (5,2)
     6: (7, 3, 4 * 3 + _I),  # 3H-K on (7,5)
+    7: (5, 3, 4 * 2 + _IV),  # 3H-K on (6,4)
+    5: (3, 2, 4 * 2 + _II),  # 2H-K on (5,2)
+    3: (1, 1, 4 * 2 + _I),  # H-K on (4,1)
 }
-_CUBIC_EXCEPTIONS_TOP = max(_CUBIC_EXCEPTIONS)
 
 
 def _cubic_level(n: int) -> int:
@@ -199,51 +269,102 @@ def _cubic_cap(n_max: int) -> int:
     return 3 * a * (a + 1) // 2 - 1
 
 
-def _cubic_hops(n: int):
-    """The moves from n down to one point: literal ones at the counts in
-    ``_CUBIC_EXCEPTIONS``, elsewhere one liaison read off the six ranges
-    of n's level a by the offset t = n - n0, n0 = 3a(a-1)/2.  With
+def _base(a: int) -> int:
+    # n0 = 3a(a-1)/2, the first count of level a.
+    return 3 * a * (a - 1) // 2
+
+
+# The moves of one period of each piece of ``_cubic_pieces``.
+
+def _spiral(a: int, u: int) -> tuple:
+    # On level a, from the offsets u (above T/2) and 3a - u (below).
+    n0, m, i = _base(a), 2 * a - 1, 4 * a
+    return ((n0 + 3 * a - u, m, i + _IV, _LIAISON_CODE), (n0 + u + 1, m, i + _II, _LIAISON_CODE))
+
+
+def _a_descent(s: int, b: int) -> tuple:
+    # A at offset s of level b, then F at offset 3b-1-s of level b-1.
+    n1 = _base(b - 1)
+    return ((n1 + 3 * b - 1 - s, 2 * b - 2, 4 * b + _I, _LIAISON_CODE),
+            (n1 + s, 2 * b - 3, 4 * b - 4 + _III, _LIAISON_CODE))
+
+
+def _c_descent(b: int) -> tuple:
+    # C at offset b+1 of level b, E at 2(b-1) and C at b-1 of level b-1,
+    # then F at 2b-3 of level b-2.
+    n1, n2 = _base(b - 1), _base(b - 2)
+    return ((n1 + 2 * b - 2, 2 * b - 2, 4 * b + _II, _LIAISON_CODE),
+            (n1 + b - 1, 2 * b - 3, 4 * b - 4 + _IV, _LIAISON_CODE),
+            (n2 + 2 * b - 3, 2 * b - 4, 4 * b - 4 + _II, _LIAISON_CODE),
+            (n2 + b - 1, 2 * b - 5, 4 * b - 8 + _III, _LIAISON_CODE))
+
+
+def _periodic(moves, x: int, step: int, phase: int, length: int, curve: int) -> tuple:
+    """The piece of ``length`` moves that starts at move ``phase`` of
+    ``moves(x)`` and goes on through ``moves(x + step)``, ...; its
+    targets' steps grow by ``curve`` each period."""
+    one, two = moves(x), moves(x + step)
+    if length > 12 * len(one):
+        three = moves(x + 2 * step)[:phase] if phase else ()
+        return length, curve, one[phase:] + two[:phase], two[phase:] + three
+    # Up to 12 periods, as in most plans below n = 1000, the moves cost
+    # less to give one by one than the columns cost to build.
+    given, later = one + two, x + step
+    while len(given) < phase + length:
+        later += step
+        given += moves(later)
+    given = given[phase:phase + length]
+    return length, 0, given, ()
+
+
+def _cubic_pieces(n: int):
+    """The pieces from n down to one point, liaisons read off the six
+    ranges of n's level a by the offset t = n - n0, n0 = 3a(a-1)/2.  With
     T = 2n0 + 3a: A (t = 0 or 3 <= t < a) and C (t = a, a+1) link to
     2n0+2 - n by twist 2a-2, on types i and ii; by twist 2a-1, B (t = 1,
     2) links to T - n on type iv, F (t > 2a) to T+2 - n on type iii, and
-    D and E (a+2 <= t <= 2a) spiral out through E: to T - n on type iv
-    above T/2, to T+1 - n on type ii below.  A level's ends and totals
-    are kept until the walk leaves the level.  Below the spiral the walk
-    leaves a level every two moves, nearly always for the level just
-    below, [3(a-1)(a-2)/2, n0), which it then enters without a square
-    root."""
-    a = n0 = top = 0
+    D and E (a+2 <= t <= 2a) to T - n on type iv above T/2 and to
+    T+1 - n on type ii below.  Three pieces repeat:
+
+      * the spiral, period 2 on level a: from D and E out to C at a+1;
+      * the A descent, period 2 and one level down a period: A at offset
+        s links to F one level down, which links back to offset s, until
+        s reaches the level and the walk lands on C;
+      * the C descent, period 4 and two levels down a period: C, E, C, F,
+        at offsets a+1, 2a, a, 2a+1 in turn, down to C on level 2, at 5
+        or 6 points.
+
+    t = 0 and B are one move each, and a count of ``_CUBIC_TAIL`` starts
+    the piece of its literal moves down to one."""
     while n > 1:
-        if n <= _CUBIC_EXCEPTIONS_TOP and n in _CUBIC_EXCEPTIONS:
-            nxt, m, key = _CUBIC_EXCEPTIONS[n]
+        if n in _CUBIC_TAIL:
+            moves = ()
+            while n > 1:
+                n, m, key = _CUBIC_TAIL[n]
+                moves += ((n, m, key, _LIAISON_CODE),)
+            piece = len(moves), 0, moves, ()
         else:
-            if not n0 <= n < top:
-                below = n0 - 3 * a + 3
-                if below <= n < n0:
-                    a, n0 = a - 1, below
-                else:
-                    a = _cubic_level(n)
-                    n0 = 3 * a * (a - 1) // 2
-                c_lo = n0 + a
-                c_hi, e_hi, low, twist = c_lo + 1, c_lo + a, n0 + n0 + 2, a + a - 1
-                top = e_hi + a
-                total = n0 + top  # T
-                half = total // 2
-                i = 4 * a  # the key of type i; ii, iii and iv follow
-            if n > e_hi:  # F
-                nxt, m, key = total + 2 - n, twist, i + _III
-            elif n > half:  # D and E, above T/2
-                nxt, m, key = total - n, twist, i + _IV
-            elif n > c_hi:  # D, below
-                nxt, m, key = total + 1 - n, twist, i + _II
-            elif n >= c_lo:  # C; at a = 2 also t = 2, but n = 5 is literal
-                nxt, m, key = low - n, twist - 1, i + _II
-            elif n0 < n <= n0 + 2:  # B
-                nxt, m, key = total - n, twist, i + _IV
-            else:  # A
-                nxt, m, key = low - n, twist - 1, i
-        yield nxt, m, key, _LIAISON_CODE
-        n = nxt
+            a = _cubic_level(n)
+            n0 = _base(a)
+            t = n - n0
+            if t <= 2:  # one move from t = 0, and from B
+                move = ((n0 + 2, 2 * a - 2, 4 * a + _I, _LIAISON_CODE) if t == 0 else
+                        (n0 + 3 * a - t, 2 * a - 1, 4 * a + _IV, _LIAISON_CODE))
+                piece = 1, 0, (move,), ()
+            elif t < a:
+                piece = _periodic(partial(_a_descent, t), a, -1, 0, 2 * (a - t), 3)
+            elif a + 1 < t < 2 * a:
+                u, phase = (t, 0) if 2 * t > 3 * a else (3 * a - t, 1)
+                piece = _periodic(partial(_spiral, a), u, 1, phase, 4 * a - 2 * u - 1 - phase, 0)
+            elif t > 2 * a and 3 * a + 2 - t <= a:
+                s = 3 * a + 2 - t
+                piece = _periodic(partial(_a_descent, s), a + 1, -1, 1, 2 * (a + 1 - s) - 1, 3)
+            else:
+                # C at t = a + 1, E at 2a, C at a, F at 2a + 1.
+                b, phase = {a + 1: (a, 0), 2 * a: (a + 1, 1), a: (a + 1, 2)}.get(t, (a + 2, 3))
+                piece = _periodic(_c_descent, b, -2, phase, 2 * (b - 2) - phase, 12)
+        yield piece
+        n = _last(*piece)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +378,7 @@ P3_GUARANTEED_MAX = 19
 _P3_EXCEPTIONS = {17: (12, 5, 9), 19: (11, 5, 10)}
 
 
-def _p3_hops(n: int):
+def _p3_pieces(n: int):
     if n > P3_GUARANTEED_MAX:
         raise OutOfGuaranteedRange(
             f"{n} > {P3_GUARANTEED_MAX} general points in 3-space: no descending "
@@ -265,15 +386,17 @@ def _p3_hops(n: int):
             "only carrier is the (10,11) curve, whose moves leave a residual of "
             "degree 10 < genus 11), and the reduction question is open"
         )
+    moves = ()  # at most five, given one by one in one piece
     while n > 1:
         if n in _P3_EXCEPTIONS:
             nxt, m, d = _P3_EXCEPTIONS[n]
-            yield nxt, m, d, _LIAISON_CODE
+            moves += ((nxt, m, d, _LIAISON_CODE),)
         else:
             row = next(row for row in perrin_table() if n <= row.m)
-            nxt = n - row.d
-            yield nxt, 1, row.d, _BILIAISON_CODE
-        n = nxt
+            moves += ((n - row.d, 1, row.d, _BILIAISON_CODE),)
+        n = moves[-1][0]
+    if moves:
+        yield len(moves), 0, moves, ()
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +406,7 @@ class ReachabilityOracle(Plain):
     """Undirected admissible-move graph for one ambient, with the set of
     counts connected to 1.  Edges are the moves the step rules admit on
     the carriers of genus at most the cap, found without the planners'
-    next-hop functions, so agreement between the two is a real check."""
+    pieces, so agreement between the two is a real check."""
 
     __slots__ = _fields = ("space", "n_max", "cap", "edges", "reachable")
 
@@ -328,16 +451,16 @@ def _admits(space: str, kind: str, n: int, n_to: int, d: int, g: int, held: int 
 # linear-system dimension.
 _P3_HOLDS = {row.d: row.m for row in perrin_table()}
 
-# Per space: the next-hop generator, the oracle's cap for n_max, the key
+# Per space: the generator of pieces, the oracle's cap for n_max, the key
 # of the carrier of least genus, the carriers' bounds by key where they
 # are not the linear-system dimension, and the edges no carrier gives:
 # on the quadric, 2 -> 1 on a ruling line (key 1) onto which a height-0
 # slide has repositioned the points.
 _BY_SPACE = {
-    "p2": (_p2_hops, lambda n_max: n_max, 1, None, ()),
-    "quadric": (_quadric_hops, lambda n_max: n_max, 2, None, (frozenset((2, 1)),)),
-    "cubic-surface": (_cubic_hops, _cubic_cap, 4, None, ()),
-    "p3": (_p3_hops, lambda n_max: max(n_max, *_P3_HOLDS.values()), 1, _P3_HOLDS, ()),
+    "p2": (_p2_pieces, lambda n_max: n_max, 1, None, ()),
+    "quadric": (_quadric_pieces, lambda n_max: n_max, 2, None, (frozenset((2, 1)),)),
+    "cubic-surface": (_cubic_pieces, _cubic_cap, 4, None, ()),
+    "p3": (_p3_pieces, lambda n_max: max(n_max, *_P3_HOLDS.values()), 1, _P3_HOLDS, ()),
 }
 SPACES = tuple(_BY_SPACE)
 
@@ -366,8 +489,8 @@ def plan(space: str, n: int) -> Chain:
     In 3-space n >= 20 raises OutOfGuaranteedRange: no descending move
     applies (on (10,11) the residual would have degree 10, below the
     genus), and whether such points reduce at all is open."""
-    hops, *_ = _lookup(space)
-    return _walk(space, n, hops)
+    pieces, *_ = _lookup(space)
+    return _walk(space, n, pieces)
 
 
 def build_oracle(space: str, n_max: int) -> ReachabilityOracle:

@@ -10,10 +10,14 @@ cubic-surface schedule is stated range by range on the offset in the
 level, one count at a time, instead of once per level.  The one
 exception is the move-graph reference, which shares nothing with
 ``glicci.planner`` but asks ``validate_chain``, the rule it checks the
-oracle against, about every pair of counts.  Tests pit the package
-against these.
+oracle against, about every pair of counts.  ``_p2_hops``,
+``_quadric_hops`` and ``_cubic_hops`` are the planners' earlier walk,
+one move at a time from a count's level, which the closed-form pieces
+of ``glicci.planner`` replaced; ``reference_columns`` packs their moves
+as the planner does.  Tests pit the package against these.
 """
 
+from array import array
 from functools import lru_cache
 from math import comb, isqrt
 
@@ -26,7 +30,24 @@ from glicci.catalog import (
     quadric_ruling_line,
 )
 from glicci.errors import InvalidMove
-from glicci.moves import Chain, LinkMove, validate_chain
+from glicci.moves import (
+    _BILIAISON_CODE,
+    _LIAISON_CODE,
+    _REPOSITIONED_CODE,
+    _SLIDE_CODE,
+    Chain,
+    LinkMove,
+    validate_chain,
+)
+from glicci.planner import (
+    _I,
+    _II,
+    _III,
+    _IV,
+    _cubic_level,
+    _plane_degree,
+    _quadric_level,
+)
 
 
 def _bound(i: int, codim: int) -> int:
@@ -193,3 +214,104 @@ def move_graph_edges(space: str, cap: int) -> set:
                 ):
                     edges.add(frozenset((n, n2)))
     return edges
+
+
+# ---------------------------------------------------------------------------
+# The planners' reference walk, one move at a time.
+
+# The counts where the recorded chain leaves the closed form, as
+# (target, m, key).  At 3 the formula's move would break the window
+# (5 > 4 on (4,1)); at 5 and 6 it would cycle (5 -> 7 -> 5, 6 -> 2 -> 6);
+# 2 keeps the recorded chain 2 -> 6 -> 7 -> 5 -> 3 -> 1, where the formula
+# would link 2 -> 1 on the plane cubic.
+_CUBIC_EXCEPTIONS = {
+    2: (6, 2, 4 * 2 + _II),  # 2H-K on (5,2)
+    3: (1, 1, 4 * 2 + _I),  # H-K on (4,1)
+    5: (3, 2, 4 * 2 + _II),  # 2H-K on (5,2)
+    6: (7, 3, 4 * 3 + _I),  # 3H-K on (7,5)
+}
+_CUBIC_EXCEPTIONS_TOP = max(_CUBIC_EXCEPTIONS)
+
+
+def _p2_hops(n: int):
+    while n > 1:
+        if n in (2, 4):
+            # The formula's height 2 would drop to 0 points: one line, one conic.
+            d, h = n // 2, 1
+        else:
+            d = _plane_degree(n)
+            h = 1 if n == (d - 1) * (d + 2) // 2 + 1 else 2
+        nxt = n - h * d
+        yield nxt, h, d, _BILIAISON_CODE
+        n = nxt
+
+
+def _quadric_hops(n: int):
+    # A carrier's key is its degree: bidegree (a, a) of case i, (a, a+1)
+    # of case ii, and 1 the ruling line.
+    while n > 2:
+        a = _quadric_level(n)
+        d = 2 * a if n <= a * (a + 2) else 2 * a + 1
+        nxt = n - d
+        yield nxt, 1, d, _BILIAISON_CODE
+        n = nxt
+    if n == 2:
+        yield 2, 0, 3, _SLIDE_CODE  # on the twisted cubic, bidegree (1, 2)
+        yield 1, 1, 1, _REPOSITIONED_CODE
+
+
+def _cubic_hops(n: int):
+    """The moves from n down to one point: literal ones at the counts in
+    ``_CUBIC_EXCEPTIONS``, elsewhere one liaison read off the six ranges
+    of n's level a by the offset t = n - n0, n0 = 3a(a-1)/2.  With
+    T = 2n0 + 3a: A (t = 0 or 3 <= t < a) and C (t = a, a+1) link to
+    2n0+2 - n by twist 2a-2, on types i and ii; by twist 2a-1, B (t = 1,
+    2) links to T - n on type iv, F (t > 2a) to T+2 - n on type iii, and
+    D and E (a+2 <= t <= 2a) spiral out through E: to T - n on type iv
+    above T/2, to T+1 - n on type ii below.  A level's ends and totals
+    are kept until the walk leaves the level.  Below the spiral the walk
+    leaves a level every two moves, nearly always for the level just
+    below, [3(a-1)(a-2)/2, n0), which it then enters without a square
+    root."""
+    a = n0 = top = 0
+    while n > 1:
+        if n <= _CUBIC_EXCEPTIONS_TOP and n in _CUBIC_EXCEPTIONS:
+            nxt, m, key = _CUBIC_EXCEPTIONS[n]
+        else:
+            if not n0 <= n < top:
+                below = n0 - 3 * a + 3
+                if below <= n < n0:
+                    a, n0 = a - 1, below
+                else:
+                    a = _cubic_level(n)
+                    n0 = 3 * a * (a - 1) // 2
+                c_lo = n0 + a
+                c_hi, e_hi, low, twist = c_lo + 1, c_lo + a, n0 + n0 + 2, a + a - 1
+                top = e_hi + a
+                total = n0 + top  # T
+                half = total // 2
+                i = 4 * a  # the key of type i; ii, iii and iv follow
+            if n > e_hi:  # F
+                nxt, m, key = total + 2 - n, twist, i + _III
+            elif n > half:  # D and E, above T/2
+                nxt, m, key = total - n, twist, i + _IV
+            elif n > c_hi:  # D, below
+                nxt, m, key = total + 1 - n, twist, i + _II
+            elif n >= c_lo:  # C; at a = 2 also t = 2, but n = 5 is literal
+                nxt, m, key = low - n, twist - 1, i + _II
+            elif n0 < n <= n0 + 2:  # B
+                nxt, m, key = total - n, twist, i + _IV
+            else:  # A
+                nxt, m, key = low - n, twist - 1, i
+        yield nxt, m, key, _LIAISON_CODE
+        n = nxt
+
+
+REFERENCE_HOPS = {"p2": _p2_hops, "quadric": _quadric_hops, "cubic-surface": _cubic_hops}
+
+
+def reference_columns(space: str, n: int) -> tuple:
+    """The (target, parameter, key, code) columns of the reference walk
+    from n, as four ``array('q')``."""
+    moves = list(REFERENCE_HOPS[space](n))
+    return tuple(array("q", [move[i] for move in moves]) for i in range(4))

@@ -81,17 +81,18 @@ def test_cubic_carrier_holds_one_object_per_distinct_coefficient(kind):
 
 
 def _hops_along(pairs, yielded, limit):
-    """A hops function for _walk that yields a move on a line for each
-    (from, to) in ``pairs`` and records it, and raises RuntimeError
-    rather than hang after ``limit`` moves.  A move that keeps its count
-    is a height-0 slide, any other a height-1 biliaison."""
+    """A pieces function for _walk that yields a piece of one move on a
+    line for each (from, to) in ``pairs`` and records it, and raises
+    RuntimeError rather than hang after ``limit`` moves.  A move that
+    keeps its count is a height-0 slide, any other a height-1 biliaison."""
 
     def hops(n):
         for n_from, n_to in pairs:
             yielded.append(n_from)
             if len(yielded) > limit:
                 raise RuntimeError("the walk did not stop in the cycle")
-            yield (n_to, 0, 1, _SLIDE_CODE) if n_from == n_to else (n_to, 1, 1, _BILIAISON_CODE)
+            move = (n_to, 0, 1, _SLIDE_CODE) if n_from == n_to else (n_to, 1, 1, _BILIAISON_CODE)
+            yield 1, 0, (move,), (move,)
 
     return hops
 
@@ -133,3 +134,19 @@ def test_walk_guard_stops_a_walk_that_keeps_its_count():
     assert len(yielded) == 2
     assert plan("quadric", 2).point_sequence() == [2, 2, 1]
     assert plan("quadric", 5).point_sequence() == [5, 2, 2, 1]
+
+
+def test_walk_refuses_an_empty_piece_at_once():
+    # A piece of no moves keeps the count without a move; the walk
+    # raises at the first one instead of waiting for the count to repeat.
+    yielded = []
+
+    def empty(n):
+        while len(yielded) < 100:
+            yielded.append(n)
+            yield 0, 0, ((n, 1, 1, _BILIAISON_CODE),), ((n, 1, 1, _BILIAISON_CODE),)
+        raise RuntimeError("the walk did not stop at the empty piece")
+
+    with pytest.raises(InvalidMove, match=r"^p2 walk from 7 yields an empty piece at 7$"):
+        _walk("p2", 7, empty)
+    assert yielded == [7]

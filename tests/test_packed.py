@@ -145,6 +145,21 @@ def test_p3_key_off_the_table_is_refused(key):
             read(bad)
 
 
+@pytest.mark.parametrize("space, n, key", [
+    ("p2", 100, 0), ("p2", 100, -1), ("quadric", 50, 0), ("quadric", 50, -1),
+    ("cubic-surface", 100, 0), ("cubic-surface", 100, -1), ("cubic-surface", 100, 2),
+])
+def test_key_below_the_first_is_refused(space, n, key):
+    # The first keys are 1 in the plane and on the quadric and 4 (a = 1)
+    # on the cubic surface; the key column is checked once, before any
+    # rule words a carrier that no space has.  The last step's key is
+    # the one replaced, which a check of the first step alone would miss.
+    chain = plan(space, n)
+    bad = _replaced(space, n, KEY, len(chain.steps) - 1, key)
+    with pytest.raises(InvalidMove, match=rf"^{space} key {key} names no carrier$"):
+        validate_chain(bad)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_any_corrupted_entry_gets_its_twins_verdict(data):
@@ -179,7 +194,8 @@ def test_collector_state_is_restored(monkeypatch, enabled):
 
     def cycling(cur):
         while True:
-            yield cur, 0, 1, _SLIDE_CODE  # height 0 on a line
+            move = cur, 0, 1, _SLIDE_CODE  # height 0 on a line
+            yield 1, 0, (move,), (move,)
 
     calls = [
         (lambda: plan("cubic-surface", 99999989).to_dict(), None),

@@ -1,5 +1,6 @@
 import random
 from array import array
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -33,9 +34,8 @@ from glicci.picard import DivisorClass
 from glicci.planner import (
     P3_GUARANTEED_MAX,
     SPACES,
-    _CUBIC_EXCEPTIONS,
-    _cubic_hops,
     _cubic_level,
+    _cubic_pieces,
     _plane_degree,
     _quadric_level,
     _walk,
@@ -55,14 +55,18 @@ def _packed(space, start, hops):
     return Chain._packed(space, start, *columns)
 
 
+def _first_piece(start):
+    """The steps of the first piece that _cubic_pieces yields from start."""
+    return _walk("cubic-surface", start, lambda n: islice(_cubic_pieces(n), 1)).steps
+
+
 def _spiral_run(start, lo, hi):
-    """The steps of the moves _cubic_hops yields from start while the
-    count stays in [lo, hi], up to and including the one that leaves it."""
-    run = []
-    for move in _cubic_hops(start):
-        run.append(move)
-        if not lo <= move[0] <= hi:
-            return _packed("cubic-surface", start, run).steps
+    """The steps of the first piece from start while the count stays in
+    [lo, hi], up to and including the one that leaves it."""
+    steps = _first_piece(start)
+    end = next(i for i, n_to in enumerate(steps._to) if not lo <= n_to <= hi) + 1
+    columns = (column[:end] for column in steps._columns()[2:])
+    return Chain._packed("cubic-surface", start, *columns).steps
 
 
 class TestPlanP2:
@@ -205,9 +209,9 @@ class TestPlanCubic:
 
     @pytest.mark.parametrize("a", [*range(4, 61), 1000, 1001, 4097, 8165, 8166])
     def test_spiral_run_is_the_one_step_moves_on_two_carriers(self, a):
-        # From a count in ranges D and E, _cubic_hops yields the moves that
-        # one-step classification gives until the count leaves D and E,
-        # on the level's two carriers, named by two keys.
+        # From a count in ranges D and E, the first piece holds the moves
+        # that one-step classification gives until the count leaves D and
+        # E, on the level's two carriers, named by two keys.
         n0 = 3 * a * (a - 1) // 2
         lo, hi = n0 + a + 2, n0 + 2 * a
         one_step = {n: cubic_range_move(n) for n in range(lo, hi + 1)}
@@ -251,16 +255,17 @@ class TestPlanCubic:
 
     @pytest.mark.parametrize("a", [*range(3, 61), 997, 1000, 1001, 4097, 8165, 8166])
     def test_first_hop_is_the_reference_move(self, a):
-        # The walk states a level's ranges once, on entering it; from any
-        # count its first move is the one the range-by-range reference
-        # gives, on the level's carrier of that kind.
+        # From any count the first move of the first piece is the one the
+        # range-by-range reference gives, on the level's carrier of that
+        # kind.
         n0, top = 3 * a * (a - 1) // 2, 3 * a * (a + 1) // 2
         counts = range(n0, top)
         if a > 1001:
             counts = sorted({*range(n0, n0 + 32), *range(n0, top, 256), *range(top - 32, top)})
         for n in counts:
             nxt, m, kind = cubic_range_move(n)
-            move = _packed("cubic-surface", n, [next(_cubic_hops(n))]).steps[0]
+            _, _, first, _ = next(_cubic_pieces(n))
+            move = _packed("cubic-surface", n, first[:1]).steps[0]
             assert (move.kind, move.n_from, move.n_to, move.m, move.h, move.note) == (
                 LIAISON, n, nxt, m, None, "")
             assert move.carrier == cubic_surface_type(kind, a)
@@ -282,23 +287,24 @@ class TestPlanCubic:
         [int(10 ** random.Random(f"levels {i}").uniform(3.5, 10)) for i in range(30)],
     ], ids=["all-to-3000", "seeded-to-1e10"])
     def test_every_level_entered_is_the_closed_form_level(self, ns):
-        # The walk enters a level by one step down when the count lands
-        # just below it, and by the square root otherwise; either way the
-        # level of every move off the exceptions (its key // 4) is n's.
+        # Each piece finds its level by one square root and the levels it
+        # passes through by its closed form; either way the level of every
+        # move off the literal ones at 2, 3, 5 and 6 (its key // 4) is n's.
         for n in ns:
-            for nxt, _, key, _ in _cubic_hops(n):
-                if n not in _CUBIC_EXCEPTIONS:
-                    assert key >> 2 == _cubic_level(n), (n, key)
-                n = nxt
+            steps = plan("cubic-surface", n).steps
+            for n_from, key in zip([n, *steps._to], steps._key):
+                if n_from not in (2, 3, 5, 6):
+                    assert key >> 2 == _cubic_level(n_from), (n, n_from, key)
 
-    def test_levels_below_the_spiral_are_entered_without_a_square_root(self, monkeypatch):
-        # At 99999989 the 6,466-move spiral is followed by 8,163 level
-        # entries, each one level down from the last: only the first
-        # level is found by its square root.
+    def test_each_piece_finds_its_level_by_one_square_root(self, monkeypatch):
+        # At 99999989 the 6,466-move spiral is followed by 16,324 moves
+        # of the C descent, down through 8,163 levels: each of the two
+        # pieces takes one square root, and the literal tail none.
         roots = []
         monkeypatch.setattr(planner, "_cubic_level", lambda n: roots.append(n) or _cubic_level(n))
-        assert len(plan("cubic-surface", 99999989).steps) == 22794
-        assert roots == [99999989]
+        steps = plan("cubic-surface", 99999989).steps
+        assert len(steps) == 22794
+        assert roots == [99999989, steps._to[6465]]
 
 
 def _assert_levels(n):
@@ -452,7 +458,8 @@ class TestWalk:
                 yielded.append(cur)
                 if len(yielded) > 10:  # fail rather than hang if the guard is gone
                     raise RuntimeError("the walk did not stop at the repeated count")
-                yield cycle[cur], 1, 1, _BILIAISON_CODE  # height 1 on a line
+                move = cycle[cur], 1, 1, _BILIAISON_CODE  # height 1 on a line
+                yield 1, 0, (move,), (move,)
                 cur = cycle[cur]
 
         with pytest.raises(InvalidMove, match=f"p2 walk from {n} returns to {repeat}"):

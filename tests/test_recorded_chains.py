@@ -8,8 +8,9 @@ for cubic n <= 17, 3-space n <= 19 and the plane and quadric n <= 6:
 the point sequence and, per step, the kind, twist m or height h, the
 carrier's (d, g) and label, and the note.  ``PERRIN_ROWS`` pins the
 general-points table derived from h-vectors.  ``LARGE_CHAINS`` pins
-whole chains at n near 10^7, 10^7.5 and 10^8 by the SHA-256 of their
-JSON, where the carriers reach levels no other test builds.
+whole chains at n near 10^7, 10^7.5 and 10^8, and at the first and the
+last count of one level above 10^8 in each space, by the SHA-256 of
+their JSON, where the carriers reach levels no other test builds.
 """
 
 import hashlib
@@ -214,6 +215,17 @@ LARGE_CHAINS = (
      "585078d822fc72d8a1ca7dd1378effd008937166341a7c8112e04554b5587f5f"),
     ("cubic-surface", 99999989, 22794,
      "35ecc1265432021558c860575f7a2ca32ebcdbb5e773297c59ae5e2b22d60840"),
+    # The ends of plane degree 14142, quadric level 10000 and cubic level 8166.
+    ("p2", 100005153, 14141, "25d20380b7197ed60cf624a5273d4c4ef9797cf4e36c872a6a946f546f760ca0"),
+    ("p2", 100019295, 14141, "4c822b42d787c6dbbb846c3033eb957a9a8dd2404c1354325fcd5dd0fedbfedc"),
+    ("quadric", 100010000, 10001,
+     "51660c5475fcd15597b82998435350080e01a30fdf5e55e95d44a8f237f01ea2"),
+    ("quadric", 100030001, 10002,
+     "66bb2a8d82d13949d4ae1d6adf0cc9f20c3169a9119ce3c15a15c2a8d52291d4"),
+    ("cubic-surface", 100013085, 16333,
+     "b3fdb6f5edd24c417ce9af5811cbdb822678bd2276831cd8fbc2ecd85411f806"),
+    ("cubic-surface", 100037582, 16333,
+     "6532e32474b83dae20651b3b296ec71d0092b37eb0006cf735e97ee83e93a1f6"),
 )
 
 
