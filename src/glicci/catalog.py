@@ -432,6 +432,12 @@ _KEYS = {
 # ``_p3_dims`` checks.
 _FIRST_KEYS = {"p2": 1, "quadric": 1, "cubic-surface": 4, "p3": 1}
 
+# Keys that agree modulo this number name carriers of one class, over
+# which d is linear in the key and g and linsys_dim are quadratic: the
+# cubic kind, key & 3, and the quadric case, the key's parity.  3-space
+# has none; its carriers are the table's rows.
+_KEY_CLASSES = {"p2": 1, "quadric": 2, "cubic-surface": 4}
+
 
 def _unknown_key(space: str, key: int) -> InvalidMove:
     """The refusal of a key that names no carrier, which only a corrupted

@@ -18,8 +18,11 @@ link.  Each space's rule for each move kind, in ``_RULES``, states them
 once, over ints: the counts, the carrier's degree, genus and
 linear-system dimension, the parameter and the note.  It returns None
 for an admissible move n -> n_to and otherwise the text of the first
-relation the move breaks.  Moves are stored directed even though
-liaison is symmetric; "ascending" and "descending" are derived from the
+relation the move breaks.  The plane biliaison's and the cubic
+liaison's relations are also a table of slacks, ``_RELATIONS``, from
+which :func:`validate_chain` proves a planned chain's closed-form pieces
+by a few of their steps.  Moves are stored directed even though liaison
+is symmetric; "ascending" and "descending" are derived from the
 endpoints.
 
 A chain holds its steps one way, as four ``array('q')`` columns (see
@@ -42,7 +45,16 @@ from itertools import repeat
 from sys import intern
 
 from ._record import Record, check_ints, check_types, draft, type_error
-from .catalog import _FIRST_KEYS, _KEYS, _PERRIN_M, CurveFamily, _carrier, _unknown_key, key_of
+from .catalog import (
+    _FIRST_KEYS,
+    _KEY_CLASSES,
+    _KEYS,
+    _PERRIN_M,
+    CurveFamily,
+    _carrier,
+    _unknown_key,
+    key_of,
+)
 from .errors import DegreeTooLarge, InvalidMove
 
 LIAISON = "liaison"
@@ -163,12 +175,19 @@ class _Steps(Sequence):
     cache of ``catalog._carrier``, which keeps a level's few keys while a
     pass reads them, so those moves share one carrier; a slice is a tuple.
     Equality, hash, ``repr`` and pickling are those of the tuple of
-    moves, which ``tuple(steps)`` builds."""
+    moves, which ``tuple(steps)`` builds.
 
-    __slots__ = ("_space", "_start", "_to", "_param", "_key", "_code", "_codes")
+    ``_spans`` is None, or for a planned chain the (first index, length,
+    period) of each piece the planner wrote in closed form, from which
+    :func:`validate_chain` proves a piece without reading every step;
+    nothing else reads it."""
 
-    def __init__(self, space: str, start: int, to, param, key, code, codes=_MOVE_CODES):
-        for name, value in zip(self.__slots__, (space, start, to, param, key, code, codes)):
+    __slots__ = ("_space", "_start", "_to", "_param", "_key", "_code", "_codes", "_spans")
+
+    def __init__(self, space: str, start: int, to, param, key, code, codes=_MOVE_CODES,
+                 spans=None):
+        for name, value in zip(self.__slots__,
+                               (space, start, to, param, key, code, codes, spans)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -275,11 +294,12 @@ class Chain(Record):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _packed(cls, space: str, start: int, to, param, key, code) -> "Chain":
+    def _packed(cls, space: str, start: int, to, param, key, code, spans=None) -> "Chain":
         """The chain of a walk from ``start``, its steps held in the four
-        columns of :class:`_Steps`, for the planner's ints."""
+        columns of :class:`_Steps`, for the planner's ints, with the spans
+        of its closed-form pieces when the planner gives them."""
         chain = object.__new__(cls)
-        chain._hold(_Steps(space, start, to, param, key, code))
+        chain._hold(_Steps(space, start, to, param, key, code, spans=spans))
         return chain
 
     @property
@@ -420,6 +440,11 @@ def _liaison_degree(m: int, d: int, g: int) -> int:
     return m * d - (2 * g - 2)
 
 
+def _biliaison_residual(n: int, h: int, d: int) -> int:
+    """The count n points leave after a height-h biliaison on a degree-d carrier."""
+    return n - h * d
+
+
 def biliaison_curve(dg: tuple[int, int], h: int, s: int,
                     sectional_genus: int) -> tuple[int, int]:
     """Degree and genus after a height-h biliaison of a curve on a
@@ -467,7 +492,7 @@ def decompose_biliaison(d: int, g: int, source_min_genus: MinGenusFn,
 
 def _drop(n: int, n_to: int, d: int, g: int, h: int) -> str | None:
     """A height-h biliaison on a degree-d carrier drops h*d points."""
-    if n_to != n - h * d:
+    if n_to != _biliaison_residual(n, h, d):
         return f"height-{h} biliaison on ({d},{g}) must drop {h * d} points"
     return None
 
@@ -542,32 +567,151 @@ _RULES = {"p2": _PLANE, "quadric": _PLANE, "cubic-surface": {LIAISON: _cubic_lia
           "p3": {BILIAISON: _p3_biliaison, LIAISON: _p3_liaison}}
 
 
+def _plane_slacks(n: int, n_to: int, d: int, g: int, held: int, h: int, note: str):
+    return ((_biliaison_residual(n, h, d) - n_to,),
+            (h - 1, n_to - g, 0 if "repositioned" in note else held - n))
+
+
+def _cubic_slacks(n: int, n_to: int, d: int, g: int, held: int, m: int, note: str):
+    top = d + g - 1
+    return (_liaison_degree(m, d, g) - n - n_to,), (n - g, top - n, n_to - g, top - n_to)
+
+
+# The relations of a rule as a table of slacks: slacks(n, n_to, d, g,
+# held, param, note) gives the equalities, each of which must be 0, and
+# the inequalities, each of which must be at least 0.  A step whose
+# relations all hold is one its rule admits: the plane biliaison's drop,
+# h >= 1 (so no height-0 note is needed), a residual of at least the
+# genus and, unless the note repositions, n at most the linear-system
+# dimension; the cubic liaison's total and the window of both ends.
+# 3-space's rules have no table.
+_RELATIONS = {_plane_biliaison: _plane_slacks, _cubic_liaison: _cubic_slacks}
+
+
+def _least(v0: int, v1: int, v2: int, last: int) -> int:
+    """The least value at t = 0..last of the polynomial of degree at most
+    2 that is v0, v1, v2 at t = 0, 1, 2: v0 + t*s1 + t(t-1)/2 * s2, with
+    its differences s1 and s2.  From t to t + 1 it moves by s1 + t*s2, so
+    where s2 > 0 its least value is at the first t where that is at least
+    0, kept within the ends, and otherwise at an end."""
+    s1, s2 = v1 - v0, v2 - 2 * v1 + v0
+    if s2 > 0:
+        t = -(s1 // s2)
+        t = 0 if t < 0 else last if t > last else t
+    else:
+        t = last if last * s1 + last * (last - 1) // 2 * s2 < 0 else 0
+    return v0 + t * s1 + t * (t - 1) // 2 * s2
+
+
+# The fewest periods of a span that :func:`_proved_spans` proves: it
+# needs four (the first, read, and three samples), and a shorter span
+# than this reads faster than it is proved.
+_PROVED_FROM = 24
+
+
+def _proved_spans(chain: Chain):
+    """The spans of ``_PROVED_FROM`` periods or more of a planned chain,
+    when they prove that its space's rule admits every step of theirs but
+    the first period, each with a key at least the space's first; none
+    when the chain has no such span or one is not proved.
+
+    Each place of a span's period holds the steps j = 0, 1, ... whose
+    ints step by a constant from one period to the next, the target's
+    step growing by the piece's curve, as ``planner._walk`` wrote them.
+    Where the code is the same at j = 0 and 1, and the key steps by a
+    multiple of its space's ``_KEY_CLASSES``, all the steps share the
+    kind, note and key class of j = 0.  Then for j >= 1 (at j = 0 the
+    count before the first place is the one before the span) d, the
+    parameter and the key are linear in j, and g, linsys_dim, both counts
+    and every slack of ``_RELATIONS`` are of degree at most 2.  So the
+    slacks at j = 1, 2, 3 fix them: each equality holds at all three, and
+    each inequality's least value over the span, found by
+    :func:`_least`, is at least 0.  A place that fails a precondition or
+    a relation, or whose rule has no table, proves no span."""
+    space, steps = chain.space, chain.steps
+    if not steps._spans:
+        return ()
+    spans = [span for span in steps._spans if span[1] >= _PROVED_FROM * span[2]]
+    rules, dims, first = _RULES[space], _KEYS[space].dims, _FIRST_KEYS[space]
+    to, params, keys, codes = steps._to, steps._param, steps._key, steps._code
+    for begin, length, period in spans:
+        for i in range(begin, begin + period):
+            last = (begin + length - 1 - i) // period  # the place's last j
+            code, key, step = codes[i], keys[i], keys[i + period] - keys[i]
+            if not -len(steps._codes) <= code < len(steps._codes):
+                return ()  # reading fails on this code
+            kind, note = steps._codes[code]
+            slacks = _RELATIONS.get(rules.get(kind))
+            if (slacks is None or codes[i + period] != code or step % _KEY_CLASSES[space]
+                    or min(key + step, key + last * step) < first):
+                return ()
+            k1, k2, k3 = i + period, i + 2 * period, i + 3 * period
+            eq1, ge1 = slacks(to[k1 - 1], to[k1], *dims(keys[k1]), params[k1], note)
+            eq2, ge2 = slacks(to[k2 - 1], to[k2], *dims(keys[k2]), params[k2], note)
+            eq3, ge3 = slacks(to[k3 - 1], to[k3], *dims(keys[k3]), params[k3], note)
+            if any(eq1) or any(eq2) or any(eq3):
+                return ()
+            for values in zip(ge1, ge2, ge3):
+                if _least(*values, last - 1) < 0:
+                    return ()
+    return spans
+
+
 def validate_chain(chain: Chain) -> None:
-    """Replay a chain's columns; raises InvalidMove for a start below one,
-    for a key below the space's first (one ``min`` over the column; the
-    key of a 3-space row past the table is refused where its row is read)
-    or for the first move its space's rule refuses, with the rule's text,
-    which names the first relation the move breaks.  The rule is chosen
-    once per run of one code; a kind the space lacks raises where its run
-    starts.  Each key's (d, g, linsys_dim) comes from the closed forms in
+    """Check that a chain's space admits every step; raises InvalidMove
+    for a start below one, for a key below the space's first (the least
+    one, by one ``min`` over the keys read; the key of a 3-space row past
+    the table is refused where its row is read) or for the first move its
+    space's rule refuses, with the rule's text, which names the first
+    relation the move breaks.  The rule is chosen once per run of one
+    code, and a kind the space lacks raises where its run starts.  Each
+    key's (d, g, linsys_dim) comes from the closed forms in
     ``catalog._KEYS``, and the carrier is built only to word a failure.
     The steps are linked, and their carriers the catalog's, by
-    construction (see :func:`_pack`)."""
+    construction (see :func:`_pack`).
+
+    Every step is read through its rule but those of the long
+    closed-form pieces of a planned chain that :func:`_proved_spans`
+    proves from a few of their steps, so a plan costs in its pieces, not
+    its length.  A proved step is one its rule admits, so the first step
+    refused is one that is read, and every verdict and text is the one
+    reading every step gives.  A chain built in code, unpickled or read
+    from JSON has no spans, and one whose spans are not proved is read
+    whole."""
     n, space, steps = chain.start, chain.space, chain.steps
     if n < 1:
         raise InvalidMove(f"chains start at a positive count, got {n}")
-    keys = steps._key
-    if keys and min(keys) < _FIRST_KEYS[space]:
-        raise _unknown_key(space, min(keys))
-    rules, dims, code_now = _RULES[space], _KEYS[space].dims, None
-    for n_to, param, key, code in zip(steps._to, steps._param, steps._key, steps._code):
-        if code != code_now:
-            code_now = code
-            kind, note = steps._codes[code]
-            rule = rules.get(kind)
-            if rule is None:
-                raise InvalidMove(f"{space} chains use no {kind} moves")
-        d, g, held = dims(key)
-        if rule(space, n, n_to, d, g, held, param, note, None) is not None:
-            raise InvalidMove(rule(space, n, n_to, d, g, held, param, note, _carrier(space, key)))
-        n = n_to
+    columns = steps._to, steps._param, steps._key, steps._code
+    # Per key class d is linear, g and linsys_dim quadratic: tests/test_catalog.py::TestKeyClasses
+    spans, first = _proved_spans(chain), _FIRST_KEYS[space]
+    if spans:
+        # The count before each part read, and its columns.
+        cuts, at = [], 0
+        for begin, length, period in spans:
+            cuts.append((at, begin + period))
+            at = begin + length
+        cuts.append((at, len(steps)))
+        parts = [(steps._to[lo - 1] if lo else n, *(column[lo:hi] for column in columns))
+                 for lo, hi in cuts]
+        # A proved span's keys are at least the first, so the least key
+        # read is the chain's least wherever that is below the first.
+        least = min(min(part[3], default=first) for part in parts)
+    else:
+        parts, least = ((n, *columns),), min(steps._key, default=first)
+    if least < first:
+        raise _unknown_key(space, least)
+    rules, dims = _RULES[space], _KEYS[space].dims
+    for n, to, params, keys, codes in parts:
+        code_now = None
+        for n_to, param, key, code in zip(to, params, keys, codes):
+            if code != code_now:
+                code_now = code
+                kind, note = steps._codes[code]
+                rule = rules.get(kind)
+                if rule is None:
+                    raise InvalidMove(f"{space} chains use no {kind} moves")
+            d, g, held = dims(key)
+            if rule(space, n, n_to, d, g, held, param, note, None) is not None:
+                raise InvalidMove(rule(space, n, n_to, d, g, held, param, note,
+                                       _carrier(space, key)))
+            n = n_to

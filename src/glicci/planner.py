@@ -7,7 +7,9 @@ points down to one.  A move is four ints: the target, the parameter (m
 or h), the carrier's key (see ``catalog._KEYS``) and a note code (see
 ``moves._MOVE_CODES``).  ``_walk`` writes the pieces into the chain's
 columns with C-level builders, guards the walk against cycles and
-validates every step of the chain once; no move or carrier is built
+against a chain longer than the step budget, and hands
+``validate_chain`` the span of each piece it wrote in closed form, so
+that the chain is proved a piece at a time; no move or carrier is built
 until a caller reads a step:
 
   * p2: ascending biliaisons on plane curves of the least degree that
@@ -46,7 +48,7 @@ from math import isqrt
 
 from ._record import Plain
 from .catalog import _CUBIC_NAMES, _KEYS, _check_positive, perrin_table
-from .errors import InvalidMove, OutOfGuaranteedRange, SearchBudgetExceeded
+from .errors import DegreeTooLarge, InvalidMove, OutOfGuaranteedRange, SearchBudgetExceeded
 from .moves import (
     _BILIAISON_CODE,
     _LIAISON_CODE,
@@ -56,12 +58,18 @@ from .moves import (
     BILIAISON,
     LIAISON,
     Chain,
+    _biliaison_residual,
     _liaison_degree,
     _too_large,
     validate_chain,
 )
 
 _SEARCH_CAP = 10_000
+
+# The most steps a plan may have: 4 GiB of columns.  The cubic surface
+# takes 73,542,700 steps from 10^15 points, and at 2^63 - 1 the plane
+# takes 2,147,483,647.
+_STEP_BUDGET = 1 << 27
 
 
 def _check_n(n: int) -> None:
@@ -94,10 +102,14 @@ def _walk(space: str, n: int, pieces) -> Chain:
     all its moves in ``first``).  Each int steps by a constant from one
     period to the next and a target's step grows by ``curve``, so a
     longer piece than 2p moves is built column by column and, for p > 1,
-    one place in the period at a time, into a strided slice.  A walk
-    that comes back to a count it has left, or yields an empty piece,
-    raises :class:`InvalidMove` instead of looping, and one whose ints
-    the columns cannot hold :class:`DegreeTooLarge`.
+    one place in the period at a time, into a strided slice.  The chain
+    keeps the span (first index, length, p) of each such piece, from
+    which :func:`validate_chain` proves it without reading every step.
+    A walk that comes back to a count it has left, or yields an empty
+    piece, raises :class:`InvalidMove` instead of looping; one whose ints
+    the columns cannot hold raises :class:`DegreeTooLarge`, as does one
+    whose pieces pass ``_STEP_BUDGET`` steps, before it writes the piece
+    that passes it.
 
     The guard is Brent's cycle check over the counts the pieces end on
     and holds one remembered count, ``mark``, whatever the length of the
@@ -114,6 +126,7 @@ def _walk(space: str, n: int, pieces) -> Chain:
     _check_n(n)
     columns = to, param, key, code = array("q"), array("q"), array("q"), array("q")
     add_to, add_param, add_key, add_code = to.append, param.append, key.append, code.append
+    spans = []
     cur = mark = n
     power = hop = 1
     stayed = False
@@ -121,6 +134,10 @@ def _walk(space: str, n: int, pieces) -> Chain:
         for length, curve, first, after in pieces(n):
             if length < 1:
                 raise InvalidMove(f"{space} walk from {n} yields an empty piece at {cur}")
+            if len(to) + length > _STEP_BUDGET:
+                array("q", sum(first + after, ()))  # an int past 64 bits raises that first
+                raise DegreeTooLarge(f"{n} points: the chain passes {len(to) + length} steps,"
+                                     f" more than the {_STEP_BUDGET} a plan may take")
             period = len(first)
             if length <= 2 * period:  # its moves are those given
                 for nxt, p, k, c in (first + after)[:length]:
@@ -129,6 +146,7 @@ def _walk(space: str, n: int, pieces) -> Chain:
                     add_key(k)
                     add_code(c)
             else:
+                spans.append((len(to), length, period))
                 for column, bend, values, later in zip(columns, (curve, 0, 0, 0), zip(*first),
                                                        zip(*after)):
                     if period == 1:
@@ -150,7 +168,7 @@ def _walk(space: str, n: int, pieces) -> Chain:
             hop += 1
     except OverflowError:
         raise _too_large(f"{n} points") from None
-    chain = Chain._packed(space, n, *columns)
+    chain = Chain._packed(space, n, *columns, tuple(spans))
     validate_chain(chain)
     return chain
 
@@ -177,9 +195,9 @@ def _plane_degree(n: int) -> int:
 def _biliaisons(n: int, h: int, d: int, fall: int, length: int) -> tuple:
     """The piece of ``length`` height-h biliaisons from n on the degrees
     d, d - fall, ...; a target's step grows by h * fall."""
-    nxt = n - h * d
+    nxt = _biliaison_residual(n, h, d)
     return (length, h * fall, ((nxt, h, d, _BILIAISON_CODE),),
-            ((nxt - h * (d - fall), h, d - fall, _BILIAISON_CODE),))
+            ((_biliaison_residual(nxt, h, d - fall), h, d - fall, _BILIAISON_CODE),))
 
 
 def _p2_pieces(n: int):
@@ -433,7 +451,7 @@ def _candidates(space: str, d: int, g: int, n: int, lo: int, hi: int):
     shift = 2 * g - 2
     if BILIAISON in rules:
         for h in range(1, (n - lo) // d + 1):
-            yield BILIAISON, h, n - h * d
+            yield BILIAISON, h, _biliaison_residual(n, h, d)
     if LIAISON in rules:
         for m in range(max(1, -((n + lo + shift) // -d)), (n + hi + shift) // d + 1):
             yield LIAISON, m, _liaison_degree(m, d, g) - n

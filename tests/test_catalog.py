@@ -338,6 +338,27 @@ class TestCertificate:
             catalog._cubic_kind("i", "0;1,0^4,-2")
 
 
+class TestKeyClasses:
+    """``moves.validate_chain`` proves a planned piece from three sample
+    steps because, over each class of ``catalog._KEY_CLASSES`` (cubic by
+    key & 3, quadric by parity, plane all keys), d is linear in the key
+    and g and linsys_dim are quadratic."""
+
+    @staticmethod
+    def _differences(values, order):
+        for _ in range(order):
+            values = [b - a for a, b in zip(values, values[1:])]
+        return set(values)
+
+    @pytest.mark.parametrize("space", sorted(catalog._KEY_CLASSES))
+    def test_dims_are_polynomials_on_each_key_class(self, space):
+        step, dims = catalog._KEY_CLASSES[space], catalog._KEYS[space].dims
+        for first in range(catalog._FIRST_KEYS[space], catalog._FIRST_KEYS[space] + step):
+            d, g, held = zip(*map(dims, range(first, 10**6 + 1, step)))
+            assert self._differences(d, 2) == {0}
+            assert self._differences(g, 3) == self._differences(held, 3) == {0}
+
+
 class TestCurveFamilyValidation:
     def test_stored_dg_must_match_lattice(self):
         with pytest.raises(ValueError):

@@ -113,6 +113,16 @@ class TestDivisorCommand:
         assert run(capsys, "plan", space, str(n)) == (
             1, "", f"error: {n} points: a chain's counts and parameters must fit in 64 bits\n")
 
+    @pytest.mark.parametrize("space, steps", [("p2", 2147483647), ("quadric", 145474193),
+                                              ("cubic-surface", 4866574736)])
+    def test_count_past_the_step_budget_is_a_typed_error(self, capsys, space, steps):
+        # 2^63 - 1 fits the columns, but the first piece of its chain
+        # passes the budget, and nothing of it is written.
+        n = 2**63 - 1
+        assert run(capsys, "plan", space, str(n)) == (
+            1, "", f"error: {n} points: the chain passes {steps} steps,"
+                   " more than the 134217728 a plan may take\n")
+
     def test_descent_split_display(self, capsys):
         code, out, _ = run(capsys, "divisor", "bordiga", "7;2^9,0")
         assert code == 0

@@ -17,6 +17,7 @@ from glicci.catalog import (
     quadric_ruling_line,
 )
 from glicci.errors import (
+    DegreeTooLarge,
     DegreeTooSmall,
     InvalidMove,
     OutOfGuaranteedRange,
@@ -465,6 +466,17 @@ class TestWalk:
         with pytest.raises(InvalidMove, match=f"p2 walk from {n} returns to {repeat}"):
             _walk("p2", n, looping)
         assert len(yielded) == hops
+
+    def test_step_budget_counts_every_piece(self, monkeypatch):
+        # plan("p2", 1000) is pieces of 10 and 23 moves: the budget holds
+        # the plan whole, and one step less refuses it at its last piece.
+        assert len(plan("p2", 1000).steps) == 33
+        monkeypatch.setattr(planner, "_STEP_BUDGET", 33)
+        plan("p2", 1000)
+        monkeypatch.setattr(planner, "_STEP_BUDGET", 32)
+        with pytest.raises(DegreeTooLarge, match="^1000 points: the chain passes 33 steps,"
+                                                 " more than the 32 a plan may take$"):
+            plan("p2", 1000)
 
 
 class TestOracle:
