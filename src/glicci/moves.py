@@ -26,7 +26,8 @@ is symmetric; "ascending" and "descending" are derived from the
 endpoints.
 
 A chain holds its steps one way, as four ``array('q')`` columns (see
-:class:`_Steps`).  The planner fills them; a chain built in code,
+:class:`_Steps`).  A planned chain builds them from the planner's
+closed-form pieces when they are first read; a chain built in code,
 unpickled or read from JSON is packed on entry by :func:`_pack`, which
 re-derives each carrier from its (d, g) and refuses one that is not the
 catalog's.  ``steps`` builds each move, and its carrier, when it is
@@ -41,7 +42,7 @@ import gc
 import json
 from array import array
 from collections.abc import Callable, Sequence
-from itertools import repeat
+from itertools import accumulate, repeat
 from sys import intern
 
 from ._record import Record, check_ints, check_types, draft, type_error
@@ -164,6 +165,58 @@ def _move(kind: str, n_from: int, n_to: int, carrier: CurveFamily, m: int | None
     return move
 
 
+def _spread(first: int, step: int, curve: int, count: int) -> array:
+    """The ``count`` values first, first + step, ... whose steps grow by
+    ``curve`` each time, built at C speed."""
+    if curve:
+        return array("q", accumulate(range(step, step + curve * (count - 1), curve),
+                                     initial=first))
+    if step:
+        return array("q", range(first, first + step * count, step))
+    return array("q", (first,)) * count
+
+
+def _last(length: int, curve: int, first: tuple, after: tuple) -> int:
+    """The count a piece (see :class:`_Steps`) ends on: its last target."""
+    j, r = divmod(length - 1, len(first))
+    to = first[r][0]
+    return to + j * (after[r][0] - to) + curve * (j * (j - 1) // 2) if j else to
+
+
+# A chain's columns by a move's place: target, parameter, key and code.
+_COLUMNS = ("_to", "_param", "_key", "_code")
+
+
+def _column(pieces, place: int) -> array:
+    """The column at ``place`` of the moves of ``pieces`` (see
+    :class:`_Steps`), built at C speed: the columns of a piece whose
+    moves are given are copied, and a longer piece is built one place of
+    its period at a time, each into a strided slice."""
+    column = array("q")
+    for _, length, curve, first, after in pieces:
+        period = len(first)
+        if length == period:
+            column += after[place]
+            continue
+        bend = curve if place == 0 else 0
+        if period == 1:
+            value = first[0][place]
+            column += _spread(value, after[0][place] - value, bend, length)
+            continue
+        block = array("q", (0,)) * length
+        for r, (now, nxt) in enumerate(zip(first, after)):
+            value = now[place]
+            block[r::period] = _spread(value, nxt[place] - value, bend, (length - 1 - r) // period + 1)
+        column += block
+    return column
+
+
+def _piece_columns(length: int, curve: int, first: tuple, after: tuple) -> tuple:
+    """The four columns of the first ``length`` moves of one piece."""
+    piece = ((0, length, curve, first, after),)
+    return tuple(_column(piece, place) for place in range(len(_COLUMNS)))
+
+
 class _Steps(Sequence):
     """The steps of a chain, held as four ``array('q')`` columns, one
     entry per step: the target count, the parameter (m or h), the
@@ -171,39 +224,64 @@ class _Steps(Sequence):
     the kind and note.  A step's count before the move is the previous
     target, or the start.
 
+    A planned chain holds instead the pieces the planner walked, in
+    ``_pieces``, and builds each column from them by :func:`_column`, the
+    only writer of a planned chain's columns, when it is first read (the
+    columns not yet built are unset slots, which ``__getattr__`` fills).
+    A piece is (first index, length, curve, first, after): ``length``
+    moves that repeat with period p = len(first), ``first`` the first p
+    and ``after`` the p that follow.  Each int steps by a constant from
+    one period to the next and a target's step grows by ``curve``.  A
+    piece kept as its moves (one shorter than ``_PROVED_FROM`` periods)
+    has length p, and ``after`` holds their four columns.  Its length and terminal are stored, so ``len``
+    and ``Chain.terminal`` cost O(1), and :func:`validate_chain` proves
+    a planned chain from its pieces.  ``_pieces`` is None for a chain
+    built in code, unpickled or read from JSON, whose columns are packed
+    on entry.
+
     Reading a step builds its ``LinkMove`` and takes its carrier from the
     cache of ``catalog._carrier``, which keeps a level's few keys while a
     pass reads them, so those moves share one carrier; a slice is a tuple.
     Equality, hash, ``repr`` and pickling are those of the tuple of
-    moves, which ``tuple(steps)`` builds.
+    moves, which ``tuple(steps)`` builds."""
 
-    ``_spans`` is None, or for a planned chain the (first index, length,
-    period) of each piece the planner wrote in closed form, from which
-    :func:`validate_chain` proves a piece without reading every step;
-    nothing else reads it."""
+    __slots__ = ("_space", "_start", "_codes", "_pieces", "_length", "_terminal", *_COLUMNS)
 
-    __slots__ = ("_space", "_start", "_to", "_param", "_key", "_code", "_codes", "_spans")
-
-    def __init__(self, space: str, start: int, to, param, key, code, codes=_MOVE_CODES,
-                 spans=None):
+    def __init__(self, space: str, start: int, columns=(), codes=_MOVE_CODES, pieces=None):
+        if pieces is None:
+            to = columns[0]
+            length, terminal = len(to), to[-1] if to else start
+        elif pieces:
+            begin, length, curve, first, after = pieces[-1]
+            length, terminal = begin + length, _last(length, curve, first, after)
+        else:
+            length, terminal = 0, start
         for name, value in zip(self.__slots__,
-                               (space, start, to, param, key, code, codes, spans)):
+                               (space, start, codes, pieces, length, terminal, *columns)):
             object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        # Only a column of a planned chain that is not yet built is unset.
+        if name not in _COLUMNS:
+            raise AttributeError(name)
+        column = _column(self._pieces, _COLUMNS.index(name))
+        object.__setattr__(self, name, column)
+        return column
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __len__(self) -> int:
-        return len(self._to)
+        return self._length
 
     def __getitem__(self, index):
-        positions = range(len(self._to))[index]
+        positions = range(self._length)[index]
         if isinstance(index, slice):
             return tuple(self._moves(positions))
         return next(self._moves((positions,)))
 
     def __iter__(self):
-        return self._moves(range(len(self._to)))
+        return self._moves(range(self._length))
 
     def _moves(self, positions):
         space, pairs = self._space, self._codes
@@ -235,12 +313,27 @@ class _Steps(Sequence):
         return tuple, (tuple(self),)
 
 
+def _catalog_field(layout, space: str, key: int, name: str):
+    """The field ``name`` of the carrier that ``key`` names in ``space``,
+    read off its layout: the carrier is built (through the cache of
+    ``catalog._carrier``) only for its divisor."""
+    if name == "divisor":
+        return _carrier(space, key).divisor
+    if name == "label":
+        return layout.label(key)
+    if name == "linsys_dim":
+        return layout.dims(key)[2]
+    return getattr(layout, name)  # the ambient or the surface
+
+
 def _pack(space: str, start: int, moves: tuple, carried) -> _Steps:
     """The columns of ``moves`` from ``start``, after the chain's field
     types: each must be a ``LinkMove`` starting where the chain sits, on
     the carrier ``key_of`` finds for its (d, g) in each field ``carried``
-    names for it.  A (kind, note) outside ``_MOVE_CODES`` gets the next
-    code of the chain's own table."""
+    names for it, compared with the field its key's layout gives, so a
+    chain naming more carriers than ``catalog._carrier`` keeps does not
+    rebuild each one.  A (kind, note) outside ``_MOVE_CODES`` gets the
+    next code of the chain's own table."""
     check_types(("space", "start", "steps"), (str, int, tuple), (space, start, moves))
     if space not in _KEYS:
         raise InvalidMove(f"unknown space {space!r}")
@@ -249,7 +342,7 @@ def _pack(space: str, start: int, moves: tuple, carried) -> _Steps:
     space = intern(space)
     to, params, keys, codes = columns = array("q"), array("q"), array("q"), array("q")
     code_of = {pair: code for code, pair in enumerate(_MOVE_CODES)}
-    cur = start
+    layout, cur = _KEYS[space], start
     for index, (move, names) in enumerate(zip(moves, carried)):
         if type(move) is not LinkMove:
             raise InvalidMove(f"step {index}: expected a LinkMove, got {type(move).__name__}")
@@ -257,9 +350,10 @@ def _pack(space: str, start: int, moves: tuple, carried) -> _Steps:
             raise InvalidMove(f"step starts at {move.n_from} but the chain sits at {cur}")
         carrier = move.carrier
         key = key_of(space, carrier.d, carrier.g)
-        known = _carrier(space, key)
-        for name in () if carrier is known else names:
-            got, want = getattr(carrier, name), getattr(known, name)
+        for name in names:
+            if name in ("d", "g"):
+                continue  # key_of found the key by them
+            got, want = getattr(carrier, name), _catalog_field(layout, space, key, name)
             if got != want:
                 if name == "linsys_dim" and got is None:
                     raise InvalidMove(f"carrier {carrier} lacks its linear-system dimension")
@@ -273,7 +367,7 @@ def _pack(space: str, start: int, moves: tuple, carried) -> _Steps:
         keys.append(key)
         codes.append(code_of.setdefault((move.kind, move.note), len(code_of)))
         cur = move.n_to
-    return _Steps(space, start, *columns, tuple(code_of))
+    return _Steps(space, start, columns, tuple(code_of))
 
 
 class Chain(Record):
@@ -294,18 +388,17 @@ class Chain(Record):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _packed(cls, space: str, start: int, to, param, key, code, spans=None) -> "Chain":
+    def _packed(cls, space: str, start: int, *columns, pieces=None) -> "Chain":
         """The chain of a walk from ``start``, its steps held in the four
-        columns of :class:`_Steps`, for the planner's ints, with the spans
-        of its closed-form pieces when the planner gives them."""
+        columns of :class:`_Steps`, or in the planner's pieces, from which
+        they are built when read."""
         chain = object.__new__(cls)
-        chain._hold(_Steps(space, start, to, param, key, code, spans=spans))
+        chain._hold(_Steps(space, start, columns, pieces=pieces))
         return chain
 
     @property
     def terminal(self) -> int:
-        to = self.steps._to
-        return to[-1] if to else self.start
+        return self.steps._terminal
 
     def point_sequence(self) -> list[int]:
         return [self.start] + self.steps._to.tolist()
@@ -603,58 +696,60 @@ def _least(v0: int, v1: int, v2: int, last: int) -> int:
     return v0 + t * s1 + t * (t - 1) // 2 * s2
 
 
-# The fewest periods of a span that :func:`_proved_spans` proves: it
-# needs four (the first, read, and three samples), and a shorter span
-# than this reads faster than it is proved.
+# The fewest periods of a piece that :func:`_proved_pieces` proves: it
+# needs four (the first, read, and three samples), and a shorter piece
+# than this reads faster than it is proved, so the planner keeps it as
+# its moves.
 _PROVED_FROM = 24
 
 
-def _proved_spans(chain: Chain):
-    """The spans of ``_PROVED_FROM`` periods or more of a planned chain,
-    when they prove that its space's rule admits every step of theirs but
-    the first period, each with a key at least the space's first; none
-    when the chain has no such span or one is not proved.
+def _proved_pieces(chain: Chain):
+    """The closed-form pieces of a planned chain, those of
+    ``_PROVED_FROM`` periods or more, when they prove that its space's
+    rule admits every step of theirs but the first period, each with a
+    key at least the space's first; None for a chain without pieces, or
+    when one is not proved.
 
-    Each place of a span's period holds the steps j = 0, 1, ... whose
+    Each place of a piece's period holds the steps j = 0, 1, ... whose
     ints step by a constant from one period to the next, the target's
-    step growing by the piece's curve, as ``planner._walk`` wrote them.
+    step growing by the piece's curve, as :func:`_column` builds them.
     Where the code is the same at j = 0 and 1, and the key steps by a
     multiple of its space's ``_KEY_CLASSES``, all the steps share the
     kind, note and key class of j = 0.  Then for j >= 1 (at j = 0 the
-    count before the first place is the one before the span) d, the
+    count before the first place is the one before the piece) d, the
     parameter and the key are linear in j, and g, linsys_dim, both counts
     and every slack of ``_RELATIONS`` are of degree at most 2.  So the
-    slacks at j = 1, 2, 3 fix them: each equality holds at all three, and
-    each inequality's least value over the span, found by
+    slacks at j = 1, 2, 3, read off the piece's first four periods as
+    :func:`_column` builds them, fix them: each equality holds at all
+    three, and each inequality's least value over the piece, found by
     :func:`_least`, is at least 0.  A place that fails a precondition or
-    a relation, or whose rule has no table, proves no span."""
+    a relation, or whose rule has no table, proves no piece."""
     space, steps = chain.space, chain.steps
-    if not steps._spans:
-        return ()
-    spans = [span for span in steps._spans if span[1] >= _PROVED_FROM * span[2]]
-    rules, dims, first = _RULES[space], _KEYS[space].dims, _FIRST_KEYS[space]
-    to, params, keys, codes = steps._to, steps._param, steps._key, steps._code
-    for begin, length, period in spans:
-        for i in range(begin, begin + period):
-            last = (begin + length - 1 - i) // period  # the place's last j
-            code, key, step = codes[i], keys[i], keys[i + period] - keys[i]
-            if not -len(steps._codes) <= code < len(steps._codes):
-                return ()  # reading fails on this code
-            kind, note = steps._codes[code]
+    if steps._pieces is None:
+        return None
+    pieces = [piece for piece in steps._pieces if piece[1] > len(piece[3])]
+    rules, dims, first_key, table = _RULES[space], _KEYS[space].dims, _FIRST_KEYS[space], steps._codes
+    for _, length, curve, first, after in pieces:
+        period = len(first)
+        to, params, keys, codes = _piece_columns(4 * period, curve, first, after)
+        for r in range(period):
+            last = (length - 1 - r) // period  # the place's last j
+            code, key, step = codes[r], keys[r], keys[r + period] - keys[r]
+            if not -len(table) <= code < len(table):
+                return None  # reading fails on this code
+            kind, note = table[code]
             slacks = _RELATIONS.get(rules.get(kind))
-            if (slacks is None or codes[i + period] != code or step % _KEY_CLASSES[space]
-                    or min(key + step, key + last * step) < first):
-                return ()
-            k1, k2, k3 = i + period, i + 2 * period, i + 3 * period
-            eq1, ge1 = slacks(to[k1 - 1], to[k1], *dims(keys[k1]), params[k1], note)
-            eq2, ge2 = slacks(to[k2 - 1], to[k2], *dims(keys[k2]), params[k2], note)
-            eq3, ge3 = slacks(to[k3 - 1], to[k3], *dims(keys[k3]), params[k3], note)
-            if any(eq1) or any(eq2) or any(eq3):
-                return ()
-            for values in zip(ge1, ge2, ge3):
+            if (slacks is None or codes[r + period] != code or step % _KEY_CLASSES[space]
+                    or min(key + step, key + last * step) < first_key):
+                return None
+            samples = [slacks(to[k - 1], to[k], *dims(keys[k]), params[k], note)
+                       for k in range(r + period, r + 4 * period, period)]
+            if any(any(equalities) for equalities, _ in samples):
+                return None
+            for values in zip(*(inequalities for _, inequalities in samples)):
                 if _least(*values, last - 1) < 0:
-                    return ()
-    return spans
+                    return None
+    return pieces
 
 
 def validate_chain(chain: Chain) -> None:
@@ -670,40 +765,39 @@ def validate_chain(chain: Chain) -> None:
     The steps are linked, and their carriers the catalog's, by
     construction (see :func:`_pack`).
 
-    Every step is read through its rule but those of the long
-    closed-form pieces of a planned chain that :func:`_proved_spans`
-    proves from a few of their steps, so a plan costs in its pieces, not
-    its length.  A proved step is one its rule admits, so the first step
-    refused is one that is read, and every verdict and text is the one
-    reading every step gives.  A chain built in code, unpickled or read
-    from JSON has no spans, and one whose spans are not proved is read
-    whole."""
+    A planned chain is read from its pieces and builds no column: the
+    moves of each piece kept as its moves, and the first period of each
+    closed-form piece, which :func:`_proved_pieces` proves from a few of
+    its steps.  The count before a piece is where the one before it
+    ends.  So a plan costs in
+    its pieces, not its length.  A proved step is one its rule admits,
+    so the first step refused is one that is read, and every verdict and
+    text is the one reading every step gives.  A chain built in code,
+    unpickled or read from JSON has no pieces, and one whose pieces are
+    not proved is read whole."""
     n, space, steps = chain.start, chain.space, chain.steps
     if n < 1:
         raise InvalidMove(f"chains start at a positive count, got {n}")
-    columns = steps._to, steps._param, steps._key, steps._code
     # Per key class d is linear, g and linsys_dim quadratic: tests/test_catalog.py::TestKeyClasses
-    spans, first = _proved_spans(chain), _FIRST_KEYS[space]
-    if spans:
-        # The count before each part read, and its columns.
-        cuts, at = [], 0
-        for begin, length, period in spans:
-            cuts.append((at, begin + period))
-            at = begin + length
-        cuts.append((at, len(steps)))
-        parts = [(steps._to[lo - 1] if lo else n, *(column[lo:hi] for column in columns))
-                 for lo, hi in cuts]
-        # A proved span's keys are at least the first, so the least key
-        # read is the chain's least wherever that is below the first.
-        least = min(min(part[3], default=first) for part in parts)
+    first_key = _FIRST_KEYS[space]
+    if _proved_pieces(chain) is None:
+        parts = ((n, zip(steps._to, steps._param, steps._key, steps._code)),)
+        least = min(steps._key, default=first_key)
     else:
-        parts, least = ((n, *columns),), min(steps._key, default=first)
-    if least < first:
+        # A proved piece's keys are at least the first, so the least key
+        # read is the chain's least wherever that is below the first.
+        parts, least = [], first_key
+        for _, length, curve, first, after in steps._pieces:
+            # A kept piece's moves, or a proved piece's first period.
+            parts.append((n, first))
+            least = min(least, *(move[2] for move in first))
+            n = _last(length, curve, first, after)
+    if least < first_key:
         raise _unknown_key(space, least)
     rules, dims = _RULES[space], _KEYS[space].dims
-    for n, to, params, keys, codes in parts:
+    for n, moves in parts:
         code_now = None
-        for n_to, param, key, code in zip(to, params, keys, codes):
+        for n_to, param, key, code in moves:
             if code != code_now:
                 code_now = code
                 kind, note = steps._codes[code]

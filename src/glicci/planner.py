@@ -5,12 +5,11 @@ only a generator of pieces, ``pieces(n)`` in ``_BY_SPACE``: runs of
 moves, each in closed form from the count where it starts, from n
 points down to one.  A move is four ints: the target, the parameter (m
 or h), the carrier's key (see ``catalog._KEYS``) and a note code (see
-``moves._MOVE_CODES``).  ``_walk`` writes the pieces into the chain's
-columns with C-level builders, guards the walk against cycles and
-against a chain longer than the step budget, and hands
-``validate_chain`` the span of each piece it wrote in closed form, so
-that the chain is proved a piece at a time; no move or carrier is built
-until a caller reads a step:
+``moves._MOVE_CODES``).  ``_walk`` guards the walk against cycles, ints
+past 64 bits and a chain longer than the step budget, and hands the
+chain the pieces themselves, so that ``validate_chain`` proves it a
+piece at a time; no column is written, and no move or carrier built,
+until a caller reads the steps:
 
   * p2: ascending biliaisons on plane curves of the least degree that
     holds the points, a run of height 2 and then one of height 1,
@@ -43,9 +42,10 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
-from itertools import accumulate, count
+from itertools import count
 from math import isqrt
 
+from . import moves
 from ._record import Plain
 from .catalog import _CUBIC_NAMES, _KEYS, _check_positive, perrin_table
 from .errors import DegreeTooLarge, InvalidMove, OutOfGuaranteedRange, SearchBudgetExceeded
@@ -59,7 +59,10 @@ from .moves import (
     LIAISON,
     Chain,
     _biliaison_residual,
+    _last,
+    _least,
     _liaison_degree,
+    _piece_columns,
     _too_large,
     validate_chain,
 )
@@ -71,45 +74,50 @@ _SEARCH_CAP = 10_000
 # takes 2,147,483,647.
 _STEP_BUDGET = 1 << 27
 
+_packed = partial(array, "q")
+
 
 def _check_n(n: int) -> None:
     _check_positive(n, "point count", "at least one point")
 
 
-def _spread(first: int, step: int, curve: int, count: int) -> array:
-    """The ``count`` values first, first + step, ... whose steps grow by
-    ``curve`` each time, built at C speed."""
-    if curve:
-        return array("q", accumulate(range(step, step + curve * (count - 1), curve),
-                                     initial=first))
-    if step:
-        return array("q", range(first, first + step * count, step))
-    return array("q", (first,)) * count
-
-
-def _last(length: int, curve: int, first: tuple, after: tuple) -> int:
-    """The count a piece (see :func:`_walk`) ends on: its last target."""
-    j, r = divmod(length - 1, len(first))
-    to = first[r][0]
-    return to + j * (after[r][0] - to) + curve * (j * (j - 1) // 2) if j else to
+def _fits(length: int, curve: int, first: tuple, after: tuple) -> None:
+    """Raise OverflowError unless every int of a piece (see
+    ``moves._Steps``) fits in 64 bits.  Over each place's j = 0, 1, ...
+    the parameter, key and code are linear, so their extremes are their
+    first and last values; so is the target's where ``curve`` is 0, and
+    otherwise its other extreme, when it lies inside, is the least value
+    (or, for curve < 0, the greatest) that :func:`~glicci.moves._least`
+    finds."""
+    period, ends = len(first), []
+    for r, ((to, param, key, code), (to1, param1, key1, code1)) in enumerate(zip(first, after)):
+        j = (length - 1 - r) // period
+        ends += (to + j * (to1 - to) + curve * (j * (j - 1) // 2), param + j * (param1 - param),
+                 key + j * (key1 - key), code + j * (code1 - code))
+        if curve > 0:
+            ends.append(_least(to, to1, 2 * to1 - to + curve, j))
+        elif curve < 0:
+            ends.append(-_least(-to, -to1, to - 2 * to1 - curve, j))
+    array("q", sum(first + after, tuple(ends)))
 
 
 def _walk(space: str, n: int, pieces) -> Chain:
     """Follow the pieces that ``pieces(n)`` yields from n points down to
     one and validate the chain.  A piece is (length, curve, first,
-    after): ``length`` moves that repeat with period p, ``first`` the
-    first p and ``after`` the p that follow (none where the piece gives
-    all its moves in ``first``).  Each int steps by a constant from one
-    period to the next and a target's step grows by ``curve``, so a
-    longer piece than 2p moves is built column by column and, for p > 1,
-    one place in the period at a time, into a strided slice.  The chain
-    keeps the span (first index, length, p) of each such piece, from
-    which :func:`validate_chain` proves it without reading every step.
-    A walk that comes back to a count it has left, or yields an empty
-    piece, raises :class:`InvalidMove` instead of looping; one whose ints
-    the columns cannot hold raises :class:`DegreeTooLarge`, as does one
-    whose pieces pass ``_STEP_BUDGET`` steps, before it writes the piece
-    that passes it.
+    after), as ``moves._Steps`` holds it: ``length`` moves that repeat
+    with period p, ``first`` the first p and ``after`` the p that follow
+    (none where the piece gives all its moves in ``first``).  A piece
+    shorter than ``moves._PROVED_FROM`` periods, which validation reads
+    move by move, is kept as its moves, with their columns.  The walk
+    writes no column of the chain: the chain keeps the pieces,
+    with the index of each one's first move, and builds its columns from
+    them when they are read, so a plan costs in its pieces, not its
+    length.  A walk that comes back to a count it has left, or yields an
+    empty piece, raises :class:`InvalidMove` instead of looping; one
+    with an int that the columns could not hold raises
+    :class:`DegreeTooLarge` (checked by :func:`_fits` and by packing the
+    moves kept), as does one whose pieces pass ``_STEP_BUDGET`` steps,
+    at the piece that passes it.
 
     The guard is Brent's cycle check over the counts the pieces end on
     and holds one remembered count, ``mark``, whatever the length of the
@@ -124,9 +132,8 @@ def _walk(space: str, n: int, pieces) -> Chain:
     A step leaves behind no object that the cyclic garbage collector
     tracks, so the walk sets off none of its passes."""
     _check_n(n)
-    columns = to, param, key, code = array("q"), array("q"), array("q"), array("q")
-    add_to, add_param, add_key, add_code = to.append, param.append, key.append, code.append
-    spans = []
+    kept = []
+    steps = 0
     cur = mark = n
     power = hop = 1
     stayed = False
@@ -134,32 +141,25 @@ def _walk(space: str, n: int, pieces) -> Chain:
         for length, curve, first, after in pieces(n):
             if length < 1:
                 raise InvalidMove(f"{space} walk from {n} yields an empty piece at {cur}")
-            if len(to) + length > _STEP_BUDGET:
+            if steps + length > _STEP_BUDGET:
                 array("q", sum(first + after, ()))  # an int past 64 bits raises that first
-                raise DegreeTooLarge(f"{n} points: the chain passes {len(to) + length} steps,"
+                raise DegreeTooLarge(f"{n} points: the chain passes {steps + length} steps,"
                                      f" more than the {_STEP_BUDGET} a plan may take")
             period = len(first)
+            # A piece that validation reads move by move is kept as its
+            # moves, with their columns; packing them checks that their
+            # ints fit in 64 bits.
             if length <= 2 * period:  # its moves are those given
-                for nxt, p, k, c in (first + after)[:length]:
-                    add_to(nxt)
-                    add_param(p)
-                    add_key(k)
-                    add_code(c)
+                first = (first + after)[:length]
+                length, curve, after = len(first), 0, tuple(map(_packed, zip(*first)))
+            elif length < moves._PROVED_FROM * period:
+                after = _piece_columns(length, curve, first, after)
+                curve, first = 0, tuple(zip(*after))
             else:
-                spans.append((len(to), length, period))
-                for column, bend, values, later in zip(columns, (curve, 0, 0, 0), zip(*first),
-                                                       zip(*after)):
-                    if period == 1:
-                        column.extend(_spread(values[0], later[0] - values[0], bend, length))
-                        continue
-                    rows = (_spread(value, nxt - value, bend, (length - 1 - r) // period + 1)
-                            for r, value, nxt in zip(range(period), values, later))
-                    row, start = next(rows), len(column)  # the first row fits in 64 bits
-                    column.frombytes(bytes(8 * length))
-                    column[start::period] = row
-                    for r, row in enumerate(rows, 1):
-                        column[start + r::period] = row
-            last, cur = cur, to[-1]
+                _fits(length, curve, first, after)
+            kept.append((steps, length, curve, first, after))
+            steps += length
+            last, cur = cur, _last(length, curve, first, after)
             if cur == mark and (stayed or cur != last):
                 raise InvalidMove(f"{space} walk from {n} returns to {cur}")
             stayed = cur == last
@@ -168,7 +168,7 @@ def _walk(space: str, n: int, pieces) -> Chain:
             hop += 1
     except OverflowError:
         raise _too_large(f"{n} points") from None
-    chain = Chain._packed(space, n, *columns, tuple(spans))
+    chain = Chain._packed(space, n, pieces=tuple(kept))
     validate_chain(chain)
     return chain
 

@@ -1,7 +1,8 @@
-"""Memory a plan holds per step, and the walk guard that keeps none.
+"""Memory a plan holds, and the walk guard that keeps none.
 
-A deep plan keeps every step, so its memory grows with the chain; these
-tests pin what each step costs and that nothing else grows with it.
+A plan keeps its closed-form pieces and builds its columns only when a
+reader needs them, so planning costs in its pieces and reading in its
+steps; these tests pin what each costs and that nothing else grows.
 """
 
 import gc
@@ -17,21 +18,23 @@ import pytest
 from glicci import catalog
 from glicci.catalog import cubic_surface_type
 from glicci.errors import InvalidMove
-from glicci.moves import _BILIAISON_CODE, _SLIDE_CODE
+from glicci.moves import _BILIAISON_CODE, _SLIDE_CODE, Chain
 from glicci.planner import _walk, plan
 
-# A planned chain keeps four array('q') columns, 32 bytes a step, and
-# builds its records only when they are read: about 34 traced bytes per
-# step with the arrays' spare room, in every space.
+# A read chain holds four array('q') columns, 32 bytes a step, and builds
+# its records only when they are read.  A plan builds none of them; its
+# point sequence builds the target column (8 bytes a step) and a list of
+# ints (about 40), in every space.
 PACKED_BYTES_PER_STEP = 64
 
 
-def _traced_bytes_per_step(space, n, steps):
+def _traced_bytes_per_step(space, n, steps, read=lambda chain: None):
     catalog._carrier.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
         chain = plan(space, n)
+        read(chain)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -39,35 +42,90 @@ def _traced_bytes_per_step(space, n, steps):
     return peak / steps
 
 
+def _built_columns(steps):
+    """The names of the columns of ``steps`` built so far, found without
+    the fallback that builds one."""
+    built = []
+    for name in ("_to", "_param", "_key", "_code"):
+        try:
+            object.__getattribute__(steps, name)
+        except AttributeError:
+            continue
+        built.append(name)
+    return built
+
+
+def _fresh(probe):
+    """The stdout of ``probe`` run in a fresh interpreter on this source."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            timeout=120, env={"PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_spiral_runs_share_their_carriers_in_memory():
     # The spiral's 6,466 moves name the level's two carriers by two keys.
     assert len(set(plan("cubic-surface", 99999989).steps._key[:6466])) == 2
+
+
+_DEEP = [("cubic-surface", 10**7, 7572), ("cubic-surface", 99999989, 22794),
+         ("p2", 10**8, 8988), ("quadric", 10**8, 9999)]
+
+
+@pytest.mark.parametrize("space, n, steps", _DEEP)
+def test_a_plan_builds_no_column_and_takes_a_few_bytes_a_step(space, n, steps):
+    assert _built_columns(plan(space, n).steps) == []
+    assert _traced_bytes_per_step(space, n, steps) <= 4
 
 
 @pytest.mark.parametrize("space, n, steps", [("cubic-surface", 10**7, 7572),
                                              ("cubic-surface", 99999989, 22794),
                                              ("p2", 10**8, 8988), ("quadric", 10**8, 9999)])
 def test_packed_plan_peak_bytes_per_step(space, n, steps):
-    assert _traced_bytes_per_step(space, n, steps) <= PACKED_BYTES_PER_STEP
+    read = Chain.point_sequence
+    assert _traced_bytes_per_step(space, n, steps, read) <= PACKED_BYTES_PER_STEP
+
+
+def _vmhwm_probe(setup):
+    """A probe that runs ``setup`` and prints its own peak resident set
+    (VmHWM) in kB last; it needs /proc/self/status (Linux)."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    return (setup + "\nline = next(x for x in open('/proc/self/status')"
+            " if x.startswith('VmHWM:'))\nprint(int(line.split()[1]))")
 
 
 def test_cubic_plan_at_ten_to_the_ten_peaks_below_40_mb():
-    # A fresh interpreter, so that the peak resident set (VmHWM) is the
-    # plan's own: 163,300 steps.  It needs /proc/self/status (Linux).
-    status = Path("/proc/self/status")
-    if not status.exists():
-        pytest.skip("no /proc/self/status to read VmHWM from")
-    probe = (
-        "import glicci; chain = glicci.plan('cubic-surface', 10**10); "
-        "line = next(x for x in open('/proc/self/status') if x.startswith('VmHWM:')); "
-        "print(len(chain.steps), int(line.split()[1]))"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            timeout=120, env={"PYTHONPATH": src})
-    assert result.returncode == 0, result.stderr
-    steps, peak_kb = map(int, result.stdout.split())
-    assert steps == 163300
+    # A fresh interpreter, so that the peak resident set is the plan's
+    # own: 163,300 steps, with all four columns read.
+    out = _fresh(_vmhwm_probe(
+        "import glicci; chain = glicci.plan('cubic-surface', 10**10); s = chain.steps; "
+        "print(len(s), len(s._to), len(s._param), len(s._key), len(s._code))"))
+    *lengths, peak_kb = map(int, out.split())
+    assert lengths == [163300] * 5
+    assert peak_kb <= 40 * 1024, f"VmHWM {peak_kb} kB"
+
+
+def test_a_cubic_plan_at_ten_to_the_fifteen_is_planned_in_its_pieces():
+    # 73,542,700 steps, whose columns would take about 2.35 GB: the plan
+    # holds its pieces, proves them and builds no column.
+    out = _fresh(_vmhwm_probe(
+        # A column built by mistake fails on the address-space limit
+        # instead of taking the machine's memory.
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import glicci\n"
+        "t = time.perf_counter(); chain = glicci.plan('cubic-surface', 10**15)\n"
+        "t = time.perf_counter() - t\n"
+        "for name in ('_to', '_param', '_key', '_code'):\n"
+        "    try: object.__getattribute__(chain.steps, name)\n"
+        "    except AttributeError: continue\n"
+        "    raise SystemExit(f'the plan built its column {name}')\n"
+        "print(len(chain.steps), chain.terminal, round(t * 1e6))"))
+    steps, terminal, micros, peak_kb = map(int, out.split())
+    assert (steps, terminal) == (73_542_700, 1)
+    assert micros < 10_000, f"{micros} us"
     assert peak_kb <= 40 * 1024, f"VmHWM {peak_kb} kB"
 
 

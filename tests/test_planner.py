@@ -478,6 +478,22 @@ class TestWalk:
                                                  " more than the 32 a plan may take$"):
             plan("p2", 1000)
 
+    @pytest.mark.parametrize("curve, first, after", [
+        # The targets 2^62, 2^62 + 2^58, ...: the first two periods fit in
+        # 64 bits, the last, 2^62 + 256 * 2^58, does not.
+        (0, ((2**62, 1, 1, _BILIAISON_CODE),), ((2**62 + 2**58, 1, 1, _BILIAISON_CODE),)),
+        # The targets 0, -2^57, ... with a curve that brings the last back
+        # to 32,128: both ends fit, and the least, near -2^63 - 2^55, does not.
+        (-(-2**65 // 32640), ((0, 1, 1, _BILIAISON_CODE),), ((-2**57, 1, 1, _BILIAISON_CODE),)),
+    ])
+    def test_a_piece_past_64_bits_after_its_first_periods_is_refused_by_the_walk(
+            self, curve, first, after):
+        # The walk writes no column, so it checks every int of a piece,
+        # not only those it is given.
+        with pytest.raises(DegreeTooLarge, match="^5 points: a chain's counts and"
+                                                 " parameters must fit in 64 bits$"):
+            _walk("p2", 5, lambda n: iter(((257, curve, first, after),)))
+
 
 class TestOracle:
     def test_cubic_reachability_and_chain_confirmation(self):
