@@ -27,7 +27,7 @@ endpoints.
 
 A chain holds its steps one way, as four ``array('q')`` columns (see
 :class:`_Steps`).  A planned chain builds them from the planner's
-closed-form pieces when they are first read; a chain built in code,
+pieces when they are first read; a chain built in code,
 unpickled or read from JSON is packed on entry by :func:`_pack`, which
 re-derives each carrier from its (d, g) and refuses one that is not the
 catalog's.  ``steps`` builds each move, and its carrier, when it is
@@ -177,44 +177,56 @@ def _spread(first: int, step: int, curve: int, count: int) -> array:
 
 
 def _last(length: int, curve: int, first: tuple, after: tuple) -> int:
-    """The count a piece (see :class:`_Steps`) ends on: its last target."""
+    """The count a closed-form piece (see :class:`_Steps`) ends on: its
+    last target."""
     j, r = divmod(length - 1, len(first))
     to = first[r][0]
     return to + j * (after[r][0] - to) + curve * (j * (j - 1) // 2) if j else to
 
 
+def _piece_last(piece: tuple) -> int:
+    """The count a piece of a planned chain (see :class:`_Steps`) ends on."""
+    _, length, curve, first, after = piece
+    return after[0][-1] if first is None else _last(length, curve, first, after)
+
+
 # A chain's columns by a move's place: target, parameter, key and code.
 _COLUMNS = ("_to", "_param", "_key", "_code")
 
+# The places of the columns that a planned chain builds together when
+# one of them is first read (see ``_Steps.__getattr__``).
+_BUILT_WITH = {"_to": (0,), "_param": (1, 2, 3), "_key": (1, 2, 3), "_code": (1, 2, 3)}
 
-def _column(pieces, place: int) -> array:
-    """The column at ``place`` of the moves of ``pieces`` (see
-    :class:`_Steps`), built at C speed: the columns of a piece whose
-    moves are given are copied, and a longer piece is built one place of
-    its period at a time, each into a strided slice."""
-    column = array("q")
+
+def _values(place: int, length: int, curve: int, first: tuple, after: tuple) -> array:
+    """The ints at ``place`` of a closed-form piece's first ``length``
+    moves, built at C speed: for a period p > 1, one place of the period
+    at a time, each into a strided slice of a zeroed block."""
+    period, bend = len(first), curve if place == 0 else 0
+    if period == 1:
+        value = first[0][place]
+        return _spread(value, after[0][place] - value, bend, length)
+    block = array("q", (0,)) * length
+    for r, (now, nxt) in enumerate(zip(first, after)):
+        value = now[place]
+        block[r::period] = _spread(value, nxt[place] - value, bend, (length - 1 - r) // period + 1)
+    return block
+
+
+def _columns(pieces: tuple, places: tuple) -> list:
+    """The columns at ``places`` of the moves of ``pieces`` (see
+    :class:`_Steps`), in one pass: each run of moves copied from its
+    columns, each closed-form piece built by :func:`_values`."""
+    columns = [array("q") for _ in places]
     for _, length, curve, first, after in pieces:
-        period = len(first)
-        if length == period:
-            column += after[place]
-            continue
-        bend = curve if place == 0 else 0
-        if period == 1:
-            value = first[0][place]
-            column += _spread(value, after[0][place] - value, bend, length)
-            continue
-        block = array("q", (0,)) * length
-        for r, (now, nxt) in enumerate(zip(first, after)):
-            value = now[place]
-            block[r::period] = _spread(value, nxt[place] - value, bend, (length - 1 - r) // period + 1)
-        column += block
-    return column
+        for column, place in zip(columns, places):
+            column += after[place] if first is None else _values(place, length, curve, first, after)
+    return columns
 
 
 def _piece_columns(length: int, curve: int, first: tuple, after: tuple) -> tuple:
-    """The four columns of the first ``length`` moves of one piece."""
-    piece = ((0, length, curve, first, after),)
-    return tuple(_column(piece, place) for place in range(len(_COLUMNS)))
+    """The four columns of the first ``length`` moves of one closed-form piece."""
+    return tuple(_values(place, length, curve, first, after) for place in range(len(_COLUMNS)))
 
 
 class _Steps(Sequence):
@@ -225,19 +237,22 @@ class _Steps(Sequence):
     target, or the start.
 
     A planned chain holds instead the pieces the planner walked, in
-    ``_pieces``, and builds each column from them by :func:`_column`, the
-    only writer of a planned chain's columns, when it is first read (the
-    columns not yet built are unset slots, which ``__getattr__`` fills).
-    A piece is (first index, length, curve, first, after): ``length``
-    moves that repeat with period p = len(first), ``first`` the first p
-    and ``after`` the p that follow.  Each int steps by a constant from
-    one period to the next and a target's step grows by ``curve``.  A
-    piece kept as its moves (one shorter than ``_PROVED_FROM`` periods)
-    has length p, and ``after`` holds their four columns.  Its length and terminal are stored, so ``len``
-    and ``Chain.terminal`` cost O(1), and :func:`validate_chain` proves
-    a planned chain from its pieces.  ``_pieces`` is None for a chain
-    built in code, unpickled or read from JSON, whose columns are packed
-    on entry.
+    ``_pieces``, each (first index, length, curve, first, after).  A
+    closed-form piece is ``length`` moves that repeat with period p =
+    len(first), ``first`` the first p and ``after`` the p that follow:
+    each int steps by a constant from one period to the next and a
+    target's step grows by ``curve``.  A run of moves the planner kept
+    as they are (pieces shorter than ``_PROVED_FROM`` periods, which
+    validation reads move by move anyway) has ``first`` None and
+    ``after`` its four columns.  Its length and terminal are stored, so
+    ``len`` and ``Chain.terminal`` cost O(1), and :func:`validate_chain`
+    proves a planned chain from its pieces.  Its columns are built by
+    :func:`_columns`, the only writer of a planned chain's columns from
+    its pieces, when they are first read (the columns not yet built are
+    unset slots, which ``__getattr__`` fills).  A planned chain that is
+    one run holds the run's columns as its own and ``_pieces`` empty;
+    ``_pieces`` is None for a chain built in code, unpickled or read from
+    JSON, whose columns are packed on entry.
 
     Reading a step builds its ``LinkMove`` and takes its carrier from the
     cache of ``catalog._carrier``, which keeps a level's few keys while a
@@ -248,12 +263,11 @@ class _Steps(Sequence):
     __slots__ = ("_space", "_start", "_codes", "_pieces", "_length", "_terminal", *_COLUMNS)
 
     def __init__(self, space: str, start: int, columns=(), codes=_MOVE_CODES, pieces=None):
-        if pieces is None:
+        if columns:
             to = columns[0]
             length, terminal = len(to), to[-1] if to else start
         elif pieces:
-            begin, length, curve, first, after = pieces[-1]
-            length, terminal = begin + length, _last(length, curve, first, after)
+            length, terminal = pieces[-1][0] + pieces[-1][1], _piece_last(pieces[-1])
         else:
             length, terminal = 0, start
         for name, value in zip(self.__slots__,
@@ -262,11 +276,15 @@ class _Steps(Sequence):
 
     def __getattr__(self, name):
         # Only a column of a planned chain that is not yet built is unset.
-        if name not in _COLUMNS:
+        # The targets may be read alone, as ``point_sequence`` reads them;
+        # a reader of any other column reads all three others too, so the
+        # first such read builds the three.
+        places = _BUILT_WITH.get(name)
+        if places is None:
             raise AttributeError(name)
-        column = _column(self._pieces, _COLUMNS.index(name))
-        object.__setattr__(self, name, column)
-        return column
+        for place, column in zip(places, _columns(self._pieces, places)):
+            object.__setattr__(self, _COLUMNS[place], column)
+        return object.__getattribute__(self, name)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -313,27 +331,19 @@ class _Steps(Sequence):
         return tuple, (tuple(self),)
 
 
-def _catalog_field(layout, space: str, key: int, name: str):
-    """The field ``name`` of the carrier that ``key`` names in ``space``,
-    read off its layout: the carrier is built (through the cache of
-    ``catalog._carrier``) only for its divisor."""
-    if name == "divisor":
-        return _carrier(space, key).divisor
-    if name == "label":
-        return layout.label(key)
-    if name == "linsys_dim":
-        return layout.dims(key)[2]
-    return getattr(layout, name)  # the ambient or the surface
+# The fields of a carrier that :func:`_pack` compares with those its
+# key's layout gives; d and g found the key.
+_COMPARED = ("ambient", "linsys_dim", "divisor", "surface", "label")
 
 
 def _pack(space: str, start: int, moves: tuple, carried) -> _Steps:
     """The columns of ``moves`` from ``start``, after the chain's field
     types: each must be a ``LinkMove`` starting where the chain sits, on
     the carrier ``key_of`` finds for its (d, g) in each field ``carried``
-    names for it, compared with the field its key's layout gives, so a
-    chain naming more carriers than ``catalog._carrier`` keeps does not
-    rebuild each one.  A (kind, note) outside ``_MOVE_CODES`` gets the
-    next code of the chain's own table."""
+    names for it, compared with the field its key's layout gives: no
+    carrier is built, so a chain naming more carriers than the cache of
+    ``catalog._carrier`` keeps does not rebuild each one.  A (kind, note)
+    outside ``_MOVE_CODES`` gets the next code of the chain's own table."""
     check_types(("space", "start", "steps"), (str, int, tuple), (space, start, moves))
     if space not in _KEYS:
         raise InvalidMove(f"unknown space {space!r}")
@@ -343,6 +353,8 @@ def _pack(space: str, start: int, moves: tuple, carried) -> _Steps:
     to, params, keys, codes = columns = array("q"), array("q"), array("q"), array("q")
     code_of = {pair: code for code, pair in enumerate(_MOVE_CODES)}
     layout, cur = _KEYS[space], start
+    ambient, surface, dims, label, divisor = (layout.ambient, layout.surface, layout.dims,
+                                              layout.label, layout.divisor)
     for index, (move, names) in enumerate(zip(moves, carried)):
         if type(move) is not LinkMove:
             raise InvalidMove(f"step {index}: expected a LinkMove, got {type(move).__name__}")
@@ -350,11 +362,9 @@ def _pack(space: str, start: int, moves: tuple, carried) -> _Steps:
             raise InvalidMove(f"step starts at {move.n_from} but the chain sits at {cur}")
         carrier = move.carrier
         key = key_of(space, carrier.d, carrier.g)
-        for name in names:
-            if name in ("d", "g"):
-                continue  # key_of found the key by them
-            got, want = getattr(carrier, name), _catalog_field(layout, space, key, name)
-            if got != want:
+        wanted = ambient, dims(key)[2], divisor(key), surface, label(key)
+        for name, want in zip(_COMPARED, wanted):
+            if name in names and (got := getattr(carrier, name)) != want:
                 if name == "linsys_dim" and got is None:
                     raise InvalidMove(f"carrier {carrier} lacks its linear-system dimension")
                 raise InvalidMove(f"step {index}: carrier field {name!r} is {got!r},"
@@ -707,12 +717,12 @@ def _proved_pieces(chain: Chain):
     """The closed-form pieces of a planned chain, those of
     ``_PROVED_FROM`` periods or more, when they prove that its space's
     rule admits every step of theirs but the first period, each with a
-    key at least the space's first; None for a chain without pieces, or
-    when one is not proved.
+    key at least the space's first; None when one is not proved, and the
+    chain's ``_pieces`` (None, or empty) when it has none.
 
     Each place of a piece's period holds the steps j = 0, 1, ... whose
     ints step by a constant from one period to the next, the target's
-    step growing by the piece's curve, as :func:`_column` builds them.
+    step growing by the piece's curve, as :func:`_values` builds them.
     Where the code is the same at j = 0 and 1, and the key steps by a
     multiple of its space's ``_KEY_CLASSES``, all the steps share the
     kind, note and key class of j = 0.  Then for j >= 1 (at j = 0 the
@@ -720,14 +730,14 @@ def _proved_pieces(chain: Chain):
     parameter and the key are linear in j, and g, linsys_dim, both counts
     and every slack of ``_RELATIONS`` are of degree at most 2.  So the
     slacks at j = 1, 2, 3, read off the piece's first four periods as
-    :func:`_column` builds them, fix them: each equality holds at all
+    :func:`_values` builds them, fix them: each equality holds at all
     three, and each inequality's least value over the piece, found by
     :func:`_least`, is at least 0.  A place that fails a precondition or
     a relation, or whose rule has no table, proves no piece."""
     space, steps = chain.space, chain.steps
-    if steps._pieces is None:
-        return None
-    pieces = [piece for piece in steps._pieces if piece[1] > len(piece[3])]
+    if not steps._pieces:
+        return steps._pieces
+    pieces = [piece for piece in steps._pieces if piece[3] is not None]
     rules, dims, first_key, table = _RULES[space], _KEYS[space].dims, _FIRST_KEYS[space], steps._codes
     for _, length, curve, first, after in pieces:
         period = len(first)
@@ -765,33 +775,38 @@ def validate_chain(chain: Chain) -> None:
     The steps are linked, and their carriers the catalog's, by
     construction (see :func:`_pack`).
 
-    A planned chain is read from its pieces and builds no column: the
-    moves of each piece kept as its moves, and the first period of each
-    closed-form piece, which :func:`_proved_pieces` proves from a few of
-    its steps.  The count before a piece is where the one before it
-    ends.  So a plan costs in
-    its pieces, not its length.  A proved step is one its rule admits,
-    so the first step refused is one that is read, and every verdict and
-    text is the one reading every step gives.  A chain built in code,
-    unpickled or read from JSON has no pieces, and one whose pieces are
-    not proved is read whole."""
+    A planned chain with closed-form pieces is read from its pieces and
+    builds no column: each run of moves from its columns, and the first
+    period of each closed-form piece, which :func:`_proved_pieces`
+    proves from a few of its steps.  The count before a piece is where
+    the one before it ends.  So a plan costs in its pieces, not its
+    length.  A proved step is one its rule admits, so the first step
+    refused is one that is read, and every verdict and text is the one
+    reading every step gives.  A chain built in code, unpickled or read
+    from JSON has no pieces, and it, a planned chain that is one run of
+    moves and one whose pieces are not proved are read whole."""
     n, space, steps = chain.start, chain.space, chain.steps
     if n < 1:
         raise InvalidMove(f"chains start at a positive count, got {n}")
     # Per key class d is linear, g and linsys_dim quadratic: tests/test_catalog.py::TestKeyClasses
     first_key = _FIRST_KEYS[space]
-    if _proved_pieces(chain) is None:
+    proved = _proved_pieces(chain)
+    if not proved:
         parts = ((n, zip(steps._to, steps._param, steps._key, steps._code)),)
         least = min(steps._key, default=first_key)
     else:
         # A proved piece's keys are at least the first, so the least key
         # read is the chain's least wherever that is below the first.
         parts, least = [], first_key
-        for _, length, curve, first, after in steps._pieces:
-            # A kept piece's moves, or a proved piece's first period.
-            parts.append((n, first))
-            least = min(least, *(move[2] for move in first))
-            n = _last(length, curve, first, after)
+        for piece in steps._pieces:
+            _, _, _, first, after = piece
+            if first is None:  # a run of moves, read from its columns
+                parts.append((n, zip(*after)))
+                least = min(least, min(after[2]))
+            else:  # a proved piece's first period
+                parts.append((n, first))
+                least = min(least, *(move[2] for move in first))
+            n = _piece_last(piece)
     if least < first_key:
         raise _unknown_key(space, least)
     rules, dims = _RULES[space], _KEYS[space].dims

@@ -7,9 +7,10 @@ points down to one.  A move is four ints: the target, the parameter (m
 or h), the carrier's key (see ``catalog._KEYS``) and a note code (see
 ``moves._MOVE_CODES``).  ``_walk`` guards the walk against cycles, ints
 past 64 bits and a chain longer than the step budget, and hands the
-chain the pieces themselves, so that ``validate_chain`` proves it a
-piece at a time; no column is written, and no move or carrier built,
-until a caller reads the steps:
+chain the long pieces themselves, so that ``validate_chain`` proves it
+a piece at a time; only the moves of the short pieces are written, and
+the columns of the long ones are built, and moves and carriers made,
+when a caller reads the steps:
 
   * p2: ascending biliaisons on plane curves of the least degree that
     holds the points, a run of height 2 and then one of height 1,
@@ -74,8 +75,6 @@ _SEARCH_CAP = 10_000
 # takes 2,147,483,647.
 _STEP_BUDGET = 1 << 27
 
-_packed = partial(array, "q")
-
 
 def _check_n(n: int) -> None:
     _check_positive(n, "point count", "at least one point")
@@ -106,18 +105,17 @@ def _walk(space: str, n: int, pieces) -> Chain:
     one and validate the chain.  A piece is (length, curve, first,
     after), as ``moves._Steps`` holds it: ``length`` moves that repeat
     with period p, ``first`` the first p and ``after`` the p that follow
-    (none where the piece gives all its moves in ``first``).  A piece
-    shorter than ``moves._PROVED_FROM`` periods, which validation reads
-    move by move, is kept as its moves, with their columns.  The walk
-    writes no column of the chain: the chain keeps the pieces,
-    with the index of each one's first move, and builds its columns from
-    them when they are read, so a plan costs in its pieces, not its
-    length.  A walk that comes back to a count it has left, or yields an
-    empty piece, raises :class:`InvalidMove` instead of looping; one
-    with an int that the columns could not hold raises
-    :class:`DegreeTooLarge` (checked by :func:`_fits` and by packing the
-    moves kept), as does one whose pieces pass ``_STEP_BUDGET`` steps,
-    at the piece that passes it.
+    (none where the piece gives all its moves in ``first``).  A piece of
+    ``moves._PROVED_FROM`` periods or more is kept in closed form, with
+    the index of its first move, and the chain builds its columns when
+    they are read, so a plan costs in its pieces, not its length; the
+    moves of the shorter pieces between two such, which validation reads
+    move by move, are written into the columns of one run.  A walk that
+    comes back to a count it has left, or yields an empty piece, raises
+    :class:`InvalidMove` instead of looping; one with an int that the
+    columns could not hold raises :class:`DegreeTooLarge` (checked by
+    :func:`_fits` and by writing the runs), as does one whose pieces
+    pass ``_STEP_BUDGET`` steps, at the piece that passes it.
 
     The guard is Brent's cycle check over the counts the pieces end on
     and holds one remembered count, ``mark``, whatever the length of the
@@ -132,7 +130,10 @@ def _walk(space: str, n: int, pieces) -> Chain:
     A step leaves behind no object that the cyclic garbage collector
     tracks, so the walk sets off none of its passes."""
     _check_n(n)
-    kept = []
+    # The pieces kept, and the columns of the run of moves since the last
+    # closed-form one, which starts at step ``begin``.
+    kept, begin = [], 0
+    run = to, param, key, code = array("q"), array("q"), array("q"), array("q")
     steps = 0
     cur = mark = n
     power = hop = 1
@@ -145,21 +146,27 @@ def _walk(space: str, n: int, pieces) -> Chain:
                 array("q", sum(first + after, ()))  # an int past 64 bits raises that first
                 raise DegreeTooLarge(f"{n} points: the chain passes {steps + length} steps,"
                                      f" more than the {_STEP_BUDGET} a plan may take")
-            period = len(first)
-            # A piece that validation reads move by move is kept as its
-            # moves, with their columns; packing them checks that their
-            # ints fit in 64 bits.
+            last, period = cur, len(first)
             if length <= 2 * period:  # its moves are those given
-                first = (first + after)[:length]
-                length, curve, after = len(first), 0, tuple(map(_packed, zip(*first)))
+                for nxt, p, k, c in (first + after)[:length]:
+                    to.append(nxt)
+                    param.append(p)
+                    key.append(k)
+                    code.append(c)
+                cur = to[-1]
             elif length < moves._PROVED_FROM * period:
-                after = _piece_columns(length, curve, first, after)
-                curve, first = 0, tuple(zip(*after))
+                for column, values in zip(run, _piece_columns(length, curve, first, after)):
+                    column += values
+                cur = to[-1]
             else:
                 _fits(length, curve, first, after)
-            kept.append((steps, length, curve, first, after))
+                if to:
+                    kept.append((begin, len(to), 0, None, run))
+                    run = to, param, key, code = array("q"), array("q"), array("q"), array("q")
+                kept.append((steps, length, curve, first, after))
+                begin = steps + length
+                cur = _last(length, curve, first, after)
             steps += length
-            last, cur = cur, _last(length, curve, first, after)
             if cur == mark and (stayed or cur != last):
                 raise InvalidMove(f"{space} walk from {n} returns to {cur}")
             stayed = cur == last
@@ -168,7 +175,12 @@ def _walk(space: str, n: int, pieces) -> Chain:
             hop += 1
     except OverflowError:
         raise _too_large(f"{n} points") from None
-    chain = Chain._packed(space, n, pieces=tuple(kept))
+    if not kept:  # the chain is one run of moves: its columns are the chain's
+        chain = Chain._packed(space, n, *run, pieces=())
+    else:
+        if to:
+            kept.append((begin, len(to), 0, None, run))
+        chain = Chain._packed(space, n, pieces=tuple(kept))
     validate_chain(chain)
     return chain
 

@@ -43,9 +43,10 @@ ACCEPTANCE_CAPS = {"p2": 300, "quadric": 300, "cubic-surface": 500}
 
 
 def _taken(chain):
-    """The pieces the proof takes: of ``_PROVED_FROM`` periods or more."""
+    """The pieces the proof takes: in closed form, of ``_PROVED_FROM``
+    periods or more."""
     return [piece for piece in chain.steps._pieces
-            if piece[1] >= moves._PROVED_FROM * len(piece[3])]
+            if piece[3] is not None and piece[1] >= moves._PROVED_FROM * len(piece[3])]
 
 
 def _twin(chain):
@@ -241,3 +242,19 @@ def test_a_cubic_key_that_steps_off_a_multiple_of_four_mixes_kinds():
     assert _taken(chain) and not _proved_pieces(chain)
     assert _verdict(chain) == _verdict(_twin(chain)) == (
         "InvalidMove", "17 + 15 != deg(5H-K on (9,10)) = 27")
+
+
+def test_a_run_beside_a_closed_form_piece_has_its_keys_read():
+    # plan("p2", 999) is a run of 9 height-2 moves and a closed-form
+    # piece of 25 height-1 moves.  A run whose first key is 0, which
+    # names no carrier, is refused by the least key read, as its
+    # piece-less twin is, though the closed-form piece is proved.
+    (length, curve, first, after), closed = _BY_SPACE["p2"][0](999)
+    first = ((first[0][0], first[0][1], 0, first[0][3]),)
+    walked = []
+    with mock.patch.object(planner, "validate_chain", walked.append):
+        _walk("p2", 999, lambda n: iter(((length, curve, first, after), closed)))
+    chain, = walked
+    assert [piece[3] is None for piece in chain.steps._pieces] == [True, False]
+    assert _proved_pieces(chain)
+    assert _verdict(chain) == _verdict(_twin(chain)) == ("InvalidMove", "p2 key 0 names no carrier")
