@@ -18,15 +18,11 @@ object start-up made.  :func:`main` called in-process never freezes.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
-import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
-from .catalog import surface
-from .claims import records_as_dicts, render_text, run_suite, summarize
 from .errors import (
     DegreeTooSmall,
     GlicciError,
@@ -35,31 +31,24 @@ from .errors import (
     RankMismatch,
     UnknownSurface,
 )
-from .hvector import min_genus
-from .picard import DivisorClass
-from .planner import SPACES, plan
 
 _SMALL_CURVE_NAMES = {(1, 0): "a line", (2, 0): "a conic", (3, 0): "a twisted cubic"}
+_SUITES = ("catalog", "bordiga", "deg20", "rao", "all")
 
 
 class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # Raise instead of exiting so usage failures map to exit code 1,
-    # keeping 2 reserved for the open-case diagnostic.
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _envelope(command: str, inputs: dict, result) -> str:
+    import json
     return json.dumps(
         {"command": command, "inputs": inputs, "result": result, "version": __version__}
     )
 
 
 def _cmd_plan(args) -> int:
+    from .planner import plan
     chain = plan(args.space, args.n)
     if args.json:
         print(_envelope("plan", {"space": args.space, "n": args.n}, chain.to_dict()))
@@ -93,6 +82,8 @@ def _describe_descent(model, down) -> str:
 
 
 def _cmd_divisor(args) -> int:
+    from .catalog import surface
+    from .picard import DivisorClass
     model = surface(args.surface)
     cls = DivisorClass.parse(args.cls, model.basis_rank)
     d = model.degree_of(cls)
@@ -130,6 +121,7 @@ def _cmd_divisor(args) -> int:
 
 
 def _cmd_hvector(args) -> int:
+    from .hvector import min_genus
     genus, witness = min_genus(args.d, args.codim, nondegenerate=True)
     if args.json:
         result = {"degree": args.d, "codim": args.codim, "min_genus": genus,
@@ -144,6 +136,7 @@ def _cmd_hvector(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .claims import records_as_dicts, render_text, run_suite, summarize
     records = run_suite(args.suite)
     npass, nfail, nflag = summarize(records)
     if args.json:
@@ -155,7 +148,17 @@ def _cmd_verify(args) -> int:
     return 0 if nfail == 0 else 1
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    import argparse
+    import re
+    from .planner import SPACES
+
+    class _Parser(argparse.ArgumentParser):
+        # Raise instead of exiting so usage failures map to exit code 1,
+        # keeping 2 reserved for the open-case diagnostic.
+        def error(self, message):
+            raise _UsageError(message)
+
     parser = _Parser(
         prog="glicci",
         description="Exact arithmetic for divisor classes on rational surfaces "
@@ -187,7 +190,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_hvector)
 
     p = sub.add_parser("verify", help="run the numeric claim suites")
-    p.add_argument("suite", choices=("catalog", "bordiga", "deg20", "rao", "all"))
+    p.add_argument("suite", choices=_SUITES)
     p.set_defaults(handler=_cmd_verify)
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true")
@@ -195,10 +198,45 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Each command's handler and positionals as (dest, type, choices), the way
+# _build_parser declares them; plan's spaces come with the planner.
+_PLAIN = {
+    "plan": (_cmd_plan, (("space", str, None), ("n", int, None))),
+    "divisor": (_cmd_divisor, (("surface", str, None), ("cls", str, None))),
+    "hvector": (_cmd_hvector, (("d", int, None), ("codim", int, (2, 3)))),
+    "verify": (_cmd_verify, (("suite", str, _SUITES),)),
+}
+
+
+def _plain_args(argv: list):
+    """What ``_build_parser().parse_args(argv)`` gives a plain command line:
+    a command, exactly its positionals, none led by "-", and ``--json``
+    or ``--quiet`` anywhere after the command.  None for any other line,
+    which argparse then parses and words the refusal of: help, another
+    option, a wrong count, a bad int or a value outside the choices."""
+    handler, positionals = _PLAIN.get(argv[0] if argv else "", (None, ()))
+    values = [token for token in argv[1:] if token not in ("--json", "--quiet")]
+    if handler is None or len(values) != len(positionals):
+        return None
+    args = SimpleNamespace(command=argv[0], handler=handler,
+                           json="--json" in argv, quiet="--quiet" in argv)
+    for (dest, kind, choices), token in zip(positionals, values):
+        if dest == "space":
+            from .planner import SPACES as choices
+        try:
+            value = kind(token)
+        except ValueError:
+            return None
+        if token.startswith("-") or choices is not None and value not in choices:
+            return None
+        setattr(args, dest, value)
+    return args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _plain_args(argv) or _build_parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -39,14 +39,15 @@ those of the tuple of its moves.
 from __future__ import annotations
 
 import gc
-import json
 from array import array
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 from itertools import accumulate, repeat
 from sys import intern
 
 from ._record import Record, check_ints, check_types, draft, type_error
 from .catalog import (
+    _CARRIERS_KEPT,
     _FIRST_KEYS,
     _KEY_CLASSES,
     _KEYS,
@@ -257,6 +258,9 @@ class _Steps(Sequence):
     Reading a step builds its ``LinkMove`` and takes its carrier from the
     cache of ``catalog._carrier``, which keeps a level's few keys while a
     pass reads them, so those moves share one carrier; a slice is a tuple.
+    A read of more steps than that cache keeps takes a cache of the same
+    size of its own: the shared one could keep none of its keys for the
+    next read, and would lose the small chains' keys it holds.
     Equality, hash, ``repr`` and pickling are those of the tuple of
     moves, which ``tuple(steps)`` builds."""
 
@@ -304,11 +308,13 @@ class _Steps(Sequence):
     def _moves(self, positions):
         space, pairs = self._space, self._codes
         to, params, keys, codes = self._to, self._param, self._key, self._code
+        carrier = (_carrier if len(positions) <= _CARRIERS_KEPT
+                   else lru_cache(_CARRIERS_KEPT)(_carrier.__wrapped__))
         for i in positions:
             kind, note = pairs[codes[i]]
             param = params[i]
             liaison = kind == LIAISON
-            yield _move(kind, to[i - 1] if i else self._start, to[i], _carrier(space, keys[i]),
+            yield _move(kind, to[i - 1] if i else self._start, to[i], carrier(space, keys[i]),
                         param if liaison else None, None if liaison else param, note)
 
     def _columns(self) -> tuple:
@@ -506,11 +512,13 @@ class Chain(Record):
         return chain
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Chain":
         """:meth:`from_dict` of the parsed text, which must be JSON."""
+        import json
         try:
             data = json.loads(text)
         # JSONDecodeError, bytes that are not UTF-8, or nesting deeper than

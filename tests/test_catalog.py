@@ -443,6 +443,26 @@ class TestCurveFamilyValidation:
         assert catalog._carrier.cache_info().currsize <= catalog._CARRIERS_KEPT
         assert cubic_surface_type("iii", 1).dg == (3, 0)
 
+    def test_long_reads_leave_the_cache_to_small_chains(self):
+        # Reading the 1,631 steps of cubic 10^6 (a key each) twice misses
+        # the shared cache no more than once per distinct key, and a small
+        # chain read before keeps its carriers there.  A long read shares a
+        # carrier among the moves of one key, as the shared cache would.
+        catalog._carrier.cache_clear()
+        small = tuple(plan("cubic-surface", 54).steps)
+        chain = plan("cubic-surface", 10**6)
+        assert len(chain.steps) > catalog._CARRIERS_KEPT
+        misses = catalog._carrier.cache_info().misses
+        assert tuple(chain.steps) == tuple(chain.steps)
+        assert catalog._carrier.cache_info().misses - misses <= len(set(chain.steps._key))
+        misses = catalog._carrier.cache_info().misses
+        again = tuple(plan("cubic-surface", 54).steps)
+        assert catalog._carrier.cache_info().misses == misses
+        assert all(a.carrier is b.carrier for a, b in zip(small, again))
+        steps = plan("cubic-surface", 99999989).steps
+        moves = tuple(steps)
+        assert len(moves) > len(set(steps._key)) == len({id(m.carrier) for m in moves})
+
     @pytest.mark.parametrize("make, value", [
         (lambda v: cubic_surface_type("ii", v), 2.5),
         (lambda v: cubic_surface_type("i", v), True),

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from glicci import cli
 from glicci.catalog import surface
 from glicci.cli import main
 from glicci.moves import Chain, validate_chain
@@ -298,6 +299,65 @@ class TestTopLevel:
 
     def test_missing_command_is_usage_error(self, capsys):
         assert main([]) == 1
+
+
+def _differential_corpus():
+    """Command lines for the plain path and for argparse: every command's
+    plain lines with --json and --quiet before, between, after and
+    repeated (and the abbreviation --js), and lines argparse alone reads
+    or refuses; the flags' places are drawn by a fixed seed."""
+    rng = random.Random(32)
+    bases = [("plan", space, n) for space in ("p2", "quadric", "cubic-surface", "p3")
+             for n in ("1", "5", "20", "137")]
+    bases += [("plan", "p2", n) for n in ("-5", "-.5", " 5", "1_000", "0", "x", "٣")]
+    bases += [("plan", "nope", "5"), ("plan", "P2", "5"), ("plan", "p2"), ("plan", "p2", "5", "6")]
+    bases += [("divisor", name, cls) for name in ("bordiga", "scroll", "det10", "nope")
+              for cls in ("6;2^3,1^7", "1;1", "-1;0", "abc", "", "1;0 ")]
+    bases += [("divisor", "bordiga"), ("divisor", "bordiga", "6;2^3,1^7", "1;1")]
+    bases += [("hvector", d, codim) for d in ("20", "3", " 7", "1_0", "-5", "x")
+              for codim in ("2", "3", "4", "-1", "three")]
+    bases += [("hvector", "20"), ("hvector", "20", "3", "3")]
+    bases += [("verify", suite) for suite in ("catalog", "rao", "deg20", "bordiga", "all", "al")]
+    bases += [("verify",), ("verify", "rao", "rao"), ("nope", "5"), ("Plan", "p2", "5")]
+    corpus = [[], ["-h"], ["--version"], ["--json", "plan", "p2", "5"], ["--", "plan", "p2", "5"],
+              ["plan", "--", "p2", "5"], ["plan", "p2", "--", "5"], ["plan", "-h"],
+              ["plan", "p2", "5", "--help"], ["plan", "p2", "5", "--json=1"],
+              ["divisor", "scroll", "--", "-1;0"], ["plan", "p2", "5", "-"]]
+    for base in bases:
+        for flags in ([], ["--json"], ["--quiet"], ["--json", "--quiet"], ["--quiet", "--quiet"],
+                      ["--json", "--quiet", "--json"], ["--js"]):
+            if base[:2] == ("verify", "all") and flags:
+                continue  # the full claim suites are pinned above in every mode
+            argv = list(base)
+            for flag in flags:
+                argv.insert(rng.randint(1, len(argv)), flag)
+            corpus.append(argv)
+    return corpus
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    return code, capsys.readouterr()
+
+
+def test_plain_command_lines_match_argparse(capsys, monkeypatch):
+    # The plain path gives every line argparse's namespace, and with it the
+    # same output and exit code; a line it does not take goes to argparse.
+    monkeypatch.setenv("COLUMNS", "80")
+    corpus = _differential_corpus()
+    plain = [cli._plain_args(argv) for argv in corpus]
+    assert sum(args is not None for args in plain) > 250
+    assert sum(args is None for args in plain) > 300
+    for argv, args in zip(corpus, plain):
+        if args is not None:
+            assert vars(args) == vars(cli._build_parser().parse_args(argv)), argv
+    fast = [_outcome(capsys, argv) for argv in corpus]
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+    for argv, outcome in zip(corpus, fast):
+        assert _outcome(capsys, argv) == outcome, argv
 
 
 # The -h text of the program and of each subcommand at 80 columns, the

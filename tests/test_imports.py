@@ -1,28 +1,78 @@
 """Importing the CLI stays light: none of the heavy standard-library
-modules that would dominate a short command's start-up is loaded, and
-every private name the package defines is used by the package."""
+modules that would dominate a short command's start-up is loaded,
+``import glicci`` loads no submodule and a command only the layers it
+runs; and every private name the package defines is used by the package."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_cli_import_skips_heavy_modules():
-    # -S keeps site (and any .pth file it runs) from loading modules on
-    # its own, so only what glicci itself imports is counted.
+def _loaded_after(code, names):
+    """Which of ``names`` are in ``sys.modules`` after running ``code`` in
+    a fresh interpreter, its output discarded.  -S keeps site (and any
+    .pth file it runs) from loading modules on its own, so only what
+    glicci itself imports is counted."""
     probe = (
-        "import sys, glicci.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+        "import io, sys; out = sys.stdout; sys.stdout = io.StringIO()\n"
+        f"{code}\n"
+        f"print(' '.join(m for m in {names!r} if m in sys.modules), file=out)"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60,
         env={"PYTHONPATH": str(SRC)},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == ""
+    return result.stdout.split()
+
+
+def test_cli_import_skips_heavy_modules():
+    assert _loaded_after("import glicci.cli", ("dataclasses", "inspect", "typing")) == []
+
+
+SUBMODULES = ("glicci.catalog", "glicci.claims", "glicci.cli", "glicci.errors",
+              "glicci.hvector", "glicci.moves", "glicci.picard", "glicci.planner", "glicci._record")
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_after("import glicci", SUBMODULES) == []
+
+
+def test_each_command_loads_only_what_it_runs():
+    # A command imports its own layers; argparse only for a line the plain
+    # path does not take, json only to write an envelope.
+    heavy = ("glicci.planner", "glicci.moves", "glicci.claims", "argparse", "json")
+    run = "from glicci.cli import main; main({!r})"
+    assert _loaded_after(run.format(["hvector", "20", "3"]), heavy) == []
+    assert _loaded_after(run.format(["divisor", "bordiga", "6;2^3,1^7", "--quiet"]), heavy) == []
+    assert _loaded_after(run.format(["plan", "cubic-surface", "54", "--quiet"]), heavy) == [
+        "glicci.planner", "glicci.moves"]
+    assert _loaded_after(run.format(["plan", "p2", "137", "--json"]), heavy) == [
+        "glicci.planner", "glicci.moves", "json"]
+    assert _loaded_after(run.format(["plan", "p2", "--js", "137"]), heavy) == [
+        "glicci.planner", "glicci.moves", "argparse", "json"]
+
+
+def test_lazy_names_resolve():
+    # From a fresh interpreter: errors alone, then every public name, which
+    # loads every submodule but the CLI.
+    assert _loaded_after("import glicci; glicci.errors.InvalidMove", SUBMODULES) == [
+        "glicci.errors"]
+    code = "import glicci; [getattr(glicci, name) for name in glicci.__all__]"
+    assert _loaded_after(code, SUBMODULES) == [m for m in SUBMODULES if m != "glicci.cli"]
+    import glicci
+
+    namespace = {}
+    exec("from glicci import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(glicci))
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        glicci.nope
 
 
 # Every public name, sorted; adding or removing one changes this list on purpose.
