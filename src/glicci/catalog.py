@@ -43,8 +43,6 @@ Plane curves and table rows carry no class to check.
 The registry is built once at import time and never mutated.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import comb
 from operator import itemgetter

@@ -15,8 +15,6 @@ registry data, so they can run concurrently; reports are merged in id
 order either way.
 """
 
-from __future__ import annotations
-
 from ._record import Plain
 from .catalog import (
     bordiga_eleven_seven,

@@ -16,8 +16,6 @@ the heap, so that the interpreter's exit-time collections skip every
 object start-up made.  :func:`main` called in-process never freezes.
 """
 
-from __future__ import annotations
-
 import gc
 import sys
 from types import SimpleNamespace

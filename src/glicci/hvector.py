@@ -12,8 +12,6 @@ curve in 4-space (codim 3) or a curve in 3-space / points in the plane
 (codim 2) is the caller's business.
 """
 
-from __future__ import annotations
-
 from math import comb
 
 from ._record import Record, check_ints, int_entries

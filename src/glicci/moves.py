@@ -15,15 +15,14 @@ height-h biliaison sends (d, g) to
 Admissibility is arithmetic only: the containment and effectiveness
 bounds the construction needs, never the scheme theory that realizes a
 link.  Each space's rule for each move kind, in ``_RULES``, states them
-once, over ints: the counts, the carrier's degree, genus and
-linear-system dimension, the parameter and the note.  It returns None
-for an admissible move n -> n_to and otherwise the text of the first
-relation the move breaks.  The plane biliaison's and the cubic
-liaison's relations are also a table of slacks, ``_RELATIONS``, from
-which :func:`validate_chain` proves a planned chain's closed-form pieces
-by a few of their steps.  Moves are stored directed even though liaison
-is symmetric; "ascending" and "descending" are derived from the
-endpoints.
+once, as a table over ints: the slack of each relation, which must be
+at least 0, from the counts, the carrier's degree, genus and
+linear-system dimension, the parameter and the note, and beside it the
+text of each.  :func:`validate_chain` reads it step by step, and by it
+proves a planned chain's closed-form pieces from a few of their steps;
+the planner's oracle admits its edges by it.  Moves are stored directed
+even though liaison is symmetric; "ascending" and "descending" are
+derived from the endpoints.
 
 A chain holds its steps one way, as four ``array('q')`` columns (see
 :class:`_Steps`).  A planned chain builds them from the planner's
@@ -35,8 +34,6 @@ read; counts, text, JSON and validation read the columns and build no
 record.  Equality, hashing, ``repr``, pickling and serialization are
 those of the tuple of its moves.
 """
-
-from __future__ import annotations
 
 import gc
 from array import array
@@ -601,102 +598,76 @@ def decompose_biliaison(d: int, g: int, source_min_genus: MinGenusFn,
     return out
 
 
-def _drop(n: int, n_to: int, d: int, g: int, h: int) -> str | None:
-    """A height-h biliaison on a degree-d carrier drops h*d points."""
-    if n_to != _biliaison_residual(n, h, d):
-        return f"height-{h} biliaison on ({d},{g}) must drop {h * d} points"
-    return None
+# The texts of the relations that more than one rule states.
+_DROP = "height-{param} biliaison on ({d},{g}) must drop {drop} points"
+_TOTAL = "{n} + {n_to} != deg({param}H-K on ({d},{g})) = {total}"
+_P3_BOUNDS = "{n} -> {n_to} on ({d},{g}) fails the containment/effectiveness bounds"
 
 
-def _total(n: int, n_to: int, d: int, g: int, m: int) -> str | None:
-    """The two ends of a liaison by m*H - K add up to its degree."""
-    total = _liaison_degree(m, d, g)
-    if n + n_to != total:
-        return f"{n} + {n_to} != deg({m}H-K on ({d},{g})) = {total}"
-    return None
-
-
-def _plane_biliaison(space: str, n: int, n_to: int, d: int, g: int, held: int, h: int,
-                     note: str, carrier):
-    if h < 0:
-        return f"{space} chains use biliaisons of height >= 0, got {h}"
-    if (broken := _drop(n, n_to, d, g, h)) is not None:
-        return broken
-    if h == 0:
-        if not note:
-            return "height-0 move needs an annotation"
-    elif n_to < g:
-        return f"residual {n_to} below genus {g}: divisor may not be effective"
+def _plane_biliaison(n: int, n_to: int, d: int, g: int, held: int, h: int, note: str):
     # A note marks points placed on the carrier by a prior height-0
-    # repositioning, where the general-position containment count
-    # does not apply.
-    if n > held and "repositioned" not in note:
-        return f"{n} general points do not lie on {carrier} (system dimension {held})"
+    # repositioning, where the general-position containment count does
+    # not apply.
+    drop = _biliaison_residual(n, h, d) - n_to
+    return (h, drop, -drop, 0 if note else h - 1, n_to - g if h else 0,
+            0 if "repositioned" in note else held - n)
+
+
+def _cubic_liaison(n: int, n_to: int, d: int, g: int, held: int, m: int, note: str):
+    # Both ends lie in the window g <= n <= d + g - 1, where alone a
+    # (d, g) curve on the cubic surface carries general divisors.
+    total, top = _liaison_degree(m, d, g) - n - n_to, d + g - 1
+    return total, -total, n - g, top - n, n_to - g, top - n_to
+
+
+# In 3-space containment bounds n by the carrier's row of the
+# general-points table, and effectiveness n_to by the genus.
+def _p3_biliaison(n: int, n_to: int, d: int, g: int, held: None, h: int, note: str):
+    drop = _biliaison_residual(n, h, d) - n_to
+    return h - 1, drop, -drop, _PERRIN_M[d, g] - n, n_to - g
+
+
+def _p3_liaison(n: int, n_to: int, d: int, g: int, held: None, m: int, note: str):
+    total = _liaison_degree(m, d, g) - n - n_to
+    return total, -total, _PERRIN_M[d, g] - n, n_to - g
+
+
+# The step rule of each space by move kind, the one statement of its
+# relations: a function slacks(n, n_to, d, g, held, param, note) of the
+# counts, the carrier's degree, genus and linear-system dimension, the
+# parameter (the twist m of a liaison or the height h of a biliaison)
+# and the note, whose ints must all be at least 0 (an equality is the
+# pair x, -x), and the text of each, which :func:`_broken` fills in for
+# the first that fails.  A kind with no rule in its space is never
+# admitted.
+_PLANE = {BILIAISON: (_plane_biliaison, (
+    "{space} chains use biliaisons of height >= 0, got {param}", _DROP, _DROP,
+    "height-0 move needs an annotation",
+    "residual {n_to} below genus {g}: divisor may not be effective",
+    "{n} general points do not lie on {carrier} (system dimension {held})"))}
+_RULES = {
+    "p2": _PLANE,
+    "quadric": _PLANE,
+    "cubic-surface": {LIAISON: (_cubic_liaison, (
+        _TOTAL, _TOTAL, *("{n} <-> {n_to} breaks the window [{g}, {top}] on ({d},{g})",) * 4))},
+    "p3": {BILIAISON: (_p3_biliaison, ("3-space chains use biliaisons of height >= 1",
+                                       _DROP, _DROP, _P3_BOUNDS, _P3_BOUNDS)),
+           LIAISON: (_p3_liaison, (_TOTAL, _TOTAL, _P3_BOUNDS, _P3_BOUNDS))},
+}
+
+
+def _broken(space: str, kind: str, n: int, n_to: int, d: int, g: int, held: int | None,
+            param: int, note: str, carrier) -> str | None:
+    """The text of the first relation of its space's rule that the move
+    n -> n_to of the kind breaks, naming ``carrier``; None when it
+    breaks none."""
+    slacks, texts = _RULES[space][kind]
+    for slack, text in zip(slacks(n, n_to, d, g, held, param, note), texts):
+        if slack < 0:
+            return text.format(space=space, n=n, n_to=n_to, d=d, g=g, held=held, param=param,
+                               carrier=carrier, drop=param * d, total=_liaison_degree(param, d, g),
+                               top=d + g - 1)
     return None
-
-
-def _cubic_liaison(space: str, n: int, n_to: int, d: int, g: int, held: int | None, m: int,
-                   note: str, carrier):
-    """Both ends add up to the liaison total (``_total`` words a failure)
-    and lie in the window g <= n <= d + g - 1, where alone a (d, g) curve
-    on the cubic surface carries general divisors."""
-    if n + n_to != _liaison_degree(m, d, g):
-        return _total(n, n_to, d, g, m)
-    if not (g <= n < d + g and g <= n_to < d + g):
-        return f"{n} <-> {n_to} breaks the window [{g}, {d + g - 1}] on ({d},{g})"
-    return None
-
-
-def _p3_bounds(n: int, n_to: int, d: int, g: int) -> str | None:
-    """Containment (n at most the carrier's row's bound in the
-    general-points table) and effectiveness (n_to at least g)."""
-    if n > _PERRIN_M[(d, g)] or n_to < g:
-        return f"{n} -> {n_to} on ({d},{g}) fails the containment/effectiveness bounds"
-    return None
-
-
-def _p3_biliaison(space: str, n: int, n_to: int, d: int, g: int, held: int | None, h: int,
-                  note: str, carrier):
-    if h < 1:
-        return "3-space chains use biliaisons of height >= 1"
-    return _drop(n, n_to, d, g, h) or _p3_bounds(n, n_to, d, g)
-
-
-def _p3_liaison(space: str, n: int, n_to: int, d: int, g: int, held: int | None, m: int,
-                note: str, carrier):
-    return _total(n, n_to, d, g, m) or _p3_bounds(n, n_to, d, g)
-
-
-# The step rules rule(space, n, n_to, d, g, held, param, note, carrier)
-# of each space by move kind, over the carrier's degree, genus and
-# linear-system dimension; param is the twist m of a liaison or the
-# height h of a biliaison.  ``carrier`` is used only in the text of a
-# failure, and may be None where that text is not read.  A kind with
-# no rule in its space is never admitted.
-_PLANE = {BILIAISON: _plane_biliaison}
-_RULES = {"p2": _PLANE, "quadric": _PLANE, "cubic-surface": {LIAISON: _cubic_liaison},
-          "p3": {BILIAISON: _p3_biliaison, LIAISON: _p3_liaison}}
-
-
-def _plane_slacks(n: int, n_to: int, d: int, g: int, held: int, h: int, note: str):
-    return ((_biliaison_residual(n, h, d) - n_to,),
-            (h - 1, n_to - g, 0 if "repositioned" in note else held - n))
-
-
-def _cubic_slacks(n: int, n_to: int, d: int, g: int, held: int, m: int, note: str):
-    top = d + g - 1
-    return (_liaison_degree(m, d, g) - n - n_to,), (n - g, top - n, n_to - g, top - n_to)
-
-
-# The relations of a rule as a table of slacks: slacks(n, n_to, d, g,
-# held, param, note) gives the equalities, each of which must be 0, and
-# the inequalities, each of which must be at least 0.  A step whose
-# relations all hold is one its rule admits: the plane biliaison's drop,
-# h >= 1 (so no height-0 note is needed), a residual of at least the
-# genus and, unless the note repositions, n at most the linear-system
-# dimension; the cubic liaison's total and the window of both ends.
-# 3-space's rules have no table.
-_RELATIONS = {_plane_biliaison: _plane_slacks, _cubic_liaison: _cubic_slacks}
 
 
 def _least(v0: int, v1: int, v2: int, last: int) -> int:
@@ -736,17 +707,19 @@ def _proved_pieces(chain: Chain):
     kind, note and key class of j = 0.  Then for j >= 1 (at j = 0 the
     count before the first place is the one before the piece) d, the
     parameter and the key are linear in j, and g, linsys_dim, both counts
-    and every slack of ``_RELATIONS`` are of degree at most 2.  So the
-    slacks at j = 1, 2, 3, read off the piece's first four periods as
-    :func:`_values` builds them, fix them: each equality holds at all
-    three, and each inequality's least value over the piece, found by
-    :func:`_least`, is at least 0.  A place that fails a precondition or
-    a relation, or whose rule has no table, proves no piece."""
+    and, with no note, every slack of its rule in ``_RULES`` are of degree
+    at most 2.  So the slacks at j = 1, 2, 3, read off the piece's first
+    four periods as :func:`_values` builds them, fix them: each one's
+    least value over the piece, found by :func:`_least`, is at least 0.
+    A place with a note (which switches plane relations off), or that
+    fails a precondition or a relation, proves no piece, nor does 3-space,
+    whose carriers have no key classes."""
     space, steps = chain.space, chain.steps
     if not steps._pieces:
         return steps._pieces
     pieces = [piece for piece in steps._pieces if piece[3] is not None]
     rules, dims, first_key, table = _RULES[space], _KEYS[space].dims, _FIRST_KEYS[space], steps._codes
+    classes = _KEY_CLASSES.get(space)
     for _, length, curve, first, after in pieces:
         period = len(first)
         to, params, keys, codes = _piece_columns(4 * period, curve, first, after)
@@ -756,15 +729,13 @@ def _proved_pieces(chain: Chain):
             if not -len(table) <= code < len(table):
                 return None  # reading fails on this code
             kind, note = table[code]
-            slacks = _RELATIONS.get(rules.get(kind))
-            if (slacks is None or codes[r + period] != code or step % _KEY_CLASSES[space]
-                    or min(key + step, key + last * step) < first_key):
+            if (note or kind not in rules or classes is None or codes[r + period] != code
+                    or step % classes or min(key + step, key + last * step) < first_key):
                 return None
+            slacks = rules[kind][0]
             samples = [slacks(to[k - 1], to[k], *dims(keys[k]), params[k], note)
                        for k in range(r + period, r + 4 * period, period)]
-            if any(any(equalities) for equalities, _ in samples):
-                return None
-            for values in zip(*(inequalities for _, inequalities in samples)):
+            for values in zip(*samples):
                 if _least(*values, last - 1) < 0:
                     return None
     return pieces
@@ -774,14 +745,14 @@ def validate_chain(chain: Chain) -> None:
     """Check that a chain's space admits every step; raises InvalidMove
     for a start below one, for a key below the space's first (the least
     one, by one ``min`` over the keys read; the key of a 3-space row past
-    the table is refused where its row is read) or for the first move its
-    space's rule refuses, with the rule's text, which names the first
-    relation the move breaks.  The rule is chosen once per run of one
-    code, and a kind the space lacks raises where its run starts.  Each
-    key's (d, g, linsys_dim) comes from the closed forms in
-    ``catalog._KEYS``, and the carrier is built only to word a failure.
-    The steps are linked, and their carriers the catalog's, by
-    construction (see :func:`_pack`).
+    the table is refused where its row is read) or for the first move
+    with a negative slack in its space's rule in ``_RULES``, with the
+    text of the first relation the move breaks (see :func:`_broken`).
+    The rule is chosen once per run of one code, and a kind the space
+    lacks raises where its run starts.  Each key's (d, g, linsys_dim)
+    comes from the closed forms in ``catalog._KEYS``, and the carrier is
+    built only to word a failure.  The steps are linked, and their
+    carriers the catalog's, by construction (see :func:`_pack`).
 
     A planned chain with closed-form pieces is read from its pieces and
     builds no column: each run of moves from its columns, and the first
@@ -824,11 +795,11 @@ def validate_chain(chain: Chain) -> None:
             if code != code_now:
                 code_now = code
                 kind, note = steps._codes[code]
-                rule = rules.get(kind)
-                if rule is None:
+                if kind not in rules:
                     raise InvalidMove(f"{space} chains use no {kind} moves")
+                slacks = rules[kind][0]
             d, g, held = dims(key)
-            if rule(space, n, n_to, d, g, held, param, note, None) is not None:
-                raise InvalidMove(rule(space, n, n_to, d, g, held, param, note,
-                                       _carrier(space, key)))
+            if min(slacks(n, n_to, d, g, held, param, note)) < 0:
+                raise InvalidMove(_broken(space, kind, n, n_to, d, g, held, param, note,
+                                          _carrier(space, key)))
             n = n_to

@@ -21,8 +21,6 @@ All values are immutable and all operations are pure integer
 arithmetic, so everything in this module is safe for concurrent use.
 """
 
-from __future__ import annotations
-
 import re
 from operator import add, sub
 

@@ -30,16 +30,14 @@ when a caller reads the steps:
 A piece finds its level by one square root; its length and columns are
 closed forms in the level and the offset of its first count.  The
 reachability oracle lists the candidate moves on every carrier key of a
-space, keeps exactly those the space's step rules admit and runs the one
-breadth-first search, ``_bfs``; it builds no record and never calls the
-planners, so it checks them independently.  ``p3_descending_moves`` is
-the same listing from one n.
+space, keeps exactly those its rule's slacks in ``moves._RULES`` admit
+and runs the one breadth-first search, ``_bfs``; it builds no record and
+never calls the planners, so it checks them independently.
+``p3_descending_moves`` is the same listing from one n.
 
 A plan is a pure function of (space, n); identical inputs give
 identical chains.
 """
-
-from __future__ import annotations
 
 from array import array
 from functools import partial
@@ -471,9 +469,10 @@ def _candidates(space: str, d: int, g: int, n: int, lo: int, hi: int):
 
 def _admits(space: str, kind: str, n: int, n_to: int, d: int, g: int, held: int | None,
             param: int) -> bool:
-    """True when the rule validate_chain applies admits the move n -> n_to
-    on a carrier of degree d, genus g and linear-system dimension held."""
-    return _RULES[space][kind](space, n, n_to, d, g, held, param, "", None) is None
+    """True when no slack of the rule validate_chain reads (see
+    ``moves._RULES``) is negative for the move n -> n_to with no note on
+    a carrier of degree d, genus g and linear-system dimension held."""
+    return min(_RULES[space][kind][0](n, n_to, d, g, held, param, "")) >= 0
 
 
 # The bound m of each row of the general-points table by its key, the

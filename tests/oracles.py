@@ -14,7 +14,11 @@ oracle against, about every pair of counts.  ``_p2_hops``,
 ``_quadric_hops`` and ``_cubic_hops`` are the planners' earlier walk,
 one move at a time from a count's level, which the closed-form pieces
 of ``glicci.planner`` replaced; ``reference_columns`` packs their moves
-as the planner does.  Tests pit the package against these.
+as the planner does.  ``REFERENCE_RULES`` are the step rules as the
+package stated them before its slack tables, one function per space and
+move kind that checks one relation after another and words the first
+that fails; they share only the drop and total formulas with it.  Tests
+pit the package against these.
 """
 
 from array import array
@@ -22,6 +26,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from glicci.catalog import (
+    _PERRIN_M,
     cubic_surface_type,
     p3_acm_family,
     perrin_table,
@@ -35,8 +40,12 @@ from glicci.moves import (
     _LIAISON_CODE,
     _REPOSITIONED_CODE,
     _SLIDE_CODE,
+    BILIAISON,
+    LIAISON,
     Chain,
     LinkMove,
+    _biliaison_residual,
+    _liaison_degree,
     validate_chain,
 )
 from glicci.planner import (
@@ -315,3 +324,80 @@ def reference_columns(space: str, n: int) -> tuple:
     from n, as four ``array('q')``."""
     moves = list(REFERENCE_HOPS[space](n))
     return tuple(array("q", [move[i] for move in moves]) for i in range(4))
+
+
+# ---------------------------------------------------------------------------
+# The step rules as the package stated them before its slack tables,
+# one function per space and move kind, each relation checked in turn:
+# rule(space, n, n_to, d, g, held, param, note, carrier) is None for an
+# admissible move and otherwise the text of the first relation it breaks.
+
+def _drop(n: int, n_to: int, d: int, g: int, h: int) -> str | None:
+    """A height-h biliaison on a degree-d carrier drops h*d points."""
+    if n_to != _biliaison_residual(n, h, d):
+        return f"height-{h} biliaison on ({d},{g}) must drop {h * d} points"
+    return None
+
+
+def _total(n: int, n_to: int, d: int, g: int, m: int) -> str | None:
+    """The two ends of a liaison by m*H - K add up to its degree."""
+    total = _liaison_degree(m, d, g)
+    if n + n_to != total:
+        return f"{n} + {n_to} != deg({m}H-K on ({d},{g})) = {total}"
+    return None
+
+
+def _plane_biliaison(space: str, n: int, n_to: int, d: int, g: int, held: int, h: int,
+                     note: str, carrier):
+    if h < 0:
+        return f"{space} chains use biliaisons of height >= 0, got {h}"
+    if (broken := _drop(n, n_to, d, g, h)) is not None:
+        return broken
+    if h == 0:
+        if not note:
+            return "height-0 move needs an annotation"
+    elif n_to < g:
+        return f"residual {n_to} below genus {g}: divisor may not be effective"
+    # A note marks points placed on the carrier by a prior height-0
+    # repositioning, where the general-position containment count
+    # does not apply.
+    if n > held and "repositioned" not in note:
+        return f"{n} general points do not lie on {carrier} (system dimension {held})"
+    return None
+
+
+def _cubic_liaison(space: str, n: int, n_to: int, d: int, g: int, held: int | None, m: int,
+                   note: str, carrier):
+    """Both ends add up to the liaison total (``_total`` words a failure)
+    and lie in the window g <= n <= d + g - 1, where alone a (d, g) curve
+    on the cubic surface carries general divisors."""
+    if n + n_to != _liaison_degree(m, d, g):
+        return _total(n, n_to, d, g, m)
+    if not (g <= n < d + g and g <= n_to < d + g):
+        return f"{n} <-> {n_to} breaks the window [{g}, {d + g - 1}] on ({d},{g})"
+    return None
+
+
+def _p3_bounds(n: int, n_to: int, d: int, g: int) -> str | None:
+    """Containment (n at most the carrier's row's bound in the
+    general-points table) and effectiveness (n_to at least g)."""
+    if n > _PERRIN_M[(d, g)] or n_to < g:
+        return f"{n} -> {n_to} on ({d},{g}) fails the containment/effectiveness bounds"
+    return None
+
+
+def _p3_biliaison(space: str, n: int, n_to: int, d: int, g: int, held: int | None, h: int,
+                  note: str, carrier):
+    if h < 1:
+        return "3-space chains use biliaisons of height >= 1"
+    return _drop(n, n_to, d, g, h) or _p3_bounds(n, n_to, d, g)
+
+
+def _p3_liaison(space: str, n: int, n_to: int, d: int, g: int, held: int | None, m: int,
+                note: str, carrier):
+    return _total(n, n_to, d, g, m) or _p3_bounds(n, n_to, d, g)
+
+
+REFERENCE_RULES = {"p2": {BILIAISON: _plane_biliaison}, "quadric": {BILIAISON: _plane_biliaison},
+                   "cubic-surface": {LIAISON: _cubic_liaison},
+                   "p3": {BILIAISON: _p3_biliaison, LIAISON: _p3_liaison}}

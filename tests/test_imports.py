@@ -32,7 +32,8 @@ def _loaded_after(code, names):
 
 
 def test_cli_import_skips_heavy_modules():
-    assert _loaded_after("import glicci.cli", ("dataclasses", "inspect", "typing")) == []
+    assert _loaded_after("import glicci.cli",
+                         ("__future__", "dataclasses", "inspect", "typing")) == []
 
 
 SUBMODULES = ("glicci.catalog", "glicci.claims", "glicci.cli", "glicci.errors",
@@ -45,8 +46,9 @@ def test_package_import_loads_no_submodule():
 
 def test_each_command_loads_only_what_it_runs():
     # A command imports its own layers; argparse only for a line the plain
-    # path does not take, json only to write an envelope.
-    heavy = ("glicci.planner", "glicci.moves", "glicci.claims", "argparse", "json")
+    # path does not take, json only to write an envelope, and no module
+    # ever imports ``__future__``.
+    heavy = ("glicci.planner", "glicci.moves", "glicci.claims", "argparse", "json", "__future__")
     run = "from glicci.cli import main; main({!r})"
     assert _loaded_after(run.format(["hvector", "20", "3"]), heavy) == []
     assert _loaded_after(run.format(["divisor", "bordiga", "6;2^3,1^7", "--quiet"]), heavy) == []

@@ -20,11 +20,11 @@ from glicci.catalog import (
 from glicci.errors import DegreeTooLarge, InvalidMove
 from glicci.hvector import min_genus
 from glicci.moves import (
-    _RULES,
     BILIAISON,
     LIAISON,
     Chain,
     LinkMove,
+    _broken,
     biliaison_curve,
     decompose_biliaison,
     liaison_target,
@@ -77,25 +77,23 @@ def _dims(carrier):
 
 
 class TestValidators:
-    # A step rule returns None for an admissible move and otherwise the
-    # text of the first relation the move breaks.
+    # A step rule's text is None for an admissible move and otherwise
+    # the text of the first relation the move breaks.
     def test_cubic_window(self):
-        rule = _RULES["cubic-surface"][LIAISON]
         i = cubic_surface_type("i", 4)
-        assert rule("cubic-surface", 18, 20, *_dims(i), 6, "", i) is None
+        assert _broken("cubic-surface", LIAISON, 18, 20, *_dims(i), 6, "", i) is None
         iv = cubic_surface_type("iv", 2)  # (6, 4), window [4, 9]
-        assert rule("cubic-surface", 4, 8, *_dims(iv), 3, "", iv) is None
-        assert rule("cubic-surface", 3, 9, *_dims(iv), 3, "", iv) == (
+        assert _broken("cubic-surface", LIAISON, 4, 8, *_dims(iv), 3, "", iv) is None
+        assert _broken("cubic-surface", LIAISON, 3, 9, *_dims(iv), 3, "", iv) == (
             "3 <-> 9 breaks the window [4, 9] on (6,4)")
         # 3 + 11 is no twist's total on (6,4), so the total breaks first.
-        assert rule("cubic-surface", 3, 11, *_dims(iv), 3, "", iv) == (
+        assert _broken("cubic-surface", LIAISON, 3, 11, *_dims(iv), 3, "", iv) == (
             "3 + 11 != deg(3H-K on (6,4)) = 12")
 
     def test_p3_directional(self):
-        rule = _RULES["p3"][BILIAISON]
         nine, ten = p3_acm_family(9, 9), p3_acm_family(10, 11)
-        assert rule("p3", 18, 9, *_dims(nine), 1, "", nine) is None
-        assert rule("p3", 20, 10, *_dims(ten), 1, "", ten) == (
+        assert _broken("p3", BILIAISON, 18, 9, *_dims(nine), 1, "", nine) is None
+        assert _broken("p3", BILIAISON, 20, 10, *_dims(ten), 1, "", ten) == (
             "20 -> 10 on (10,11) fails the containment/effectiveness bounds")
 
     def test_p3_off_table_carrier(self):
@@ -111,10 +109,9 @@ class TestValidators:
         assert oracle.has_edge(12, 17)
         # 19 -> 31 would be admissible one way only; the oracle needs a
         # liaison both ways, and 31 points cannot sit on the curve.
-        rule = _RULES["p3"][LIAISON]
         ten_eleven = p3_acm_family(10, 11)
-        assert rule("p3", 19, 31, *_dims(ten_eleven), 7, "", ten_eleven) is None
-        assert rule("p3", 31, 19, *_dims(ten_eleven), 7, "", ten_eleven) == (
+        assert _broken("p3", LIAISON, 19, 31, *_dims(ten_eleven), 7, "", ten_eleven) is None
+        assert _broken("p3", LIAISON, 31, 19, *_dims(ten_eleven), 7, "", ten_eleven) == (
             "31 -> 19 on (10,11) fails the containment/effectiveness bounds")
         assert not oracle.has_edge(19, 31)
 

@@ -22,7 +22,7 @@ from oracles import _accepts, _carriers, move_graph_edges
 from glicci import catalog, moves
 from glicci.catalog import _trusted, perrin_m
 from glicci.errors import InvalidMove
-from glicci.moves import _RULES, BILIAISON, LIAISON, Chain, LinkMove, validate_chain
+from glicci.moves import _RULES, BILIAISON, LIAISON, Chain, LinkMove, _broken, validate_chain
 from glicci.planner import (
     _BY_SPACE,
     SPACES,
@@ -287,12 +287,13 @@ def _planner_step(space, kind):
 ])
 def test_every_rule_admits_a_planner_step_and_rejects_its_neighbours(space, kind):
     step = _planner_step(space, kind)
-    rule = _RULES[space][kind]
     param = step.m if kind == LIAISON else step.h
     c = step.carrier
-    assert rule(space, step.n_from, step.n_to, c.d, c.g, c.linsys_dim, param, step.note, c) is None
+    assert _broken(space, kind, step.n_from, step.n_to, c.d, c.g, c.linsys_dim, param,
+                   step.note, c) is None
     for n_to in (step.n_to - 1, step.n_to + 1):
-        broken = rule(space, step.n_from, n_to, c.d, c.g, c.linsys_dim, param, step.note, c)
+        broken = _broken(space, kind, step.n_from, n_to, c.d, c.g, c.linsys_dim, param,
+                         step.note, c)
         assert type(broken) is str and broken
 
 
@@ -337,10 +338,11 @@ def test_rule_text_is_the_verdict_and_the_message(space, n_max):
     # Every candidate move of the oracle at the acceptance caps, and its
     # neighbours: either end and the parameter one off (both ends one
     # off keeps a drop or a total and moves only the window), the
-    # heights 0 and -1, each with and without a repositioning note.  A
-    # rule's None is the oracle's verdict, and its text is validate_chain's
-    # message.  The same move on the carrier without its linear-system
-    # dimension reaches no rule: the chain refuses it when it is built.
+    # heights 0 and -1, each with and without a repositioning note.  The
+    # rule's text (see ``moves._broken``) is None where the oracle admits
+    # the move, and otherwise validate_chain's message.  The same move on
+    # the carrier without its linear-system dimension reaches no rule:
+    # the chain refuses it when it is built.
     # The carriers are the public constructors' (with the quadric's
     # ruling line, which the oracle leaves to its declared edge).
     _, cap_of, *_ = _BY_SPACE[space]
@@ -356,15 +358,14 @@ def test_rule_text_is_the_verdict_and_the_message(space, n_max):
         lo, hi = max(carrier.g, 1), min(holds, cap)
         for n in range(lo, hi + 1):
             for kind, param, n_to in _candidates(space, carrier.d, carrier.g, n, lo, hi):
-                rule = _RULES[space][kind]
                 params = {param - 1, param, param + 1}
                 if kind == BILIAISON:
                     params |= {0, -1}
                 for frm, to in product((n - 1, n, n + 1), (n_to - 1, n_to, n_to + 1)):
                     for p in params:
                         for note in ("", "repositioned"):
-                            broken = rule(space, frm, to, carrier.d, carrier.g,
-                                          carrier.linsys_dim, p, note, carrier)
+                            broken = _broken(space, kind, frm, to, carrier.d, carrier.g,
+                                             carrier.linsys_dim, p, note, carrier)
                             assert broken is None or (type(broken) is str and broken)
                             if note == "":
                                 assert _admits(space, kind, frm, to, carrier.d, carrier.g,
