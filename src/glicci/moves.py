@@ -24,22 +24,24 @@ the planner's oracle admits its edges by it.  Moves are stored directed
 even though liaison is symmetric; "ascending" and "descending" are
 derived from the endpoints.
 
-A chain holds its steps one way, as four ``array('q')`` columns (see
-:class:`_Steps`).  A planned chain builds them from the planner's
-pieces when they are first read; a chain built in code,
-unpickled or read from JSON is packed on entry by :func:`_pack`, which
+A chain holds its steps one way, as pieces (see :class:`_Steps`): a
+plan as the planner's, and a chain built in code, unpickled or read
+from JSON as one run of moves, packed on entry by :func:`_pack`, which
 re-derives each carrier from its (d, g) and refuses one that is not the
-catalog's.  ``steps`` builds each move, and its carrier, when it is
-read; counts, text, JSON and validation read the columns and build no
-record.  Equality, hashing, ``repr``, pickling and serialization are
-those of the tuple of its moves.
+catalog's.  Every reader builds the four ``array('q')`` columns of a
+window of steps at a time.  ``steps`` builds each move, and its
+carrier, when it is read; counts, text, JSON and validation read the
+columns and build no record.  Equality, hashing, ``repr``, pickling and
+serialization are those of the tuple of its moves.
 """
 
 import gc
 from array import array
+from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, islice, pairwise, repeat, starmap
+from operator import eq, itemgetter
 from sys import intern
 
 from ._record import Record, check_ints, check_types, draft, type_error
@@ -166,7 +168,7 @@ def _move(kind: str, n_from: int, n_to: int, carrier: CurveFamily, m: int | None
 def _spread(first: int, step: int, curve: int, count: int) -> array:
     """The ``count`` values first, first + step, ... whose steps grow by
     ``curve`` each time, built at C speed."""
-    if curve:
+    if curve and count:
         return array("q", accumulate(range(step, step + curve * (count - 1), curve),
                                      initial=first))
     if step:
@@ -183,109 +185,82 @@ def _last(length: int, curve: int, first: tuple, after: tuple) -> int:
 
 
 def _piece_last(piece: tuple) -> int:
-    """The count a piece of a planned chain (see :class:`_Steps`) ends on."""
+    """The count a piece of a chain (see :class:`_Steps`) ends on."""
     _, length, curve, first, after = piece
     return after[0][-1] if first is None else _last(length, curve, first, after)
 
 
-# A chain's columns by a move's place: target, parameter, key and code.
-_COLUMNS = ("_to", "_param", "_key", "_code")
-
-# The places of the columns that a planned chain builds together when
-# one of them is first read (see ``_Steps.__getattr__``).
-_BUILT_WITH = {"_to": (0,), "_param": (1, 2, 3), "_key": (1, 2, 3), "_code": (1, 2, 3)}
-
-
-def _values(place: int, length: int, curve: int, first: tuple, after: tuple) -> array:
-    """The ints at ``place`` of a closed-form piece's first ``length``
-    moves, built at C speed: for a period p > 1, one place of the period
-    at a time, each into a strided slice of a zeroed block."""
+def _values(place: int, start: int, count: int, curve: int, first: tuple, after: tuple) -> array:
+    """The ints at ``place`` of the ``count`` moves of a closed-form piece
+    from its move ``start`` on, built at C speed: for a period p > 1, one
+    place of the period at a time, each into a strided slice of a zeroed
+    block.  The move j periods into the piece at place r of the period
+    is the r-th of ``first`` stepped j times."""
     period, bend = len(first), curve if place == 0 else 0
     if period == 1:
         value = first[0][place]
-        return _spread(value, after[0][place] - value, bend, length)
-    block = array("q", (0,)) * length
-    for r, (now, nxt) in enumerate(zip(first, after)):
-        value = now[place]
-        block[r::period] = _spread(value, nxt[place] - value, bend, (length - 1 - r) // period + 1)
+        step = after[0][place] - value
+        if start:
+            value += start * step + bend * (start * (start - 1) // 2)
+            step += bend * start
+        return _spread(value, step, bend, count)
+    block = array("q", (0,)) * count
+    for k in range(min(period, count)):
+        j, r = divmod(start + k, period)
+        value = first[r][place]
+        step = after[r][place] - value
+        if j:
+            value += j * step + bend * (j * (j - 1) // 2)
+            step += bend * j
+        block[k::period] = _spread(value, step, bend, (count - 1 - k) // period + 1)
     return block
 
 
-def _columns(pieces: tuple, places: tuple) -> list:
-    """The columns at ``places`` of the moves of ``pieces`` (see
-    :class:`_Steps`), in one pass: each run of moves copied from its
-    columns, each closed-form piece built by :func:`_values`."""
-    columns = [array("q") for _ in places]
-    for _, length, curve, first, after in pieces:
-        for column, place in zip(columns, places):
-            column += after[place] if first is None else _values(place, length, curve, first, after)
-    return columns
+# The most steps a reader builds the columns of at a time (see ``_Steps._windows``).
+_WINDOW = 4096
 
-
-def _piece_columns(length: int, curve: int, first: tuple, after: tuple) -> tuple:
-    """The four columns of the first ``length`` moves of one closed-form piece."""
-    return tuple(_values(place, length, curve, first, after) for place in range(len(_COLUMNS)))
+# The places of a move's four ints: target, parameter, key and code.
+_PLACES = range(4)
 
 
 class _Steps(Sequence):
-    """The steps of a chain, held as four ``array('q')`` columns, one
-    entry per step: the target count, the parameter (m or h), the
-    carrier's key (see ``catalog._KEYS``) and a code into ``codes`` for
-    the kind and note.  A step's count before the move is the previous
-    target, or the start.
+    """The steps of a chain, held as its pieces, each (first index,
+    length, curve, first, after), in ``_pieces``, an empty tuple for an
+    empty chain.  A move is four ints: the target count, the parameter
+    (m or h), the carrier's key (see ``catalog._KEYS``) and a code into
+    ``codes`` for the kind and note; a step's count before the move is
+    the previous target, or the start.
 
-    A planned chain holds instead the pieces the planner walked, in
-    ``_pieces``, each (first index, length, curve, first, after).  A
-    closed-form piece is ``length`` moves that repeat with period p =
+    A run is moves held as they are: ``first`` None and ``after`` their
+    four ``array('q')`` columns, one entry per move.  A chain built in
+    code, unpickled or read from JSON is one run, packed on entry by
+    :func:`_pack`, and so is a plan without long pieces.  A closed-form
+    piece, which the planner keeps for a piece of ``_PROVED_FROM``
+    periods or more, is ``length`` moves that repeat with period p =
     len(first), ``first`` the first p and ``after`` the p that follow:
     each int steps by a constant from one period to the next and a
-    target's step grows by ``curve``.  A run of moves the planner kept
-    as they are (pieces shorter than ``_PROVED_FROM`` periods, which
-    validation reads move by move anyway) has ``first`` None and
-    ``after`` its four columns.  Its length and terminal are stored, so
-    ``len`` and ``Chain.terminal`` cost O(1), and :func:`validate_chain`
-    proves a planned chain from its pieces.  Its columns are built by
-    :func:`_columns`, the only writer of a planned chain's columns from
-    its pieces, when they are first read (the columns not yet built are
-    unset slots, which ``__getattr__`` fills).  A planned chain that is
-    one run holds the run's columns as its own and ``_pieces`` empty;
-    ``_pieces`` is None for a chain built in code, unpickled or read from
-    JSON, whose columns are packed on entry.
+    target's step grows by ``curve``.  So ``len`` and ``Chain.terminal``
+    cost O(1), and :func:`validate_chain` proves a closed-form piece from
+    a few of its moves.
 
-    Reading a step builds its ``LinkMove`` and takes its carrier from the
-    cache of ``catalog._carrier``, which keeps a level's few keys while a
-    pass reads them, so those moves share one carrier; a slice is a tuple.
-    A read of more steps than that cache keeps takes a cache of the same
+    Every reader takes the columns from :meth:`_windows`, a window of at
+    most ``_WINDOW`` moves at a time, so that reading costs in the steps
+    read and holds a window, not the chain.  Reading a step builds its
+    ``LinkMove`` and takes its carrier from the cache of
+    ``catalog._carrier``, which keeps a level's few keys while a pass
+    reads them, so those moves share one carrier; a slice is a tuple.  A
+    read of more steps than that cache keeps takes a cache of the same
     size of its own: the shared one could keep none of its keys for the
     next read, and would lose the small chains' keys it holds.
     Equality, hash, ``repr`` and pickling are those of the tuple of
     moves, which ``tuple(steps)`` builds."""
 
-    __slots__ = ("_space", "_start", "_codes", "_pieces", "_length", "_terminal", *_COLUMNS)
+    __slots__ = ("_space", "_start", "_codes", "_pieces", "_length")
 
-    def __init__(self, space: str, start: int, columns=(), codes=_MOVE_CODES, pieces=None):
-        if columns:
-            to = columns[0]
-            length, terminal = len(to), to[-1] if to else start
-        elif pieces:
-            length, terminal = pieces[-1][0] + pieces[-1][1], _piece_last(pieces[-1])
-        else:
-            length, terminal = 0, start
-        for name, value in zip(self.__slots__,
-                               (space, start, codes, pieces, length, terminal, *columns)):
+    def __init__(self, space: str, start: int, pieces: tuple, codes=_MOVE_CODES):
+        length = pieces[-1][0] + pieces[-1][1] if pieces else 0
+        for name, value in zip(self.__slots__, (space, start, codes, pieces, length)):
             object.__setattr__(self, name, value)
-
-    def __getattr__(self, name):
-        # Only a column of a planned chain that is not yet built is unset.
-        # The targets may be read alone, as ``point_sequence`` reads them;
-        # a reader of any other column reads all three others too, so the
-        # first such read builds the three.
-        places = _BUILT_WITH.get(name)
-        if places is None:
-            raise AttributeError(name)
-        for place, column in zip(places, _columns(self._pieces, places)):
-            object.__setattr__(self, _COLUMNS[place], column)
-        return object.__getattribute__(self, name)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -293,33 +268,69 @@ class _Steps(Sequence):
     def __len__(self) -> int:
         return self._length
 
+    def _windows(self, start: int, stop: int, places=slice(4)):
+        """The columns at ``places`` (a slice of ``_PLACES``) of the moves
+        start..stop-1, in windows of at most ``_WINDOW`` moves, each
+        within one piece: a run's moves sliced from its columns, or its
+        columns themselves when the window is the whole run, and a
+        closed-form piece's built by :func:`_values`."""
+        pieces = self._pieces
+        i = bisect_right(pieces, start, key=itemgetter(0)) - 1 if start else 0
+        while start < stop:
+            index, length, curve, first, after = pieces[i]
+            lo = start - index
+            hi = min(stop - index, length, lo + _WINDOW)
+            if first is None:
+                yield (after[places] if hi - lo == length
+                       else [column[lo:hi] for column in after[places]])
+            else:
+                yield [_values(place, lo, hi - lo, curve, first, after)
+                       for place in _PLACES[places]]
+            start = index + hi
+            i += hi == length
+
+    def _rows(self, start: int, stop: int):
+        """The (target, parameter, key, code) of the moves start..stop-1;
+        those of a chain that is one run are its columns zipped."""
+        pieces = self._pieces
+        if len(pieces) == 1 and pieces[0][3] is None and stop - start == self._length:
+            return zip(*pieces[0][4])
+        return chain.from_iterable(starmap(zip, self._windows(start, stop)))
+
     def __getitem__(self, index):
         positions = range(self._length)[index]
         if isinstance(index, slice):
+            if positions.step < 0:
+                return tuple(self._moves(positions[::-1]))[::-1]
             return tuple(self._moves(positions))
-        return next(self._moves((positions,)))
+        return next(self._moves(range(positions, positions + 1)))
 
     def __iter__(self):
         return self._moves(range(self._length))
 
-    def _moves(self, positions):
+    def _moves(self, positions: range):
+        """The moves at ``positions``, a range that steps up.  Each row is
+        paired with the one before it, whose target is the move's count
+        before; the row before the first position is read for it."""
+        if not positions:
+            return
         space, pairs = self._space, self._codes
-        to, params, keys, codes = self._to, self._param, self._key, self._code
         carrier = (_carrier if len(positions) <= _CARRIERS_KEPT
                    else lru_cache(_CARRIERS_KEPT)(_carrier.__wrapped__))
-        for i in positions:
-            kind, note = pairs[codes[i]]
-            param = params[i]
+        skip = 1 if positions.start else 0
+        rows = self._rows(positions.start - skip, positions[-1] + 1)
+        for before, (n_to, param, key, code) in islice(pairwise(chain(((self._start,),), rows)),
+                                                        skip, None, positions.step):
+            kind, note = pairs[code]
             liaison = kind == LIAISON
-            yield _move(kind, to[i - 1] if i else self._start, to[i], carrier(space, keys[i]),
+            yield _move(kind, before[0], n_to, carrier(space, key),
                         param if liaison else None, None if liaison else param, note)
-
-    def _columns(self) -> tuple:
-        return self._space, self._start, self._to, self._param, self._key, self._code
 
     def __eq__(self, other):
         if type(other) is _Steps:
-            return self._columns() == other._columns() and self._codes == other._codes
+            return ((self._space, self._start, self._length, self._codes)
+                    == (other._space, other._start, other._length, other._codes)
+                    and all(map(eq, self._rows(0, self._length), other._rows(0, other._length))))
         if type(other) is tuple:
             return len(other) == len(self) and tuple(self) == other
         return NotImplemented
@@ -380,7 +391,7 @@ def _pack(space: str, start: int, moves: tuple, carried) -> _Steps:
         keys.append(key)
         codes.append(code_of.setdefault((move.kind, move.note), len(code_of)))
         cur = move.n_to
-    return _Steps(space, start, columns, tuple(code_of))
+    return _Steps(space, start, ((0, len(to), 0, None, columns),) if to else (), tuple(code_of))
 
 
 class Chain(Record):
@@ -401,27 +412,30 @@ class Chain(Record):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _packed(cls, space: str, start: int, *columns, pieces=None) -> "Chain":
-        """The chain of a walk from ``start``, its steps held in the four
-        columns of :class:`_Steps`, or in the planner's pieces, from which
-        they are built when read."""
+    def _packed(cls, space: str, start: int, pieces: tuple) -> "Chain":
+        """The chain of a walk from ``start`` whose steps are ``pieces``
+        (see :class:`_Steps`), unchecked."""
         chain = object.__new__(cls)
-        chain._hold(_Steps(space, start, columns, pieces=pieces))
+        chain._hold(_Steps(space, start, pieces))
         return chain
 
     @property
     def terminal(self) -> int:
-        return self.steps._terminal
+        pieces = self.steps._pieces
+        return _piece_last(pieces[-1]) if pieces else self.start
 
     def point_sequence(self) -> list[int]:
-        return [self.start] + self.steps._to.tolist()
+        sequence, steps = [self.start], self.steps
+        for to, in steps._windows(0, len(steps), slice(1)):
+            sequence += to.tolist()
+        return sequence
 
     def _lines(self):
         """The text line of each step, ``n_from -> n_to [descriptor]``."""
         steps = self.steps
         layout = _KEYS[self.space]
         dims, label_of, n, code_now = layout.dims, layout.label, self.start, None
-        for n_to, param, key, code in zip(steps._to, steps._param, steps._key, steps._code):
+        for n_to, param, key, code in steps._rows(0, len(steps)):
             if code != code_now:
                 code_now = code
                 kind = steps._codes[code][0]
@@ -432,7 +446,7 @@ class Chain(Record):
             n = n_to
 
     def to_dict(self) -> dict:
-        """The chain as JSON-ready dicts, straight from the columns: each
+        """The chain as JSON-ready dicts, straight from its rows: each
         step's dicts are copies of two templates with the step's values
         set.  The cyclic collector is paused meanwhile: the new dicts hold
         no cycle, and the passes they would set off took about a tenth of
@@ -447,7 +461,7 @@ class Chain(Record):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            for n_to, param, key, code in zip(steps._to, steps._param, steps._key, steps._code):
+            for n_to, param, key, code in steps._rows(0, len(steps)):
                 if code != code_now:
                     code_now = code
                     kind, note = steps._codes[code]
@@ -685,21 +699,19 @@ def _least(v0: int, v1: int, v2: int, last: int) -> int:
     return v0 + t * s1 + t * (t - 1) // 2 * s2
 
 
-# The fewest periods of a piece that :func:`_proved_pieces` proves: it
-# needs four (the first, read, and three samples), and a shorter piece
-# than this reads faster than it is proved, so the planner keeps it as
-# its moves.
+# The fewest periods of a closed-form piece: :func:`_proves` needs four
+# (the first, read, and three samples), and a shorter piece than this
+# reads faster than it is proved, so the planner keeps it as its moves.
 _PROVED_FROM = 24
 
 
-def _proved_pieces(chain: Chain):
-    """The closed-form pieces of a planned chain, those of
-    ``_PROVED_FROM`` periods or more, when they prove that its space's
-    rule admits every step of theirs but the first period, each with a
-    key at least the space's first; None when one is not proved, and the
-    chain's ``_pieces`` (None, or empty) when it has none.
+def _proves(space: str, piece: tuple, table: tuple) -> bool:
+    """Whether ``piece``, a closed-form piece of a chain in ``space``
+    whose codes index ``table`` and whose keys are at least the space's
+    first (as :func:`validate_chain` checks first), proves that its
+    space's rule admits every step of it but the first period.
 
-    Each place of a piece's period holds the steps j = 0, 1, ... whose
+    Each place of the piece's period holds the steps j = 0, 1, ... whose
     ints step by a constant from one period to the next, the target's
     step growing by the piece's curve, as :func:`_values` builds them.
     Where the code is the same at j = 0 and 1, and the key steps by a
@@ -711,90 +723,80 @@ def _proved_pieces(chain: Chain):
     at most 2.  So the slacks at j = 1, 2, 3, read off the piece's first
     four periods as :func:`_values` builds them, fix them: each one's
     least value over the piece, found by :func:`_least`, is at least 0.
-    A place with a note (which switches plane relations off), or that
-    fails a precondition or a relation, proves no piece, nor does 3-space,
-    whose carriers have no key classes."""
-    space, steps = chain.space, chain.steps
-    if not steps._pieces:
-        return steps._pieces
-    pieces = [piece for piece in steps._pieces if piece[3] is not None]
-    rules, dims, first_key, table = _RULES[space], _KEYS[space].dims, _FIRST_KEYS[space], steps._codes
+    A run, a place with a note (which switches plane relations off), or
+    one that fails a precondition or a relation, proves nothing, nor does
+    3-space, whose carriers have no key classes."""
+    _, length, curve, first, after = piece
     classes = _KEY_CLASSES.get(space)
-    for _, length, curve, first, after in pieces:
-        period = len(first)
-        to, params, keys, codes = _piece_columns(4 * period, curve, first, after)
-        for r in range(period):
-            last = (length - 1 - r) // period  # the place's last j
-            code, key, step = codes[r], keys[r], keys[r + period] - keys[r]
-            if not -len(table) <= code < len(table):
-                return None  # reading fails on this code
-            kind, note = table[code]
-            if (note or kind not in rules or classes is None or codes[r + period] != code
-                    or step % classes or min(key + step, key + last * step) < first_key):
-                return None
-            slacks = rules[kind][0]
-            samples = [slacks(to[k - 1], to[k], *dims(keys[k]), params[k], note)
-                       for k in range(r + period, r + 4 * period, period)]
-            for values in zip(*samples):
-                if _least(*values, last - 1) < 0:
-                    return None
-    return pieces
+    if first is None or classes is None:
+        return False
+    rules, dims, period = _RULES[space], _KEYS[space].dims, len(first)
+    to, params, keys, codes = (_values(place, 0, 4 * period, curve, first, after)
+                               for place in _PLACES)
+    for r in range(period):
+        last = (length - 1 - r) // period  # the place's last j
+        code = codes[r]
+        if not -len(table) <= code < len(table):
+            return False  # reading fails on this code
+        kind, note = table[code]
+        if (note or kind not in rules or codes[r + period] != code
+                or (keys[r + period] - keys[r]) % classes):
+            return False
+        slacks = rules[kind][0]
+        samples = [slacks(to[k - 1], to[k], *dims(keys[k]), params[k], note)
+                   for k in range(r + period, r + 4 * period, period)]
+        for values in zip(*samples):
+            if _least(*values, last - 1) < 0:
+                return False
+    return True
 
 
 def validate_chain(chain: Chain) -> None:
     """Check that a chain's space admits every step; raises InvalidMove
     for a start below one, for a key below the space's first (the least
-    one, by one ``min`` over the keys read; the key of a 3-space row past
-    the table is refused where its row is read) or for the first move
-    with a negative slack in its space's rule in ``_RULES``, with the
-    text of the first relation the move breaks (see :func:`_broken`).
-    The rule is chosen once per run of one code, and a kind the space
-    lacks raises where its run starts.  Each key's (d, g, linsys_dim)
-    comes from the closed forms in ``catalog._KEYS``, and the carrier is
-    built only to word a failure.  The steps are linked, and their
-    carriers the catalog's, by construction (see :func:`_pack`).
+    one, from the ends of each piece, where a key is least at each place
+    of its period; the key of a 3-space row past the table is refused
+    where its row is read) or for the first move with a negative slack
+    in its space's rule in ``_RULES``, with the text of the first
+    relation the move breaks (see :func:`_broken`).  The rule is chosen
+    once per run of one code, and a kind the space lacks raises where its
+    run starts.  Each key's (d, g, linsys_dim) comes from the closed
+    forms in ``catalog._KEYS``, and the carrier is built only to word a
+    failure.  The steps are linked, and their carriers the catalog's, by
+    construction (see :func:`_pack`).
 
-    A planned chain with closed-form pieces is read from its pieces and
-    builds no column: each run of moves from its columns, and the first
-    period of each closed-form piece, which :func:`_proved_pieces`
-    proves from a few of its steps.  The count before a piece is where
-    the one before it ends.  So a plan costs in its pieces, not its
-    length.  A proved step is one its rule admits, so the first step
+    The chain is read a piece at a time, each from the count where the
+    one before it ends: a run from its columns, a closed-form piece that
+    :func:`_proves` proves for its first period only, and every other
+    one step by step through ``_Steps._windows``.  So a plan costs in
+    its pieces, not its length.  A proved step is one its rule admits, so the first step
     refused is one that is read, and every verdict and text is the one
-    reading every step gives.  A chain built in code, unpickled or read
-    from JSON has no pieces, and it, a planned chain that is one run of
-    moves and one whose pieces are not proved are read whole."""
+    reading every step gives."""
     n, space, steps = chain.start, chain.space, chain.steps
     if n < 1:
         raise InvalidMove(f"chains start at a positive count, got {n}")
     # Per key class d is linear, g and linsys_dim quadratic: tests/test_catalog.py::TestKeyClasses
-    first_key = _FIRST_KEYS[space]
-    proved = _proved_pieces(chain)
-    if not proved:
-        parts = ((n, zip(steps._to, steps._param, steps._key, steps._code)),)
-        least = min(steps._key, default=first_key)
-    else:
-        # A proved piece's keys are at least the first, so the least key
-        # read is the chain's least wherever that is below the first.
-        parts, least = [], first_key
-        for piece in steps._pieces:
-            _, _, _, first, after = piece
-            if first is None:  # a run of moves, read from its columns
-                parts.append((n, zip(*after)))
-                least = min(least, min(after[2]))
-            else:  # a proved piece's first period
-                parts.append((n, first))
-                least = min(least, *(move[2] for move in first))
-            n = _piece_last(piece)
+    least = first_key = _FIRST_KEYS[space]
+    for _, length, _, first, after in steps._pieces:
+        if first is None:
+            least = min(least, min(after[2]))
+            continue
+        period = len(first)
+        for r, (now, nxt) in enumerate(zip(first, after)):
+            key = now[2]
+            least = min(least, key, key + (length - 1 - r) // period * (nxt[2] - key))
     if least < first_key:
         raise _unknown_key(space, least)
-    rules, dims = _RULES[space], _KEYS[space].dims
-    for n, moves in parts:
+    rules, dims, table = _RULES[space], _KEYS[space].dims, steps._codes
+    for piece in steps._pieces:
+        index, length, _, first, after = piece
         code_now = None
-        for n_to, param, key, code in moves:
+        rows = (zip(*after) if first is None else first if _proves(space, piece, table)
+                else steps._rows(index, index + length))
+        for n_to, param, key, code in rows:
             if code != code_now:
                 code_now = code
-                kind, note = steps._codes[code]
+                kind, note = table[code]
                 if kind not in rules:
                     raise InvalidMove(f"{space} chains use no {kind} moves")
                 slacks = rules[kind][0]
@@ -803,3 +805,4 @@ def validate_chain(chain: Chain) -> None:
                 raise InvalidMove(_broken(space, kind, n, n_to, d, g, held, param, note,
                                           _carrier(space, key)))
             n = n_to
+        n = _piece_last(piece)

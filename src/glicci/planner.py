@@ -9,8 +9,8 @@ or h), the carrier's key (see ``catalog._KEYS``) and a note code (see
 past 64 bits and a chain longer than the step budget, and hands the
 chain the long pieces themselves, so that ``validate_chain`` proves it
 a piece at a time; only the moves of the short pieces are written, and
-the columns of the long ones are built, and moves and carriers made,
-when a caller reads the steps:
+a reader builds the columns of the long ones a window at a time, and
+moves and carriers, as it reads the steps:
 
   * p2: ascending biliaisons on plane curves of the least degree that
     holds the points, a run of height 2 and then one of height 1,
@@ -61,16 +61,16 @@ from .moves import (
     _last,
     _least,
     _liaison_degree,
-    _piece_columns,
     _too_large,
+    _values,
     validate_chain,
 )
 
 _SEARCH_CAP = 10_000
 
-# The most steps a plan may have: 4 GiB of columns.  The cubic surface
-# takes 73,542,700 steps from 10^15 points, and at 2^63 - 1 the plane
-# takes 2,147,483,647.
+# The most steps a plan may take; a longer one is refused at the piece
+# that passes it.  The cubic surface takes 73,542,700 steps from 10^15
+# points, and at 2^63 - 1 the plane takes 2,147,483,647.
 _STEP_BUDGET = 1 << 27
 
 
@@ -105,10 +105,10 @@ def _walk(space: str, n: int, pieces) -> Chain:
     with period p, ``first`` the first p and ``after`` the p that follow
     (none where the piece gives all its moves in ``first``).  A piece of
     ``moves._PROVED_FROM`` periods or more is kept in closed form, with
-    the index of its first move, and the chain builds its columns when
-    they are read, so a plan costs in its pieces, not its length; the
-    moves of the shorter pieces between two such, which validation reads
-    move by move, are written into the columns of one run.  A walk that
+    the index of its first move, so a plan costs in its pieces, not its
+    length; the moves of the shorter pieces between two such, which
+    validation reads move by move, are written into the columns of one
+    run, and a chain with no long piece is that one run.  A walk that
     comes back to a count it has left, or yields an empty piece, raises
     :class:`InvalidMove` instead of looping; one with an int that the
     columns could not hold raises :class:`DegreeTooLarge` (checked by
@@ -153,8 +153,8 @@ def _walk(space: str, n: int, pieces) -> Chain:
                     code.append(c)
                 cur = to[-1]
             elif length < moves._PROVED_FROM * period:
-                for column, values in zip(run, _piece_columns(length, curve, first, after)):
-                    column += values
+                for place, column in enumerate(run):
+                    column += _values(place, 0, length, curve, first, after)
                 cur = to[-1]
             else:
                 _fits(length, curve, first, after)
@@ -173,12 +173,9 @@ def _walk(space: str, n: int, pieces) -> Chain:
             hop += 1
     except OverflowError:
         raise _too_large(f"{n} points") from None
-    if not kept:  # the chain is one run of moves: its columns are the chain's
-        chain = Chain._packed(space, n, *run, pieces=())
-    else:
-        if to:
-            kept.append((begin, len(to), 0, None, run))
-        chain = Chain._packed(space, n, pieces=tuple(kept))
+    if to:
+        kept.append((begin, len(to), 0, None, run))
+    chain = Chain._packed(space, n, tuple(kept))
     validate_chain(chain)
     return chain
 

@@ -1,8 +1,11 @@
 """Memory a plan holds, and the walk guard that keeps none.
 
-A plan keeps its closed-form pieces and builds its columns only when a
-reader needs them, so planning costs in its pieces and reading in its
-steps; these tests pin what each costs and that nothing else grows.
+A chain holds its steps as pieces, and a plan keeps its closed-form
+ones as they are: every reader builds the columns of a window of steps
+at a time, and validation builds none over a piece it proves.  So
+planning costs in the pieces, and reading in the steps read, at the
+memory of a window; these tests pin what each costs and that nothing
+else grows.
 """
 
 import gc
@@ -14,6 +17,7 @@ from itertools import islice, repeat
 from pathlib import Path
 
 import pytest
+import windows
 
 from glicci import catalog
 from glicci.catalog import cubic_surface_type
@@ -21,10 +25,11 @@ from glicci.errors import InvalidMove
 from glicci.moves import _BILIAISON_CODE, _SLIDE_CODE, Chain
 from glicci.planner import _walk, plan
 
-# A read chain holds four array('q') columns, 32 bytes a step, and builds
-# its records only when they are read.  A plan builds none of them; its
-# point sequence builds the target column (8 bytes a step) and a list of
-# ints (about 40), in every space.
+# A chain read from JSON holds four array('q') columns, 32 bytes a step,
+# and builds its records only when they are read.  A plan holds its
+# closed-form pieces instead; its point sequence builds the target
+# column a window at a time and a list of ints (about 40 bytes a step),
+# in every space.
 PACKED_BYTES_PER_STEP = 64
 
 
@@ -42,19 +47,6 @@ def _traced_bytes_per_step(space, n, steps, read=lambda chain: None):
     return peak / steps
 
 
-def _built_columns(steps):
-    """The names of the columns of ``steps`` built so far, found without
-    the fallback that builds one."""
-    built = []
-    for name in ("_to", "_param", "_key", "_code"):
-        try:
-            object.__getattribute__(steps, name)
-        except AttributeError:
-            continue
-        built.append(name)
-    return built
-
-
 def _fresh(probe):
     """The stdout of ``probe`` run in a fresh interpreter on this source."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -66,7 +58,8 @@ def _fresh(probe):
 
 def test_spiral_runs_share_their_carriers_in_memory():
     # The spiral's 6,466 moves name the level's two carriers by two keys.
-    assert len(set(plan("cubic-surface", 99999989).steps._key[:6466])) == 2
+    steps = plan("cubic-surface", 99999989).steps
+    assert len(set(windows.columns(steps, 0, 6466)[2])) == 2
 
 
 _DEEP = [("cubic-surface", 10**7, 7572), ("cubic-surface", 99999989, 22794),
@@ -75,7 +68,14 @@ _DEEP = [("cubic-surface", 10**7, 7572), ("cubic-surface", 99999989, 22794),
 
 @pytest.mark.parametrize("space, n, steps", _DEEP)
 def test_a_plan_builds_no_column_and_takes_a_few_bytes_a_step(space, n, steps):
-    assert _built_columns(plan(space, n).steps) == []
+    # Planning reads its runs of moves, and builds no window over a
+    # closed-form piece, which it proves.
+    with windows.recorded() as built:
+        chain = plan(space, n)
+    closed = [(index, index + length) for index, length, _, first, _ in chain.steps._pieces
+              if first is not None]
+    assert closed
+    assert all(stop <= lo or hi <= start for start, stop in built for lo, hi in closed)
     assert _traced_bytes_per_step(space, n, steps) <= 4
 
 
@@ -98,10 +98,13 @@ def _vmhwm_probe(setup):
 
 def test_cubic_plan_at_ten_to_the_ten_peaks_below_40_mb():
     # A fresh interpreter, so that the peak resident set is the plan's
-    # own: 163,300 steps, with all four columns read.
+    # own: 163,300 steps, with all four columns read through windows.
     out = _fresh(_vmhwm_probe(
-        "import glicci; chain = glicci.plan('cubic-surface', 10**10); s = chain.steps; "
-        "print(len(s), len(s._to), len(s._param), len(s._key), len(s._code))"))
+        "import glicci; chain = glicci.plan('cubic-surface', 10**10); s = chain.steps\n"
+        "lengths = [0] * 4\n"
+        "for window in s._windows(0, len(s)):\n"
+        "    lengths = [length + len(column) for length, column in zip(lengths, window)]\n"
+        "print(len(s), *lengths)"))
     *lengths, peak_kb = map(int, out.split())
     assert lengths == [163300] * 5
     assert peak_kb <= 40 * 1024, f"VmHWM {peak_kb} kB"
@@ -109,24 +112,29 @@ def test_cubic_plan_at_ten_to_the_ten_peaks_below_40_mb():
 
 def test_a_cubic_plan_at_ten_to_the_fifteen_is_planned_in_its_pieces():
     # 73,542,700 steps, whose columns would take about 2.35 GB: the plan
-    # holds its pieces, proves them and builds no column.
+    # holds its pieces and proves them, and a reader builds a window of
+    # columns at a time, so that a step, a slice or the first lines cost
+    # in what they read.
     out = _fresh(_vmhwm_probe(
-        # A column built by mistake fails on the address-space limit
-        # instead of taking the machine's memory.
+        # A column of the whole chain built by mistake fails on the
+        # address-space limit instead of taking the machine's memory.
         "import resource, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         # The name is read before the timer: reading it imports the planner.
         "from glicci import plan\n"
         "t = time.perf_counter(); chain = plan('cubic-surface', 10**15)\n"
         "t = time.perf_counter() - t\n"
-        "for name in ('_to', '_param', '_key', '_code'):\n"
-        "    try: object.__getattribute__(chain.steps, name)\n"
-        "    except AttributeError: continue\n"
-        "    raise SystemExit(f'the plan built its column {name}')\n"
-        "print(len(chain.steps), chain.terminal, round(t * 1e6))"))
-    steps, terminal, micros, peak_kb = map(int, out.split())
-    assert (steps, terminal) == (73_542_700, 1)
+        "steps, reads = chain.steps, []\n"
+        "for index in (0, -1, len(steps) // 2):\n"
+        "    r = time.perf_counter(); steps[index]; reads.append(time.perf_counter() - r)\n"
+        "tail = [move.n_to for move in steps[-3:]]\n"
+        "lines = sum(1 for _ in zip(chain._lines(), range(1000)))\n"
+        "print(len(steps), chain.terminal, round(t * 1e6), *(round(r * 1e6) for r in reads),"
+        " *tail, lines)"))
+    steps, terminal, micros, *reads, last, before, end, lines, peak_kb = map(int, out.split())
+    assert (steps, terminal, last, before, end, lines) == (73_542_700, 1, 5, 3, 1, 1000)
     assert micros < 10_000, f"{micros} us"
+    assert max(reads) < 1_000, f"{reads} us"
     assert peak_kb <= 40 * 1024, f"VmHWM {peak_kb} kB"
 
 

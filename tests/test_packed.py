@@ -1,7 +1,7 @@
-"""A chain keeps its steps in columns and builds records on read.
+"""A chain keeps its steps as pieces and builds records on read.
 
-The planner fills the columns itself; every other chain is packed on
-entry.  Its twin, ``Chain(space, start, tuple(chain.steps))``, reads a
+The planner hands a chain its pieces itself; every other chain is
+packed on entry into one run of columns.  Its twin, ``Chain(space, start, tuple(chain.steps))``, reads a
 planned chain's moves and packs them again, so every observable of the
 two must agree: packing inverts reading.  ``validate_chain`` must give
 a corrupted planned chain the verdict, and the text, it gives the
@@ -15,6 +15,7 @@ from array import array
 from collections.abc import Sequence
 
 import pytest
+import windows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,7 +56,8 @@ def test_packed_chain_equals_its_materialized_twin(data):
     steps = packed.steps
     twin = Chain(space, n, tuple(steps))
     assert type(steps) is not tuple and isinstance(steps, Sequence)
-    assert steps._columns() == twin.steps._columns()
+    assert (steps._space, steps._start, windows.columns(steps)) == (
+        twin.steps._space, twin.steps._start, windows.columns(twin.steps))
 
     assert packed == twin and twin == packed and not packed != twin
     assert hash(packed) == hash(twin) and hash(steps) == hash(twin.steps)
@@ -99,9 +101,9 @@ def test_steps_are_immutable():
 def _replaced(space, n, column, index, value):
     """``plan(space, n)`` with one entry of one column replaced, built
     through the private constructor."""
-    columns = [array("q", values) for values in plan(space, n).steps._columns()[2:]]
+    columns = [array("q", values) for values in windows.columns(plan(space, n).steps)]
     columns[column][index] = value
-    return Chain._packed(space, n, *columns)
+    return windows.run_chain(space, n, columns)
 
 
 def _corrupted(space, n, column, index, value):
@@ -168,7 +170,7 @@ def test_any_corrupted_entry_gets_its_twins_verdict(data):
     chain = plan(space, n)
     column = data.draw(st.sampled_from((TARGET, PARAM, KEY, CODE)))
     index = data.draw(st.integers(0, len(chain.steps) - 1))
-    old = chain.steps._columns()[2 + column][index]
+    old = windows.columns(chain.steps)[column][index]
     if column == KEY:
         # Keys of real carriers: a table row's degree in 3-space, a >= 1 on the cubic surface.
         low, high = {"p3": (1, 10), "cubic-surface": (4, old + 12)}.get(space, (1, old + 3))

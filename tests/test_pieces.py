@@ -16,6 +16,7 @@ import sys
 from array import array
 
 import pytest
+import windows
 from oracles import reference_columns
 
 from glicci.planner import P3_GUARANTEED_MAX, plan
@@ -37,7 +38,7 @@ LEVEL_STARTS = {
 
 
 def _columns(space, n):
-    return plan(space, n).steps._columns()[2:]
+    return windows.columns(plan(space, n).steps)
 
 
 def _little_endian(column):

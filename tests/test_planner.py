@@ -3,6 +3,7 @@ from array import array
 from itertools import islice
 
 import pytest
+import windows
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import cubic_range_move, cubic_spiral_walk
@@ -53,7 +54,7 @@ def _packed(space, start, hops):
     for move in hops:
         for column, value in zip(columns, move):
             column.append(value)
-    return Chain._packed(space, start, *columns)
+    return windows.run_chain(space, start, columns)
 
 
 def _first_piece(start):
@@ -65,9 +66,9 @@ def _spiral_run(start, lo, hi):
     """The steps of the first piece from start while the count stays in
     [lo, hi], up to and including the one that leaves it."""
     steps = _first_piece(start)
-    end = next(i for i, n_to in enumerate(steps._to) if not lo <= n_to <= hi) + 1
-    columns = (column[:end] for column in steps._columns()[2:])
-    return Chain._packed("cubic-surface", start, *columns).steps
+    columns = windows.columns(steps)
+    end = next(i for i, n_to in enumerate(columns[0]) if not lo <= n_to <= hi) + 1
+    return windows.run_chain("cubic-surface", start, [column[:end] for column in columns]).steps
 
 
 class TestPlanP2:
@@ -233,7 +234,7 @@ class TestPlanCubic:
             assert [(s.n_from, s.n_to, s.m, s.carrier.label[5:]) for s in run] == expected
             assert all(s.kind == LIAISON and s.carrier == carriers[s.carrier.label[5:]]
                        for s in run)
-            assert len(set(run._key)) == min(len(run), 2)
+            assert len(set(windows.columns(run)[2])) == min(len(run), 2)
 
     def test_spiral_run_walks_the_whole_spiral(self):
         # At 99999989 the walk starts in range D of level 8165 and spirals
@@ -243,7 +244,7 @@ class TestPlanCubic:
         run = _spiral_run(99999989, n0 + a + 2, n0 + 2 * a)
         assert len(run) == 6466
         steps = plan("cubic-surface", 99999989).steps
-        assert len(set(steps._key[:6466])) == 2
+        assert len(set(windows.columns(steps, 0, 6466)[2])) == 2
         assert steps[:6466] == tuple(run)
 
     @pytest.mark.parametrize("a", [*range(4, 41), 997])
@@ -276,7 +277,7 @@ class TestPlanCubic:
         # serve the 6,476 steps.
         steps = plan("cubic-surface", 12345678).steps
         assert len(steps) == 6476
-        assert len(set(steps._key)) == 5737
+        assert len(set(windows.columns(steps)[2])) == 5737
 
     def test_chain_length_bound(self):
         # Empirical bound recorded over the full guaranteed range: the
@@ -293,7 +294,8 @@ class TestPlanCubic:
         # move off the literal ones at 2, 3, 5 and 6 (its key // 4) is n's.
         for n in ns:
             steps = plan("cubic-surface", n).steps
-            for n_from, key in zip([n, *steps._to], steps._key):
+            to, _, keys, _ = windows.columns(steps)
+            for n_from, key in zip([n, *to], keys):
                 if n_from not in (2, 3, 5, 6):
                     assert key >> 2 == _cubic_level(n_from), (n, n_from, key)
 
@@ -305,7 +307,7 @@ class TestPlanCubic:
         monkeypatch.setattr(planner, "_cubic_level", lambda n: roots.append(n) or _cubic_level(n))
         steps = plan("cubic-surface", 99999989).steps
         assert len(steps) == 22794
-        assert roots == [99999989, steps._to[6465]]
+        assert roots == [99999989, windows.columns(steps, 6465, 6466)[0][0]]
 
 
 def _assert_levels(n):

@@ -1,12 +1,11 @@
 """A planned chain is proved one closed-form piece at a time.
 
 ``planner._walk`` keeps the pieces it walks, with the first index of
-each, and ``moves._proved_pieces`` proves a long piece from three sample
+each, and ``moves._proves`` proves a long piece from three sample
 steps per place of its period, through the slacks of its space's rule
-in ``moves._RULES``; ``validate_chain`` reads the rest of the chain
-step by step from its pieces, or the whole chain where the proof does
-not go through.  So the proof must never pass a step that reading
-refuses: these tests check the tables against the rules as they were
+in ``moves._RULES``; ``validate_chain`` reads the first period of a
+proved piece and every other piece step by step.  So the proof must
+never pass a step that reading refuses: these tests check the tables against the rules as they were
 stated before them (``oracles.REFERENCE_RULES``), the proof against
 reading on every small plan and on seeded large ones, and both on
 mutants of the pieces themselves.
@@ -18,6 +17,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
+import windows
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import REFERENCE_RULES
@@ -35,7 +35,7 @@ from glicci.moves import (
     _broken,
     _least,
     _PROVED_FROM,
-    _proved_pieces,
+    _proves,
     validate_chain,
 )
 from glicci.planner import _BY_SPACE, _candidates, _carriers, _walk, plan
@@ -53,9 +53,15 @@ def _taken(chain):
             if piece[3] is not None and piece[1] >= moves._PROVED_FROM * len(piece[3])]
 
 
+def _proved(chain):
+    """The pieces of the chain that ``_proves`` proves."""
+    return [piece for piece in chain.steps._pieces
+            if _proves(chain.space, piece, chain.steps._codes)]
+
+
 def _twin(chain):
-    """The chain with the same columns and no pieces, as code builds it."""
-    return Chain._packed(chain.space, chain.start, *chain.steps._columns()[2:])
+    """The chain with the same columns held as one run, as code builds it."""
+    return windows.run_chain(chain.space, chain.start, windows.columns(chain.steps))
 
 
 def _verdict(chain):
@@ -110,7 +116,7 @@ def test_least_is_the_least_value(coefficients, last):
 def test_every_small_plan_is_proved_and_passes_step_by_step(space):
     for n in range(1, 10**4 + 1):
         chain = plan(space, n)
-        assert list(_proved_pieces(chain)) == _taken(chain), n
+        assert _proved(chain) == _taken(chain), n
         validate_chain(_twin(chain))
 
 
@@ -120,7 +126,7 @@ def test_every_small_plan_is_proved_and_passes_step_by_step(space):
 ])
 def test_seeded_large_plans_are_proved_and_pass_step_by_step(space, n):
     chain = plan(space, n)
-    assert list(_proved_pieces(chain)) == _taken(chain)
+    assert _proved(chain) == _taken(chain)
     validate_chain(_twin(chain))
 
 
@@ -129,10 +135,10 @@ def test_a_large_plan_carries_spans_and_its_copies_do_not(space):
     chain = plan(space, 10**8)
     # The proof takes pieces of _PROVED_FROM periods or more; they hold
     # nearly every step of a large plan, and it proves them.
-    proved = _proved_pieces(chain)
+    proved = _proved(chain)
     assert sum(piece[1] for piece in proved) > 0.99 * len(chain.steps)
     for copy in (pickle.loads(pickle.dumps(chain)), Chain.from_json(chain.to_json()), _twin(chain)):
-        assert copy.steps._pieces is None
+        assert [piece[3] for piece in copy.steps._pieces] == [None]  # one run of moves
         assert copy == chain and pickle.dumps(copy) == pickle.dumps(chain)
     assert repr(_twin(chain)) == repr(chain)
 
@@ -202,7 +208,7 @@ def test_a_mutated_piece_gets_the_verdict_of_its_spanless_twin(data):
         chain = _mutant(space, n, index, field, delta)
         if chain is None:
             return
-        assert chain.steps._pieces is not None
+        assert [piece[3] for piece in _twin(chain).steps._pieces] == [None]
         assert _verdict(chain) == _verdict(_twin(chain))
 
 
@@ -217,8 +223,8 @@ def test_a_code_column_that_steps_is_not_a_run_of_one_rule():
     # one, a liaison, a slide.  Each place must keep one code for the
     # proof to read its rule off the first period.
     chain = _pinned_mutant("p2", 10**6, ("first", 0, 3), -1)
-    assert chain.steps._code[:4].tolist() == [-1, 0, 1, 2]
-    assert _taken(chain) and not _proved_pieces(chain)
+    assert windows.columns(chain.steps, 0, 4)[3].tolist() == [-1, 0, 1, 2]
+    assert _taken(chain) and _proved(chain) != _taken(chain)
     assert _verdict(chain) == _verdict(_twin(chain)) == (
         "InvalidMove", "p2 chains use no liaison moves")
 
@@ -238,8 +244,8 @@ def test_a_cubic_key_that_steps_off_a_multiple_of_four_mixes_kinds():
         _walk("cubic-surface", 40, lambda n: iter((piece,)))
     chain, = walked
     assert chain.steps._pieces == ((0, *piece),)
-    assert chain.steps._to.tolist() == [35, 27, 21, 17, 15]
-    assert _taken(chain) and not _proved_pieces(chain)
+    assert windows.columns(chain.steps)[0].tolist() == [35, 27, 21, 17, 15]
+    assert _taken(chain) and _proved(chain) != _taken(chain)
     assert _verdict(chain) == _verdict(_twin(chain)) == (
         "InvalidMove", "17 + 15 != deg(5H-K on (9,10)) = 27")
 
@@ -256,7 +262,7 @@ def test_a_run_beside_a_closed_form_piece_has_its_keys_read():
         _walk("p2", 999, lambda n: iter(((length, curve, first, after), closed)))
     chain, = walked
     assert [piece[3] is None for piece in chain.steps._pieces] == [True, False]
-    assert _proved_pieces(chain)
+    assert _proved(chain) == [chain.steps._pieces[1]]
     assert _verdict(chain) == _verdict(_twin(chain)) == ("InvalidMove", "p2 key 0 names no carrier")
 
 
@@ -276,5 +282,19 @@ def test_a_piece_whose_moves_carry_a_note_is_not_proved(code):
         _walk("p2", 10**6, lambda n: iter(pieces))
     chain, = walked
     assert any(piece[3:] == noted for piece in _taken(chain))
-    assert not _proved_pieces(chain)
+    assert _proved(chain) != _taken(chain)
     assert _verdict(chain) == _verdict(_twin(chain))
+
+
+def test_a_corrupted_second_piece_is_read_and_the_first_proved():
+    # plan("p2", 10**6) is two closed-form pieces; with the second
+    # piece's first target moved on by one, the first is proved and read
+    # for its first period only, with no window of columns built over
+    # it, and the second is read step by step, as its twin reads it.
+    chain = _mutant("p2", 10**6, 1, ("after", 0, 0), 1)
+    first, second = chain.steps._pieces
+    assert _proved(chain) == [first] and first[3] is not None and second[3] is not None
+    with windows.recorded() as built:
+        verdict = _verdict(chain)
+    assert verdict == _verdict(_twin(chain)) and verdict[0] == "InvalidMove"
+    assert built and all(start >= first[0] + first[1] for start, _ in built)
